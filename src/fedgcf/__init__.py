@@ -19,18 +19,14 @@ from .data import (
     attach_contributions,
     filter_k_core,
     load_interactions,
-    shared_subset,
     split_dataset,
     synth_dataset,
 )
 from .graph import (
     BipartiteGraph,
     EmbeddingState,
-    build_graph,
     default_alpha,
     ego_infer,
-    layer_combine,
-    lgc_propagate,
     xavier_init,
 )
 from .learn import (
@@ -41,12 +37,7 @@ from .learn import (
     LossParts,
     LossSpec,
     adam_step,
-    bpr_loss,
-    combined_loss,
     compute_gradients,
-    cosine_sim,
-    infonce_loss,
-    mending_loss,
 )
 from .mending import MendingArtifacts, impair_graph, mend_graph, predict_links, train_mender
 from .client import DeviceState, DeviceUpload, ReceivedViews, client_local_train, sample_negatives

@@ -22,11 +22,11 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, NumericError
 from .evaluate import evaluate, write_per_user_tsv
-from .graph import EmbeddingState
+from .graph import BipartiteGraph, EmbeddingState
 from .learn import HyperParams
 from .loop import RunResult, eval_views, prepare_run, run_training
 from .mending import mend_graph, write_predictions_tsv
-from .server import build_server_graph, server_infer
+from .server import server_infer
 
 # key -> (default, type, help)
 CONFIG_KEYS: dict[str, tuple] = {
@@ -343,7 +343,7 @@ def _cmd_eval(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read snapshot {args.snapshot}: {exc}") from exc
     model = EmbeddingState(snap["user"], snap["item"])
-    graph = build_server_graph_from_edges(snap["graph_edges"], ds.n_users, ds.n_items)
+    graph = BipartiteGraph(ds.n_users, ds.n_items, snap["graph_edges"].reshape(-1, 2))
     user_views, item_views = server_infer(graph, model, config.layers_server)
     res = evaluate(user_views, item_views, ds, args.split, config.eval_k, config.score_sim)
     print(f"{args.split} recall@{config.eval_k}={res.recall:.4f} ndcg@{config.eval_k}={res.ndcg:.4f}")
@@ -351,12 +351,6 @@ def _cmd_eval(args) -> int:
         write_per_user_tsv(res, args.per_user)
         print(f"per-user metrics: {args.per_user}")
     return 0
-
-
-def build_server_graph_from_edges(edges: np.ndarray, n_users: int, n_items: int):
-    from .graph import BipartiteGraph
-
-    return BipartiteGraph(n_users, n_items, edges.reshape(-1, 2))
 
 
 def _cmd_mend(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ShareTier
-from .graph import BipartiteGraph, EmbeddingState, ego_infer
+from .graph import BipartiteGraph, EmbeddingState, default_alpha, ego_infer
 from .learn import (
     AdamMoments,
     CLTerm,
@@ -148,7 +148,7 @@ def client_local_train(
     p_start = dev.p_u.copy()
     work_rows: dict[int, np.ndarray] = {}
     loss_acc = LossParts()
-    alpha = hyper.alpha_device()
+    alpha = default_alpha(hyper.layers_device)
 
     for epoch in range(hyper.local_epochs):
         if local.size:

@@ -51,9 +51,6 @@ class InteractionDataset:
             out.setdefault(u, []).append(i)
         return {u: tuple(sorted(items)) for u, items in out.items()}
 
-    def train_items(self, user: int) -> tuple[int, ...]:
-        return tuple(sorted(i for u, i in self.train if u == user))
-
     def validate(self) -> None:
         pairs = [self.train, self.val, self.test]
         names = ["train", "val", "test"]
@@ -236,9 +233,6 @@ class SharePolicy:
     def n_users(self) -> int:
         return len(self.category)
 
-    def sharers(self) -> list[int]:
-        return [u for u, c in enumerate(self.category) if c is not ShareTier.NONE]
-
     def shared_pairs(self) -> set[Pair]:
         if self.contributed is None:
             raise ValueError("contributions not attached yet")
@@ -305,19 +299,6 @@ def assign_share_policy(
         ratios[u] = r
         tiers.append(c)
     return SharePolicy(ratio=ratios, category=tiers)
-
-
-def shared_subset(user_train: tuple[Pair, ...] | list[Pair], ratio: float, seed=0) -> tuple[Pair, ...]:
-    """Sample ceil(ratio * n) train pairs without replacement.
-
-    The ceiling guarantees a partial contributor shares at least one pair.
-    ``seed`` may be an int or an existing Generator.
-    """
-    if not (0.0 <= ratio <= 1.0):
-        raise ValueError(f"ratio {ratio} outside [0,1]")
-    pairs = sorted(user_train)
-    take = math.ceil(ratio * len(pairs))
-    return _sample_pairs(pairs, take, np.random.default_rng(seed))
 
 
 def _sample_pairs(pairs_sorted: list[Pair], take: int, rng: np.random.Generator) -> tuple[Pair, ...]:

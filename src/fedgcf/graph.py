@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-
 
 @dataclass
 class EmbeddingState:
@@ -27,18 +25,8 @@ class EmbeddingState:
                 f"embedding tables must be 2-d with equal width, got {self.user.shape} / {self.item.shape}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.user.shape[1]
-
     def copy(self) -> "EmbeddingState":
         return EmbeddingState(self.user.copy(), self.item.copy())
-
-    def check_finite(self) -> None:
-        for name, table in (("user", self.user), ("item", self.item)):
-            bad = np.nonzero(~np.isfinite(table).all(axis=1))[0]
-            if bad.size:
-                raise NumericError(f"non-finite {name} embedding row {int(bad[0])}")
 
 
 class BipartiteGraph:
@@ -87,9 +75,6 @@ class BipartiteGraph:
     def user_neighbors(self, u: int) -> np.ndarray:
         return self.user_adj[self.user_ptr[u] : self.user_ptr[u + 1]]
 
-    def item_neighbors(self, i: int) -> np.ndarray:
-        return self.item_adj[self.item_ptr[i] : self.item_ptr[i + 1]]
-
     def has_edge(self, u: int, i: int) -> bool:
         row = self.user_neighbors(u)
         pos = np.searchsorted(row, i)
@@ -99,15 +84,6 @@ class BipartiteGraph:
         """Edges as an (E,2) array sorted by (user, item)."""
         users = np.repeat(np.arange(self.n_users), self.user_deg)
         return np.stack([users, self.user_adj], axis=1)
-
-    def edges(self):
-        for u, i in self.edge_array():
-            yield int(u), int(i)
-
-
-def build_graph(pairs, n_users: int, n_items: int) -> BipartiteGraph:
-    """Build the graph from an iterable of (user, item) pairs."""
-    return BipartiteGraph(n_users, n_items, pairs)
 
 
 def _segment_rows(values: np.ndarray, ptr: np.ndarray, n_out: int) -> np.ndarray:
@@ -141,35 +117,16 @@ def propagate_once(g: BipartiteGraph, user_emb: np.ndarray, item_emb: np.ndarray
     return new_user, new_item
 
 
-def lgc_propagate(g: BipartiteGraph, e0: EmbeddingState, layers: int) -> list[EmbeddingState]:
-    """Propagate ``layers`` steps; returns layer 0 through layer ``layers``."""
-    if layers < 0:
-        raise ValueError(f"layers must be >= 0, got {layers}")
-    if e0.user.shape[0] != g.n_users or e0.item.shape[0] != g.n_items:
-        raise ValueError("embedding table rows do not match graph node counts")
-    out = [e0.copy()]
-    cur_u, cur_i = e0.user, e0.item
-    for _ in range(layers):
-        cur_u, cur_i = propagate_once(g, cur_u, cur_i)
-        out.append(EmbeddingState(cur_u.copy(), cur_i.copy()))
-    return out
-
-
 def default_alpha(layers: int) -> np.ndarray:
-    """Uniform layer-combination weights 1/(layers+1)."""
+    """Uniform layer-combination weights 1/(layers+1).
+
+    Every propagation in the package takes its weights from here: the
+    device's one-layer ego graph, server training and inference, and
+    mending.
+    """
     if layers < 0:
         raise ValueError(f"layers must be >= 0, got {layers}")
     return np.full(layers + 1, 1.0 / (layers + 1))
-
-
-def layer_combine(states: list[EmbeddingState], alpha: np.ndarray) -> EmbeddingState:
-    """Weighted sum of per-layer embeddings: e = sum_l alpha_l e^(l)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if len(states) != alpha.shape[0]:
-        raise ValueError(f"{len(states)} layers but {alpha.shape[0]} weights")
-    user = sum(a * s.user for a, s in zip(alpha, states))
-    item = sum(a * s.item for a, s in zip(alpha, states))
-    return EmbeddingState(user, item)
 
 
 def propagate_combine(g: BipartiteGraph, user0: np.ndarray, item0: np.ndarray, alpha: np.ndarray):
@@ -220,10 +177,3 @@ def xavier_init(n_users: int, n_items: int, dim: int, rng: np.random.Generator) 
         rng.uniform(-lim_u, lim_u, size=(n_users, dim)),
         rng.uniform(-lim_i, lim_i, size=(n_items, dim)),
     )
-
-
-def write_edges_tsv(g: BipartiteGraph, path: str) -> None:
-    """Dump edges as user<TAB>item lines (debugging aid)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i in g.edge_array():
-            fh.write(f"{u}\t{i}\n")

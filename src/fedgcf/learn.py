@@ -9,7 +9,6 @@ backward pass reuses the forward propagation with the same weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -46,12 +45,6 @@ class HyperParams:
     eval_k: int = 20
     eval_every: int = 5
     patience: int = 10
-
-    def alpha_device(self) -> np.ndarray:
-        return np.full(self.layers_device + 1, 1.0 / (self.layers_device + 1))
-
-    def alpha_server(self) -> np.ndarray:
-        return np.full(self.layers_server + 1, 1.0 / (self.layers_server + 1))
 
     def validate(self) -> list[str]:
         problems = []
@@ -111,13 +104,6 @@ class GradientBundle:
     user: dict[int, np.ndarray] = field(default_factory=dict)
     item: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def add(self, table: str, row: int, vec: np.ndarray) -> None:
-        store = self.user if table == "user" else self.item
-        if row in store:
-            store[row] = store[row] + vec
-        else:
-            store[row] = np.array(vec, dtype=np.float64)
-
     def is_empty(self) -> bool:
         return not self.user and not self.item
 
@@ -135,15 +121,6 @@ class GradientBundle:
         for row in np.nonzero(np.any(grad_item != 0.0, axis=1))[0]:
             bundle.item[int(row)] = grad_item[row].copy()
         return bundle
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with the zero-vector convention cos(0, x) = 0."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _NORM_FLOOR or nb < _NORM_FLOOR:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
@@ -190,32 +167,6 @@ def _bpr_terms(user_vecs: np.ndarray, pos_vecs: np.ndarray, neg_vecs: np.ndarray
     return loss, g_user, g_pos, g_neg
 
 
-def bpr_loss(
-    e_u: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    reg_lambda: float = 0.0,
-    reg_rows: np.ndarray | None = None,
-) -> float:
-    """Ranking loss for one user view against paired positive/negative views.
-
-    loss = sum_k -ln sigmoid(cos(e_u, pos_k) - cos(e_u, neg_k))
-         + reg_lambda * sum of squared entries of ``reg_rows``.
-    Empty positives reduce the loss to the regularization term.
-    """
-    positives = np.atleast_2d(np.asarray(positives, dtype=np.float64))
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if positives.shape[0] and positives.shape != negatives.shape:
-        raise ValueError(f"positives {positives.shape} and negatives {negatives.shape} differ")
-    total = 0.0
-    if positives.shape[0]:
-        users = np.broadcast_to(e_u, positives.shape)
-        total, _, _, _ = _bpr_terms(users, positives, negatives)
-    if reg_lambda and reg_rows is not None:
-        total += reg_lambda * float(np.sum(np.asarray(reg_rows) ** 2))
-    return float(total)
-
-
 def _infonce_terms(queries: np.ndarray, keys: np.ndarray, pos_idx: np.ndarray, tau: float):
     """Softmax contrastive loss over cosine logits, with both-side gradients.
 
@@ -243,59 +194,6 @@ def _infonce_terms(queries: np.ndarray, keys: np.ndarray, pos_idx: np.ndarray, t
     return loss, g_q, g_k
 
 
-def infonce_loss(
-    local_views: Mapping[int, np.ndarray],
-    global_views: Mapping[int, np.ndarray],
-    tau: float,
-) -> float:
-    """Contrastive alignment of two views of the same nodes.
-
-    Every local view must have a same-id global positive; the denominator
-    runs over all global views, so extra global entries act as negatives.
-    An empty local map contributes zero.
-    """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    if not local_views:
-        return 0.0
-    missing = [k for k in local_views if k not in global_views]
-    if missing:
-        raise ValueError(f"local view ids {sorted(missing)} lack a global positive")
-    local_ids = sorted(local_views)
-    global_ids = sorted(global_views)
-    queries = np.stack([np.asarray(local_views[k], dtype=np.float64) for k in local_ids])
-    keys = np.stack([np.asarray(global_views[k], dtype=np.float64) for k in global_ids])
-    pos_idx = np.array([global_ids.index(k) for k in local_ids])
-    loss, _, _ = _infonce_terms(queries, keys, pos_idx, tau)
-    return loss
-
-
-def mending_loss(
-    z_user: np.ndarray,
-    z_item: np.ndarray,
-    positive_links: np.ndarray,
-    negative_links: np.ndarray,
-) -> float:
-    """Absolute residual between link cosine and its 0/1 target.
-
-    loss = sum over positives |cos(z_u, z_i) - 1| + sum over negatives
-    |cos(z_u, z_i) - 0|.
-    """
-    total = 0.0
-    for pairs, target in ((positive_links, 1.0), (negative_links, 0.0)):
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.shape[0] == 0:
-            continue
-        cos, _, _ = _cosine_rows(z_user[pairs[:, 0]], z_item[pairs[:, 1]])
-        total += float(np.sum(np.abs(cos - target)))
-    return total
-
-
-def combined_loss(bpr: float, cl: float, cl_weight: float, reg_lambda: float, reg: float) -> float:
-    """Joint objective: ranking + weighted contrastive + single-counted reg."""
-    return float(bpr + cl_weight * cl + reg_lambda * reg)
-
-
 @dataclass
 class CLTerm:
     """One contrastive term inside a LossSpec.
@@ -304,7 +202,8 @@ class CLTerm:
     supply the trainable side; ``ids`` are the matching semantic node ids
     used to align with ``fixed_ids``/``fixed_views``, which are constants.
     ``trainable`` says whether the propagated views act as the queries or
-    as the keys of the softmax.
+    as the keys of the softmax; every query id needs a same-id key, its
+    positive.
     """
 
     kind: str
@@ -326,6 +225,11 @@ class CLTerm:
             raise ValueError("rows and ids must align")
         if self.fixed_views.shape[0] != self.fixed_ids.shape[0]:
             raise ValueError("fixed_views and fixed_ids must align")
+        queries, keys = (self.ids, self.fixed_ids) if self.trainable == "query" else (self.fixed_ids, self.ids)
+        if keys.size:
+            missing = np.setdiff1d(queries, keys)
+            if missing.size:
+                raise ValueError(f"query ids {missing.tolist()} lack a same-id positive key")
 
 
 @dataclass
@@ -351,6 +255,10 @@ class LossSpec:
     reg_lambda: float = 0.0
     reg_user_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     reg_item_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ValueError(f"temperature must be positive, got {self.tau}")
 
 
 @dataclass

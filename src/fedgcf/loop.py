@@ -13,7 +13,7 @@ import numpy as np
 from .client import DeviceState, DeviceUpload, client_local_train
 from .data import InteractionDataset, SharePolicy, ShareTier, assign_share_policy, attach_contributions
 from .evaluate import EvalResult, evaluate
-from .graph import BipartiteGraph, EmbeddingState, ego_infer, xavier_init
+from .graph import EmbeddingState, default_alpha, ego_infer, xavier_init
 from .learn import AdamMoments, HyperParams, LossParts
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
@@ -48,9 +48,7 @@ class RunContext:
     artifacts: MendingArtifacts | None
     train_seed: int
     server_only: bool = False
-    disable_cl: bool = False
     sync_all_users: bool = False
-    ldp_enabled: bool = False
 
 
 @dataclass
@@ -135,9 +133,7 @@ def prepare_run(
         artifacts=artifacts,
         train_seed=seed_train,
         server_only=server_only,
-        disable_cl=disable_cl,
         sync_all_users=sync_all_users,
-        ldp_enabled=hyper.ldp_noise > 0.0 or hyper.ldp_clip > 0.0,
     )
 
 
@@ -159,9 +155,7 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
 
     received_maps: dict[int, "ReceivedViews"] = {}
     if selected.size:
-        user_views, item_views = server_infer(
-            server.graph, server.model, hyper.layers_server, hyper.alpha_server()
-        )
+        user_views, item_views = server_infer(server.graph, server.model, hyper.layers_server)
         local_items = {int(u): ctx.devices[int(u)].local_items for u in selected}
         received_maps = embedding_exchange(
             ctx.policy,
@@ -191,11 +185,9 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
         losses.append(parts)
 
     server.absorb_uploads(uploads, ctx.policy, round_idx, ctx.audit)
-    server_upload, server_parts = server_train(
-        server, hyper, round_idx, ctx.train_seed, ctx.disable_cl
-    )
+    server_upload, server_parts = server_train(server, hyper, round_idx, ctx.train_seed)
 
-    if ctx.ldp_enabled:
+    if hyper.ldp_clip > 0.0 or hyper.ldp_noise > 0.0:
         uploads = [
             apply_ldp(
                 up,
@@ -243,10 +235,10 @@ def eval_views(ctx: RunContext, mode: str = "server"):
     """
     hyper = ctx.hyper
     if mode == "server":
-        return server_infer(ctx.server.graph, ctx.server.model, hyper.layers_server, hyper.alpha_server())
+        return server_infer(ctx.server.graph, ctx.server.model, hyper.layers_server)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
-    alpha = hyper.alpha_device()
+    alpha = default_alpha(hyper.layers_device)
     item_views = alpha[0] * ctx.server.model.item
     user_views = np.zeros_like(ctx.server.model.user)
     for u, dev in ctx.devices.items():
@@ -306,9 +298,13 @@ def run_training(
     if resume_state is not None:
         reports = resume_state["reports"]
         evals = resume_state["evals"]
-        best_val = resume_state["best_val"]
-        stale = resume_state["stale"]
         start_round = resume_state["next_round"]
+        # early-stopping state follows from the evaluation history: the
+        # first best validation recall, and the evaluations since it
+        val = [e["val_recall"] for e in evals]
+        best = int(np.argmax(val))
+        best_val = val[best]
+        stale = len(evals) - 1 - best
 
     def run_eval(round_idx: int) -> dict:
         user_views, item_views = eval_views(ctx, eval_view)
@@ -364,8 +360,6 @@ def save_run_state(result: RunResult, path: str) -> None:
         },
         "reports": result.reports,
         "evals": result.evals,
-        "best_val": result.best_val_recall,
-        "stale": 0,
         "next_round": result.rounds_run + 1,
     }
     with open(path, "wb") as fh:

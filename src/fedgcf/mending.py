@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph, EmbeddingState, propagate_combine, xavier_init
+from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from .seeds import child_rng
 
@@ -115,7 +115,7 @@ def train_mender(
     moments = AdamMoments()
     positives = np.asarray(sorted(removed), dtype=np.int64).reshape(-1, 2)
     losses: list[float] = []
-    alpha = hyper.alpha_server()
+    alpha = default_alpha(hyper.layers_server)
     for epoch in range(hyper.mend_epochs):
         rng = child_rng(seed, "mend_neg", epoch)
         negatives = _sample_negative_links(g_full, positives.shape[0], rng)
@@ -135,24 +135,21 @@ def predict_links(
     g: BipartiteGraph,
     mender: EmbeddingState,
     threshold: float,
-    cap_per_user: int | None = 50,
-    layers: int | None = None,
-    alpha: np.ndarray | None = None,
+    cap_per_user: int | None,
+    layers: int,
 ):
     """Score non-edges of ``g`` by mended-view cosine and keep those >= t.
 
-    Views are the mender embeddings propagated over ``g`` itself (callers
-    pass the impaired graph to measure recovery, or the full contributed
-    graph in the production pipeline). Only endpoints with nonzero degree
-    are candidates. Per user, at most ``cap_per_user`` predictions survive,
-    best score first, ties broken by ascending item id.
+    Views are the mender embeddings propagated ``layers`` steps over ``g``
+    itself (callers pass the impaired graph to measure recovery, or the full
+    contributed graph in the production pipeline). Only endpoints with
+    nonzero degree are candidates. Per user, at most ``cap_per_user``
+    predictions survive (None: no cap), best score first, ties broken by
+    ascending item id.
 
     Returns (pairs, scores) with pairs sorted by (user, item).
     """
-    if alpha is None:
-        layers = 3 if layers is None else layers
-        alpha = np.full(layers + 1, 1.0 / (layers + 1))
-    z_u, z_i = propagate_combine(g, mender.user, mender.item, np.asarray(alpha))
+    z_u, z_i = propagate_combine(g, mender.user, mender.item, default_alpha(layers))
     users = np.nonzero(g.user_deg > 0)[0]
     items = np.nonzero(g.item_deg > 0)[0]
     if users.size == 0 or items.size == 0:
@@ -194,7 +191,7 @@ def mend_graph(g: BipartiteGraph, hyper: HyperParams, seed=0) -> MendingArtifact
     impaired, removed = impair_graph(g, hyper.impair_fraction, rng)
     mender, losses = train_mender(impaired, removed, g, hyper, seed)
     predicted, scores = predict_links(
-        g, mender, hyper.mend_threshold, hyper.mend_cap_per_user, alpha=hyper.alpha_server()
+        g, mender, hyper.mend_threshold, hyper.mend_cap_per_user, hyper.layers_server
     )
     mended_edges = np.concatenate([g.edge_array(), np.asarray(predicted, dtype=np.int64).reshape(-1, 2)])
     mended = BipartiteGraph(g.n_users, g.n_items, mended_edges)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .client import DeviceUpload, ReceivedViews, sample_negatives
 from .data import SharePolicy, ShareTier
-from .graph import BipartiteGraph, EmbeddingState, propagate_combine
+from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine
 from .learn import (
     AdamMoments,
     CLTerm,
@@ -124,13 +124,9 @@ def build_server_graph(policy: SharePolicy, n_users: int, n_items: int) -> Bipar
     return BipartiteGraph(n_users, n_items, sorted(policy.shared_pairs()))
 
 
-def server_infer(
-    graph: BipartiteGraph, model: EmbeddingState, layers: int, alpha: np.ndarray | None = None
-):
+def server_infer(graph: BipartiteGraph, model: EmbeddingState, layers: int):
     """High-order propagated views of every node over ``graph``."""
-    if alpha is None:
-        alpha = np.full(layers + 1, 1.0 / (layers + 1))
-    return propagate_combine(graph, model.user, model.item, np.asarray(alpha))
+    return propagate_combine(graph, model.user, model.item, default_alpha(layers))
 
 
 def embedding_exchange(
@@ -189,8 +185,7 @@ def _first_order_item_views(
     These stand in for device-side item views in the server's contrastive
     term (devices upload only user views) and are treated as constants.
     """
-    alpha = np.full(2, 0.5)
-    _, item_views = propagate_combine(shared_graph, model.user, model.item, alpha)
+    _, item_views = propagate_combine(shared_graph, model.user, model.item, default_alpha(1))
     return item_views
 
 
@@ -199,7 +194,6 @@ def server_train(
     hyper: HyperParams,
     round_idx: int,
     train_seed: int,
-    disable_cl: bool = False,
 ) -> tuple[DeviceUpload | None, LossParts | None]:
     """One Adam step on a minibatch of contributed interactions.
 
@@ -229,8 +223,7 @@ def server_train(
         )
 
     cl_terms: list[CLTerm] = []
-    cl_weight = 0.0 if disable_cl else hyper.cl_weight
-    if cl_weight > 0.0:
+    if hyper.cl_weight > 0.0:
         batch_uploaders = sorted(set(users.tolist()) & set(server.uploaded))
         if batch_uploaders:
             ids = np.asarray(batch_uploaders, dtype=np.int64)
@@ -262,13 +255,13 @@ def server_train(
 
     spec = LossSpec(
         graph=server.graph,
-        alpha=hyper.alpha_server(),
+        alpha=default_alpha(hyper.layers_server),
         bpr_users=users,
         bpr_pos=positives,
         bpr_neg=negatives,
         cl_terms=cl_terms,
         tau=hyper.temperature,
-        cl_weight=cl_weight,
+        cl_weight=hyper.cl_weight,
         reg_lambda=hyper.reg_lambda,
         reg_user_rows=np.unique(users),
         reg_item_rows=np.unique(np.concatenate([positives, negatives])),

@@ -652,7 +652,7 @@ def test_criterion_6_mending_recovers_planted_structure():
             counts = []
             best_prec = 0.0
             for t in (0.2, 0.4, 0.6, 0.8):
-                pred, _ = predict_links(impaired, mender, t, cap_per_user=50, alpha=hyper.alpha_server())
+                pred, _ = predict_links(impaired, mender, t, cap_per_user=50, layers=hyper.layers_server)
                 counts.append(len(pred))
                 if pred:
                     best_prec = max(best_prec, len(set(pred) & set(removed)) / len(pred))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,12 @@ def test_train_emits_artifacts(tmp_path, capsys):
     assert snap["item"].shape == (20, 8)
     assert snap["device_user"].shape == (16, 8)
     assert snap["rounds_run"][0] == 2
+
+    # the README's artifact list names exactly the files train wrote
+    readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme_path, encoding="utf-8") as fh:
+        paragraph = re.search(r"A `train` run writes.*?\n\n", fh.read(), re.S).group(0)
+    assert sorted(re.findall(r"`(\w+\.\w+)`", paragraph)) == sorted(os.listdir(out))
 
 
 def test_train_deterministic_metrics(tmp_path):

@@ -9,7 +9,7 @@ from fedgcf.client import (
     sample_negatives,
 )
 from fedgcf.data import ShareTier
-from fedgcf.graph import ego_infer
+from fedgcf.graph import default_alpha, ego_infer
 from fedgcf.learn import AdamMoments, HyperParams
 
 
@@ -135,7 +135,7 @@ def test_sharer_gets_contrastive_loss_and_view():
     final_rows = np.stack(
         [table[i] + upload.delta.item.get(i, 0.0) for i in dev.local_items]
     )
-    want, _ = ego_infer(dev.p_u, final_rows, HYPER.alpha_device())
+    want, _ = ego_infer(dev.p_u, final_rows, default_alpha(HYPER.layers_device))
     assert np.allclose(upload.user_view, want, atol=1e-12)
 
 

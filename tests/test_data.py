@@ -5,6 +5,7 @@ import pytest
 
 from fedgcf.data import (
     InteractionDataset,
+    SharePolicy,
     ShareTier,
     assign_share_policy,
     attach_contributions,
@@ -12,7 +13,6 @@ from fedgcf.data import (
     load_dataset,
     load_interactions,
     save_dataset,
-    shared_subset,
     split_dataset,
     synth_dataset,
 )
@@ -186,12 +186,21 @@ def test_share_policy_uniform_deterministic():
 
 
 def test_shared_subset_sizes():
-    pairs = [(0, i) for i in range(7)]
-    assert len(shared_subset(pairs, 0.5, seed=1)) == math.ceil(0.5 * 7)
-    assert shared_subset(pairs, 0.0, seed=1) == ()
-    assert set(shared_subset(pairs, 1.0, seed=1)) == set(pairs)
-    small = shared_subset(pairs, 0.01, seed=1)
-    assert len(small) == 1  # ceiling keeps partial contributors nonempty
+    # a PART user with n train pairs shares min(ceil(r*n), n-1): the ceiling
+    # keeps partial contributors nonempty, the cap keeps the subset proper
+    pairs = {(0, i) for i in range(7)}
+    ds = InteractionDataset(1, 7, set(pairs))
+
+    def shared(ratio, tier):
+        pol = SharePolicy(ratio=np.array([ratio]), category=[tier])
+        return attach_contributions(pol, ds, seed=1).contributed[0]
+
+    assert len(shared(0.5, ShareTier.PART)) == math.ceil(0.5 * 7)
+    assert len(shared(0.01, ShareTier.PART)) == 1
+    assert len(shared(0.94, ShareTier.PART)) == 7 - 1
+    assert set(shared(0.5, ShareTier.PART)) < pairs
+    assert shared(0.0, ShareTier.NONE) == ()
+    assert set(shared(1.0, ShareTier.ALL)) == pairs
 
 
 def test_attach_contributions_invariants():

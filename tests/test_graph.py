@@ -4,13 +4,10 @@ import pytest
 from fedgcf.graph import (
     BipartiteGraph,
     EmbeddingState,
-    build_graph,
     default_alpha,
     ego_infer,
-    layer_combine,
-    lgc_propagate,
     propagate_combine,
-    write_edges_tsv,
+    propagate_once,
     xavier_init,
 )
 
@@ -22,38 +19,43 @@ def random_graph(rng, n_u=5, n_i=6, p=0.4):
     return pairs, BipartiteGraph(n_u, n_i, sorted(pairs))
 
 
+def layer(g, e0, l):
+    """Layer ``l`` alone: propagate_combine with a one-hot weight on it."""
+    return EmbeddingState(*propagate_combine(g, e0.user, e0.item, np.eye(l + 1)[l]))
+
+
 def test_build_graph_basic():
-    g = build_graph([(0, 1), (0, 0), (1, 1), (0, 1)], 2, 3)
+    g = BipartiteGraph(2, 3, [(0, 1), (0, 0), (1, 1), (0, 1)])
     assert g.edge_count == 3  # duplicate collapsed
     assert g.user_deg.tolist() == [2, 1]
     assert g.item_deg.tolist() == [1, 2, 0]
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
     assert g.user_neighbors(0).tolist() == [0, 1]
-    assert g.item_neighbors(1).tolist() == [0, 1]
+    assert g.item_adj[g.item_ptr[1] : g.item_ptr[2]].tolist() == [0, 1]
     with pytest.raises(IndexError):
-        build_graph([(0, 3)], 2, 3)
+        BipartiteGraph(2, 3, [(0, 3)])
     with pytest.raises(IndexError):
-        build_graph([(2, 0)], 2, 3)
+        BipartiteGraph(2, 3, [(2, 0)])
 
 
 def test_single_edge_propagation():
     # single edge, both degrees 1: layer l+1 swaps the two embeddings
-    g = build_graph([(0, 0)], 1, 1)
+    g = BipartiteGraph(1, 1, [(0, 0)])
     e0 = EmbeddingState(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-    layers = lgc_propagate(g, e0, 2)
-    assert np.allclose(layers[1].user, [[3.0, -1.0]])
-    assert np.allclose(layers[1].item, [[1.0, 2.0]])
-    assert np.allclose(layers[2].user, e0.user)
+    u1, i1 = propagate_once(g, e0.user, e0.item)
+    u2, _ = propagate_once(g, u1, i1)
+    assert np.allclose(u1, [[3.0, -1.0]])
+    assert np.allclose(i1, [[1.0, 2.0]])
+    assert np.allclose(u2, e0.user)
 
 
 def test_isolated_nodes_zero_out():
-    g = build_graph([(0, 0)], 2, 2)
+    g = BipartiteGraph(2, 2, [(0, 0)])
     rng = np.random.default_rng(0)
     e0 = EmbeddingState(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
-    layers = lgc_propagate(g, e0, 3)
     for l in range(1, 4):
-        assert np.all(layers[l].user[1] == 0.0)
-        assert np.all(layers[l].item[1] == 0.0)
+        assert np.all(layer(g, e0, l).user[1] == 0.0)
+        assert np.all(layer(g, e0, l).item[1] == 0.0)
 
 
 def test_propagation_matches_dense_oracle():
@@ -62,11 +64,11 @@ def test_propagation_matches_dense_oracle():
         n_u, n_i = int(rng.integers(2, 8)), int(rng.integers(2, 8))
         pairs, g = random_graph(rng, n_u, n_i, 0.45)
         e0 = EmbeddingState(rng.normal(size=(n_u, 5)), rng.normal(size=(n_i, 5)))
-        got = lgc_propagate(g, e0, 3)
         want = dense_propagate(n_u, n_i, pairs, e0.user, e0.item, 3)
         for l in range(4):
-            assert np.allclose(got[l].user, want[l][0], atol=1e-12)
-            assert np.allclose(got[l].item, want[l][1], atol=1e-12)
+            got = layer(g, e0, l)
+            assert np.allclose(got.user, want[l][0], atol=1e-12)
+            assert np.allclose(got.item, want[l][1], atol=1e-12)
 
 
 def test_layer_combine_matches_dense_oracle():
@@ -75,21 +77,10 @@ def test_layer_combine_matches_dense_oracle():
     e0 = EmbeddingState(rng.normal(size=(5, 3)), rng.normal(size=(6, 3)))
     alpha = default_alpha(3)
     assert np.allclose(alpha, 0.25)
-    combined = layer_combine(lgc_propagate(g, e0, 3), alpha)
     fu, fi = propagate_combine(g, e0.user, e0.item, alpha)
     want = dense_combine(dense_propagate(5, 6, pairs, e0.user, e0.item, 3), alpha)
-    assert np.allclose(combined.user, want[0], atol=1e-12)
-    assert np.allclose(combined.item, want[1], atol=1e-12)
     assert np.allclose(fu, want[0], atol=1e-12)
     assert np.allclose(fi, want[1], atol=1e-12)
-
-
-def test_layer_combine_length_mismatch():
-    rng = np.random.default_rng(5)
-    _, g = random_graph(rng)
-    e0 = EmbeddingState(rng.normal(size=(5, 3)), rng.normal(size=(6, 3)))
-    with pytest.raises(ValueError):
-        layer_combine(lgc_propagate(g, e0, 2), default_alpha(3))
 
 
 def test_propagation_linearity():
@@ -98,9 +89,9 @@ def test_propagation_linearity():
     a = EmbeddingState(rng.normal(size=(5, 4)), rng.normal(size=(6, 4)))
     b = EmbeddingState(rng.normal(size=(5, 4)), rng.normal(size=(6, 4)))
     mix = EmbeddingState(2.0 * a.user + 3.0 * b.user, 2.0 * a.item + 3.0 * b.item)
-    la = lgc_propagate(g, a, 2)[2]
-    lb = lgc_propagate(g, b, 2)[2]
-    lm = lgc_propagate(g, mix, 2)[2]
+    la = layer(g, a, 2)
+    lb = layer(g, b, 2)
+    lm = layer(g, mix, 2)
     assert np.allclose(lm.user, 2.0 * la.user + 3.0 * lb.user, atol=1e-12)
     assert np.allclose(lm.item, 2.0 * la.item + 3.0 * lb.item, atol=1e-12)
 
@@ -114,8 +105,8 @@ def test_permutation_equivariance():
     perm_pairs = {(int(pu[u]), int(pi[i])) for u, i in pairs}
     g2 = BipartiteGraph(5, 6, sorted(perm_pairs))
     e2 = EmbeddingState(e0.user[np.argsort(pu)], e0.item[np.argsort(pi)])
-    out1 = lgc_propagate(g, e0, 2)[2]
-    out2 = lgc_propagate(g2, e2, 2)[2]
+    out1 = layer(g, e0, 2)
+    out2 = layer(g2, e2, 2)
     assert np.allclose(out1.user, out2.user[pu], atol=1e-12)
     assert np.allclose(out1.item, out2.item[pi], atol=1e-12)
 
@@ -124,9 +115,8 @@ def test_propagation_bitwise_deterministic():
     rng = np.random.default_rng(8)
     _, g = random_graph(rng, 30, 40, 0.2)
     e0 = EmbeddingState(rng.normal(size=(30, 16)), rng.normal(size=(40, 16)))
-    a = lgc_propagate(g, e0, 3)
-    b = lgc_propagate(g, e0, 3)
-    for x, y in zip(a, b):
+    for l in range(4):
+        x, y = layer(g, e0, l), layer(g, e0, l)
         assert np.array_equal(x.user, y.user) and np.array_equal(x.item, y.item)
 
 
@@ -143,10 +133,9 @@ def test_ego_infer_closed_form_and_graph_agree():
             assert e_items.shape == (0, d)
             continue
         g = BipartiteGraph(1, k, [(0, i) for i in range(k)])
-        state = EmbeddingState(p_u[None, :], q)
-        combined = layer_combine(lgc_propagate(g, state, 1), alpha)
-        assert np.allclose(e_u, combined.user[0], atol=1e-12)
-        assert np.allclose(e_items, combined.item, atol=1e-12)
+        fu, fi = propagate_combine(g, p_u[None, :], q, alpha)
+        assert np.allclose(e_u, fu[0], atol=1e-12)
+        assert np.allclose(e_items, fi, atol=1e-12)
 
 
 def test_ego_infer_single_item_example():
@@ -164,11 +153,3 @@ def test_xavier_init_bounds_and_determinism():
     assert np.array_equal(a.user, b.user) and np.array_equal(a.item, b.item)
     assert np.all(np.abs(a.user) <= np.sqrt(6.0 / 18))
     assert np.all(np.abs(a.item) <= np.sqrt(6.0 / 28))
-
-
-def test_edges_tsv_roundtrip(tmp_path):
-    g = build_graph([(1, 2), (0, 0)], 2, 3)
-    path = tmp_path / "edges.tsv"
-    write_edges_tsv(g, str(path))
-    rows = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
-    assert rows == [(0, 0), (1, 2)]

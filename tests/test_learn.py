@@ -12,13 +12,8 @@ from fedgcf.learn import (
     HyperParams,
     LossSpec,
     adam_step,
-    bpr_loss,
-    combined_loss,
     compute_gradients,
     compute_loss,
-    cosine_sim,
-    infonce_loss,
-    mending_loss,
 )
 
 from oracles import cosine_oracle, fd_gradient, max_rel_err
@@ -33,6 +28,62 @@ SOFTPLUS_NEG1 = 0.3132616875182228
 INFONCE_ORTHO = 0.0067153484891181
 
 
+def flat_spec(n_users, n_items, **kw):
+    """Zero-layer spec on an edgeless graph: the loss terms read the layer-0
+    rows unchanged (alpha = [1])."""
+    return LossSpec(graph=BipartiteGraph(n_users, n_items, []), alpha=default_alpha(0), **kw)
+
+
+def link_cosine(a, b):
+    """cos(a, b) as compute_loss sees it: 1 minus the residual of one
+    positive link."""
+    spec = flat_spec(1, 1, link_positives=np.array([[0, 0]]))
+    return 1.0 - compute_loss(spec, EmbeddingState(a[None, :], b[None, :])).mend
+
+
+def ranking_loss(e_u, pos, neg, reg_lambda=0.0, reg_rows=()):
+    """Total loss of one user view against paired positive/negative item
+    rows, plus ``reg_lambda`` times the squared entries of ``reg_rows``
+    (extra item rows that are only regularized)."""
+    e_u = np.asarray(e_u, dtype=np.float64)
+    pos, neg, reg_rows = (
+        np.asarray(x, dtype=np.float64).reshape(-1, e_u.size) for x in (pos, neg, reg_rows)
+    )
+    n, m = len(pos), len(neg)
+    items = np.concatenate([pos, neg, reg_rows])
+    spec = flat_spec(
+        1,
+        len(items),
+        bpr_users=np.zeros(n, dtype=np.int64),
+        bpr_pos=np.arange(n),
+        bpr_neg=n + np.arange(m),
+        reg_lambda=reg_lambda,
+        reg_item_rows=n + m + np.arange(len(reg_rows)),
+    )
+    return compute_loss(spec, EmbeddingState(e_u[None, :], items)).total
+
+
+def contrastive_loss(local_views, global_views, tau=0.2):
+    """Contrastive part of compute_loss with the local views as trainable
+    user rows (queries) and the global views as fixed keys; extra global
+    entries act as negatives."""
+    local_ids = sorted(local_views)
+    global_ids = sorted(global_views)
+    keys = np.array([global_views[k] for k in global_ids], dtype=np.float64)
+    queries = np.array([local_views[k] for k in local_ids], dtype=np.float64)
+    queries = queries.reshape(-1, keys.shape[1])
+    term = CLTerm(
+        kind="user",
+        trainable="query",
+        rows=np.arange(len(local_ids)),
+        ids=local_ids,
+        fixed_ids=global_ids,
+        fixed_views=keys,
+    )
+    spec = flat_spec(len(local_ids), 0, cl_terms=[term], tau=tau, cl_weight=1.0)
+    return compute_loss(spec, EmbeddingState(queries, np.zeros((0, keys.shape[1])))).cl
+
+
 # ---------------------------------------------------------------- cosine
 
 
@@ -41,22 +92,22 @@ def test_cosine_matches_oracle():
     for _ in range(50):
         a = rng.normal(size=4)
         b = rng.normal(size=4)
-        assert cosine_sim(a, b) == pytest.approx(cosine_oracle(a, b), abs=1e-12)
+        assert link_cosine(a, b) == pytest.approx(cosine_oracle(a, b), abs=1e-12)
 
 
 def test_cosine_zero_vector_convention():
-    assert cosine_sim(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
-    assert cosine_sim(np.array([1.0, 0.0, 0.0]), np.zeros(3)) == 0.0
-    assert cosine_sim(np.zeros(3), np.zeros(3)) == 0.0
+    assert link_cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+    assert link_cosine(np.array([1.0, 0.0, 0.0]), np.zeros(3)) == 0.0
+    assert link_cosine(np.zeros(3), np.zeros(3)) == 0.0
 
 
 def test_cosine_scale_invariance_and_range():
     rng = np.random.default_rng(1)
     a = rng.normal(size=6)
     b = rng.normal(size=6)
-    assert cosine_sim(3.0 * a, b) == pytest.approx(cosine_sim(a, b), abs=1e-12)
-    assert -1.0 - 1e-12 <= cosine_sim(a, b) <= 1.0 + 1e-12
-    assert cosine_sim(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert link_cosine(3.0 * a, b) == pytest.approx(link_cosine(a, b), abs=1e-12)
+    assert -1.0 - 1e-12 <= link_cosine(a, b) <= 1.0 + 1e-12
+    assert link_cosine(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- bpr
@@ -66,7 +117,7 @@ def test_bpr_equal_scores_gives_ln2():
     e_u = np.array([1.0, 0.0, 0.0])
     pos = np.array([[0.0, 1.0, 0.0]])
     neg = np.array([[0.0, 0.0, 1.0]])
-    assert bpr_loss(e_u, pos, neg) == pytest.approx(LN2, abs=1e-12)
+    assert ranking_loss(e_u, pos, neg) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_bpr_unit_margin_value():
@@ -74,7 +125,7 @@ def test_bpr_unit_margin_value():
     e_u = np.array([1.0, 0.0])
     pos = np.array([[2.0, 0.0]])
     neg = np.array([[0.0, 5.0]])
-    assert bpr_loss(e_u, pos, neg) == pytest.approx(SOFTPLUS_NEG1, abs=1e-12)
+    assert ranking_loss(e_u, pos, neg) == pytest.approx(SOFTPLUS_NEG1, abs=1e-12)
 
 
 def test_bpr_sums_over_pairs_and_reg():
@@ -82,9 +133,9 @@ def test_bpr_sums_over_pairs_and_reg():
     pos = np.array([[2.0, 0.0], [0.0, 1.0]])
     neg = np.array([[0.0, 5.0], [3.0, 0.0]])
     base = SOFTPLUS_NEG1 + math.log(1.0 + math.e)  # softplus(-1) + softplus(1)
-    assert bpr_loss(e_u, pos, neg) == pytest.approx(base, abs=1e-12)
+    assert ranking_loss(e_u, pos, neg) == pytest.approx(base, abs=1e-12)
     reg_rows = np.array([[1.0, 2.0]])
-    assert bpr_loss(e_u, pos, neg, reg_lambda=0.5, reg_rows=reg_rows) == pytest.approx(
+    assert ranking_loss(e_u, pos, neg, reg_lambda=0.5, reg_rows=reg_rows) == pytest.approx(
         base + 0.5 * 5.0, abs=1e-12
     )
 
@@ -92,14 +143,14 @@ def test_bpr_sums_over_pairs_and_reg():
 def test_bpr_empty_positives_is_reg_only():
     e_u = np.array([1.0, 0.0])
     empty = np.zeros((0, 2))
-    assert bpr_loss(e_u, empty, empty) == 0.0
-    assert bpr_loss(e_u, empty, empty, 2.0, np.array([[1.0, 1.0]])) == pytest.approx(4.0)
+    assert ranking_loss(e_u, empty, empty) == 0.0
+    assert ranking_loss(e_u, empty, empty, 2.0, np.array([[1.0, 1.0]])) == pytest.approx(4.0)
 
 
 def test_bpr_shape_mismatch_rejected():
     e_u = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        bpr_loss(e_u, np.ones((2, 2)), np.ones((1, 2)))
+        ranking_loss(e_u, np.ones((2, 2)), np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------- infonce
@@ -109,34 +160,37 @@ def test_infonce_orthogonal_pair_frozen_value():
     # tau=0.2: logits 5 (positive) and 0 (negative), per-row loss ln(1+e^-5)
     views_a = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
     views_b = {0: np.array([2.0, 0.0]), 1: np.array([0.0, 3.0])}
-    got = infonce_loss(views_a, views_b, tau=0.2)
+    got = contrastive_loss(views_a, views_b, tau=0.2)
     assert got == pytest.approx(2.0 * INFONCE_ORTHO, abs=1e-12)
 
 
 def test_infonce_single_pair_is_zero():
     views = {5: np.array([0.3, -0.7])}
-    assert infonce_loss(views, {5: np.array([-1.0, 2.0])}, tau=0.2) == 0.0
+    assert contrastive_loss(views, {5: np.array([-1.0, 2.0])}, tau=0.2) == 0.0
 
 
 def test_infonce_empty_local_is_zero():
-    assert infonce_loss({}, {0: np.array([1.0, 0.0])}, tau=0.2) == 0.0
+    assert contrastive_loss({}, {0: np.array([1.0, 0.0])}, tau=0.2) == 0.0
 
 
 def test_infonce_extra_global_keys_are_negatives():
     views_a = {0: np.array([1.0, 0.0])}
     views_b = {0: np.array([1.0, 0.0]), 7: np.array([0.0, 1.0])}
     # logits 5 and 0 -> ln(1+e^-5)
-    assert infonce_loss(views_a, views_b, tau=0.2) == pytest.approx(INFONCE_ORTHO, abs=1e-12)
+    assert contrastive_loss(views_a, views_b, tau=0.2) == pytest.approx(INFONCE_ORTHO, abs=1e-12)
 
 
 def test_infonce_missing_positive_rejected():
     with pytest.raises(ValueError):
-        infonce_loss({3: np.array([1.0, 0.0])}, {0: np.array([1.0, 0.0])}, tau=0.2)
+        contrastive_loss({3: np.array([1.0, 0.0])}, {0: np.array([1.0, 0.0])}, tau=0.2)
+    # trainable keys: every fixed query needs a same-id key among the rows
+    with pytest.raises(ValueError):
+        CLTerm("item", "key", np.array([0]), np.array([0]), np.array([5]), np.ones((1, 2)))
 
 
 def test_infonce_bad_temperature_rejected():
     with pytest.raises(ValueError):
-        infonce_loss({0: np.ones(2)}, {0: np.ones(2)}, tau=0.0)
+        contrastive_loss({0: np.ones(2)}, {0: np.ones(2)}, tau=0.0)
 
 
 def test_infonce_decreases_when_views_align():
@@ -144,7 +198,7 @@ def test_infonce_decreases_when_views_align():
     keys = {k: rng.normal(size=4) for k in range(5)}
     aligned = {k: keys[k] + 0.01 * rng.normal(size=4) for k in range(3)}
     scrambled = {k: rng.normal(size=4) for k in range(3)}
-    assert infonce_loss(aligned, keys, 0.2) < infonce_loss(scrambled, keys, 0.2)
+    assert contrastive_loss(aligned, keys, 0.2) < contrastive_loss(scrambled, keys, 0.2)
 
 
 # ---------------------------------------------------------------- mending
@@ -158,8 +212,11 @@ def test_mending_loss_values():
     # negative (1,0): |0-0| = 0 ; negative (1,1): |cos45| = sqrt2/2
     neg = np.array([[1, 0], [1, 1]])
     want = (1.0 - math.sqrt(0.5)) + math.sqrt(0.5)
-    assert mending_loss(z_u, z_i, pos, neg) == pytest.approx(want, abs=1e-12)
-    assert mending_loss(z_u, z_i, np.zeros((0, 2)), np.zeros((0, 2))) == 0.0
+    state = EmbeddingState(z_u, z_i)
+    spec = flat_spec(2, 2, link_positives=pos, link_negatives=neg)
+    assert compute_loss(spec, state).mend == pytest.approx(want, abs=1e-12)
+    empty = flat_spec(2, 2, link_positives=np.zeros((0, 2)), link_negatives=np.zeros((0, 2)))
+    assert compute_loss(empty, state).mend == 0.0
 
 
 def test_mending_kink_has_zero_gradient():
@@ -181,7 +238,12 @@ def test_mending_kink_has_zero_gradient():
 
 
 def test_combined_loss_formula():
-    assert combined_loss(1.5, 2.0, 0.1, 0.01, 3.0) == pytest.approx(1.5 + 0.2 + 0.03)
+    # every term present: ranking + weighted contrastive + link fit + single-counted reg
+    spec, state = make_random_spec(np.random.default_rng(10), 1)
+    parts = compute_loss(spec, state)
+    assert min(parts.bpr, parts.cl, parts.mend, parts.reg) > 0.0
+    want = parts.bpr + 0.3 * parts.cl + parts.mend + 0.05 * parts.reg
+    assert parts.total == pytest.approx(want, abs=1e-12)
 
 
 def test_compute_loss_component_accounting():
@@ -330,18 +392,6 @@ def test_cl_weight_zero_skips_contrastive():
 # ---------------------------------------------------------------- bundle
 
 
-def test_bundle_add_accumulates_and_copies():
-    b = GradientBundle()
-    v = np.array([1.0, 2.0])
-    b.add("user", 3, v)
-    b.add("user", 3, v)
-    b.add("item", 0, -v)
-    v[0] = 99.0  # must not alias into the bundle
-    assert np.allclose(b.user[3], [2.0, 4.0])
-    assert np.allclose(b.item[0], [-1.0, -2.0])
-    assert not b.is_empty()
-
-
 def test_bundle_from_dense_skips_zero_rows():
     gu = np.array([[0.0, 0.0], [1.0, 0.0]])
     gi = np.zeros((3, 2))
@@ -428,8 +478,10 @@ def test_hyperparams_defaults_valid():
 
 def test_hyperparams_alpha_vectors():
     h = HyperParams()
-    assert np.allclose(h.alpha_device(), [0.5, 0.5])
-    assert np.allclose(h.alpha_server(), [0.25, 0.25, 0.25, 0.25])
+    assert np.allclose(default_alpha(h.layers_device), [0.5, 0.5])
+    assert np.allclose(default_alpha(h.layers_server), [0.25, 0.25, 0.25, 0.25])
+    with pytest.raises(ValueError):
+        default_alpha(-1)
 
 
 def test_hyperparams_validate_collects_all_problems():

@@ -65,7 +65,7 @@ def test_prepare_run_initializes_devices_from_model():
     # mended graph supersets the contributed graph
     shared = ctx.server.shared_graph
     assert ctx.server.graph.edge_count >= shared.edge_count
-    for u, i in shared.edges():
+    for u, i in shared.edge_array():
         assert ctx.server.graph.has_edge(u, i)
 
 
@@ -271,3 +271,25 @@ def test_save_load_resume_bitwise(tmp_path):
         full.context.server.model.item, resumed.context.server.model.item
     )
     assert full.reports[2:] == resumed.reports[2:]
+
+
+def test_resume_keeps_early_stopping_patience(tmp_path):
+    ds = toy_dataset()
+    # a frozen model plateaus from round 0, so patience 3 trips at round 3;
+    # the save after round 2 falls inside the plateau
+    frozen = dict(learning_rate=1e-12, eval_every=1, patience=3)
+    hyper = toy_hyper(rounds=50, **frozen)
+    full = run_training(ds, hyper)
+    assert full.stopped_early and full.rounds_run == 3
+
+    first = run_training(ds, toy_hyper(rounds=2, **frozen))
+    path = tmp_path / "state.pkl"
+    save_run_state(first, str(path))
+    ctx2 = prepare_run(ds, hyper)
+    payload = load_run_state(ctx2, str(path))
+    resumed = run_training(ds, hyper, resume=ctx2, resume_state=payload)
+
+    assert resumed.stopped_early
+    assert resumed.rounds_run == full.rounds_run
+    assert resumed.evals == full.evals
+    assert resumed.best_val_recall == full.best_val_recall

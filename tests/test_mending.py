@@ -79,7 +79,7 @@ def test_impair_rejects_bad_input():
 def test_predict_links_excludes_existing_edges():
     g = ladder_graph()
     mender = xavier_init(g.n_users, g.n_items, 8, np.random.default_rng(0))
-    predicted, scores = predict_links(g, mender, threshold=-1.0, cap_per_user=None)
+    predicted, scores = predict_links(g, mender, threshold=-1.0, cap_per_user=None, layers=3)
     for pair in predicted:
         assert not g.has_edge(*pair)
     assert set(scores) == set(predicted)
@@ -92,7 +92,7 @@ def test_predict_links_threshold_monotone():
     sizes = []
     sets = []
     for t in (-1.0, 0.0, 0.5, 0.9):
-        predicted, scores = predict_links(g, mender, t, cap_per_user=None)
+        predicted, scores = predict_links(g, mender, t, cap_per_user=None, layers=3)
         assert all(s >= t for s in scores.values())
         sizes.append(len(predicted))
         sets.append(set(predicted))
@@ -104,8 +104,8 @@ def test_predict_links_threshold_monotone():
 def test_predict_links_cap_keeps_best_scores():
     g = ladder_graph()
     mender = xavier_init(g.n_users, g.n_items, 8, np.random.default_rng(2))
-    full, full_scores = predict_links(g, mender, -1.0, cap_per_user=None)
-    capped, capped_scores = predict_links(g, mender, -1.0, cap_per_user=3)
+    full, full_scores = predict_links(g, mender, -1.0, cap_per_user=None, layers=3)
+    capped, capped_scores = predict_links(g, mender, -1.0, cap_per_user=3, layers=3)
     by_user: dict[int, list[float]] = {}
     for (u, i), s in full_scores.items():
         by_user.setdefault(u, []).append(s)
@@ -122,14 +122,14 @@ def test_predict_links_cap_keeps_best_scores():
 def test_predict_links_skips_zero_degree_endpoints():
     g = BipartiteGraph(3, 3, [(0, 0), (1, 1)])  # user 2 / item 2 isolated
     mender = EmbeddingState(np.ones((3, 4)), np.ones((3, 4)))
-    predicted, _ = predict_links(g, mender, -1.0, cap_per_user=None)
+    predicted, _ = predict_links(g, mender, -1.0, cap_per_user=None, layers=3)
     assert all(u != 2 and i != 2 for u, i in predicted)
 
 
 def test_predict_links_empty_graph():
     g = BipartiteGraph(2, 2, [])
     mender = EmbeddingState(np.ones((2, 2)), np.ones((2, 2)))
-    assert predict_links(g, mender, 0.0) == ((), {})
+    assert predict_links(g, mender, 0.0, cap_per_user=50, layers=3) == ((), {})
 
 
 # ---------------------------------------------------------------- train
@@ -168,7 +168,7 @@ def test_train_mender_deterministic():
 def test_mend_graph_supersets_input():
     g = ladder_graph()
     art = mend_graph(g, small_hyper(mend_threshold=0.6), seed=9)
-    for u, i in g.edges():
+    for u, i in g.edge_array():
         assert art.mended.has_edge(u, i)
     assert art.mended.edge_count == g.edge_count + len(art.predicted)
     for pair in art.predicted:

@@ -239,7 +239,8 @@ def test_server_train_disable_cl():
     _, server = make_server()
     rng = np.random.default_rng(8)
     server.uploaded = {2: UploadedView(rng.normal(size=4), ShareTier.ALL)}
-    _, parts = server_train(server, HyperParams(dim=4), 0, 42, disable_cl=True)
+    # the ablation reaches the server as a zero cl_weight (prepare_run resolves it)
+    _, parts = server_train(server, HyperParams(dim=4, cl_weight=0.0), 0, 42)
     assert parts.cl == 0.0
 
 
