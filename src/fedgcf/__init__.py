@@ -36,6 +36,7 @@ from .learn import (
     HyperParams,
     LossParts,
     LossSpec,
+    RowBlock,
     adam_step,
     compute_gradients,
 )

@@ -49,7 +49,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "cl_weight": (0.1, float, "weight of the contrastive term"),
     "temperature": (0.2, float, "contrastive softmax temperature"),
     "mend_threshold": (0.6, float, "cosine threshold for predicted links"),
-    "layers_device": (1, int, "device-side propagation depth (fixed at 1)"),
     "layers_server": (3, int, "server-side propagation depth"),
     "adam_beta1": (0.9, float, "Adam first-moment decay"),
     "adam_beta2": (0.999, float, "Adam second-moment decay"),

@@ -22,6 +22,7 @@ from .learn import (
     HyperParams,
     LossParts,
     LossSpec,
+    RowBlock,
     adam_update_rows,
     compute_gradients,
 )
@@ -47,8 +48,8 @@ class ReceivedViews:
     device's local items.
     """
 
-    user_views: dict[int, np.ndarray] = field(default_factory=dict)
-    item_views: dict[int, np.ndarray] = field(default_factory=dict)
+    user_views: RowBlock = field(default_factory=RowBlock)
+    item_views: RowBlock = field(default_factory=RowBlock)
 
     def is_empty(self) -> bool:
         return not self.user_views and not self.item_views
@@ -83,43 +84,51 @@ def sample_negatives(
     return rng.choice(complement, size=k, replace=k > complement.size)
 
 
+def _private_rows(work: RowBlock, item_table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` as the device sees them: its private copy where it has
+    one, the broadcast table otherwise."""
+    rows = item_table[ids]
+    if work:
+        at = np.minimum(np.searchsorted(work.rows, ids), len(work) - 1)
+        hit = work.rows[at] == ids
+        rows[hit] = work.values[at[hit]]
+    return rows
+
+
 def _build_cl_terms(
     dev: DeviceState,
     received: ReceivedViews | None,
     local_ids: np.ndarray,
-    compact_of: dict[int, int],
+    compact_ids: np.ndarray,
 ) -> list[CLTerm]:
     terms: list[CLTerm] = []
     if received is None:
         return terms
-    if received.user_views:
-        if dev.user_id not in received.user_views:
+    users, items = received.user_views, received.item_views
+    if users:
+        if dev.user_id not in users.rows:
             raise ValueError(f"device {dev.user_id} received views without its own positive")
-        fixed_ids = np.asarray(sorted(received.user_views), dtype=np.int64)
-        fixed = np.stack([received.user_views[int(k)] for k in fixed_ids])
         terms.append(
             CLTerm(
                 kind="user",
                 trainable="query",
                 rows=np.array([0], dtype=np.int64),
                 ids=np.array([dev.user_id], dtype=np.int64),
-                fixed_ids=fixed_ids,
-                fixed_views=fixed,
+                fixed_ids=users.rows,
+                fixed_views=users.values,
             )
         )
-    cl_items = sorted(set(local_ids.tolist()) & set(received.item_views))
-    if cl_items:
-        fixed_ids = np.asarray(cl_items, dtype=np.int64)
-        fixed = np.stack([received.item_views[int(k)] for k in fixed_ids])
-        rows = np.array([compact_of[int(i)] for i in fixed_ids], dtype=np.int64)
+    keep = np.isin(items.rows, local_ids)
+    if keep.any():
+        fixed_ids = items.rows[keep]
         terms.append(
             CLTerm(
                 kind="item",
                 trainable="query",
-                rows=rows,
+                rows=np.searchsorted(compact_ids, fixed_ids),
                 ids=fixed_ids,
                 fixed_ids=fixed_ids,
-                fixed_views=fixed,
+                fixed_views=items.values[keep],
             )
         )
     return terms
@@ -146,9 +155,10 @@ def client_local_train(
     if tier is ShareTier.NONE:
         received = None
     p_start = dev.p_u.copy()
-    work_rows: dict[int, np.ndarray] = {}
+    me = np.array([dev.user_id], dtype=np.int64)
+    work = RowBlock(values=np.zeros((0, item_table.shape[1])))
     loss_acc = LossParts()
-    alpha = default_alpha(hyper.layers_device)
+    alpha = default_alpha(1)
 
     for epoch in range(hyper.local_epochs):
         if local.size:
@@ -157,15 +167,11 @@ def client_local_train(
         else:
             negs = np.zeros(0, dtype=np.int64)
         compact_ids = np.unique(np.concatenate([local, negs]))
-        compact_of = {int(g): j for j, g in enumerate(compact_ids)}
-        ego_edges = [(0, compact_of[int(i)]) for i in local]
-        ego = BipartiteGraph(1, compact_ids.size, ego_edges)
-        rows = np.stack(
-            [work_rows.get(int(i), item_table[int(i)]) for i in compact_ids]
-        ) if compact_ids.size else np.zeros((0, item_table.shape[1]))
+        pos_c = np.searchsorted(compact_ids, local)
+        neg_c = np.searchsorted(compact_ids, negs)
+        ego = BipartiteGraph(1, compact_ids.size, np.stack([np.zeros_like(pos_c), pos_c], axis=1))
+        rows = _private_rows(work, item_table, compact_ids)
         state = EmbeddingState(dev.p_u[None, :].copy(), rows)
-        pos_c = np.array([compact_of[int(i)] for i in local], dtype=np.int64)
-        neg_c = np.array([compact_of[int(i)] for i in negs], dtype=np.int64)
         cl_weight = hyper.cl_weight if received is not None and not received.is_empty() else 0.0
         spec = LossSpec(
             graph=ego,
@@ -173,7 +179,7 @@ def client_local_train(
             bpr_users=np.zeros(local.size, dtype=np.int64),
             bpr_pos=pos_c,
             bpr_neg=neg_c,
-            cl_terms=_build_cl_terms(dev, received, local, compact_of) if cl_weight > 0.0 else [],
+            cl_terms=_build_cl_terms(dev, received, local, compact_ids) if cl_weight > 0.0 else [],
             tau=hyper.temperature,
             cl_weight=cl_weight,
             reg_lambda=hyper.reg_lambda,
@@ -186,24 +192,19 @@ def client_local_train(
         loss_acc.reg += parts.reg
         loss_acc.total += parts.total
 
-        if 0 in bundle.user:
+        if bundle.user:
             dev.moments.t_user += 1
-            deltas = adam_update_rows(
-                {dev.user_id: bundle.user[0]},
-                dev.moments.user,
-                dev.moments.t_user,
-                hyper,
-            )
-            dev.p_u += deltas[dev.user_id]
+            step = adam_update_rows(RowBlock(me, bundle.user.values), dev.moments.user, dev.moments.t_user, hyper)
+            dev.p_u += step.values[0]
         if bundle.item:
-            global_grads = {int(compact_ids[r]): g for r, g in bundle.item.items()}
+            grads = RowBlock(compact_ids[bundle.item.rows], bundle.item.values)
             dev.moments.t_item += 1
-            deltas = adam_update_rows(global_grads, dev.moments.item, dev.moments.t_item, hyper)
-            for gid, delta in deltas.items():
-                row = work_rows.get(gid)
-                if row is None:
-                    row = item_table[gid].copy()
-                work_rows[gid] = row + delta
+            step = adam_update_rows(grads, dev.moments.item, dev.moments.t_item, hyper)
+            merged = np.union1d(work.rows, step.rows)
+            values = np.empty((merged.size, item_table.shape[1]))
+            values[np.searchsorted(merged, work.rows)] = work.values
+            values[np.searchsorted(merged, step.rows)] = rows[bundle.item.rows] + step.values
+            work = RowBlock(merged, values)
 
     epochs = float(hyper.local_epochs)
     loss_acc.bpr /= epochs
@@ -211,20 +212,13 @@ def client_local_train(
     loss_acc.reg /= epochs
     loss_acc.total /= epochs
 
-    delta = GradientBundle()
+    delta = GradientBundle(item=RowBlock(work.rows, work.values - item_table[work.rows]))
     if not np.array_equal(dev.p_u, p_start):
-        delta.user[dev.user_id] = dev.p_u - p_start
-    for gid in sorted(work_rows):
-        delta.item[gid] = work_rows[gid] - item_table[gid]
+        delta.user = RowBlock(me, (dev.p_u - p_start)[None, :])
 
     user_view = None
     if tier is not ShareTier.NONE:
-        q_local = (
-            np.stack([work_rows.get(int(i), item_table[int(i)]) for i in local])
-            if local.size
-            else np.zeros((0, item_table.shape[1]))
-        )
-        user_view, _ = ego_infer(dev.p_u, q_local, alpha)
+        user_view, _ = ego_infer(dev.p_u, _private_rows(work, item_table, local), alpha)
     upload = DeviceUpload(
         device_id=dev.user_id,
         weight=float(local.size * hyper.local_epochs),

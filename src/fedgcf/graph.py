@@ -48,14 +48,14 @@ class BipartiteGraph:
     def __init__(self, n_users: int, n_items: int, pairs) -> None:
         self.n_users = int(n_users)
         self.n_items = int(n_items)
-        arr = np.asarray(sorted(set(map(tuple, pairs))), dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        # range checks first, so no bad id aliases a valid (user, item) key
         if arr.size:
             if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_users:
                 raise IndexError("user id out of range in edge list")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_items:
                 raise IndexError("item id out of range in edge list")
+        arr = np.stack(np.divmod(np.unique(arr[:, 0] * self.n_items + arr[:, 1]), self.n_items), axis=1)
         self.user_deg = np.bincount(arr[:, 0], minlength=n_users).astype(np.int64)
         self.item_deg = np.bincount(arr[:, 1], minlength=n_items).astype(np.int64)
         self.user_ptr = np.concatenate(([0], np.cumsum(self.user_deg)))

@@ -28,7 +28,6 @@ class HyperParams:
     cl_weight: float = 0.1
     temperature: float = 0.2
     mend_threshold: float = 0.6
-    layers_device: int = 1
     layers_server: int = 3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -60,8 +59,6 @@ class HyperParams:
             problems.append(f"temperature must be positive, got {self.temperature}")
         if not (-1.0 <= self.mend_threshold <= 1.0):
             problems.append(f"mend_threshold must be in [-1,1], got {self.mend_threshold}")
-        if self.layers_device != 1:
-            problems.append(f"layers_device is fixed at 1 (ego graphs), got {self.layers_device}")
         if self.layers_server < 1:
             problems.append(f"layers_server must be >= 1, got {self.layers_server}")
         if not (0.0 <= self.adam_beta1 < 1.0) or not (0.0 <= self.adam_beta2 < 1.0):
@@ -93,6 +90,24 @@ class HyperParams:
         return problems
 
 
+@dataclass(eq=False)
+class RowBlock:
+    """Sorted unique ``rows`` of one table and their ``values``: (n, d) for
+    gradients, deltas and views, (n, 2, d) first and second moments for Adam.
+    """
+
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    def __len__(self) -> int:
+        return int(self.rows.shape[0])
+
+
+def _nonzero_rows(table: np.ndarray) -> RowBlock:
+    rows = np.nonzero(np.any(table != 0.0, axis=1))[0]
+    return RowBlock(rows, table[rows])
+
+
 @dataclass
 class GradientBundle:
     """Sparse per-row vectors over the two embedding tables.
@@ -101,26 +116,21 @@ class GradientBundle:
     the producing computation are present.
     """
 
-    user: dict[int, np.ndarray] = field(default_factory=dict)
-    item: dict[int, np.ndarray] = field(default_factory=dict)
+    user: RowBlock = field(default_factory=RowBlock)
+    item: RowBlock = field(default_factory=RowBlock)
 
     def is_empty(self) -> bool:
         return not self.user and not self.item
 
     def check_finite(self) -> None:
-        for name, store in (("user", self.user), ("item", self.item)):
-            for row in sorted(store):
-                if not np.all(np.isfinite(store[row])):
-                    raise NumericError(f"non-finite gradient for {name} row {row}")
+        for name, block in (("user", self.user), ("item", self.item)):
+            bad = ~np.all(np.isfinite(block.values), axis=1)
+            if bad.any():
+                raise NumericError(f"non-finite gradient for {name} row {block.rows[np.argmax(bad)]}")
 
     @classmethod
     def from_dense(cls, grad_user: np.ndarray, grad_item: np.ndarray) -> "GradientBundle":
-        bundle = cls()
-        for row in np.nonzero(np.any(grad_user != 0.0, axis=1))[0]:
-            bundle.user[int(row)] = grad_user[row].copy()
-        for row in np.nonzero(np.any(grad_item != 0.0, axis=1))[0]:
-            bundle.item[int(row)] = grad_item[row].copy()
-        return bundle
+        return cls(_nonzero_rows(grad_user), _nonzero_rows(grad_item))
 
 
 def _row_norms(mat: np.ndarray) -> np.ndarray:
@@ -370,40 +380,38 @@ def compute_gradients(
 
 @dataclass
 class AdamMoments:
-    """Sparse Adam state: first/second moments per touched row, step count
-    per table. Untouched rows never materialize moments."""
+    """Sparse Adam state: per table, the first and second moments of every
+    row it has stepped (``values[:, 0]`` and ``values[:, 1]``) and its step
+    count. Untouched rows never materialize moments."""
 
-    user: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    item: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    user: RowBlock = field(default_factory=RowBlock)
+    item: RowBlock = field(default_factory=RowBlock)
     t_user: int = 0
     t_item: int = 0
 
 
-def adam_update_rows(
-    rows: dict[int, np.ndarray],
-    moments: dict[int, tuple[np.ndarray, np.ndarray]],
-    t: int,
-    hyper: HyperParams,
-) -> dict[int, np.ndarray]:
-    """One bias-corrected Adam step over a sparse row-gradient map.
+def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int, hyper: HyperParams) -> RowBlock:
+    """One bias-corrected Adam step over a block of row gradients.
 
-    Returns per-row deltas to add to the parameters; moments mutate in
-    place. ``t`` is the already-incremented step count for this table.
+    Returns the deltas to add to those rows; ``moments`` grows by the rows
+    it has not seen (at zero) and updates in place. ``t`` is the
+    already-incremented step count for this table.
     """
     b1, b2 = hyper.adam_beta1, hyper.adam_beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    deltas: dict[int, np.ndarray] = {}
-    for row in sorted(rows):
-        g = rows[row]
-        m, v = moments.get(row, (np.zeros_like(g), np.zeros_like(g)))
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        moments[row] = (m, v)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        deltas[row] = -hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.adam_eps)
-    return deltas
+    rows = np.union1d(moments.rows, grads.rows)
+    if rows.size > len(moments):
+        mv = np.zeros((rows.size, 2, grads.values.shape[1]))
+        if len(moments):
+            mv[np.searchsorted(rows, moments.rows)] = moments.values
+        moments.rows, moments.values = rows, mv
+    at = np.searchsorted(moments.rows, grads.rows)
+    g = grads.values
+    m = b1 * moments.values[at, 0] + (1.0 - b1) * g
+    v = b2 * moments.values[at, 1] + (1.0 - b2) * g * g
+    moments.values[at] = np.stack([m, v], axis=1)
+    return RowBlock(grads.rows, -hyper.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + hyper.adam_eps))
 
 
 def adam_step(
@@ -416,10 +424,10 @@ def adam_step(
     """
     if grads.user:
         moments.t_user += 1
-        for row, delta in adam_update_rows(grads.user, moments.user, moments.t_user, hyper).items():
-            state.user[row] += delta
+        delta = adam_update_rows(grads.user, moments.user, moments.t_user, hyper)
+        state.user[delta.rows] += delta.values
     if grads.item:
         moments.t_item += 1
-        for row, delta in adam_update_rows(grads.item, moments.item, moments.t_item, hyper).items():
-            state.item[row] += delta
+        delta = adam_update_rows(grads.item, moments.item, moments.t_item, hyper)
+        state.item[delta.rows] += delta.values
     return state

@@ -14,7 +14,7 @@ from .client import DeviceState, DeviceUpload, client_local_train
 from .data import InteractionDataset, SharePolicy, ShareTier, assign_share_policy, attach_contributions
 from .evaluate import EvalResult, evaluate
 from .graph import EmbeddingState, default_alpha, ego_infer, xavier_init
-from .learn import AdamMoments, HyperParams, LossParts
+from .learn import HyperParams, LossParts
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
 from .server import AuditLog, ServerState, apply_ldp, build_server_graph, embedding_exchange, fedavg_aggregate, server_infer, server_train
@@ -238,7 +238,7 @@ def eval_views(ctx: RunContext, mode: str = "server"):
         return server_infer(ctx.server.graph, ctx.server.model, hyper.layers_server)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
-    alpha = default_alpha(hyper.layers_device)
+    alpha = default_alpha(1)
     item_views = alpha[0] * ctx.server.model.item
     user_views = np.zeros_like(ctx.server.model.user)
     for u, dev in ctx.devices.items():
@@ -355,6 +355,7 @@ def save_run_state(result: RunResult, path: str) -> None:
         "model_item": ctx.server.model.item,
         "server_moments": ctx.server.moments,
         "uploaded": ctx.server.uploaded,
+        "audit": ctx.audit.events,
         "devices": {
             u: (dev.local_items, dev.p_u, dev.moments) for u, dev in ctx.devices.items()
         },
@@ -373,6 +374,7 @@ def load_run_state(ctx: RunContext, path: str) -> dict:
     ctx.server.model = EmbeddingState(payload["model_user"], payload["model_item"])
     ctx.server.moments = payload["server_moments"]
     ctx.server.uploaded = payload["uploaded"]
+    ctx.audit.events = payload["audit"]
     for u, (local_items, p_u, moments) in payload["devices"].items():
         dev = ctx.devices[u]
         dev.local_items = local_items

@@ -23,6 +23,7 @@ from .learn import (
     HyperParams,
     LossParts,
     LossSpec,
+    RowBlock,
     adam_step,
     compute_gradients,
 )
@@ -156,21 +157,20 @@ def embedding_exchange(
         tier = policy.category[dev_id]
         if tier is ShareTier.NONE:
             continue
-        views = ReceivedViews()
-        views.user_views[dev_id] = user_views[dev_id].copy()
         counts[dev_id] = counts.get(dev_id, 0) + 1
         if audit is not None:
             audit.log_distribution(round_idx, dev_id, tier, dev_id)
         for owner in all_sharers:
             if owner == dev_id:
                 continue
-            views.user_views[owner] = user_views[owner].copy()
             counts[owner] = counts.get(owner, 0) + 1
             if audit is not None:
                 audit.log_distribution(round_idx, owner, ShareTier.ALL, dev_id)
-        for item in local_items.get(dev_id, ()):
-            views.item_views[int(item)] = item_views[int(item)].copy()
-        received[dev_id] = views
+        owners = np.unique(all_sharers + [dev_id])
+        items = np.unique(np.asarray(local_items.get(dev_id, ()), dtype=np.int64))
+        received[dev_id] = ReceivedViews(
+            RowBlock(owners, user_views[owners]), RowBlock(items, item_views[items])
+        )
     if audit is not None:
         for owner in sorted(counts):
             audit.log_distribution_summary(round_idx, owner, policy.category[owner], counts[owner])
@@ -269,13 +269,25 @@ def server_train(
     parts, grads = compute_gradients(spec, server.model)
     work = server.model.copy()
     adam_step(work, grads, server.moments, hyper)
-    delta = GradientBundle()
-    for row in sorted(grads.user):
-        delta.user[row] = work.user[row] - server.model.user[row]
-    for row in sorted(grads.item):
-        delta.item[row] = work.item[row] - server.model.item[row]
+    u, i = grads.user.rows, grads.item.rows
+    delta = GradientBundle(
+        RowBlock(u, work.user[u] - server.model.user[u]),
+        RowBlock(i, work.item[i] - server.model.item[i]),
+    )
     upload = DeviceUpload(device_id=SERVER_ID, weight=float(batch_size), delta=delta)
     return upload, parts
+
+
+def _privatize(block: RowBlock, clip: float, noise_scale: float, rng: np.random.Generator) -> RowBlock:
+    values = block.values.copy()
+    if clip > 0.0:
+        # row norms as sqrt(v . v), the same rounding as np.linalg.norm of one row
+        norms = np.sqrt(np.vecdot(values, values))
+        big = norms > clip
+        values[big] *= (clip / norms[big])[:, None]
+    if noise_scale > 0.0:
+        values = values + rng.laplace(0.0, noise_scale, size=values.shape)
+    return RowBlock(block.rows, values)
 
 
 def apply_ldp(
@@ -286,26 +298,11 @@ def apply_ldp(
     ``clip`` of 0 disables clipping; ``noise_scale`` of 0 adds nothing and
     draws nothing, so a zero-noise run is bit-identical to a disabled one.
     Noise components are i.i.d. Laplace(0, noise_scale), variance
-    2 * noise_scale^2 per component.
+    2 * noise_scale^2, drawn user rows first, rows in ascending order.
     """
-    out = GradientBundle()
-    for table_name, store in (("user", upload.delta.user), ("item", upload.delta.item)):
-        target = out.user if table_name == "user" else out.item
-        for row in sorted(store):
-            vec = store[row].copy()
-            if clip > 0.0:
-                norm = float(np.linalg.norm(vec))
-                if norm > clip:
-                    vec *= clip / norm
-            if noise_scale > 0.0:
-                vec = vec + rng.laplace(0.0, noise_scale, size=vec.shape)
-            target[row] = vec
-    return DeviceUpload(
-        device_id=upload.device_id,
-        weight=upload.weight,
-        delta=out,
-        user_view=upload.user_view,
-    )
+    user = _privatize(upload.delta.user, clip, noise_scale, rng)
+    item = _privatize(upload.delta.item, clip, noise_scale, rng)
+    return DeviceUpload(upload.device_id, upload.weight, GradientBundle(user, item), upload.user_view)
 
 
 def fedavg_aggregate(
@@ -315,20 +312,19 @@ def fedavg_aggregate(
 
     new_row = base_row + sum_k w_k delta_k / sum_k w_k over the uploads
     that touch the row; untouched rows copy through, and rows whose total
-    weight is zero stay unchanged. Uploads are merged in list order, which
+    weight is zero stay unchanged. Each row's sums run in list order, which
     callers keep deterministic (server first, then ascending device id).
     """
     out = base.copy()
-    acc: dict[str, dict[int, tuple[np.ndarray, float]]] = {"user": {}, "item": {}}
-    for bundle, weight in uploads:
-        for name, store in (("user", bundle.user), ("item", bundle.item)):
-            slot = acc[name]
-            for row in sorted(store):
-                vec_sum, w_sum = slot.get(row, (np.zeros_like(store[row]), 0.0))
-                slot[row] = (vec_sum + weight * store[row], w_sum + weight)
-    for name, table in (("user", out.user), ("item", out.item)):
-        for row in sorted(acc[name]):
-            vec_sum, w_sum = acc[name][row]
-            if w_sum > 0.0:
-                table[row] = table[row] + vec_sum / w_sum
+    for name in ("user", "item"):
+        table = getattr(out, name)
+        blocks = [(getattr(bundle, name), w) for bundle, w in uploads if getattr(bundle, name)]
+        if not blocks:
+            continue
+        touched, at = np.unique(np.concatenate([b.rows for b, _ in blocks]), return_inverse=True)
+        vec_sum = np.zeros((touched.size, table.shape[1]))
+        np.add.at(vec_sum, at, np.concatenate([w * b.values for b, w in blocks]))
+        w_sum = np.bincount(at, np.repeat([w for _, w in blocks], [len(b) for b, _ in blocks]))
+        ok = w_sum > 0.0
+        table[touched[ok]] += vec_sum[ok] / w_sum[ok, None]
     return out

@@ -7,9 +7,12 @@ loops instead of vectorized math, and brute-force fixpoints.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from fedgcf.learn import GradientBundle, RowBlock
 
 
 def dense_norm_adjacency(n_users: int, n_items: int, pairs) -> np.ndarray:
@@ -41,6 +44,26 @@ def dense_combine(layer_list, alpha):
     user = sum(a * u for a, (u, _) in zip(alpha, layer_list))
     item = sum(a * i for a, (_, i) in zip(alpha, layer_list))
     return user, item
+
+
+def csr_reference(n_users: int, n_items: int, pairs) -> dict:
+    """Adjacency arrays of a BipartiteGraph built from a sorted set of
+    (user, item) tuples: neighbors sorted, degrees counted one edge at a
+    time."""
+    edges = sorted(set((int(u), int(i)) for u, i in pairs))
+    user_deg = [0] * n_users
+    item_deg = [0] * n_items
+    for u, i in edges:
+        user_deg[u] += 1
+        item_deg[i] += 1
+    return {
+        "user_adj": [i for _, i in edges],
+        "item_adj": [u for _, u in sorted((i, u) for u, i in edges)],
+        "user_deg": user_deg,
+        "item_deg": item_deg,
+        "user_ptr": [0] + list(itertools.accumulate(user_deg)),
+        "item_ptr": [0] + list(itertools.accumulate(item_deg)),
+    }
 
 
 def kcore_fixpoint(pairs, min_user: int, min_item: int) -> set:
@@ -109,3 +132,82 @@ def fd_gradient(loss_fn, state, h: float = 1e-5):
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+
+
+# ---------------------------------------------------------------- row blocks
+#
+# The package keeps sparse rows as RowBlock arrays; the references below keep
+# them as {row: vector} dicts and walk the rows one at a time in ascending
+# order, as the package did before its row blocks existed.
+
+
+def block_of(store: dict) -> RowBlock:
+    """A {row: vector} dict as a RowBlock."""
+    rows = sorted(store)
+    if not rows:
+        return RowBlock()
+    return RowBlock(np.asarray(rows, dtype=np.int64), np.stack([store[r] for r in rows]))
+
+
+def bundle_of(user=None, item=None) -> GradientBundle:
+    return GradientBundle(block_of(user or {}), block_of(item or {}))
+
+
+def as_dict(block: RowBlock) -> dict:
+    """A RowBlock as a {row: vector} dict."""
+    return {int(r): v for r, v in zip(block.rows, block.values)}
+
+
+def adam_loop(rows: dict, moments: dict, t: int, lr: float, b1: float, b2: float, eps: float) -> dict:
+    """One bias-corrected Adam step per row; ``moments`` maps row -> (m, v)
+    and is updated in place. Returns row -> delta."""
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    deltas = {}
+    for row in sorted(rows):
+        g = rows[row]
+        m, v = moments.get(row, (np.zeros_like(g), np.zeros_like(g)))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        moments[row] = (m, v)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        deltas[row] = -lr * m_hat / (np.sqrt(v_hat) + eps)
+    return deltas
+
+
+def ldp_loop(bundle: GradientBundle, clip: float, noise_scale: float, rng) -> tuple[dict, dict]:
+    """Per-row clip to L2 norm ``clip`` plus Laplace noise, user rows first;
+    returns the (user, item) dicts."""
+    out = ({}, {})
+    for target, block in zip(out, (bundle.user, bundle.item)):
+        store = as_dict(block)
+        for row in sorted(store):
+            vec = store[row].copy()
+            if clip > 0.0:
+                norm = float(np.linalg.norm(vec))
+                if norm > clip:
+                    vec *= clip / norm
+            if noise_scale > 0.0:
+                vec = vec + rng.laplace(0.0, noise_scale, size=vec.shape)
+            target[row] = vec
+    return out
+
+
+def fedavg_loop(uploads, base_user: np.ndarray, base_item: np.ndarray):
+    """Row-wise weighted average of (GradientBundle, weight) uploads,
+    accumulated upload by upload; returns the new (user, item) tables."""
+    out = (base_user.copy(), base_item.copy())
+    acc = ({}, {})
+    for bundle, weight in uploads:
+        for slot, block in zip(acc, (bundle.user, bundle.item)):
+            store = as_dict(block)
+            for row in sorted(store):
+                vec_sum, w_sum = slot.get(row, (np.zeros_like(store[row]), 0.0))
+                slot[row] = (vec_sum + weight * store[row], w_sum + weight)
+    for table, slot in zip(out, acc):
+        for row in sorted(slot):
+            vec_sum, w_sum = slot[row]
+            if w_sum > 0.0:
+                table[row] = table[row] + vec_sum / w_sum
+    return out

@@ -27,7 +27,6 @@ from fedgcf.evaluate import evaluate, ndcg_at_k, rank_candidates, recall_at_k
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha
 from fedgcf.learn import (
     CLTerm,
-    GradientBundle,
     HyperParams,
     LossSpec,
     compute_gradients,
@@ -40,6 +39,8 @@ from fedgcf.seeds import child_rng
 from fedgcf.server import apply_ldp, fedavg_aggregate
 
 from oracles import (
+    as_dict,
+    bundle_of,
     dense_norm_adjacency,
     fd_gradient,
     max_rel_err,
@@ -128,9 +129,9 @@ def test_criterion_1_gradients_match_finite_differences():
                     _, bundle = compute_gradients(spec, state)
                     dense_u = np.zeros_like(state.user)
                     dense_i = np.zeros_like(state.item)
-                    for r, v in bundle.user.items():
+                    for r, v in as_dict(bundle.user).items():
                         dense_u[r] = v
-                    for r, v in bundle.item.items():
+                    for r, v in as_dict(bundle.item).items():
                         dense_i[r] = v
                     fd_u, fd_i = fd_gradient(lambda s: compute_loss(spec, s).total, state, h=1e-5)
                     worst = max(worst, max_rel_err(dense_u, fd_u), max_rel_err(dense_i, fd_i))
@@ -767,12 +768,12 @@ def test_criterion_8_determinism_and_aggregation(tmp_path):
             uploads = []
             n_up = int(rng.integers(1, 5))
             for _ in range(n_up):
-                bundle = GradientBundle()
+                user, item = {}, {}
                 for row in rng.choice(3, size=int(rng.integers(1, 3)), replace=False):
-                    bundle.user[int(row)] = rng.normal(size=d)
+                    user[int(row)] = rng.normal(size=d)
                 for row in rng.choice(4, size=int(rng.integers(0, 3)), replace=False):
-                    bundle.item[int(row)] = rng.normal(size=d)
-                uploads.append((bundle, float(rng.uniform(0.1, 5.0))))
+                    item[int(row)] = rng.normal(size=d)
+                uploads.append((bundle_of(user, item), float(rng.uniform(0.1, 5.0))))
             out = fedavg_aggregate(uploads, base)
             for name, base_tab, out_tab in (
                 ("user", base.user, out.user),
@@ -781,7 +782,7 @@ def test_criterion_8_determinism_and_aggregation(tmp_path):
                 touched: dict = {}
                 for bundle, _ in uploads:
                     store = bundle.user if name == "user" else bundle.item
-                    for row, vec in store.items():
+                    for row, vec in as_dict(store).items():
                         touched.setdefault(row, []).append(base_tab[row] + vec)
                 for row in range(base_tab.shape[0]):
                     if row in touched:
@@ -792,32 +793,28 @@ def test_criterion_8_determinism_and_aggregation(tmp_path):
                         assert np.array_equal(out_tab[row], base_tab[row])
 
         # zero total weight leaves the touched row unchanged
-        zb = GradientBundle()
-        zb.user[1] = np.ones(3)
+        zb = bundle_of(user={1: np.ones(3)})
         zero_out = fedavg_aggregate([(zb, 0.0)], EmbeddingState(np.zeros((2, 3)), np.zeros((1, 3))))
         assert np.array_equal(zero_out.user[1], np.zeros(3))
 
         # noiseless privatization is the identity and leaves the stream untouched
-        delta = GradientBundle()
-        delta.user[0] = rng.normal(size=6)
-        delta.item[3] = rng.normal(size=6)
+        delta = bundle_of(user={0: rng.normal(size=6)}, item={3: rng.normal(size=6)})
         up = DeviceUpload(device_id=0, weight=2.0, delta=delta)
         gen = np.random.default_rng(123)
         state_before = gen.bit_generator.state
         same = apply_ldp(up, 0.0, 0.0, gen)
         assert gen.bit_generator.state == state_before
-        assert np.array_equal(same.delta.user[0], delta.user[0])
-        assert np.array_equal(same.delta.item[3], delta.item[3])
+        assert np.array_equal(as_dict(same.delta.user)[0], as_dict(delta.user)[0])
+        assert np.array_equal(as_dict(same.delta.item)[3], as_dict(delta.item)[3])
 
         scale = 0.7
-        noisy_delta = GradientBundle()
-        noisy_delta.user[0] = np.zeros(100_000)
+        noisy_delta = bundle_of(user={0: np.zeros(100_000)})
         noisy = apply_ldp(
             DeviceUpload(device_id=0, weight=1.0, delta=noisy_delta),
             0.0,
             scale,
             child_rng(4, "ldp", 0, 0),
         )
-        var = float(np.var(noisy.delta.user[0]))
+        var = float(np.var(as_dict(noisy.delta.user)[0]))
         target = 2.0 * scale * scale
         assert abs(var - target) <= 0.05 * target, f"noise variance {var:.4f} vs {target:.4f}"

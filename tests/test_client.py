@@ -12,6 +12,8 @@ from fedgcf.data import ShareTier
 from fedgcf.graph import default_alpha, ego_infer
 from fedgcf.learn import AdamMoments, HyperParams
 
+from oracles import as_dict, block_of
+
 
 def make_device(user_id=3, items=(0, 2, 5), dim=6, seed=0):
     rng = np.random.default_rng(seed)
@@ -28,7 +30,7 @@ def make_views(dev, item_table, extra_users=(7,), dim=6, seed=2):
     for u in extra_users:
         user_views[u] = rng.normal(size=dim)
     item_views = {int(i): rng.normal(size=dim) for i in dev.local_items}
-    return ReceivedViews(user_views=user_views, item_views=item_views)
+    return ReceivedViews(user_views=block_of(user_views), item_views=block_of(item_views))
 
 
 HYPER = HyperParams(dim=6, learning_rate=0.01, local_epochs=1)
@@ -82,12 +84,12 @@ def test_upload_rows_limited_to_touched_ids():
     dev = make_device(items=(0, 2, 5))
     table = make_table()
     upload, _ = client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
-    assert set(upload.delta.user) <= {dev.user_id}
+    assert set(as_dict(upload.delta.user)) <= {dev.user_id}
     # item deltas only for local items or sampled negatives (never others is
     # hard to pin without replaying rng; at minimum all locals are touched
     # and every key is a valid item id)
-    assert set(dev.local_items) <= set(upload.delta.item)
-    assert all(0 <= gid < table.shape[0] for gid in upload.delta.item)
+    assert set(dev.local_items) <= set(as_dict(upload.delta.item))
+    assert all(0 <= gid < table.shape[0] for gid in as_dict(upload.delta.item))
 
 
 def test_delta_reproduces_final_state():
@@ -95,7 +97,7 @@ def test_delta_reproduces_final_state():
     p_start = dev.p_u.copy()
     table = make_table()
     upload, _ = client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
-    assert np.allclose(p_start + upload.delta.user[dev.user_id], dev.p_u, atol=1e-15)
+    assert np.allclose(p_start + as_dict(upload.delta.user)[dev.user_id], dev.p_u, atol=1e-15)
 
 
 def test_weight_is_pairs_times_epochs():
@@ -119,9 +121,10 @@ def test_none_tier_ignores_received_views():
     assert up_a.user_view is None
     assert loss_a.cl == 0.0
     assert np.array_equal(dev_a.p_u, dev_b.p_u)
-    assert set(up_a.delta.item) == set(up_b.delta.item)
-    for gid in up_a.delta.item:
-        assert np.array_equal(up_a.delta.item[gid], up_b.delta.item[gid])
+    items_a, items_b = as_dict(up_a.delta.item), as_dict(up_b.delta.item)
+    assert set(items_a) == set(items_b)
+    for gid in items_a:
+        assert np.array_equal(items_a[gid], items_b[gid])
 
 
 def test_sharer_gets_contrastive_loss_and_view():
@@ -133,9 +136,9 @@ def test_sharer_gets_contrastive_loss_and_view():
     assert upload.user_view is not None
     # the uploaded view is the ego-combined view of the *final* local rows
     final_rows = np.stack(
-        [table[i] + upload.delta.item.get(i, 0.0) for i in dev.local_items]
+        [table[i] + as_dict(upload.delta.item).get(i, 0.0) for i in dev.local_items]
     )
-    want, _ = ego_infer(dev.p_u, final_rows, default_alpha(HYPER.layers_device))
+    want, _ = ego_infer(dev.p_u, final_rows, default_alpha(1))
     assert np.allclose(upload.user_view, want, atol=1e-12)
 
 
@@ -157,7 +160,7 @@ def test_empty_received_views_disable_contrastive():
 def test_missing_own_positive_rejected():
     table = make_table()
     dev = make_device(user_id=3)
-    views = ReceivedViews(user_views={9: np.ones(6)})
+    views = ReceivedViews(user_views=block_of({9: np.ones(6)}))
     with pytest.raises(ValueError):
         client_local_train(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
 
@@ -182,9 +185,10 @@ def test_training_deterministic():
         ups.append((up, dev.p_u.copy()))
     (u1, p1), (u2, p2) = ups
     assert np.array_equal(p1, p2)
-    assert set(u1.delta.item) == set(u2.delta.item)
-    for gid in u1.delta.item:
-        assert np.array_equal(u1.delta.item[gid], u2.delta.item[gid])
+    items_1, items_2 = as_dict(u1.delta.item), as_dict(u2.delta.item)
+    assert set(items_1) == set(items_2)
+    for gid in items_1:
+        assert np.array_equal(items_1[gid], items_2[gid])
     assert np.array_equal(u1.user_view, u2.user_view)
 
 
@@ -224,4 +228,4 @@ def test_moments_persist_across_rounds():
     t_after_first = dev.moments.t_user
     client_local_train(dev, table, ShareTier.NONE, None, HYPER, 1, 42)
     assert dev.moments.t_user == t_after_first + 1
-    assert dev.user_id in dev.moments.user
+    assert dev.user_id in as_dict(dev.moments.user)

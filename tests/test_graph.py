@@ -11,7 +11,7 @@ from fedgcf.graph import (
     xavier_init,
 )
 
-from oracles import dense_combine, dense_propagate
+from oracles import csr_reference, dense_combine, dense_propagate
 
 
 def random_graph(rng, n_u=5, n_i=6, p=0.4):
@@ -36,6 +36,29 @@ def test_build_graph_basic():
         BipartiteGraph(2, 3, [(0, 3)])
     with pytest.raises(IndexError):
         BipartiteGraph(2, 3, [(2, 0)])
+
+
+def test_build_matches_sorted_set_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n_u, n_i = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        n_e = int(rng.integers(0, 3 * n_u * n_i))  # draws with replacement: duplicates
+        pairs = [(int(rng.integers(n_u)), int(rng.integers(n_i))) for _ in range(n_e)]
+        want = csr_reference(n_u, n_i, pairs)
+        for given in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
+            g = BipartiteGraph(n_u, n_i, given)
+            for name, ref in want.items():
+                got = getattr(g, name)
+                assert got.dtype == np.int64, name
+                assert np.array_equal(got, np.asarray(ref, dtype=np.int64)), name
+
+
+def test_build_rejects_out_of_range_ids():
+    # (1, -1) and (-1, 2) would encode to the same key as a valid pair
+    for bad in ([(1, -1)], [(-1, 2)], [(0, 3)], [(2, 0)], [(0, 0), (1, 5)]):
+        for given in (bad, np.asarray(bad, dtype=np.int64)):
+            with pytest.raises(IndexError):
+                BipartiteGraph(2, 3, given)
 
 
 def test_single_edge_propagation():

@@ -16,7 +16,7 @@ from fedgcf.learn import (
     compute_loss,
 )
 
-from oracles import cosine_oracle, fd_gradient, max_rel_err
+from oracles import as_dict, bundle_of, cosine_oracle, fd_gradient, max_rel_err
 
 # frozen expected values, derived by hand:
 #   ln 2                       = 0.6931471805599453
@@ -343,9 +343,9 @@ def test_gradients_match_finite_differences(layers):
         _, bundle = compute_gradients(spec, state)
         dense_u = np.zeros_like(state.user)
         dense_i = np.zeros_like(state.item)
-        for r, v in bundle.user.items():
+        for r, v in as_dict(bundle.user).items():
             dense_u[r] = v
-        for r, v in bundle.item.items():
+        for r, v in as_dict(bundle.item).items():
             dense_i[r] = v
         fd_u, fd_i = fd_gradient(lambda s: compute_loss(spec, s).total, state)
         assert max_rel_err(dense_u, fd_u) < 1e-5
@@ -369,7 +369,7 @@ def test_gradient_zero_row_is_safe():
     )
     parts, bundle = compute_gradients(spec, state)
     assert parts.bpr == pytest.approx(LN2, abs=1e-12)
-    assert 1 not in bundle.user
+    assert 1 not in as_dict(bundle.user)
     bundle.check_finite()
 
 
@@ -396,11 +396,11 @@ def test_bundle_from_dense_skips_zero_rows():
     gu = np.array([[0.0, 0.0], [1.0, 0.0]])
     gi = np.zeros((3, 2))
     b = GradientBundle.from_dense(gu, gi)
-    assert set(b.user) == {1} and not b.item
+    assert set(as_dict(b.user)) == {1} and not b.item
 
 
 def test_bundle_check_finite_raises():
-    b = GradientBundle(user={0: np.array([np.nan, 1.0])})
+    b = bundle_of(user={0: np.array([np.nan, 1.0])})
     with pytest.raises(NumericError):
         b.check_finite()
 
@@ -421,7 +421,7 @@ def test_adam_empty_bundle_is_noop():
 def test_adam_first_step_is_signed_learning_rate():
     hyper = HyperParams(learning_rate=0.01, adam_eps=1e-12)
     state = EmbeddingState(np.zeros((2, 3)), np.zeros((1, 3)))
-    grads = GradientBundle(user={1: np.array([4.0, -0.5, 0.25])})
+    grads = bundle_of(user={1: np.array([4.0, -0.5, 0.25])})
     adam_step(state, grads, AdamMoments(), hyper)
     # bias-corrected m_hat/sqrt(v_hat) = g/|g| on step one
     assert np.allclose(state.user[1], [-0.01, 0.01, -0.01], atol=1e-9)
@@ -432,11 +432,11 @@ def test_adam_touches_only_given_rows_and_counts_per_table():
     hyper = HyperParams()
     state = EmbeddingState(np.zeros((3, 2)), np.zeros((3, 2)))
     moments = AdamMoments()
-    adam_step(state, GradientBundle(user={0: np.ones(2)}), moments, hyper)
+    adam_step(state, bundle_of(user={0: np.ones(2)}), moments, hyper)
     assert moments.t_user == 1 and moments.t_item == 0
-    adam_step(state, GradientBundle(item={2: np.ones(2)}), moments, hyper)
+    adam_step(state, bundle_of(item={2: np.ones(2)}), moments, hyper)
     assert moments.t_user == 1 and moments.t_item == 1
-    assert set(moments.user) == {0} and set(moments.item) == {2}
+    assert set(as_dict(moments.user)) == {0} and set(as_dict(moments.item)) == {2}
     assert np.array_equal(state.user[1], np.zeros(2))
 
 
@@ -447,7 +447,7 @@ def test_adam_descends_a_quadratic():
     moments = AdamMoments()
     start = float(np.sum(state.user[0] ** 2))
     for _ in range(200):
-        grads = GradientBundle(user={0: 2.0 * state.user[0]})
+        grads = bundle_of(user={0: 2.0 * state.user[0]})
         adam_step(state, grads, moments, hyper)
     assert float(np.sum(state.user[0] ** 2)) < 0.01 * start
 
@@ -459,7 +459,7 @@ def test_adam_deterministic():
         moments = AdamMoments()
         rng = np.random.default_rng(7)
         for _ in range(10):
-            g = GradientBundle(
+            g = bundle_of(
                 user={0: rng.normal(size=2)}, item={1: rng.normal(size=2)}
             )
             adam_step(state, g, moments, hyper)
@@ -478,18 +478,18 @@ def test_hyperparams_defaults_valid():
 
 def test_hyperparams_alpha_vectors():
     h = HyperParams()
-    assert np.allclose(default_alpha(h.layers_device), [0.5, 0.5])
+    assert np.allclose(default_alpha(1), [0.5, 0.5])
     assert np.allclose(default_alpha(h.layers_server), [0.25, 0.25, 0.25, 0.25])
     with pytest.raises(ValueError):
         default_alpha(-1)
 
 
 def test_hyperparams_validate_collects_all_problems():
-    h = HyperParams(dim=0, learning_rate=-1.0, temperature=0.0, layers_device=2)
+    h = HyperParams(dim=0, learning_rate=-1.0, temperature=0.0, layers_server=0)
     problems = h.validate()
     assert len(problems) >= 4
     joined = "\n".join(problems)
-    for word in ("dim", "learning_rate", "temperature", "layers_device"):
+    for word in ("dim", "learning_rate", "temperature", "layers_server"):
         assert word in joined
 
 

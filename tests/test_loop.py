@@ -293,3 +293,19 @@ def test_resume_keeps_early_stopping_patience(tmp_path):
     assert resumed.rounds_run == full.rounds_run
     assert resumed.evals == full.evals
     assert resumed.best_val_recall == full.best_val_recall
+
+
+def test_resume_keeps_audit_log(tmp_path):
+    ds = toy_dataset()
+    hyper4 = toy_hyper(rounds=4, eval_every=100, patience=100)
+    full = run_training(ds, hyper4)
+
+    first = run_training(ds, toy_hyper(rounds=2, eval_every=100, patience=100))
+    path = tmp_path / "state.pkl"
+    save_run_state(first, str(path))
+    ctx2 = prepare_run(ds, hyper4)
+    payload = load_run_state(ctx2, str(path))
+    resumed = run_training(ds, hyper4, resume=ctx2, resume_state=payload)
+
+    assert {e["round"] for e in full.context.audit.events} == {1, 2, 3, 4}
+    assert resumed.context.audit.events == full.context.audit.events

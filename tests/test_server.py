@@ -20,6 +20,8 @@ from fedgcf.server import (
     server_train,
 )
 
+from oracles import as_dict, bundle_of
+
 TIERS = [ShareTier.NONE, ShareTier.PART, ShareTier.ALL, ShareTier.ALL]
 
 
@@ -64,18 +66,18 @@ def test_exchange_tier_rules():
     # NONE user gets nothing at all
     assert 0 not in received
     # each sharer gets its own view plus the ALL-tier uploaders' views
-    assert set(received[1].user_views) == {1, 2, 3}
-    assert set(received[2].user_views) == {2, 3}
-    assert set(received[3].user_views) == {3, 2}
+    assert set(as_dict(received[1].user_views)) == {1, 2, 3}
+    assert set(as_dict(received[2].user_views)) == {2, 3}
+    assert set(as_dict(received[3].user_views)) == {3, 2}
     # PART views never appear in another device's map
     for dev_id, views in received.items():
-        for owner in views.user_views:
+        for owner in as_dict(views.user_views):
             if owner != dev_id:
                 assert policy.category[owner] is ShareTier.ALL
     # item views cover exactly the local items
-    assert set(received[1].item_views) == {0}
-    assert set(received[3].item_views) == {1, 2}
-    assert np.array_equal(received[2].user_views[2], user_views[2])
+    assert set(as_dict(received[1].item_views)) == {0}
+    assert set(as_dict(received[3].item_views)) == {1, 2}
+    assert np.array_equal(as_dict(received[2].user_views)[2], user_views[2])
 
 
 def test_exchange_only_selected_devices():
@@ -91,7 +93,7 @@ def test_exchange_only_selected_devices():
         0,
     )
     assert set(received) == {2}
-    assert set(received[2].user_views) == {2}  # nobody has uploaded yet
+    assert set(as_dict(received[2].user_views)) == {2}  # nobody has uploaded yet
 
 
 def test_exchange_all_views_require_prior_upload():
@@ -103,7 +105,7 @@ def test_exchange_all_views_require_prior_upload():
         rng.normal(size=(3, 4)), {1: ()}, 0,
     )
     # user 2 is ALL-tier but never uploaded, so its view is not distributed
-    assert set(received[1].user_views) == {1, 3}
+    assert set(as_dict(received[1].user_views)) == {1, 3}
 
 
 def test_exchange_audit_log(tmp_path):
@@ -232,7 +234,7 @@ def test_server_train_cl_uses_uploaded_views():
     up_b, parts_b = server_train(server_b, hyper, 0, 42)  # no uploads stored
     assert parts_a.cl != parts_b.cl
     # user rows beyond the batch users are never touched
-    assert set(up_a.delta.user) <= {1, 2, 3}
+    assert set(as_dict(up_a.delta.user)) <= {1, 2, 3}
 
 
 def test_server_train_disable_cl():
@@ -254,7 +256,8 @@ def test_server_train_deterministic():
         results.append((upload, parts))
     (u1, p1), (u2, p2) = results
     assert p1.total == p2.total
-    for store1, store2 in ((u1.delta.user, u2.delta.user), (u1.delta.item, u2.delta.item)):
+    for block1, block2 in ((u1.delta.user, u2.delta.user), (u1.delta.item, u2.delta.item)):
+        store1, store2 = as_dict(block1), as_dict(block2)
         assert set(store1) == set(store2)
         for row in store1:
             assert np.array_equal(store1[row], store2[row])
@@ -265,7 +268,7 @@ def test_server_train_deterministic():
 
 def make_upload(seed=0):
     rng = np.random.default_rng(seed)
-    delta = GradientBundle(
+    delta = bundle_of(
         user={0: rng.normal(size=4), 2: rng.normal(size=4) * 10},
         item={1: rng.normal(size=4) * 0.01},
     )
@@ -276,7 +279,8 @@ def test_ldp_disabled_is_bit_identical():
     up = make_upload()
     rng = np.random.default_rng(0)
     out = apply_ldp(up, 0.0, 0.0, rng)
-    for store_in, store_out in ((up.delta.user, out.delta.user), (up.delta.item, out.delta.item)):
+    for block_in, block_out in ((up.delta.user, out.delta.user), (up.delta.item, out.delta.item)):
+        store_in, store_out = as_dict(block_in), as_dict(block_out)
         assert set(store_in) == set(store_out)
         for row in store_in:
             assert np.array_equal(store_in[row], store_out[row])
@@ -289,22 +293,22 @@ def test_ldp_disabled_is_bit_identical():
 def test_ldp_clip_bounds_row_norms():
     up = make_upload()
     out = apply_ldp(up, 0.5, 0.0, np.random.default_rng(1))
-    for store in (out.delta.user, out.delta.item):
-        for vec in store.values():
+    for block in (out.delta.user, out.delta.item):
+        for vec in block.values:
             assert np.linalg.norm(vec) <= 0.5 + 1e-12
     # rows already inside the ball are unchanged
-    assert np.array_equal(out.delta.item[1], up.delta.item[1])
+    assert np.array_equal(as_dict(out.delta.item)[1], as_dict(up.delta.item)[1])
     # clipped rows preserve direction
-    orig = up.delta.user[2]
-    clipped = out.delta.user[2]
+    orig = as_dict(up.delta.user)[2]
+    clipped = as_dict(out.delta.user)[2]
     assert np.allclose(clipped / np.linalg.norm(clipped), orig / np.linalg.norm(orig))
 
 
 def test_ldp_noise_distribution():
-    zero = DeviceUpload(0, 1.0, GradientBundle(user={0: np.zeros(100_000)}))
+    zero = DeviceUpload(0, 1.0, bundle_of(user={0: np.zeros(100_000)}))
     b = 0.2
     out = apply_ldp(zero, 0.0, b, np.random.default_rng(2))
-    noise = out.delta.user[0]
+    noise = as_dict(out.delta.user)[0]
     assert abs(float(np.mean(noise))) < 0.01
     assert float(np.var(noise)) == pytest.approx(2 * b * b, rel=0.05)
 
@@ -313,15 +317,15 @@ def test_ldp_deterministic_given_rng():
     up = make_upload()
     a = apply_ldp(up, 0.5, 0.1, np.random.default_rng(3))
     b = apply_ldp(up, 0.5, 0.1, np.random.default_rng(3))
-    for row in a.delta.user:
-        assert np.array_equal(a.delta.user[row], b.delta.user[row])
+    for row in as_dict(a.delta.user):
+        assert np.array_equal(as_dict(a.delta.user)[row], as_dict(b.delta.user)[row])
 
 
 def test_ldp_does_not_mutate_input():
     up = make_upload()
-    frozen = {r: v.copy() for r, v in up.delta.user.items()}
+    frozen = {r: v.copy() for r, v in as_dict(up.delta.user).items()}
     apply_ldp(up, 0.1, 0.5, np.random.default_rng(4))
-    for row, vec in up.delta.user.items():
+    for row, vec in as_dict(up.delta.user).items():
         assert np.array_equal(vec, frozen[row])
 
 
@@ -330,8 +334,8 @@ def test_ldp_does_not_mutate_input():
 
 def test_fedavg_weighted_average_oracle():
     base = EmbeddingState(np.zeros((2, 2)), np.zeros((1, 2)))
-    b1 = GradientBundle(user={0: np.array([1.0, 0.0])})
-    b2 = GradientBundle(user={0: np.array([0.0, 1.0])})
+    b1 = bundle_of(user={0: np.array([1.0, 0.0])})
+    b2 = bundle_of(user={0: np.array([0.0, 1.0])})
     out = fedavg_aggregate([(b1, 1.0), (b2, 3.0)], base)
     assert np.allclose(out.user[0], [0.25, 0.75])
     assert np.array_equal(out.user[1], [0.0, 0.0])
@@ -341,15 +345,15 @@ def test_fedavg_weighted_average_oracle():
 def test_fedavg_single_upload_passthrough():
     rng = np.random.default_rng(10)
     base = EmbeddingState(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
-    delta = GradientBundle(item={1: np.array([1.0, -2.0, 3.0])})
+    delta = bundle_of(item={1: np.array([1.0, -2.0, 3.0])})
     out = fedavg_aggregate([(delta, 7.0)], base)
-    assert np.allclose(out.item[1], base.item[1] + delta.item[1])
+    assert np.allclose(out.item[1], base.item[1] + as_dict(delta.item)[1])
     assert np.array_equal(out.user, base.user)
 
 
 def test_fedavg_zero_weight_rows_unchanged():
     base = EmbeddingState(np.ones((1, 2)), np.ones((1, 2)))
-    out = fedavg_aggregate([(GradientBundle(user={0: np.array([5.0, 5.0])}), 0.0)], base)
+    out = fedavg_aggregate([(bundle_of(user={0: np.array([5.0, 5.0])}), 0.0)], base)
     assert np.array_equal(out.user[0], [1.0, 1.0])
 
 
@@ -366,7 +370,7 @@ def test_fedavg_convex_combination_property():
         base = EmbeddingState(rng.normal(size=(1, 3)), np.zeros((1, 3)))
         deltas = [rng.normal(size=3) for _ in range(4)]
         weights = rng.uniform(0.1, 5.0, size=4)
-        uploads = [(GradientBundle(user={0: d}), float(w)) for d, w in zip(deltas, weights)]
+        uploads = [(bundle_of(user={0: d}), float(w)) for d, w in zip(deltas, weights)]
         out = fedavg_aggregate(uploads, base)
         moved = out.user[0] - base.user[0]
         lo = np.min(np.stack(deltas), axis=0) - 1e-12
