@@ -286,15 +286,7 @@ def _final_views(spec: LossSpec, state: EmbeddingState):
     return propagate_combine(spec.graph, state.user, state.item, spec.alpha)
 
 
-def compute_loss(spec: LossSpec, state: EmbeddingState) -> LossParts:
-    """Forward-only evaluation of a LossSpec (used by tests and reporting)."""
-    parts, _ = compute_gradients(spec, state, need_grads=False)
-    return parts
-
-
-def compute_gradients(
-    spec: LossSpec, state: EmbeddingState, need_grads: bool = True
-) -> tuple[LossParts, GradientBundle]:
+def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts, GradientBundle]:
     """Evaluate the composite loss and its layer-0 gradient bundle.
 
     The forward pass propagates layer 0 through the graph and combines the
@@ -315,10 +307,9 @@ def compute_gradients(
             raise ValueError("bpr triplet arrays must align")
         loss, g_user, g_pos, g_neg = _bpr_terms(final_u[users], final_i[pos], final_i[neg])
         parts.bpr = loss
-        if need_grads:
-            np.add.at(grad_u, users, g_user)
-            np.add.at(grad_i, pos, g_pos)
-            np.add.at(grad_i, neg, g_neg)
+        np.add.at(grad_u, users, g_user)
+        np.add.at(grad_i, pos, g_pos)
+        np.add.at(grad_i, neg, g_neg)
 
     if spec.cl_terms and spec.cl_weight > 0.0:
         for term in spec.cl_terms:
@@ -337,9 +328,8 @@ def compute_gradients(
                 loss, _, g_k = _infonce_terms(term.fixed_views, views, pos_idx, spec.tau)
                 g_train = g_k
             parts.cl += loss
-            if need_grads:
-                target = grad_u if term.kind == "user" else grad_i
-                np.add.at(target, term.rows, spec.cl_weight * g_train)
+            target = grad_u if term.kind == "user" else grad_i
+            np.add.at(target, term.rows, spec.cl_weight * g_train)
 
     for pairs, target_val in ((spec.link_positives, 1.0), (spec.link_negatives, 0.0)):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -348,10 +338,9 @@ def compute_gradients(
         cos, d_zu, d_zi = _cosine_rows(final_u[pairs[:, 0]], final_i[pairs[:, 1]])
         resid = cos - target_val
         parts.mend += float(np.sum(np.abs(resid)))
-        if need_grads:
-            sign = np.sign(resid)[:, None]
-            np.add.at(grad_u, pairs[:, 0], sign * d_zu)
-            np.add.at(grad_i, pairs[:, 1], sign * d_zi)
+        sign = np.sign(resid)[:, None]
+        np.add.at(grad_u, pairs[:, 0], sign * d_zu)
+        np.add.at(grad_i, pairs[:, 1], sign * d_zi)
 
     reg_u = np.unique(np.asarray(spec.reg_user_rows, dtype=np.int64))
     reg_i = np.unique(np.asarray(spec.reg_item_rows, dtype=np.int64))
@@ -361,8 +350,6 @@ def compute_gradients(
         parts.reg += float(np.sum(state.item[reg_i] ** 2))
 
     parts.total = parts.bpr + spec.cl_weight * parts.cl + parts.mend + spec.reg_lambda * parts.reg
-    if not need_grads:
-        return parts, GradientBundle()
 
     # adjoint pass: the propagation operator is symmetric, so pushing the
     # final-view gradients through the same propagate+combine yields the

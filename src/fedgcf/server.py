@@ -34,7 +34,7 @@ SERVER_ID = -1
 
 @dataclass
 class AuditLog:
-    """Structured record of every upload and view distribution.
+    """Structured record of every upload and of each round's view exchange.
 
     Events are plain dicts so they serialize as line-delimited JSON; the
     privacy checks scan them for tier violations.
@@ -47,26 +47,11 @@ class AuditLog:
             {"event": "upload", "round": round_idx, "user": user, "tier": tier.value}
         )
 
-    def log_distribution(self, round_idx: int, owner: int, tier: ShareTier, recipient: int) -> None:
+    def log_exchange(self, round_idx: int, recipients: list[int], broadcast: list[int]) -> None:
+        """One round's exchange: every recipient got its own view plus the
+        view of every ``broadcast`` owner."""
         self.events.append(
-            {
-                "event": "distribute",
-                "round": round_idx,
-                "owner": owner,
-                "tier": tier.value,
-                "recipient": recipient,
-            }
-        )
-
-    def log_distribution_summary(self, round_idx: int, owner: int, tier: ShareTier, count: int) -> None:
-        self.events.append(
-            {
-                "event": "distribute_summary",
-                "round": round_idx,
-                "user": owner,
-                "tier": tier.value,
-                "distributed_to": count,
-            }
+            {"event": "exchange", "round": round_idx, "recipients": recipients, "broadcast": broadcast}
         )
 
     def write_jsonl(self, path: str) -> None:
@@ -80,14 +65,18 @@ class AuditLog:
         for e in self.events:
             if e["event"] == "upload" and policy.category[e["user"]] is ShareTier.NONE:
                 problems.append(f"round {e['round']}: NONE user {e['user']} uploaded a view")
-            if e["event"] == "distribute":
-                owner, recipient = e["owner"], e["recipient"]
-                if policy.category[owner] is ShareTier.NONE:
-                    problems.append(f"round {e['round']}: NONE user {owner} view distributed")
-                if policy.category[owner] is ShareTier.PART and owner != recipient:
-                    problems.append(
-                        f"round {e['round']}: PART user {owner} view sent to device {recipient}"
-                    )
+            if e["event"] == "exchange":
+                recipients = e["recipients"]
+                for user in sorted(set(recipients) | set(e["broadcast"])):
+                    if policy.category[user] is ShareTier.NONE:
+                        problems.append(f"round {e['round']}: NONE user {user} view distributed")
+                for owner in e["broadcast"]:
+                    if policy.category[owner] is ShareTier.PART:
+                        problems.extend(
+                            f"round {e['round']}: PART user {owner} view sent to device {dev}"
+                            for dev in recipients
+                            if dev != owner
+                        )
         return problems
 
 
@@ -146,34 +135,30 @@ def embedding_exchange(
     view, the server-side user views of every ALL-tier user that has
     uploaded at least once, and server-side item views for its local
     items. NONE devices and unselected devices receive nothing; PART
-    views are never placed in another device's map.
+    views are never placed in another device's map. Every ALL-tier device
+    that has uploaded receives the same read-only block of ALL-tier views,
+    and the audit gets one exchange record for the round.
     """
-    all_sharers = sorted(
-        u for u, view in uploaded.items() if view.tier is ShareTier.ALL
+    all_sharers = np.array(
+        sorted(u for u, view in uploaded.items() if view.tier is ShareTier.ALL), dtype=np.int64
     )
+    shared = RowBlock(all_sharers, user_views[all_sharers])
+    shared.rows.flags.writeable = False
+    shared.values.flags.writeable = False
     received: dict[int, ReceivedViews] = {}
-    counts: dict[int, int] = {}
     for dev_id in sorted(int(d) for d in selected):
         tier = policy.category[dev_id]
         if tier is ShareTier.NONE:
             continue
-        counts[dev_id] = counts.get(dev_id, 0) + 1
-        if audit is not None:
-            audit.log_distribution(round_idx, dev_id, tier, dev_id)
-        for owner in all_sharers:
-            if owner == dev_id:
-                continue
-            counts[owner] = counts.get(owner, 0) + 1
-            if audit is not None:
-                audit.log_distribution(round_idx, owner, ShareTier.ALL, dev_id)
-        owners = np.unique(all_sharers + [dev_id])
+        if dev_id in uploaded and tier is ShareTier.ALL:
+            users = shared
+        else:
+            owners = np.union1d(all_sharers, [dev_id])
+            users = RowBlock(owners, user_views[owners])
         items = np.unique(np.asarray(local_items.get(dev_id, ()), dtype=np.int64))
-        received[dev_id] = ReceivedViews(
-            RowBlock(owners, user_views[owners]), RowBlock(items, item_views[items])
-        )
-    if audit is not None:
-        for owner in sorted(counts):
-            audit.log_distribution_summary(round_idx, owner, policy.category[owner], counts[owner])
+        received[dev_id] = ReceivedViews(users, RowBlock(items, item_views[items]))
+    if audit is not None and received:
+        audit.log_exchange(round_idx, sorted(received), shared.rows.tolist())
     return received
 
 

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from fedgcf.learn import GradientBundle, RowBlock
+from fedgcf.data import ShareTier
+from fedgcf.learn import GradientBundle, RowBlock, compute_gradients
 
 
 def dense_norm_adjacency(n_users: int, n_items: int, pairs) -> np.ndarray:
@@ -211,3 +212,40 @@ def fedavg_loop(uploads, base_user: np.ndarray, base_item: np.ndarray):
             if w_sum > 0.0:
                 table[row] = table[row] + vec_sum / w_sum
     return out
+
+
+def compute_loss(spec, state):
+    """The loss parts of ``spec`` at ``state`` (gradients discarded)."""
+    return compute_gradients(spec, state)[0]
+
+
+# The privacy audit as it was checked when the log held one event per
+# (owner, recipient) pair: an exchange record expands into those events,
+# and each event is checked on its own.
+
+
+def exchange_pairs(record: dict) -> list[tuple[int, int]]:
+    """The (owner, recipient) distributions one exchange record stands for:
+    each recipient's own view, then every broadcast owner's view."""
+    pairs = []
+    for recipient in record["recipients"]:
+        pairs.append((recipient, recipient))
+        pairs.extend((owner, recipient) for owner in record["broadcast"] if owner != recipient)
+    return pairs
+
+
+def violations_per_event(events: list, policy) -> list[str]:
+    """Tier violations found event by event over the expanded log."""
+    problems = []
+    for e in events:
+        if e["event"] == "upload" and policy.category[e["user"]] is ShareTier.NONE:
+            problems.append(f"round {e['round']}: NONE user {e['user']} uploaded a view")
+        if e["event"] != "exchange":
+            continue
+        for owner, recipient in exchange_pairs(e):
+            tier = policy.category[owner]
+            if tier is ShareTier.NONE:
+                problems.append(f"round {e['round']}: NONE user {owner} view distributed")
+            if tier is ShareTier.PART and owner != recipient:
+                problems.append(f"round {e['round']}: PART user {owner} view sent to device {recipient}")
+    return problems

@@ -30,7 +30,6 @@ from fedgcf.learn import (
     HyperParams,
     LossSpec,
     compute_gradients,
-    compute_loss,
 )
 import fedgcf.learn
 from fedgcf.loop import prepare_run, run_round, run_training
@@ -41,7 +40,9 @@ from fedgcf.server import apply_ldp, fedavg_aggregate
 from oracles import (
     as_dict,
     bundle_of,
+    compute_loss,
     dense_norm_adjacency,
+    exchange_pairs,
     fd_gradient,
     max_rel_err,
     ndcg_oracle,
@@ -708,12 +709,12 @@ def test_criterion_7_privacy_bookkeeping():
             if event["event"] == "upload":
                 uploads += 1
                 assert tiers[event["user"]] is not ShareTier.NONE
-            elif event["event"] == "distribute":
-                distributions += 1
-                owner, recipient = event["owner"], event["recipient"]
-                assert tiers[owner] is not ShareTier.NONE
-                if tiers[owner] is ShareTier.PART:
-                    assert recipient == owner
+            elif event["event"] == "exchange":
+                for owner, recipient in exchange_pairs(event):
+                    distributions += 1
+                    assert tiers[owner] is not ShareTier.NONE
+                    if tiers[owner] is ShareTier.PART:
+                        assert recipient == owner
         assert uploads > 0 and distributions > 0
         for user, view in ctx.server.uploaded.items():
             assert tiers[user] is not ShareTier.NONE

@@ -13,10 +13,9 @@ from fedgcf.learn import (
     LossSpec,
     adam_step,
     compute_gradients,
-    compute_loss,
 )
 
-from oracles import as_dict, bundle_of, cosine_oracle, fd_gradient, max_rel_err
+from oracles import as_dict, bundle_of, compute_loss, cosine_oracle, fd_gradient, max_rel_err
 
 # frozen expected values, derived by hand:
 #   ln 2                       = 0.6931471805599453
@@ -371,14 +370,6 @@ def test_gradient_zero_row_is_safe():
     assert parts.bpr == pytest.approx(LN2, abs=1e-12)
     assert 1 not in as_dict(bundle.user)
     bundle.check_finite()
-
-
-def test_need_grads_false_returns_empty_bundle():
-    rng = np.random.default_rng(5)
-    spec, state = make_random_spec(rng, 1)
-    parts, bundle = compute_gradients(spec, state, need_grads=False)
-    assert bundle.is_empty()
-    assert parts.total != 0.0
 
 
 def test_cl_weight_zero_skips_contrastive():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgcf.client import DeviceUpload, ReceivedViews
 from fedgcf.data import SharePolicy, ShareTier
@@ -20,7 +22,7 @@ from fedgcf.server import (
     server_train,
 )
 
-from oracles import as_dict, bundle_of
+from oracles import as_dict, bundle_of, violations_per_event
 
 TIERS = [ShareTier.NONE, ShareTier.PART, ShareTier.ALL, ShareTier.ALL]
 
@@ -118,25 +120,78 @@ def test_exchange_audit_log(tmp_path):
         rng.normal(size=(3, 4)), {}, 5, audit,
     )
     assert audit.violations(policy) == []
-    kinds = {e["event"] for e in audit.events}
-    assert kinds == {"distribute", "distribute_summary"}
-    # user 2's view went to itself and the two other sharers
-    summaries = {e["user"]: e["distributed_to"] for e in audit.events if e["event"] == "distribute_summary"}
-    assert summaries[2] == 3
+    # one record: each sharer got its own view, and user 2's view went to all three
+    assert audit.events == [{"event": "exchange", "round": 5, "recipients": [1, 2, 3], "broadcast": [2]}]
     path = tmp_path / "audit.jsonl"
     audit.write_jsonl(str(path))
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines == audit.events
 
 
+def test_exchange_shares_one_read_only_block():
+    policy, server = make_server()
+    rng = np.random.default_rng(5)
+    server.uploaded = {
+        2: UploadedView(rng.normal(size=4), ShareTier.ALL),
+        3: UploadedView(rng.normal(size=4), ShareTier.ALL),
+    }
+    user_views = rng.normal(size=(4, 4))
+    received = embedding_exchange(
+        policy, server.uploaded, np.arange(4), user_views, rng.normal(size=(3, 4)), {}, 0
+    )
+    shared = received[2].user_views
+    assert received[3].user_views is shared
+    assert shared.rows.tolist() == [2, 3]
+    assert np.array_equal(shared.values, user_views[[2, 3]])
+    with pytest.raises(ValueError):
+        shared.values[0, 0] = 1.0
+    # the PART device's block is the sharers plus itself, a block of its own
+    part = received[1].user_views
+    assert part is not shared
+    assert part.rows.tolist() == [1, 2, 3]
+    assert np.array_equal(part.values, user_views[[1, 2, 3]])
+
+
 def test_audit_violations_detected():
     policy = make_policy()
     audit = AuditLog()
     audit.log_upload(0, 0, ShareTier.NONE)
-    audit.log_distribution(0, 1, ShareTier.PART, 2)
-    audit.log_distribution(0, 0, ShareTier.NONE, 0)
+    audit.log_exchange(0, [2], [1])  # PART view of user 1 sent to device 2
+    audit.log_exchange(0, [0], [])  # NONE user 0 got its view
     problems = audit.violations(policy)
     assert len(problems) == 3
+
+
+def exchange(recipients, broadcast, round_idx=0):
+    return {"event": "exchange", "round": round_idx, "recipients": recipients, "broadcast": broadcast}
+
+
+def upload(user, round_idx):
+    return {"event": "upload", "round": round_idx, "user": user, "tier": TIERS[user].value}
+
+
+USER_IDS = st.integers(0, len(TIERS) - 1)
+ID_SETS = st.lists(USER_IDS, unique=True, max_size=len(TIERS)).map(sorted)
+# an exchange record always names a recipient: a round that sends nothing logs nothing
+EVENTS = st.integers(0, 3).flatmap(
+    lambda r: st.builds(upload, USER_IDS, st.just(r))
+    | st.builds(exchange, ID_SETS.filter(bool), ID_SETS, st.just(r))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tiers=st.lists(st.sampled_from(list(ShareTier)), min_size=len(TIERS), max_size=len(TIERS)),
+    events=st.lists(EVENTS, max_size=6),
+)
+@example(tiers=TIERS, events=[exchange([1], [1])])  # a PART owner broadcast only to itself: clean
+@example(tiers=TIERS, events=[exchange([0, 2], [2, 3])])  # a NONE recipient
+@example(tiers=TIERS, events=[exchange([0, 1, 2], [])])  # an empty broadcast
+@example(tiers=TIERS, events=[exchange([1, 2, 3], [0, 1, 2, 3])])  # owners that are also recipients
+def test_audit_violations_match_per_event_reference(tiers, events):
+    policy = SharePolicy(ratio=np.zeros(len(tiers)), category=tiers)
+    audit = AuditLog(events=events)
+    assert set(audit.violations(policy)) == set(violations_per_event(events, policy))
 
 
 # ---------------------------------------------------------------- absorb
