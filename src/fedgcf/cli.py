@@ -100,8 +100,10 @@ class RunConfig:
 
 
 def _coerce(key: str, value, problems: list[str]):
-    _, typ, _ = CONFIG_KEYS[key]
+    default, typ, _ = CONFIG_KEYS[key]
     if value is None:
+        if default is not None:
+            problems.append(f"{key}: expected a value, got null")
         return None
     if typ is bool:
         if isinstance(value, bool):
@@ -159,40 +161,35 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 continue
             values[key] = _coerce(key, value, problems)
 
-    sources = [k for k in ("data_path", "dataset_dir") if values.get(k)]
-    if values["share_mode"] not in ("uniform", "fixed"):
-        problems.append(f"share_mode must be uniform|fixed, got {values['share_mode']!r}")
-    if not (0.0 <= values["share_ratio"] <= 1.0):
-        problems.append(f"share_ratio must be in [0,1], got {values['share_ratio']}")
-    if values["score_sim"] not in ("cosine", "inner"):
-        problems.append(f"score_sim must be cosine|inner, got {values['score_sim']!r}")
-    if values["eval_view"] not in ("server", "device"):
-        problems.append(f"eval_view must be server|device, got {values['eval_view']!r}")
+    # range checks see the default of every key whose coercion failed, so
+    # the remaining keys still get validated
+    checked = {k: (values[k] if values[k] is not None else CONFIG_KEYS[k][0]) for k in values}
+    sources = [k for k in ("data_path", "dataset_dir") if checked[k]]
+    if checked["share_mode"] not in ("uniform", "fixed"):
+        problems.append(f"share_mode must be uniform|fixed, got {checked['share_mode']!r}")
+    if not (0.0 <= checked["share_ratio"] <= 1.0):
+        problems.append(f"share_ratio must be in [0,1], got {checked['share_ratio']}")
+    if checked["score_sim"] not in ("cosine", "inner"):
+        problems.append(f"score_sim must be cosine|inner, got {checked['score_sim']!r}")
+    if checked["eval_view"] not in ("server", "device"):
+        problems.append(f"eval_view must be server|device, got {checked['eval_view']!r}")
     if len(sources) > 1:
         problems.append("data_path and dataset_dir are mutually exclusive")
-    if values["kcore_user"] < 0 or values["kcore_item"] < 0:
+    if checked["kcore_user"] < 0 or checked["kcore_item"] < 0:
         problems.append("kcore thresholds must be >= 0")
-    if values["split_train"] <= 0 or values["split_val"] < 0 or values["split_test"] < 0:
+    if checked["split_train"] <= 0 or checked["split_val"] < 0 or checked["split_test"] < 0:
         problems.append("split shares must be positive train, non-negative val/test")
-    if values["synth_users"] <= 0 or values["synth_items"] <= 0:
+    if checked["synth_users"] <= 0 or checked["synth_items"] <= 0:
         problems.append("synth sizes must be positive")
-    if not (0.0 < values["synth_density"] <= 1.0):
-        problems.append(f"synth_density must be in (0,1], got {values['synth_density']}")
-    if values["synth_clusters"] < 1:
-        problems.append(f"synth_clusters must be >= 1, got {values['synth_clusters']}")
+    if not (0.0 < checked["synth_density"] <= 1.0):
+        problems.append(f"synth_density must be in (0,1], got {checked['synth_density']}")
+    if checked["synth_clusters"] < 1:
+        problems.append(f"synth_clusters must be >= 1, got {checked['synth_clusters']}")
 
-    config = RunConfig(values=values)
-    # range-check the hyperparameters; keys whose coercion failed fall back
-    # to their defaults so the remaining keys still get validated
-    hyper_kwargs = {
-        k: (values[k] if values[k] is not None else CONFIG_KEYS[k][0])
-        for k in values
-        if k in _HYPER_FIELDS
-    }
-    problems.extend(HyperParams(**hyper_kwargs).validate())
+    problems.extend(HyperParams(**{k: checked[k] for k in checked if k in _HYPER_FIELDS}).validate())
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
-    return config
+    return RunConfig(values=values)
 
 
 def parse_overrides(pairs: list[str]) -> dict:

@@ -75,8 +75,9 @@ def sample_negatives(
     exceeds the complement size the draw falls back to replacement so the
     caller still gets k negatives.
     """
-    interacted = np.asarray(interacted, dtype=np.int64)
-    complement = np.setdiff1d(np.arange(n_items, dtype=np.int64), interacted, assume_unique=False)
+    mask = np.ones(n_items, dtype=bool)
+    mask[np.asarray(interacted, dtype=np.int64)] = False
+    complement = np.flatnonzero(mask)
     if complement.size == 0:
         raise ValueError("user interacted with every item; no negatives exist")
     if k <= 0:

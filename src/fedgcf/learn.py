@@ -213,7 +213,8 @@ class CLTerm:
     used to align with ``fixed_ids``/``fixed_views``, which are constants.
     ``trainable`` says whether the propagated views act as the queries or
     as the keys of the softmax; every query id needs a same-id key, its
-    positive.
+    positive. Key ids must be sorted and unique; ``pos_idx`` holds each
+    query's positive key index.
     """
 
     kind: str
@@ -222,6 +223,7 @@ class CLTerm:
     ids: np.ndarray
     fixed_ids: np.ndarray
     fixed_views: np.ndarray
+    pos_idx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("user", "item"):
@@ -236,10 +238,13 @@ class CLTerm:
         if self.fixed_views.shape[0] != self.fixed_ids.shape[0]:
             raise ValueError("fixed_views and fixed_ids must align")
         queries, keys = (self.ids, self.fixed_ids) if self.trainable == "query" else (self.fixed_ids, self.ids)
+        self.pos_idx = np.searchsorted(keys, queries)
         if keys.size:
-            missing = np.setdiff1d(queries, keys)
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError("key ids must be sorted and unique")
+            missing = queries[keys[np.minimum(self.pos_idx, keys.size - 1)] != queries]
             if missing.size:
-                raise ValueError(f"query ids {missing.tolist()} lack a same-id positive key")
+                raise ValueError(f"query ids {np.unique(missing).tolist()} lack a same-id positive key")
 
 
 @dataclass
@@ -318,15 +323,9 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
             table = final_u if term.kind == "user" else final_i
             views = table[term.rows]
             if term.trainable == "query":
-                id_pos = {int(k): j for j, k in enumerate(term.fixed_ids)}
-                pos_idx = np.array([id_pos[int(k)] for k in term.ids])
-                loss, g_q, _ = _infonce_terms(views, term.fixed_views, pos_idx, spec.tau)
-                g_train = g_q
+                loss, g_train, _ = _infonce_terms(views, term.fixed_views, term.pos_idx, spec.tau)
             else:
-                id_pos = {int(k): j for j, k in enumerate(term.ids)}
-                pos_idx = np.array([id_pos[int(k)] for k in term.fixed_ids])
-                loss, _, g_k = _infonce_terms(term.fixed_views, views, pos_idx, spec.tau)
-                g_train = g_k
+                loss, _, g_train = _infonce_terms(term.fixed_views, views, term.pos_idx, spec.tau)
             parts.cl += loss
             target = grad_u if term.kind == "user" else grad_i
             np.add.at(target, term.rows, spec.cl_weight * g_train)

@@ -15,14 +15,18 @@ from .seeds import child_rng
 
 @dataclass
 class MendingArtifacts:
-    """Everything the mending stage produced, kept for inspection."""
+    """Everything the mending stage produced, kept for inspection.
+
+    Link sets are (n, 2) int64 edge arrays sorted by (user, item);
+    ``scores`` holds one cosine per row of ``predicted``.
+    """
 
     impaired: BipartiteGraph
-    removed: tuple[tuple[int, int], ...]
+    removed: np.ndarray
     mender: EmbeddingState
     losses: list[float]
-    predicted: tuple[tuple[int, int], ...]
-    scores: dict[tuple[int, int], float]
+    predicted: np.ndarray
+    scores: np.ndarray
     mended: BipartiteGraph
 
 
@@ -32,7 +36,8 @@ def impair_graph(g: BipartiteGraph, fraction: float, seed=0):
     Edges are visited in a seeded random permutation; an edge is skipped
     when either endpoint currently has degree 1, so every node that had an
     edge keeps one. Fewer edges than requested may be removed when the
-    guard leaves no alternatives.
+    guard leaves no alternatives. Returns the impaired graph and the
+    removed edges.
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError(f"impair fraction must be in [0,1), got {fraction}")
@@ -44,10 +49,10 @@ def impair_graph(g: BipartiteGraph, fraction: float, seed=0):
     order = rng.permutation(g.edge_count)
     u_deg = g.user_deg.copy()
     i_deg = g.item_deg.copy()
-    removed: list[tuple[int, int]] = []
     removed_mask = np.zeros(g.edge_count, dtype=bool)
+    n_removed = 0
     for idx in order:
-        if len(removed) >= target:
+        if n_removed >= target:
             break
         u, i = int(edges[idx, 0]), int(edges[idx, 1])
         if u_deg[u] <= 1 or i_deg[i] <= 1:
@@ -55,49 +60,47 @@ def impair_graph(g: BipartiteGraph, fraction: float, seed=0):
         u_deg[u] -= 1
         i_deg[i] -= 1
         removed_mask[idx] = True
-        removed.append((u, i))
-    kept = edges[~removed_mask]
-    impaired = BipartiteGraph(g.n_users, g.n_items, kept)
-    return impaired, tuple(sorted(removed))
+        n_removed += 1
+    impaired = BipartiteGraph(g.n_users, g.n_items, edges[~removed_mask])
+    return impaired, edges[removed_mask]
 
 
 def _sample_negative_links(
     g_full: BipartiteGraph, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform non-edges of ``g_full`` among nonzero-degree endpoints, 1 per
-    positive. Rejection sampling; falls back to a full scan when the graph
-    is too dense for rejection to finish quickly."""
+    positive. Rejection sampling; falls back to a draw from the full
+    non-edge list when the graph is too dense for rejection to finish
+    quickly."""
     users = np.nonzero(g_full.user_deg > 0)[0]
     items = np.nonzero(g_full.item_deg > 0)[0]
     total_cells = users.size * items.size
     if total_cells == 0 or total_cells <= g_full.edge_count:
         return np.zeros((0, 2), dtype=np.int64)
-    out: list[tuple[int, int]] = []
+    n_items = g_full.n_items
+    keys: list[int] = []  # u * n_items + i
     attempts = 0
     max_attempts = 50 * max(count, 1)
-    while len(out) < count and attempts < max_attempts:
+    while len(keys) < count and attempts < max_attempts:
         u = int(users[rng.integers(users.size)])
         i = int(items[rng.integers(items.size)])
         attempts += 1
         if not g_full.has_edge(u, i):
-            out.append((u, i))
-    while len(out) < count:
-        # dense fallback: enumerate all non-edges once and sample
-        candidates = []
-        for u in users:
-            row = set(g_full.user_neighbors(int(u)).tolist())
-            for i in items:
-                if int(i) not in row:
-                    candidates.append((int(u), int(i)))
-        idx = rng.choice(len(candidates), size=count - len(out), replace=len(candidates) < count - len(out))
-        out.extend(candidates[j] for j in np.atleast_1d(idx))
-        break
-    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+            keys.append(u * n_items + i)
+    need = count - len(keys)
+    if need > 0:
+        # the non-edges in user-major order, as keys
+        cells = (users[:, None] * n_items + items).ravel()
+        edges = g_full.edge_array()
+        candidates = cells[~np.isin(cells, edges[:, 0] * n_items + edges[:, 1])]
+        idx = rng.choice(candidates.size, size=need, replace=candidates.size < need)
+        keys.extend(candidates[idx].tolist())
+    return np.stack(np.divmod(np.asarray(keys, dtype=np.int64), n_items), axis=1)
 
 
 def train_mender(
     impaired: BipartiteGraph,
-    removed: tuple[tuple[int, int], ...],
+    removed: np.ndarray,
     g_full: BipartiteGraph,
     hyper: HyperParams,
     seed=0,
@@ -113,16 +116,15 @@ def train_mender(
     rng_init = child_rng(seed, "mend_init")
     state = xavier_init(impaired.n_users, impaired.n_items, hyper.dim, rng_init)
     moments = AdamMoments()
-    positives = np.asarray(sorted(removed), dtype=np.int64).reshape(-1, 2)
     losses: list[float] = []
     alpha = default_alpha(hyper.layers_server)
     for epoch in range(hyper.mend_epochs):
         rng = child_rng(seed, "mend_neg", epoch)
-        negatives = _sample_negative_links(g_full, positives.shape[0], rng)
+        negatives = _sample_negative_links(g_full, removed.shape[0], rng)
         spec = LossSpec(
             graph=impaired,
             alpha=alpha,
-            link_positives=positives,
+            link_positives=removed,
             link_negatives=negatives,
         )
         parts, grads = compute_gradients(spec, state)
@@ -147,13 +149,14 @@ def predict_links(
     predictions survive (None: no cap), best score first, ties broken by
     ascending item id.
 
-    Returns (pairs, scores) with pairs sorted by (user, item).
+    Returns the (n, 2) predicted pairs sorted by (user, item) and their
+    scores, one per row.
     """
     z_u, z_i = propagate_combine(g, mender.user, mender.item, default_alpha(layers))
     users = np.nonzero(g.user_deg > 0)[0]
     items = np.nonzero(g.item_deg > 0)[0]
     if users.size == 0 or items.size == 0:
-        return (), {}
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0)
     norms_u = np.linalg.norm(z_u[users], axis=1)
     norms_i = np.linalg.norm(z_i[items], axis=1)
     safe_u = np.where(norms_u > 1e-12, norms_u, 1.0)
@@ -161,24 +164,19 @@ def predict_links(
     unit_u = np.where((norms_u > 1e-12)[:, None], z_u[users] / safe_u[:, None], 0.0)
     unit_i = np.where((norms_i > 1e-12)[:, None], z_i[items] / safe_i[:, None], 0.0)
     sims = unit_u @ unit_i.T
-    predicted: list[tuple[int, int]] = []
-    scores: dict[tuple[int, int], float] = {}
-    for row, u in enumerate(users):
-        existing = g.user_neighbors(int(u))
-        mask = np.isin(items, existing)
-        cand_scores = sims[row]
-        hits = np.nonzero((cand_scores >= threshold) & ~mask)[0]
-        if hits.size == 0:
-            continue
-        if cap_per_user is not None and hits.size > cap_per_user:
-            order = np.lexsort((items[hits], -cand_scores[hits]))
-            hits = hits[order[:cap_per_user]]
-        for j in hits:
-            pair = (int(u), int(items[j]))
-            predicted.append(pair)
-            scores[pair] = float(cand_scores[j])
-    predicted.sort()
-    return tuple(predicted), scores
+    hit = sims >= threshold
+    edges = g.edge_array()
+    hit[np.searchsorted(users, edges[:, 0]), np.searchsorted(items, edges[:, 1])] = False
+    rows, cols = np.nonzero(hit)
+    scores = sims[rows, cols]
+    if cap_per_user is not None:
+        # rank each hit inside its user's run, best score first, then item id
+        order = np.lexsort((cols, -scores, rows))
+        run_rows = rows[order]
+        rank = np.arange(order.size) - np.searchsorted(run_rows, run_rows)
+        keep = np.sort(order[rank < cap_per_user])
+        rows, cols, scores = rows[keep], cols[keep], scores[keep]
+    return np.stack([users[rows], items[cols]], axis=1), scores
 
 
 def mend_graph(g: BipartiteGraph, hyper: HyperParams, seed=0) -> MendingArtifacts:
@@ -193,8 +191,7 @@ def mend_graph(g: BipartiteGraph, hyper: HyperParams, seed=0) -> MendingArtifact
     predicted, scores = predict_links(
         g, mender, hyper.mend_threshold, hyper.mend_cap_per_user, hyper.layers_server
     )
-    mended_edges = np.concatenate([g.edge_array(), np.asarray(predicted, dtype=np.int64).reshape(-1, 2)])
-    mended = BipartiteGraph(g.n_users, g.n_items, mended_edges)
+    mended = BipartiteGraph(g.n_users, g.n_items, np.concatenate([g.edge_array(), predicted]))
     return MendingArtifacts(
         impaired=impaired,
         removed=removed,
@@ -206,8 +203,8 @@ def mend_graph(g: BipartiteGraph, hyper: HyperParams, seed=0) -> MendingArtifact
     )
 
 
-def write_predictions_tsv(predicted, scores, path: str) -> None:
+def write_predictions_tsv(predicted: np.ndarray, scores: np.ndarray, path: str) -> None:
     """Dump predicted links as user<TAB>item<TAB>score lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i in predicted:
-            fh.write(f"{u}\t{i}\t{scores[(u, i)]:.6f}\n")
+        for (u, i), score in zip(predicted.tolist(), scores.tolist()):
+            fh.write(f"{u}\t{i}\t{score:.6f}\n")

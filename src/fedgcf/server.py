@@ -111,7 +111,7 @@ class ServerState:
 
 def build_server_graph(policy: SharePolicy, n_users: int, n_items: int) -> BipartiteGraph:
     """Union of every user's contributed pairs."""
-    return BipartiteGraph(n_users, n_items, sorted(policy.shared_pairs()))
+    return BipartiteGraph(n_users, n_items, list(policy.shared_pairs()))
 
 
 def server_infer(graph: BipartiteGraph, model: EmbeddingState, layers: int):
@@ -200,11 +200,11 @@ def server_train(
 
     negatives = np.zeros(batch_size, dtype=np.int64)
     rng_neg = child_rng(train_seed, "server_neg", round_idx)
-    for u in np.unique(users):
-        mask = users == u
-        interacted = server.graph.user_neighbors(int(u))
-        negatives[mask] = sample_negatives(
-            interacted, int(mask.sum()), server.graph.n_items, rng_neg
+    # the batch is sorted by user, so each user's rows form one run
+    run_users, starts, counts = np.unique(users, return_index=True, return_counts=True)
+    for u, start, n in zip(run_users.tolist(), starts.tolist(), counts.tolist()):
+        negatives[start : start + n] = sample_negatives(
+            server.graph.user_neighbors(u), n, server.graph.n_items, rng_neg
         )
 
     cl_terms: list[CLTerm] = []

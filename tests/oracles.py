@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from fedgcf.data import ShareTier
+from fedgcf.graph import default_alpha, propagate_combine
 from fedgcf.learn import GradientBundle, RowBlock, compute_gradients
 
 
@@ -249,3 +250,73 @@ def violations_per_event(events: list, policy) -> list[str]:
             if tier is ShareTier.PART and owner != recipient:
                 problems.append(f"round {e['round']}: PART user {owner} view sent to device {recipient}")
     return problems
+
+
+# Graph mending as it was when links travelled as (user, item) tuples: one
+# user row at a time for the predictions, and a nested loop over active
+# users and items for the non-edge list.
+
+
+def predict_links_loop(g, mender, threshold: float, cap_per_user, layers: int):
+    """Per-user thresholding of the mended-view cosine; returns the
+    (pairs, scores) arrays of the predictions sorted by (user, item)."""
+    z_u, z_i = propagate_combine(g, mender.user, mender.item, default_alpha(layers))
+    users = np.nonzero(g.user_deg > 0)[0]
+    items = np.nonzero(g.item_deg > 0)[0]
+    if users.size == 0 or items.size == 0:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0)
+    norms_u = np.linalg.norm(z_u[users], axis=1)
+    norms_i = np.linalg.norm(z_i[items], axis=1)
+    safe_u = np.where(norms_u > 1e-12, norms_u, 1.0)
+    safe_i = np.where(norms_i > 1e-12, norms_i, 1.0)
+    unit_u = np.where((norms_u > 1e-12)[:, None], z_u[users] / safe_u[:, None], 0.0)
+    unit_i = np.where((norms_i > 1e-12)[:, None], z_i[items] / safe_i[:, None], 0.0)
+    sims = unit_u @ unit_i.T
+    predicted = []
+    scores = {}
+    for row, u in enumerate(users):
+        mask = np.isin(items, g.user_neighbors(int(u)))
+        cand_scores = sims[row]
+        hits = np.nonzero((cand_scores >= threshold) & ~mask)[0]
+        if hits.size == 0:
+            continue
+        if cap_per_user is not None and hits.size > cap_per_user:
+            order = np.lexsort((items[hits], -cand_scores[hits]))
+            hits = hits[order[:cap_per_user]]
+        for j in hits:
+            pair = (int(u), int(items[j]))
+            predicted.append(pair)
+            scores[pair] = float(cand_scores[j])
+    predicted.sort()
+    pairs = np.asarray(predicted, dtype=np.int64).reshape(-1, 2)
+    return pairs, np.asarray([scores[p] for p in predicted], dtype=np.float64)
+
+
+def sample_negative_links_loop(g_full, count: int, rng):
+    """Rejection-sampled non-edges of ``g_full``, then a draw from the full
+    non-edge list built in nested Python loops. Returns the (count, 2)
+    links and how many of them came from that list."""
+    users = np.nonzero(g_full.user_deg > 0)[0]
+    items = np.nonzero(g_full.item_deg > 0)[0]
+    total_cells = users.size * items.size
+    if total_cells == 0 or total_cells <= g_full.edge_count:
+        return np.zeros((0, 2), dtype=np.int64), 0
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 50 * max(count, 1):
+        u = int(users[rng.integers(users.size)])
+        i = int(items[rng.integers(items.size)])
+        attempts += 1
+        if not g_full.has_edge(u, i):
+            out.append((u, i))
+    need = count - len(out)
+    if need > 0:
+        candidates = []
+        for u in users:
+            row = set(g_full.user_neighbors(int(u)).tolist())
+            for i in items:
+                if int(i) not in row:
+                    candidates.append((int(u), int(i)))
+        idx = rng.choice(len(candidates), size=need, replace=len(candidates) < need)
+        out.extend(candidates[j] for j in np.atleast_1d(idx))
+    return np.asarray(out, dtype=np.int64).reshape(-1, 2), need

@@ -656,8 +656,9 @@ def test_criterion_6_mending_recovers_planted_structure():
             for t in (0.2, 0.4, 0.6, 0.8):
                 pred, _ = predict_links(impaired, mender, t, cap_per_user=50, layers=hyper.layers_server)
                 counts.append(len(pred))
-                if pred:
-                    best_prec = max(best_prec, len(set(pred) & set(removed)) / len(pred))
+                if len(pred):
+                    hits = set(map(tuple, pred.tolist())) & set(map(tuple, removed.tolist()))
+                    best_prec = max(best_prec, len(hits) / len(pred))
             assert all(a >= b for a, b in zip(counts, counts[1:])), (
                 f"seed {seed}: prediction counts {counts} not non-increasing in the threshold"
             )

@@ -69,6 +69,25 @@ def test_type_and_range_problems_collected():
     assert "dim" in msg and "temperature" in msg and "share_mode" in msg
 
 
+BAD_RANGE_CHECKED = ["share_ratio", "synth_users", "synth_density", "kcore_user", "split_val"]
+
+
+def test_malformed_range_checked_keys_all_reported(capsys):
+    # keys outside HyperParams are range-checked by parse_config itself;
+    # a value that fails coercion must be reported, not crash the check
+    overrides = {key: "abc" for key in BAD_RANGE_CHECKED}
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, {**overrides, "dim": "eight", "synth_items": None, "rounds": None})
+    msg = str(err.value)
+    for key in BAD_RANGE_CHECKED + ["dim", "synth_items", "rounds"]:
+        assert f"{key}: expected" in msg
+    argv = ["synth"] + [arg for key in BAD_RANGE_CHECKED for arg in ("--set", f"{key}=abc")]
+    assert main(argv) == 1
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("error:")
+    assert all(key in err_text for key in BAD_RANGE_CHECKED)
+
+
 def test_mutually_exclusive_sources():
     with pytest.raises(ConfigError) as err:
         parse_config(None, {"data_path": "a.tsv", "dataset_dir": "d"})

@@ -493,3 +493,17 @@ def test_cl_term_validation():
         CLTerm("user", "query", np.zeros(2), np.zeros(1), np.zeros(1), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         CLTerm("user", "query", np.zeros(1), np.zeros(1), np.zeros(2), np.zeros((1, 2)))
+    views = np.ones((3, 2))
+    for bad_keys in (np.array([5, 2, 7]), np.array([2, 2, 7])):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            CLTerm("user", "query", np.arange(1), np.array([2]), bad_keys, views)
+    with pytest.raises(ValueError, match=r"\[3, 9\]"):
+        CLTerm("user", "query", np.arange(3), np.array([9, 3, 9]), np.array([2, 5, 7]), views)
+
+
+def test_cl_term_positive_indices():
+    views = np.ones((3, 2))
+    query = CLTerm("user", "query", np.arange(2), np.array([7, 2]), np.array([2, 5, 7]), views)
+    assert query.pos_idx.tolist() == [2, 0]
+    key = CLTerm("item", "key", np.arange(3), np.array([2, 5, 7]), np.array([5, 5]), np.ones((2, 2)))
+    assert key.pos_idx.tolist() == [1, 1]

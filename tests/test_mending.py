@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgcf.graph import BipartiteGraph, EmbeddingState, xavier_init
 from fedgcf.learn import HyperParams
 from fedgcf.mending import (
+    _sample_negative_links,
     impair_graph,
     mend_graph,
     predict_links,
     train_mender,
     write_predictions_tsv,
 )
+
+from oracles import predict_links_loop, sample_negative_links_loop
 
 
 def ladder_graph(n_u=12, n_i=12, extra=24, seed=0):
@@ -45,14 +50,14 @@ def test_impair_degree_guard_limits_removal():
     # perfect matching: every edge touches degree-1 endpoints, nothing removable
     g = BipartiteGraph(4, 4, [(u, u) for u in range(4)])
     impaired, removed = impair_graph(g, 0.5, seed=3)
-    assert removed == ()
+    assert len(removed) == 0
     assert impaired.edge_count == 4
 
 
 def test_impair_zero_fraction_identity():
     g = ladder_graph()
     impaired, removed = impair_graph(g, 0.0, seed=4)
-    assert removed == ()
+    assert len(removed) == 0
     assert np.array_equal(impaired.edge_array(), g.edge_array())
 
 
@@ -61,8 +66,8 @@ def test_impair_deterministic_and_seed_sensitive():
     _, r1 = impair_graph(g, 0.3, seed=5)
     _, r2 = impair_graph(g, 0.3, seed=5)
     _, r3 = impair_graph(g, 0.3, seed=6)
-    assert r1 == r2
-    assert r1 != r3  # overwhelmingly likely for this size
+    assert np.array_equal(r1, r2)
+    assert not np.array_equal(r1, r3)  # overwhelmingly likely for this size
 
 
 def test_impair_rejects_bad_input():
@@ -82,8 +87,8 @@ def test_predict_links_excludes_existing_edges():
     predicted, scores = predict_links(g, mender, threshold=-1.0, cap_per_user=None, layers=3)
     for pair in predicted:
         assert not g.has_edge(*pair)
-    assert set(scores) == set(predicted)
-    assert list(predicted) == sorted(predicted)
+    assert len(scores) == len(predicted)
+    assert predicted.tolist() == sorted(predicted.tolist())
 
 
 def test_predict_links_threshold_monotone():
@@ -93,9 +98,9 @@ def test_predict_links_threshold_monotone():
     sets = []
     for t in (-1.0, 0.0, 0.5, 0.9):
         predicted, scores = predict_links(g, mender, t, cap_per_user=None, layers=3)
-        assert all(s >= t for s in scores.values())
+        assert all(s >= t for s in scores)
         sizes.append(len(predicted))
-        sets.append(set(predicted))
+        sets.append(set(map(tuple, predicted.tolist())))
     assert sizes == sorted(sizes, reverse=True)
     for smaller, larger in zip(sets[1:], sets[:-1]):
         assert smaller <= larger
@@ -106,6 +111,9 @@ def test_predict_links_cap_keeps_best_scores():
     mender = xavier_init(g.n_users, g.n_items, 8, np.random.default_rng(2))
     full, full_scores = predict_links(g, mender, -1.0, cap_per_user=None, layers=3)
     capped, capped_scores = predict_links(g, mender, -1.0, cap_per_user=3, layers=3)
+    full_scores = dict(zip(map(tuple, full.tolist()), full_scores))
+    capped = list(map(tuple, capped.tolist()))
+    capped_scores = dict(zip(capped, capped_scores))
     by_user: dict[int, list[float]] = {}
     for (u, i), s in full_scores.items():
         by_user.setdefault(u, []).append(s)
@@ -129,7 +137,92 @@ def test_predict_links_skips_zero_degree_endpoints():
 def test_predict_links_empty_graph():
     g = BipartiteGraph(2, 2, [])
     mender = EmbeddingState(np.ones((2, 2)), np.ones((2, 2)))
-    assert predict_links(g, mender, 0.0, cap_per_user=50, layers=3) == ((), {})
+    pairs, scores = predict_links(g, mender, 0.0, cap_per_user=50, layers=3)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.int64 and scores.shape == (0,)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def graphs(draw, max_side=7):
+    """Random bipartite graphs from empty to complete."""
+    n_u, n_i = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return BipartiteGraph(n_u, n_i, np.argwhere(rng.random((n_u, n_i)) < density))
+
+
+@st.composite
+def mending_cases(draw):
+    """A graph and a mender whose rows may be zero or tie exactly."""
+    g = draw(graphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "ties"]))
+
+    def table(n):
+        rows = rng.normal(size=(n, 3)) if values == "normal" else rng.integers(-1, 2, size=(n, 3)) * 1.0
+        rows[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+        return rows
+
+    return g, EmbeddingState(table(g.n_users), table(g.n_items))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=mending_cases(),
+    threshold=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+    cap=st.sampled_from([None, 1, 3]),
+    layers=st.integers(0, 3),
+)
+@example(
+    case=(BipartiteGraph(3, 4, []), EmbeddingState(np.ones((3, 3)), np.ones((4, 3)))),
+    threshold=0.0,
+    cap=1,
+    layers=3,
+)
+@example(
+    case=(ladder_graph(6, 6, 10), EmbeddingState(np.zeros((6, 3)), np.zeros((6, 3)))),
+    threshold=-1.0,
+    cap=3,
+    layers=3,
+)
+def test_predict_links_matches_per_user_loop(case, threshold, cap, layers):
+    g, mender = case
+    pairs, scores = predict_links(g, mender, threshold, cap, layers)
+    ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(scores), 2)
+    assert np.array_equal(pairs, ref_pairs)
+    assert _same_bits(scores, ref_scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(), count=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_sample_negative_links_matches_nested_loop(g, count, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    links = _sample_negative_links(g, count, rng)
+    ref_links, _ = sample_negative_links_loop(g, count, ref_rng)
+    assert links.dtype == np.int64 and links.shape == ref_links.shape
+    assert np.array_equal(links, ref_links)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("side,n_missing,count", [(20, 2, 8), (40, 10, 5)])
+def test_sample_negative_links_dense_fallback_matches_nested_loop(side, n_missing, count):
+    # a near-complete graph: 50 rejection draws per link find too few
+    # non-edges, so the rest come from the non-edge list, drawn with
+    # replacement when it is shorter than the shortfall, without otherwise
+    rng = np.random.default_rng(side)
+    missing = set(map(tuple, rng.choice(side, size=(n_missing, 2)).tolist()))
+    g = BipartiteGraph(side, side, [(u, i) for u in range(side) for i in range(side) if (u, i) not in missing])
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    links = _sample_negative_links(g, count, rng)
+    ref_links, from_list = sample_negative_links_loop(g, count, ref_rng)
+    assert from_list > 0
+    assert np.array_equal(links, ref_links)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert set(map(tuple, links.tolist())) <= missing
 
 
 # ---------------------------------------------------------------- train
@@ -171,17 +264,17 @@ def test_mend_graph_supersets_input():
     for u, i in g.edge_array():
         assert art.mended.has_edge(u, i)
     assert art.mended.edge_count == g.edge_count + len(art.predicted)
-    for pair in art.predicted:
+    for pair, score in zip(art.predicted, art.scores):
         assert not g.has_edge(*pair)
-        assert art.scores[pair] >= 0.6
+        assert score >= 0.6
 
 
 def test_mend_graph_deterministic():
     g = ladder_graph()
     a = mend_graph(g, small_hyper(mend_epochs=15), seed=10)
     b = mend_graph(g, small_hyper(mend_epochs=15), seed=10)
-    assert a.removed == b.removed
-    assert a.predicted == b.predicted
+    assert np.array_equal(a.removed, b.removed)
+    assert np.array_equal(a.predicted, b.predicted)
     assert np.array_equal(a.mended.edge_array(), b.mended.edge_array())
 
 
@@ -199,12 +292,12 @@ def test_mend_graph_recovers_structure():
     hyper = small_hyper(mend_epochs=150, mend_threshold=0.5, impair_fraction=0.2)
     art = mend_graph(g, hyper, seed=11)
     in_block = [p for p in art.predicted if (p[0] < n) == (p[1] < n)]
-    assert art.predicted  # something was predicted
+    assert len(art.predicted)  # something was predicted
     assert len(in_block) / len(art.predicted) > 0.8
 
 
 def test_write_predictions_tsv(tmp_path):
     path = tmp_path / "pred.tsv"
-    write_predictions_tsv([(0, 1), (2, 3)], {(0, 1): 0.75, (2, 3): 0.5}, str(path))
+    write_predictions_tsv(np.array([[0, 1], [2, 3]]), np.array([0.75, 0.5]), str(path))
     lines = path.read_text().splitlines()
     assert lines == ["0\t1\t0.750000", "2\t3\t0.500000"]
