@@ -24,8 +24,8 @@ from .errors import ConfigError, DataFormatError, EmptyDatasetError, NumericErro
 from .evaluate import evaluate, write_per_user_tsv
 from .graph import BipartiteGraph, EmbeddingState
 from .learn import HyperParams
-from .loop import RunResult, eval_views, prepare_run, run_training
-from .mending import mend_graph, write_predictions_tsv
+from .loop import RunResult, prepare_run, run_training
+from .mending import write_predictions_tsv
 from .server import server_infer
 
 # key -> (default, type, help)
@@ -228,6 +228,31 @@ def load_run_dataset(config: RunConfig) -> data_mod.InteractionDataset:
     return data_mod.split_dataset(ds, ratios, config.seed_data)
 
 
+def _prepare_kwargs(config: RunConfig) -> dict:
+    """The keyword arguments of ``prepare_run`` that a config sets."""
+    return {
+        "share_mode": config.share_mode,
+        "share_ratio": config.share_ratio if config.share_mode == "fixed" else None,
+        "seed_policy": config.seed_policy,
+        "seed_train": config.seed_train,
+        "disable_gm": config.disable_gm,
+        "disable_cl": config.disable_cl,
+        "server_only": config.server_only,
+        "sync_all_users": config.sync_all_users,
+    }
+
+
+def _train(config: RunConfig) -> RunResult:
+    """Train on the config's dataset, as ``train`` and each ``sweep`` run do."""
+    return run_training(
+        load_run_dataset(config),
+        config.hyper(),
+        eval_view=config.eval_view,
+        score_sim=config.score_sim,
+        **_prepare_kwargs(config),
+    )
+
+
 def _share_bins(policy) -> list[dict]:
     """User counts per contribution-ratio bin, clamped tiers separate."""
     bins = [{"bin": "0 (none)", "users": 0}]
@@ -301,21 +326,7 @@ def save_snapshot(result: RunResult, path: str) -> None:
 
 def _cmd_train(args) -> int:
     config = parse_config(args.config, _collect_overrides(args))
-    ds = load_run_dataset(config)
-    result = run_training(
-        ds,
-        config.hyper(),
-        share_mode=config.share_mode,
-        share_ratio=config.share_ratio if config.share_mode == "fixed" else None,
-        seed_policy=config.seed_policy,
-        seed_train=config.seed_train,
-        disable_gm=config.disable_gm,
-        disable_cl=config.disable_cl,
-        server_only=config.server_only,
-        sync_all_users=config.sync_all_users,
-        eval_view=config.eval_view,
-        score_sim=config.score_sim,
-    )
+    result = _train(config)
     out_dir = config.out_dir
     metrics_path = emit_metrics(result, config, out_dir)
     result.context.audit.write_jsonl(os.path.join(out_dir, "audit.jsonl"))
@@ -336,9 +347,18 @@ def _cmd_eval(args) -> int:
     ds = load_run_dataset(config)
     try:
         snap = np.load(args.snapshot)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot {args.snapshot}: {exc}") from exc
-    model = EmbeddingState(snap["user"], snap["item"])
+    missing = [k for k in ("user", "item", "graph_edges") if k not in getattr(snap, "files", ())]
+    if missing:
+        raise ConfigError(f"{args.snapshot} is not a train snapshot: no {', '.join(missing)} array")
+    user, item = snap["user"], snap["item"]
+    if user.ndim != 2 or user.shape[0] != ds.n_users or item.shape != (ds.n_items, user.shape[1]):
+        raise ConfigError(
+            f"snapshot tables user {user.shape} and item {item.shape} do not fit"
+            f" the dataset's {ds.n_users} users and {ds.n_items} items"
+        )
+    model = EmbeddingState(user, item)
     graph = BipartiteGraph(ds.n_users, ds.n_items, snap["graph_edges"].reshape(-1, 2))
     user_views, item_views = server_infer(graph, model, config.layers_server)
     res = evaluate(user_views, item_views, ds, args.split, config.eval_k, config.score_sim)
@@ -352,15 +372,7 @@ def _cmd_eval(args) -> int:
 def _cmd_mend(args) -> int:
     config = parse_config(args.config, _collect_overrides(args))
     ds = load_run_dataset(config)
-    ctx = prepare_run(
-        ds,
-        config.hyper(),
-        share_mode=config.share_mode,
-        share_ratio=config.share_ratio if config.share_mode == "fixed" else None,
-        seed_policy=config.seed_policy,
-        seed_train=config.seed_train,
-        disable_gm=False,
-    )
+    ctx = prepare_run(ds, config.hyper(), **{**_prepare_kwargs(config), "disable_gm": False})
     if ctx.artifacts is None:
         print("nothing to mend: no contributed edges or impair_fraction is 0")
         return 0
@@ -377,15 +389,7 @@ def _cmd_mend(args) -> int:
 
 def _cmd_synth(args) -> int:
     config = parse_config(args.config, _collect_overrides(args))
-    ds = data_mod.synth_dataset(
-        config.synth_users,
-        config.synth_items,
-        config.synth_clusters,
-        config.synth_density,
-        config.seed_data,
-    )
-    ratios = (config.split_train, config.split_val, config.split_test)
-    ds = data_mod.split_dataset(ds, ratios, config.seed_data)
+    ds = load_run_dataset(config)
     out = args.out or os.path.join(config.out_dir, "dataset")
     data_mod.save_dataset(ds, out)
     print(
@@ -421,21 +425,7 @@ def _cmd_sweep(args) -> int:
         run_dir = os.path.join(config.out_dir, f"sweep_{n:03d}_" + "_".join(tag_parts))
         overrides["out_dir"] = run_dir
         sub = parse_config(None, overrides)
-        ds = load_run_dataset(sub)
-        result = run_training(
-            ds,
-            sub.hyper(),
-            share_mode=sub.share_mode,
-            share_ratio=sub.share_ratio if sub.share_mode == "fixed" else None,
-            seed_policy=sub.seed_policy,
-            seed_train=sub.seed_train,
-            disable_gm=sub.disable_gm,
-            disable_cl=sub.disable_cl,
-            server_only=sub.server_only,
-            sync_all_users=sub.sync_all_users,
-            eval_view=sub.eval_view,
-            score_sim=sub.score_sim,
-        )
+        result = _train(sub)
         emit_metrics(result, sub, run_dir)
         final = result.evals[-1]
         row = {
@@ -503,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     p_mend.add_argument("--out", default=None, help="predicted-links TSV path")
     p_mend.set_defaults(func=_cmd_mend)
 
-    p_synth = sub.add_parser("synth", help="emit a synthetic split dataset")
+    p_synth = sub.add_parser("synth", help="write the split dataset train would use")
     _add_common(p_synth)
     p_synth.add_argument("--out", default=None, help="dataset directory")
     p_synth.set_defaults(func=_cmd_synth)

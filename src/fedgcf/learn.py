@@ -119,9 +119,6 @@ class GradientBundle:
     user: RowBlock = field(default_factory=RowBlock)
     item: RowBlock = field(default_factory=RowBlock)
 
-    def is_empty(self) -> bool:
-        return not self.user and not self.item
-
     def check_finite(self) -> None:
         for name, block in (("user", self.user), ("item", self.item)):
             bad = ~np.all(np.isfinite(block.values), axis=1)

@@ -4,16 +4,16 @@ full training run with periodic evaluation and early stopping.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .client import DeviceState, DeviceUpload, client_local_train
-from .data import InteractionDataset, SharePolicy, ShareTier, assign_share_policy, attach_contributions
-from .evaluate import EvalResult, evaluate
-from .graph import EmbeddingState, default_alpha, ego_infer, xavier_init
+from .data import InteractionDataset, SharePolicy, assign_share_policy, attach_contributions
+from .errors import DataFormatError
+from .evaluate import evaluate
+from .graph import default_alpha, ego_infer, xavier_init
 from .learn import HyperParams, LossParts
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
@@ -97,7 +97,9 @@ def prepare_run(
     """Build policy, devices, server graph, and run mending once.
 
     The mended graph equals the contributed graph when mending is disabled
-    or there is nothing to mend (no contributed edges).
+    or there is nothing to mend (no contributed edges). Raises
+    DataFormatError when a device would train on a user whose train split
+    holds every item, since it could not sample a negative.
     """
     hyper = _resolved_hyper(hyper, disable_cl)
     policy = assign_share_policy(ds.n_users, share_mode, seed_policy, share_ratio)
@@ -106,6 +108,11 @@ def prepare_run(
 
     model = xavier_init(ds.n_users, ds.n_items, hyper.dim, child_rng(seed_train, "init"))
     train_by_user = ds.pairs_by_user(ds.train)
+    full = [u for u, items in train_by_user.items() if len(items) == ds.n_items]
+    if full and not server_only:
+        raise DataFormatError(
+            f"user {min(full)}'s train split holds all {ds.n_items} items: no negatives to sample"
+        )
     devices = {
         u: DeviceState(
             user_id=u,
@@ -261,8 +268,6 @@ def run_training(
     sync_all_users: bool = False,
     eval_view: str = "server",
     score_sim: str = "cosine",
-    resume: RunContext | None = None,
-    resume_state: dict | None = None,
 ) -> RunResult:
     """Full training run: prepare once, loop rounds, evaluate periodically.
 
@@ -273,38 +278,19 @@ def run_training(
     problems = hyper.validate()
     if problems:
         raise ValueError("invalid hyperparameters: " + "; ".join(problems))
-    if resume is not None:
-        ctx = resume
-    else:
-        ctx = prepare_run(
-            ds,
-            hyper,
-            share_mode,
-            share_ratio,
-            seed_policy,
-            seed_train,
-            disable_gm,
-            disable_cl,
-            server_only,
-            sync_all_users,
-        )
+    ctx = prepare_run(
+        ds,
+        hyper,
+        share_mode,
+        share_ratio,
+        seed_policy,
+        seed_train,
+        disable_gm,
+        disable_cl,
+        server_only,
+        sync_all_users,
+    )
     hyper = ctx.hyper
-    reports: list[RoundReport] = []
-    evals: list[dict] = []
-    best_val = -np.inf
-    stale = 0
-    stopped = False
-    start_round = 1
-    if resume_state is not None:
-        reports = resume_state["reports"]
-        evals = resume_state["evals"]
-        start_round = resume_state["next_round"]
-        # early-stopping state follows from the evaluation history: the
-        # first best validation recall, and the evaluations since it
-        val = [e["val_recall"] for e in evals]
-        best = int(np.argmax(val))
-        best_val = val[best]
-        stale = len(evals) - 1 - best
 
     def run_eval(round_idx: int) -> dict:
         user_views, item_views = eval_views(ctx, eval_view)
@@ -318,14 +304,13 @@ def run_training(
             "test_ndcg": test.ndcg,
         }
 
-    if start_round == 1:
-        evals.append(run_eval(0))
-        best_val = evals[-1]["val_recall"]
-
-    rounds_run = start_round - 1
-    for round_idx in range(start_round, hyper.rounds + 1):
+    reports: list[RoundReport] = []
+    evals = [run_eval(0)]
+    best_val = evals[0]["val_recall"]
+    stale = 0
+    stopped = False
+    for round_idx in range(1, hyper.rounds + 1):
         reports.append(run_round(ctx, round_idx))
-        rounds_run = round_idx
         if round_idx % hyper.eval_every == 0 or round_idx == hyper.rounds:
             record = run_eval(round_idx)
             evals.append(record)
@@ -343,41 +328,5 @@ def run_training(
         evals=evals,
         best_val_recall=float(best_val),
         stopped_early=stopped,
-        rounds_run=rounds_run,
+        rounds_run=len(reports),
     )
-
-
-def save_run_state(result: RunResult, path: str) -> None:
-    """Persist enough state to resume the round loop (binary pickle)."""
-    ctx = result.context
-    payload = {
-        "model_user": ctx.server.model.user,
-        "model_item": ctx.server.model.item,
-        "server_moments": ctx.server.moments,
-        "uploaded": ctx.server.uploaded,
-        "audit": ctx.audit.events,
-        "devices": {
-            u: (dev.local_items, dev.p_u, dev.moments) for u, dev in ctx.devices.items()
-        },
-        "reports": result.reports,
-        "evals": result.evals,
-        "next_round": result.rounds_run + 1,
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
-
-
-def load_run_state(ctx: RunContext, path: str) -> dict:
-    """Restore model/device state into ``ctx`` and return the loop state."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    ctx.server.model = EmbeddingState(payload["model_user"], payload["model_item"])
-    ctx.server.moments = payload["server_moments"]
-    ctx.server.uploaded = payload["uploaded"]
-    ctx.audit.events = payload["audit"]
-    for u, (local_items, p_u, moments) in payload["devices"].items():
-        dev = ctx.devices[u]
-        dev.local_items = local_items
-        dev.p_u = p_u
-        dev.moments = moments
-    return payload

@@ -160,6 +160,20 @@ def test_load_run_dataset_roundtrip_dir(tmp_path, capsys):
     assert ds.n_users == 12 and ds.n_items == 15
 
 
+def test_synth_writes_the_dataset_train_uses(tmp_path, capsys):
+    # the k-core filter drops users and items at this shape, so a synth
+    # that skipped it would train on other data
+    kcore = ["--set", "kcore_user=20", "--set", "kcore_item=10"]
+    short = ["--set", "rounds=1", "--set", "mend_epochs=2", "--set", "dim=8"]
+    data_dir = tmp_path / "ds"
+    assert main(["synth", *kcore, "--out", str(data_dir)]) == 0
+    assert main(["train", *kcore, *short, "--out-dir", str(tmp_path / "a")]) == 0
+    argv = ["train", "--set", f"dataset_dir={data_dir}", *short, "--out-dir", str(tmp_path / "b")]
+    assert main(argv) == 0
+    metrics = [(tmp_path / run / "metrics.jsonl").read_bytes() for run in ("a", "b")]
+    assert metrics[0] == metrics[1]
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -248,6 +262,28 @@ def test_eval_missing_snapshot_is_config_error(tmp_path, capsys):
     assert rc == 1
 
 
+def test_eval_snapshot_of_other_shape_is_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", *FAST, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", *FAST, "--set", "synth_users=18", "--snapshot", str(out / "snapshot.npz")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "(16, 8)" in err and "(20, 8)" in err and "18 users" in err
+
+
+def test_eval_non_snapshot_file_is_config_error(tmp_path, capsys):
+    text = tmp_path / "text.npz"
+    text.write_text("not a snapshot\n")
+    partial = tmp_path / "partial.npz"
+    np.savez(partial, user=np.zeros((16, 8)))
+    for path, reason in ((text, "cannot read snapshot"), (partial, "no item, graph_edges array")):
+        assert main(["eval", *FAST, "--snapshot", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+
+
 # ---------------------------------------------------------------- mend
 
 
@@ -296,6 +332,18 @@ def test_sweep_runs_grid(tmp_path, capsys):
         assert os.path.isfile(os.path.join(row["run"], "metrics.jsonl"))
 
 
+def test_one_point_sweep_matches_train(tmp_path, capsys):
+    fixed = ["--set", "share_mode=fixed"]
+    rc = main(["sweep", *FAST, *fixed, "--out-dir", str(tmp_path / "sweep"), "--grid", "share_ratio=0.5"])
+    assert rc == 0
+    rc = main(["train", *FAST, *fixed, "--set", "share_ratio=0.5", "--out-dir", str(tmp_path / "train")])
+    assert rc == 0
+    (row,) = [json.loads(l) for l in (tmp_path / "sweep" / "sweep_index.jsonl").read_text().splitlines()]
+    swept = os.path.join(row["run"], "metrics.jsonl")
+    with open(swept, "rb") as fh:
+        assert fh.read() == (tmp_path / "train" / "metrics.jsonl").read_bytes()
+
+
 def test_sweep_requires_grid(capsys):
     assert main(["sweep", *FAST]) == 1
     assert main(["sweep", *FAST, "--grid", "nokey=1"]) == 1
@@ -314,6 +362,14 @@ def test_keys_lists_everything(capsys):
 def test_bad_config_exit_code(capsys):
     assert main(["train", "--set", "dim=-1"]) == 1
     assert "dim" in capsys.readouterr().err
+
+
+def test_user_holding_every_item_exit_code(tmp_path, capsys):
+    dense = ["--set", "synth_users=10", "--set", "synth_items=5",
+             "--set", "synth_clusters=1", "--set", "synth_density=1.0"]
+    assert main(["train", *dense, "--rounds", "1", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "holds all 5 items" in err
 
 
 def test_unreadable_config_exit_code(tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_mending_kink_has_zero_gradient():
     )
     parts, bundle = compute_gradients(spec, state)
     assert parts.mend == pytest.approx(0.0, abs=1e-12)
-    assert bundle.is_empty()
+    assert not bundle.user and not bundle.item
 
 
 # ---------------------------------------------------------------- combined

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from fedgcf.data import ShareTier, split_dataset, synth_dataset
+from fedgcf.data import InteractionDataset, ShareTier, split_dataset, synth_dataset
+from fedgcf.errors import DataFormatError
 from fedgcf.learn import HyperParams
 from fedgcf.loop import (
     RoundReport,
     eval_views,
-    load_run_state,
     prepare_run,
     run_round,
     run_training,
-    save_run_state,
     select_clients,
 )
 
@@ -90,6 +89,16 @@ def test_prepare_run_disable_cl_zeroes_weight():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper(cl_weight=0.5), disable_cl=True)
     assert ctx.hyper.cl_weight == 0.0
+
+
+def test_prepare_run_rejects_user_holding_every_item():
+    # users 1 and 2 hold all four items, so their devices have no negatives
+    train = {(0, 0), (0, 1)} | {(u, i) for u in (2, 1) for i in range(4)}
+    ds = InteractionDataset(n_users=3, n_items=4, train=train)
+    with pytest.raises(DataFormatError, match="user 1's train split holds all 4 items"):
+        prepare_run(ds, toy_hyper())
+    # no device trains in a server-only run
+    assert prepare_run(ds, toy_hyper(), server_only=True).server_only
 
 
 # ---------------------------------------------------------------- rounds
@@ -245,67 +254,3 @@ def test_eval_views_device_uses_local_items():
     others = [u for u in ctx.devices if u != some_u]
     assert np.array_equal(u_dev[others], u_dev2[others])
 
-
-# ---------------------------------------------------------------- resume
-
-
-def test_save_load_resume_bitwise(tmp_path):
-    ds = toy_dataset()
-    hyper4 = toy_hyper(rounds=4, eval_every=100, patience=100)
-    full = run_training(ds, hyper4)
-
-    hyper2 = toy_hyper(rounds=2, eval_every=100, patience=100)
-    first = run_training(ds, hyper2)
-    path = tmp_path / "state.pkl"
-    save_run_state(first, str(path))
-
-    ctx2 = prepare_run(ds, hyper4)
-    payload = load_run_state(ctx2, str(path))
-    resumed = run_training(ds, hyper4, resume=ctx2, resume_state=payload)
-
-    assert resumed.rounds_run == 4
-    assert np.array_equal(
-        full.context.server.model.user, resumed.context.server.model.user
-    )
-    assert np.array_equal(
-        full.context.server.model.item, resumed.context.server.model.item
-    )
-    assert full.reports[2:] == resumed.reports[2:]
-
-
-def test_resume_keeps_early_stopping_patience(tmp_path):
-    ds = toy_dataset()
-    # a frozen model plateaus from round 0, so patience 3 trips at round 3;
-    # the save after round 2 falls inside the plateau
-    frozen = dict(learning_rate=1e-12, eval_every=1, patience=3)
-    hyper = toy_hyper(rounds=50, **frozen)
-    full = run_training(ds, hyper)
-    assert full.stopped_early and full.rounds_run == 3
-
-    first = run_training(ds, toy_hyper(rounds=2, **frozen))
-    path = tmp_path / "state.pkl"
-    save_run_state(first, str(path))
-    ctx2 = prepare_run(ds, hyper)
-    payload = load_run_state(ctx2, str(path))
-    resumed = run_training(ds, hyper, resume=ctx2, resume_state=payload)
-
-    assert resumed.stopped_early
-    assert resumed.rounds_run == full.rounds_run
-    assert resumed.evals == full.evals
-    assert resumed.best_val_recall == full.best_val_recall
-
-
-def test_resume_keeps_audit_log(tmp_path):
-    ds = toy_dataset()
-    hyper4 = toy_hyper(rounds=4, eval_every=100, patience=100)
-    full = run_training(ds, hyper4)
-
-    first = run_training(ds, toy_hyper(rounds=2, eval_every=100, patience=100))
-    path = tmp_path / "state.pkl"
-    save_run_state(first, str(path))
-    ctx2 = prepare_run(ds, hyper4)
-    payload = load_run_state(ctx2, str(path))
-    resumed = run_training(ds, hyper4, resume=ctx2, resume_state=payload)
-
-    assert {e["round"] for e in full.context.audit.events} == {1, 2, 3, 4}
-    assert resumed.context.audit.events == full.context.audit.events
