@@ -24,7 +24,7 @@ from .errors import ConfigError, DataFormatError, EmptyDatasetError, NumericErro
 from .evaluate import evaluate, write_per_user_tsv
 from .graph import BipartiteGraph, EmbeddingState
 from .learn import HyperParams
-from .loop import RunResult, prepare_run, run_training
+from .loop import RunResult, device_views, prepare_run, run_training
 from .mending import write_predictions_tsv
 from .server import server_infer
 
@@ -349,18 +349,24 @@ def _cmd_eval(args) -> int:
         snap = np.load(args.snapshot)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot {args.snapshot}: {exc}") from exc
-    missing = [k for k in ("user", "item", "graph_edges") if k not in getattr(snap, "files", ())]
+    device = config.eval_view == "device"
+    user_key = "device_user" if device else "user"
+    missing = [k for k in (user_key, "item", "graph_edges") if k not in getattr(snap, "files", ())]
     if missing:
         raise ConfigError(f"{args.snapshot} is not a train snapshot: no {', '.join(missing)} array")
-    user, item = snap["user"], snap["item"]
+    user, item = snap[user_key], snap["item"]
     if user.ndim != 2 or user.shape[0] != ds.n_users or item.shape != (ds.n_items, user.shape[1]):
         raise ConfigError(
-            f"snapshot tables user {user.shape} and item {item.shape} do not fit"
+            f"snapshot tables {user_key} {user.shape} and item {item.shape} do not fit"
             f" the dataset's {ds.n_users} users and {ds.n_items} items"
         )
-    model = EmbeddingState(user, item)
-    graph = BipartiteGraph(ds.n_users, ds.n_items, snap["graph_edges"].reshape(-1, 2))
-    user_views, item_views = server_infer(graph, model, config.layers_server)
+    if device:
+        train_by_user = ds.pairs_by_user(ds.train)
+        local_items = [train_by_user.get(u, ()) for u in range(ds.n_users)]
+        user_views, item_views = device_views(user, item, local_items)
+    else:
+        graph = BipartiteGraph(ds.n_users, ds.n_items, snap["graph_edges"].reshape(-1, 2))
+        user_views, item_views = server_infer(graph, EmbeddingState(user, item), config.layers_server)
     res = evaluate(user_views, item_views, ds, args.split, config.eval_k, config.score_sim)
     print(f"{args.split} recall@{config.eval_k}={res.recall:.4f} ndcg@{config.eval_k}={res.ndcg:.4f}")
     if args.per_user:
@@ -510,7 +516,14 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped reading, which is no failure of ours; point
+        # stdout at devnull so the exit flush does not fail again (Python
+        # docs, signal module, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, DataFormatError, EmptyDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -520,6 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    return status
 
 
 if __name__ == "__main__":

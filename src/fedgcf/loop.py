@@ -82,6 +82,15 @@ def _resolved_hyper(hyper: HyperParams, disable_cl: bool) -> HyperParams:
     return resolved
 
 
+def _check_negatives(degrees: np.ndarray, n_items: int, what: str) -> None:
+    """Raise DataFormatError naming the lowest user of degree ``n_items``."""
+    full = np.flatnonzero(degrees == n_items)
+    if full.size:
+        raise DataFormatError(
+            f"user {full[0]}'s {what} holds all {n_items} items: no negatives to sample"
+        )
+
+
 def prepare_run(
     ds: InteractionDataset,
     hyper: HyperParams,
@@ -98,8 +107,9 @@ def prepare_run(
 
     The mended graph equals the contributed graph when mending is disabled
     or there is nothing to mend (no contributed edges). Raises
-    DataFormatError when a device would train on a user whose train split
-    holds every item, since it could not sample a negative.
+    DataFormatError when a user's row holds every item, since no negative
+    could be sampled for it: a train split that a device trains on, or a
+    row of the mended server graph.
     """
     hyper = _resolved_hyper(hyper, disable_cl)
     policy = assign_share_policy(ds.n_users, share_mode, seed_policy, share_ratio)
@@ -108,11 +118,9 @@ def prepare_run(
 
     model = xavier_init(ds.n_users, ds.n_items, hyper.dim, child_rng(seed_train, "init"))
     train_by_user = ds.pairs_by_user(ds.train)
-    full = [u for u, items in train_by_user.items() if len(items) == ds.n_items]
-    if full and not server_only:
-        raise DataFormatError(
-            f"user {min(full)}'s train split holds all {ds.n_items} items: no negatives to sample"
-        )
+    if not server_only:
+        train_deg = np.array([len(train_by_user.get(u, ())) for u in range(ds.n_users)])
+        _check_negatives(train_deg, ds.n_items, "train split")
     devices = {
         u: DeviceState(
             user_id=u,
@@ -129,6 +137,7 @@ def prepare_run(
         graph = artifacts.mended
     else:
         graph = shared_graph
+    _check_negatives(graph.user_deg, ds.n_items, "server-graph row")
     server = ServerState(model=model, graph=graph, shared_graph=shared_graph)
     return RunContext(
         ds=ds,
@@ -233,26 +242,33 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     )
 
 
+def device_views(device_user: np.ndarray, item: np.ndarray, local_items) -> tuple[np.ndarray, np.ndarray]:
+    """Device-side evaluation views: each user's ego-combined view of their
+    own ``local_items[u]`` from their device row ``device_user[u]``, against
+    raw (layer-0 scaled) item rows."""
+    alpha = default_alpha(1)
+    user_views = np.zeros_like(device_user)
+    for u, items in enumerate(local_items):
+        local = np.asarray(items, dtype=np.int64)
+        q_local = item[local] if local.size else np.zeros((0, item.shape[1]))
+        user_views[u], _ = ego_infer(device_user[u], q_local, alpha)
+    return user_views, alpha[0] * item
+
+
 def eval_views(ctx: RunContext, mode: str = "server"):
     """Embedding views used for evaluation.
 
     ``server``: global model propagated over the mended contributed graph.
-    ``device``: each user's ego-combined view of their own train items
-    against raw (layer-0 scaled) item rows.
+    ``device``: ``device_views`` of every device's user row and train items.
     """
-    hyper = ctx.hyper
     if mode == "server":
-        return server_infer(ctx.server.graph, ctx.server.model, hyper.layers_server)
+        return server_infer(ctx.server.graph, ctx.server.model, ctx.hyper.layers_server)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
-    alpha = default_alpha(1)
-    item_views = alpha[0] * ctx.server.model.item
-    user_views = np.zeros_like(ctx.server.model.user)
-    for u, dev in ctx.devices.items():
-        local = np.asarray(dev.local_items, dtype=np.int64)
-        q_local = ctx.server.model.item[local] if local.size else np.zeros((0, hyper.dim))
-        user_views[u], _ = ego_infer(dev.p_u, q_local, alpha)
-    return user_views, item_views
+    devices = [ctx.devices[u] for u in range(ctx.ds.n_users)]
+    return device_views(
+        np.stack([dev.p_u for dev in devices]), ctx.server.model.item, [dev.local_items for dev in devices]
+    )
 
 
 def run_training(

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluate import row_blocks, top_per_row
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from .seeds import child_rng
@@ -147,7 +148,9 @@ def predict_links(
     contributed graph in the production pipeline). Only endpoints with
     nonzero degree are candidates. Per user, at most ``cap_per_user``
     predictions survive (None: no cap), best score first, ties broken by
-    ascending item id.
+    ascending item id. Users are scored in row blocks of bounded size,
+    which under a single-threaded BLAS have the bits of one users x items
+    product (see ``evaluate.row_blocks``).
 
     Returns the (n, 2) predicted pairs sorted by (user, item) and their
     scores, one per row.
@@ -163,20 +166,25 @@ def predict_links(
     safe_i = np.where(norms_i > 1e-12, norms_i, 1.0)
     unit_u = np.where((norms_u > 1e-12)[:, None], z_u[users] / safe_u[:, None], 0.0)
     unit_i = np.where((norms_i > 1e-12)[:, None], z_i[items] / safe_i[:, None], 0.0)
-    sims = unit_u @ unit_i.T
-    hit = sims >= threshold
     edges = g.edge_array()
-    hit[np.searchsorted(users, edges[:, 0]), np.searchsorted(items, edges[:, 1])] = False
-    rows, cols = np.nonzero(hit)
-    scores = sims[rows, cols]
-    if cap_per_user is not None:
-        # rank each hit inside its user's run, best score first, then item id
-        order = np.lexsort((cols, -scores, rows))
-        run_rows = rows[order]
-        rank = np.arange(order.size) - np.searchsorted(run_rows, run_rows)
-        keep = np.sort(order[rank < cap_per_user])
-        rows, cols, scores = rows[keep], cols[keep], scores[keep]
-    return np.stack([users[rows], items[cols]], axis=1), scores
+    edge_rows = np.searchsorted(users, edges[:, 0])
+    edge_cols = np.searchsorted(items, edges[:, 1])
+    rows, cols, scores = [], [], []
+    for a, b in row_blocks(users.size, items.size):
+        sims = unit_u[a:b] @ unit_i.T
+        hit = sims >= threshold
+        lo, hi = np.searchsorted(edge_rows, [a, b])
+        hit[edge_rows[lo:hi] - a, edge_cols[lo:hi]] = False
+        r, c = np.nonzero(hit)
+        s = sims[r, c]
+        if cap_per_user is not None:
+            keep = np.sort(top_per_row(r, c, s, cap_per_user))
+            r, c, s = r[keep], c[keep], s[keep]
+        rows.append(r + a)
+        cols.append(c)
+        scores.append(s)
+    pairs = np.stack([users[np.concatenate(rows)], items[np.concatenate(cols)]], axis=1)
+    return pairs, np.concatenate(scores)
 
 
 def mend_graph(g: BipartiteGraph, hyper: HyperParams, seed=0) -> MendingArtifacts:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from fedgcf.data import ShareTier
+from fedgcf.errors import ConfigError
 from fedgcf.graph import default_alpha, propagate_combine
 from fedgcf.learn import GradientBundle, RowBlock, compute_gradients
 
@@ -100,6 +101,47 @@ def ndcg_oracle(ranked, relevant, k) -> float:
     ideal = min(k, len(relevant))
     idcg = sum(1.0 / math.log2(p + 2) for p in range(ideal))
     return dcg / idcg
+
+
+# Ranking as it was when every user was scored and sorted on their own: one
+# gemv, the item norms recomputed, and a full stable argsort per user.
+
+
+def _score_rows(user_vec: np.ndarray, item_views: np.ndarray, sim: str) -> np.ndarray:
+    if sim == "inner":
+        return item_views @ user_vec
+    if sim != "cosine":
+        raise ConfigError(f"unknown similarity {sim!r}")
+    u_norm = float(np.linalg.norm(user_vec))
+    i_norms = np.linalg.norm(item_views, axis=1)
+    ok = (i_norms > 1e-12) & (u_norm > 1e-12)
+    denom = np.where(ok, i_norms * max(u_norm, 1e-300), 1.0)
+    return np.where(ok, item_views @ user_vec / denom, 0.0)
+
+
+def rank_candidates(
+    user_vec: np.ndarray,
+    item_views: np.ndarray,
+    train_items,
+    k: int,
+    sim: str = "cosine",
+) -> np.ndarray:
+    """Top-k candidate items for one user, excluding their train items.
+
+    Ties in score break toward the smaller item id (stable sort on the
+    negated scores). Returns fewer than k ids when fewer candidates exist.
+    """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    scores = _score_rows(user_vec, item_views, sim)
+    mask = np.zeros(item_views.shape[0], dtype=bool)
+    train_idx = np.asarray(sorted(train_items), dtype=np.int64)
+    if train_idx.size:
+        mask[train_idx] = True
+    scores = np.where(mask, -np.inf, scores)
+    order = np.argsort(-scores, kind="stable")
+    order = order[~mask[order]]
+    return order[:k].astype(np.int64)
 
 
 def cosine_oracle(a, b) -> float:

@@ -23,7 +23,7 @@ import pytest
 from fedgcf.cli import main
 from fedgcf.client import DeviceUpload
 from fedgcf.data import ShareTier, split_dataset, synth_dataset
-from fedgcf.evaluate import evaluate, ndcg_at_k, rank_candidates, recall_at_k
+from fedgcf.evaluate import evaluate, ndcg_at_k, recall_at_k
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha
 from fedgcf.learn import (
     CLTerm,
@@ -46,6 +46,7 @@ from oracles import (
     fd_gradient,
     max_rel_err,
     ndcg_oracle,
+    rank_candidates,
     recall_oracle,
 )
 

@@ -257,6 +257,21 @@ def test_eval_subcommand_reads_snapshot(tmp_path, capsys):
     assert per_user.read_text().startswith("# k=5")
 
 
+@pytest.mark.parametrize("view", ["server", "device"])
+def test_eval_prints_the_recall_train_reports(tmp_path, capsys, view):
+    config = [
+        "--set", "synth_users=40", "--set", "synth_items=100", "--set", "synth_clusters=2",
+        "--set", "dim=8", "--set", "clients_per_round=40", "--set", "rounds=3",
+        "--set", "mend_epochs=5", "--set", "eval_k=5", "--set", "eval_every=3",
+        "--set", "learning_rate=0.05", "--set", f"eval_view={view}",
+    ]
+    out = tmp_path / "run"
+    assert main(["train", *config, "--out-dir", str(out)]) == 0
+    trained = re.search(r"recall@5=\S+ ndcg@5=\S+", capsys.readouterr().out).group()
+    assert main(["eval", *config, "--snapshot", str(out / "snapshot.npz")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"test {trained}"
+
+
 def test_eval_missing_snapshot_is_config_error(tmp_path, capsys):
     rc = main(["eval", *FAST, "--snapshot", str(tmp_path / "nope.npz")])
     assert rc == 1
@@ -359,6 +374,27 @@ def test_keys_lists_everything(capsys):
         assert key in printed
 
 
+def test_closed_stdout_pipe_is_not_an_error(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone away."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        flush = write
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        assert main(["keys"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bad_config_exit_code(capsys):
     assert main(["train", "--set", "dim=-1"]) == 1
     assert "dim" in capsys.readouterr().err
@@ -370,6 +406,16 @@ def test_user_holding_every_item_exit_code(tmp_path, capsys):
     assert main(["train", *dense, "--rounds", "1", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "holds all 5 items" in err
+
+
+def test_server_graph_row_holding_every_item_exit_code(tmp_path, capsys):
+    # no device trains in a server-only run, but the server samples
+    # negatives from each user's row of the server graph
+    dense = ["--set", "synth_users=10", "--set", "synth_items=5", "--set", "synth_clusters=1",
+             "--set", "synth_density=1.0", "--set", "server_only=true"]
+    assert main(["train", *dense, "--rounds", "1", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "server-graph row holds all 5 items" in err
 
 
 def test_unreadable_config_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgcf.data import InteractionDataset
@@ -9,12 +11,14 @@ from fedgcf.evaluate import (
     EvalResult,
     evaluate,
     ndcg_at_k,
-    rank_candidates,
     recall_at_k,
     write_per_user_tsv,
 )
 
-from oracles import ndcg_oracle, recall_oracle
+from oracles import ndcg_oracle, rank_candidates, recall_oracle
+
+# the package re-exports the function ``evaluate`` under its module's name
+evaluate_module = importlib.import_module("fedgcf.evaluate")
 
 NDCG_RANK2 = 0.6309297535714574  # 1/log2(3)
 
@@ -130,10 +134,11 @@ def test_rank_k_larger_than_candidates():
 
 
 def test_rank_bad_args():
+    ds = InteractionDataset(1, 1, set(), test={(0, 0)})
     with pytest.raises(ConfigError):
-        rank_candidates(np.ones(1), np.ones((1, 1)), set(), 0)
+        evaluate(np.ones((1, 1)), np.ones((1, 1)), ds, k=0)
     with pytest.raises(ConfigError):
-        rank_candidates(np.ones(1), np.ones((1, 1)), set(), 1, sim="dot")
+        evaluate(np.ones((1, 1)), np.ones((1, 1)), ds, k=1, sim="dot")
 
 
 # ---------------------------------------------------------------- evaluate
@@ -174,6 +179,74 @@ def test_evaluate_never_recommends_train_items():
     for u in res.per_user:
         ranked = rank_candidates(user_views[u], item_views, train_by_user.get(u, ()), 4)
         assert not set(ranked.tolist()) & set(train_by_user.get(u, ()))
+
+
+@st.composite
+def ranking_cases(draw):
+    """Views and splits that stress the ranking: exact ties, zero rows,
+    users whose train split holds every item or all but a few, and users
+    with held-out items but no train items. A held-out item may also be a
+    train item, so that fully-trained users get ranked too."""
+    n_users = draw(st.integers(1, 14) | st.integers(97, 160))
+    n_items = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "integer", "duplicate"]))
+    user_views = rng.normal(size=(n_users, dim))
+    item_views = rng.normal(size=(n_items, dim))
+    if values == "integer":
+        user_views = rng.integers(-1, 2, size=(n_users, dim)) * 1.0
+        item_views = rng.integers(-2, 3, size=(n_items, dim)) * 1.0
+    if values == "duplicate":
+        item_views = item_views[rng.integers(0, max(1, n_items // 3), size=n_items)]
+    zeros = draw(st.sampled_from([0.0, 0.3]))
+    user_views[rng.random(n_users) < zeros] = 0.0
+    item_views[rng.random(n_items) < zeros] = 0.0
+    train, test = set(), set()
+    for u in range(n_users):
+        order = rng.permutation(n_items)
+        n_train = rng.choice([0, n_items, max(0, n_items - int(rng.integers(1, 4))), int(rng.integers(n_items + 1))])
+        train |= {(u, int(i)) for i in order[:n_train]}
+        test |= {(u, int(i)) for i in rng.permutation(n_items)[: int(rng.integers(n_items + 1))]}
+    ds = InteractionDataset(n_users, n_items, train, test=test)
+    return user_views, item_views, ds
+
+
+def _three_block_case():
+    """150 users, ranked in three blocks under a budget of 1: tied and zero
+    item rows, a zero user row, a user whose train split holds every item,
+    and users with held-out items but no train items."""
+    n_users = 150
+    user_views = np.random.default_rng(0).integers(-1, 2, size=(n_users, 2)) * 1.0
+    user_views[0] = 0.0
+    item_views = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 3.0], [1.0, 1.0], [2.0, 2.0]])
+    train = {(u, u % 6) for u in range(1, n_users, 2)} | {(9, i) for i in range(6)}
+    test = {(u, (u + 1) % 6) for u in range(n_users)} | {(u, (u + 3) % 6) for u in range(0, n_users, 2)}
+    return user_views, item_views, InteractionDataset(n_users, 6, train, test=test)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=ranking_cases(),
+    k=st.integers(1, 14),
+    sim=st.sampled_from(["cosine", "inner"]),
+    budget=st.sampled_from([None, 1, 500]),
+)
+@example(case=_three_block_case(), k=2, sim="cosine", budget=1)
+def test_evaluate_matches_per_user_oracle(case, k, sim, budget):
+    user_views, item_views, ds = case
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+        res = evaluate(user_views, item_views, ds, "test", k, sim)
+    train_by_user = ds.pairs_by_user(ds.train)
+    expected = {}
+    for u, items in sorted(ds.pairs_by_user(ds.test).items()):
+        ranked = rank_candidates(user_views[u], item_views, train_by_user.get(u, ()), k, sim)
+        expected[u] = (recall_at_k(ranked, set(items)), ndcg_at_k(ranked, set(items), k))
+    assert list(res.per_user.items()) == list(expected.items())
+    for j, macro in enumerate((res.recall, res.ndcg)):
+        assert macro == (float(np.mean([m[j] for m in expected.values()])) if expected else 0.0)
 
 
 def test_evaluate_val_split_and_bad_split():

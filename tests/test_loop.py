@@ -101,6 +101,18 @@ def test_prepare_run_rejects_user_holding_every_item():
     assert prepare_run(ds, toy_hyper(), server_only=True).server_only
 
 
+def test_prepare_run_rejects_full_server_graph_row_after_mending():
+    # no row holds every item, but mending at threshold -1 predicts every
+    # non-edge, so each mended row does; the server could not sample there
+    train = {(u, (u + j) % 5) for u in range(4) for j in range(3)}
+    ds = InteractionDataset(n_users=4, n_items=5, train=train)
+    kw = dict(share_mode="fixed", share_ratio=1.0, server_only=True)
+    hyper = toy_hyper(mend_threshold=-1.0, impair_fraction=0.1)
+    with pytest.raises(DataFormatError, match="user 0's server-graph row holds all 5 items"):
+        prepare_run(ds, hyper, **kw)
+    assert prepare_run(ds, hyper, disable_gm=True, **kw).server.graph.edge_count == 12
+
+
 # ---------------------------------------------------------------- rounds
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,9 @@ from fedgcf.mending import (
 )
 
 from oracles import predict_links_loop, sample_negative_links_loop
+
+# the package re-exports the function ``evaluate`` under its module's name
+evaluate_module = importlib.import_module("fedgcf.evaluate")
 
 
 def ladder_graph(n_u=12, n_i=12, extra=24, seed=0):
@@ -146,9 +151,9 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @st.composite
-def graphs(draw, max_side=7):
+def graphs(draw, users=st.integers(1, 7)):
     """Random bipartite graphs from empty to complete."""
-    n_u, n_i = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    n_u, n_i = draw(users), draw(st.integers(1, 7))
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return BipartiteGraph(n_u, n_i, np.argwhere(rng.random((n_u, n_i)) < density))
@@ -156,8 +161,9 @@ def graphs(draw, max_side=7):
 
 @st.composite
 def mending_cases(draw):
-    """A graph and a mender whose rows may be zero or tie exactly."""
-    g = draw(graphs())
+    """A graph and a mender whose rows may be zero or tie exactly. Graphs
+    of 97 users or more span several 48-row blocks under a budget of 1."""
+    g = draw(graphs(st.integers(1, 7) | st.integers(97, 160)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = draw(st.sampled_from(["normal", "ties"]))
 
@@ -175,26 +181,47 @@ def mending_cases(draw):
     threshold=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
     cap=st.sampled_from([None, 1, 3]),
     layers=st.integers(0, 3),
+    budget=st.sampled_from([None, 1]),
 )
 @example(
     case=(BipartiteGraph(3, 4, []), EmbeddingState(np.ones((3, 3)), np.ones((4, 3)))),
     threshold=0.0,
     cap=1,
     layers=3,
+    budget=None,
 )
 @example(
     case=(ladder_graph(6, 6, 10), EmbeddingState(np.zeros((6, 3)), np.zeros((6, 3)))),
     threshold=-1.0,
     cap=3,
     layers=3,
+    budget=None,
 )
-def test_predict_links_matches_per_user_loop(case, threshold, cap, layers):
+def test_predict_links_matches_per_user_loop(case, threshold, cap, layers, budget):
     g, mender = case
-    pairs, scores = predict_links(g, mender, threshold, cap, layers)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+        pairs, scores = predict_links(g, mender, threshold, cap, layers)
     ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers)
     assert pairs.dtype == np.int64 and pairs.shape == (len(scores), 2)
     assert np.array_equal(pairs, ref_pairs)
     assert _same_bits(scores, ref_scores)
+
+
+@pytest.mark.parametrize("n_users,n_items", [(97, 5), (145, 3), (193, 8)])
+def test_predict_links_blocks_leaving_a_lone_row_match_per_user_loop(monkeypatch, n_users, n_items):
+    # 48-row blocks would leave one row over; alone, that row would go to
+    # gemv and round differently from the full product
+    g = ladder_graph(n_users, n_items, extra=n_users, seed=n_users)
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    assert len(evaluate_module.row_blocks(n_users, n_items)) == n_users // 48
+    mender = EmbeddingState(*(np.random.default_rng(1).normal(size=(n, 3)) for n in (n_users, n_items)))
+    for threshold, cap in ((-1.0, None), (0.0, 2)):
+        pairs, scores = predict_links(g, mender, threshold, cap, layers=1)
+        ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers=1)
+        assert np.array_equal(pairs, ref_pairs)
+        assert _same_bits(scores, ref_scores)
 
 
 @settings(max_examples=200, deadline=None)
