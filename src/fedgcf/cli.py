@@ -28,6 +28,32 @@ from .loop import RunResult, device_views, prepare_run, run_training
 from .mending import write_predictions_tsv
 from .server import server_infer
 
+# help text of each HyperParams field; its default and type come from HyperParams
+_HYPER_HELP = {
+    "dim": "embedding dimension",
+    "learning_rate": "Adam learning rate",
+    "reg_lambda": "L2 weight on layer-0 rows of each batch",
+    "cl_weight": "weight of the contrastive term",
+    "temperature": "contrastive softmax temperature",
+    "mend_threshold": "cosine threshold for predicted links",
+    "layers_server": "server-side propagation depth",
+    "adam_beta1": "Adam first-moment decay",
+    "adam_beta2": "Adam second-moment decay",
+    "adam_eps": "Adam denominator epsilon",
+    "clients_per_round": "devices sampled per round",
+    "rounds": "federation rounds",
+    "local_epochs": "local Adam steps per participation",
+    "server_batch": "contributed pairs per server step",
+    "mend_epochs": "mender training epochs",
+    "impair_fraction": "fraction of contributed edges removed for mending",
+    "mend_cap_per_user": "max predicted links per user",
+    "ldp_clip": "L2 clip of uploaded delta rows (0 disables)",
+    "ldp_noise": "Laplace noise scale on uploads (0 disables)",
+    "eval_k": "ranking cutoff K",
+    "eval_every": "rounds between evaluations",
+    "patience": "non-improving evaluations before early stop",
+}
+
 # key -> (default, type, help)
 CONFIG_KEYS: dict[str, tuple] = {
     "data_path": (None, str, "TSV interaction file (user<TAB>item per line)"),
@@ -43,28 +69,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "split_test": (1, float, "test share of the per-user split"),
     "share_mode": ("uniform", str, "contribution ratios: uniform draw or fixed value"),
     "share_ratio": (0.5, float, "ratio applied to every user in fixed mode"),
-    "dim": (64, int, "embedding dimension"),
-    "learning_rate": (0.001, float, "Adam learning rate"),
-    "reg_lambda": (0.0001, float, "L2 weight on layer-0 rows of each batch"),
-    "cl_weight": (0.1, float, "weight of the contrastive term"),
-    "temperature": (0.2, float, "contrastive softmax temperature"),
-    "mend_threshold": (0.6, float, "cosine threshold for predicted links"),
-    "layers_server": (3, int, "server-side propagation depth"),
-    "adam_beta1": (0.9, float, "Adam first-moment decay"),
-    "adam_beta2": (0.999, float, "Adam second-moment decay"),
-    "adam_eps": (1e-8, float, "Adam denominator epsilon"),
-    "clients_per_round": (256, int, "devices sampled per round"),
-    "rounds": (100, int, "federation rounds"),
-    "local_epochs": (1, int, "local Adam steps per participation"),
-    "server_batch": (2048, int, "contributed pairs per server step"),
-    "mend_epochs": (100, int, "mender training epochs"),
-    "impair_fraction": (0.1, float, "fraction of contributed edges removed for mending"),
-    "mend_cap_per_user": (50, int, "max predicted links per user"),
-    "ldp_clip": (0.0, float, "L2 clip of uploaded delta rows (0 disables)"),
-    "ldp_noise": (0.0, float, "Laplace noise scale on uploads (0 disables)"),
-    "eval_k": (20, int, "ranking cutoff K"),
-    "eval_every": (5, int, "rounds between evaluations"),
-    "patience": (10, int, "non-improving evaluations before early stop"),
+    **{f.name: (f.default, type(f.default), _HYPER_HELP[f.name]) for f in dataclasses.fields(HyperParams)},
     "score_sim": ("cosine", str, "ranking similarity: cosine or inner"),
     "eval_view": ("server", str, "evaluation embeddings: server or device"),
     "disable_gm": (False, bool, "ablation: skip graph mending"),
@@ -361,9 +366,7 @@ def _cmd_eval(args) -> int:
             f" the dataset's {ds.n_users} users and {ds.n_items} items"
         )
     if device:
-        train_by_user = ds.pairs_by_user(ds.train)
-        local_items = [train_by_user.get(u, ()) for u in range(ds.n_users)]
-        user_views, item_views = device_views(user, item, local_items)
+        user_views, item_views = device_views(user, item, ds)
     else:
         graph = BipartiteGraph(ds.n_users, ds.n_items, snap["graph_edges"].reshape(-1, 2))
         user_views, item_views = server_infer(graph, EmbeddingState(user, item), config.layers_server)

@@ -34,7 +34,7 @@ class DeviceState:
     """Persistent per-device state across rounds."""
 
     user_id: int
-    local_items: tuple[int, ...]
+    local_items: np.ndarray  # the user's train items, ascending int64
     p_u: np.ndarray
     moments: AdamMoments = field(default_factory=AdamMoments)
 
@@ -152,7 +152,7 @@ def client_local_train(
     the contrastive term and attach their local user view to the upload.
     """
     n_items = item_table.shape[0]
-    local = np.asarray(dev.local_items, dtype=np.int64)
+    local = dev.local_items
     if tier is ShareTier.NONE:
         received = None
     p_start = dev.p_u.copy()

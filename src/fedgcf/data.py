@@ -9,56 +9,68 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, EmptyDatasetError
 from .seeds import child_rng
 
-Pair = tuple[int, int]
+
+def _edges(pairs) -> np.ndarray:
+    """Any collection of (user, item) pairs as an (n, 2) int64 edge array
+    sorted by (user, item), duplicates dropped. Rows are compared whole, so
+    an out-of-range pair stays itself for ``validate`` to report."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = np.fromiter(pairs, dtype=np.dtype((np.int64, 2)))
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    fresh = np.ones(arr.shape[0], dtype=bool)
+    fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[fresh]
 
 
 @dataclass
 class InteractionDataset:
-    """Implicit-feedback interactions split into train/val/test pair sets.
+    """Implicit-feedback interactions split into train/val/test edge arrays.
 
-    An unsplit dataset keeps every pair in ``train`` and leaves ``val`` and
-    ``test`` empty; ``split_dataset`` redistributes the union.
+    Each split is an (n, 2) int64 array of (user, item) rows sorted by
+    (user, item) without duplicates; the constructor accepts any collection
+    of pairs. An unsplit dataset keeps every pair in ``train`` and leaves
+    ``val`` and ``test`` empty; ``split_dataset`` redistributes the union.
     """
 
     n_users: int
     n_items: int
-    train: set[Pair]
-    val: set[Pair] = field(default_factory=set)
-    test: set[Pair] = field(default_factory=set)
+    train: np.ndarray
+    val: np.ndarray = ()
+    test: np.ndarray = ()
     user_raw_ids: tuple[int, ...] = ()
     item_raw_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
+        self.train, self.val, self.test = _edges(self.train), _edges(self.val), _edges(self.test)
         if not self.user_raw_ids:
             self.user_raw_ids = tuple(range(self.n_users))
         if not self.item_raw_ids:
             self.item_raw_ids = tuple(range(self.n_items))
 
-    def all_pairs(self) -> set[Pair]:
-        return self.train | self.val | self.test
+    def all_pairs(self) -> np.ndarray:
+        return _edges(np.concatenate([self.train, self.val, self.test]))
 
-    def pairs_by_user(self, split: set[Pair]) -> dict[int, tuple[int, ...]]:
-        """Items of each user in ``split``, ascending, only users that occur."""
-        out: dict[int, list[int]] = {}
-        for u, i in split:
-            out.setdefault(u, []).append(i)
-        return {u: tuple(sorted(items)) for u, items in out.items()}
+    def pairs_by_user(self, split: np.ndarray) -> dict[int, np.ndarray]:
+        """Items of each user in the edge array ``split``, ascending, only
+        users that occur."""
+        ptr = np.searchsorted(split[:, 0], np.arange(self.n_users + 1))
+        return {u: split[ptr[u] : ptr[u + 1], 1] for u in np.flatnonzero(np.diff(ptr)).tolist()}
 
     def validate(self) -> None:
-        pairs = [self.train, self.val, self.test]
-        names = ["train", "val", "test"]
-        for split, name in zip(pairs, names):
-            for u, i in split:
-                if not (0 <= u < self.n_users and 0 <= i < self.n_items):
-                    raise IndexError(f"{name} pair ({u},{i}) out of range")
-        if self.train & self.val or self.train & self.test or self.val & self.test:
+        for split, name in ((self.train, "train"), (self.val, "val"), (self.test, "test")):
+            bad = (split < 0).any(axis=1) | (split[:, 0] >= self.n_users) | (split[:, 1] >= self.n_items)
+            if bad.any():
+                u, i = split[np.argmax(bad)].tolist()
+                raise IndexError(f"{name} pair ({u},{i}) out of range")
+        if len(self.all_pairs()) < len(self.train) + len(self.val) + len(self.test):
             raise ValueError("splits are not disjoint")
         if len(self.user_raw_ids) != self.n_users or len(self.item_raw_ids) != self.n_items:
             raise ValueError("raw id maps do not match dataset dimensions")
@@ -73,7 +85,7 @@ def load_interactions(path: str) -> InteractionDataset:
     """
     user_map: dict[int, int] = {}
     item_map: dict[int, int] = {}
-    pairs: set[Pair] = set()
+    pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -85,19 +97,15 @@ def load_interactions(path: str) -> InteractionDataset:
                 raw_u, raw_i = int(tokens[0]), int(tokens[1])
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-integer id in {tokens[:2]!r}") from None
-            if raw_u not in user_map:
-                user_map[raw_u] = len(user_map)
-            if raw_i not in item_map:
-                item_map[raw_i] = len(item_map)
-            pairs.add((user_map[raw_u], item_map[raw_i]))
+            pairs.append((user_map.setdefault(raw_u, len(user_map)), item_map.setdefault(raw_i, len(item_map))))
     if not pairs:
         raise EmptyDatasetError(f"{path}: no interactions found")
     return InteractionDataset(
         n_users=len(user_map),
         n_items=len(item_map),
         train=pairs,
-        user_raw_ids=tuple(user_map.keys()),
-        item_raw_ids=tuple(item_map.keys()),
+        user_raw_ids=tuple(user_map),
+        item_raw_ids=tuple(item_map),
     )
 
 
@@ -110,41 +118,32 @@ def filter_k_core(ds: InteractionDataset, min_user: int, min_item: int) -> Inter
     if min_user < 0 or min_item < 0:
         raise ConfigError(f"k-core thresholds must be >= 0, got ({min_user},{min_item})")
     pairs = ds.all_pairs()
-    keep_u = set(range(ds.n_users))
-    keep_i = set(range(ds.n_items))
+    keep_u = np.ones(ds.n_users, dtype=bool)
+    keep_i = np.ones(ds.n_items, dtype=bool)
     while True:
-        u_deg: dict[int, int] = {}
-        i_deg: dict[int, int] = {}
-        for u, i in pairs:
-            if u in keep_u and i in keep_i:
-                u_deg[u] = u_deg.get(u, 0) + 1
-                i_deg[i] = i_deg.get(i, 0) + 1
-        new_u = {u for u in keep_u if u_deg.get(u, 0) >= min_user}
-        new_i = {i for i in keep_i if i_deg.get(i, 0) >= min_item}
-        if new_u == keep_u and new_i == keep_i:
+        live = pairs[keep_u[pairs[:, 0]] & keep_i[pairs[:, 1]]]
+        new_u = keep_u & (np.bincount(live[:, 0], minlength=ds.n_users) >= min_user)
+        new_i = keep_i & (np.bincount(live[:, 1], minlength=ds.n_items) >= min_item)
+        if np.array_equal(new_u, keep_u) and np.array_equal(new_i, keep_i):
             break
         keep_u, keep_i = new_u, new_i
-    survivors = {(u, i) for u, i in pairs if u in keep_u and i in keep_i}
-    if not survivors:
-        raise EmptyDatasetError(
-            f"k-core filter ({min_user},{min_item}) removed every interaction"
-        )
-    u_order = sorted(keep_u)
-    i_order = sorted(keep_i)
-    u_remap = {old: new for new, old in enumerate(u_order)}
-    i_remap = {old: new for new, old in enumerate(i_order)}
+    if not live.size:
+        raise EmptyDatasetError(f"k-core filter ({min_user},{min_item}) removed every interaction")
+    u_new = np.cumsum(keep_u) - 1
+    i_new = np.cumsum(keep_i) - 1
 
-    def remap(split: set[Pair]) -> set[Pair]:
-        return {(u_remap[u], i_remap[i]) for u, i in split if u in keep_u and i in keep_i}
+    def remap(split: np.ndarray) -> np.ndarray:
+        split = split[keep_u[split[:, 0]] & keep_i[split[:, 1]]]
+        return np.stack([u_new[split[:, 0]], i_new[split[:, 1]]], axis=1)
 
     return InteractionDataset(
-        n_users=len(u_order),
-        n_items=len(i_order),
+        n_users=int(keep_u.sum()),
+        n_items=int(keep_i.sum()),
         train=remap(ds.train),
         val=remap(ds.val),
         test=remap(ds.test),
-        user_raw_ids=tuple(ds.user_raw_ids[u] for u in u_order),
-        item_raw_ids=tuple(ds.item_raw_ids[i] for i in i_order),
+        user_raw_ids=tuple(ds.user_raw_ids[u] for u in np.flatnonzero(keep_u).tolist()),
+        item_raw_ids=tuple(ds.item_raw_ids[i] for i in np.flatnonzero(keep_i).tolist()),
     )
 
 
@@ -155,30 +154,24 @@ def split_dataset(
 
     Rounding favors train: val and test sizes are floored, so every user
     with at least one interaction keeps at least one train pair. Users are
-    split independently under seed-derived child streams, so the result
-    does not depend on iteration order.
+    split independently under seed-derived child streams, each permuting
+    its items in ascending order, so the result does not depend on
+    iteration order.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios) or ratios[0] <= 0 or sum(ratios) <= 0:
         raise ConfigError(f"split ratios must be non-negative with positive train share, got {ratios}")
     total = float(sum(ratios))
-    by_user = ds.pairs_by_user(ds.all_pairs())
-    train: set[Pair] = set()
-    val: set[Pair] = set()
-    test: set[Pair] = set()
-    for u, items in by_user.items():
-        n = len(items)
+    pairs = ds.all_pairs()
+    ptr = np.searchsorted(pairs[:, 0], np.arange(ds.n_users + 1))
+    target = np.zeros(pairs.shape[0], dtype=np.int8)  # 0 train, 1 val, 2 test
+    for u in np.flatnonzero(np.diff(ptr)).tolist():
+        n = int(ptr[u + 1] - ptr[u])
         n_val = math.floor(n * ratios[1] / total)
         n_test = math.floor(n * ratios[2] / total)
-        rng = child_rng(seed, "split", u)
-        perm = rng.permutation(n)
-        shuffled = [items[j] for j in perm]
-        for i in shuffled[:n_val]:
-            val.add((u, i))
-        for i in shuffled[n_val : n_val + n_test]:
-            test.add((u, i))
-        for i in shuffled[n_val + n_test :]:
-            train.add((u, i))
-    return replace(ds, train=train, val=val, test=test)
+        perm = ptr[u] + child_rng(seed, "split", u).permutation(n)
+        target[perm[:n_val]] = 1
+        target[perm[n_val : n_val + n_test]] = 2
+    return replace(ds, train=pairs[target == 0], val=pairs[target == 1], test=pairs[target == 2])
 
 
 def synth_dataset(
@@ -201,10 +194,8 @@ def synth_dataset(
     same = u_cluster[:, None] == i_cluster[None, :]
     prob = np.where(same, density, density / 10.0)
     rng = child_rng(seed, "synth")
-    hits = rng.random((n_users, n_items)) < prob
-    us, its = np.nonzero(hits)
-    pairs = {(int(u), int(i)) for u, i in zip(us, its)}
-    if not pairs:
+    pairs = np.argwhere(rng.random((n_users, n_items)) < prob)
+    if not pairs.size:
         raise EmptyDatasetError("synthetic draw produced no interactions; raise density")
     return InteractionDataset(n_users=n_users, n_items=n_items, train=pairs)
 
@@ -217,53 +208,62 @@ class ShareTier(enum.Enum):
     ALL = "all"
 
 
+def _tier_mask(category: list[ShareTier], tier: ShareTier) -> np.ndarray:
+    return np.array([c is tier for c in category], dtype=bool)
+
+
+def _reject(users: np.ndarray, message: str) -> None:
+    """Raise ``ValueError`` naming the lowest of the flagged ``users``, if any."""
+    if users.size:
+        raise ValueError(f"user {int(users.min())}: {message}")
+
+
 @dataclass
 class SharePolicy:
-    """Per-user contribution ratio, tier, and the contributed pair sets.
+    """Per-user contribution ratio, tier, and the contributed pairs.
 
-    ``contributed`` is None until ``attach_contributions`` samples the
-    actual pair subsets from a dataset.
+    ``contributed`` is one edge array of every user's contributed pairs (the
+    constructor accepts any collection of pairs), or None until
+    ``attach_contributions`` samples the actual subsets from a dataset.
     """
 
     ratio: np.ndarray
     category: list[ShareTier]
-    contributed: tuple[tuple[Pair, ...], ...] | None = None
+    contributed: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.contributed is not None:
+            self.contributed = _edges(self.contributed)
 
     @property
     def n_users(self) -> int:
         return len(self.category)
 
-    def shared_pairs(self) -> set[Pair]:
-        if self.contributed is None:
-            raise ValueError("contributions not attached yet")
-        out: set[Pair] = set()
-        for pairs in self.contributed:
-            out.update(pairs)
-        return out
-
     def validate(self, ds: InteractionDataset | None = None) -> None:
         if len(self.ratio) != len(self.category):
             raise ValueError("ratio/category length mismatch")
-        for u, (r, c) in enumerate(zip(self.ratio, self.category)):
-            if not (0.0 <= r <= 1.0):
-                raise ValueError(f"user {u}: ratio {r} outside [0,1]")
-            if c is ShareTier.NONE and r != 0.0:
-                raise ValueError(f"user {u}: NONE tier requires ratio 0")
-            if c is ShareTier.ALL and r != 1.0:
-                raise ValueError(f"user {u}: ALL tier requires ratio 1")
-        if self.contributed is not None and ds is not None:
-            by_user = ds.pairs_by_user(ds.train)
-            for u, pairs in enumerate(self.contributed):
-                local = {(u, i) for i in by_user.get(u, ())}
-                if not set(pairs) <= local:
-                    raise ValueError(f"user {u}: contributed pairs outside own train set")
-                c = self.category[u]
-                if c is ShareTier.NONE and pairs:
-                    raise ValueError(f"user {u}: NONE tier contributed data")
-                if c is ShareTier.ALL and set(pairs) != local:
-                    raise ValueError(f"user {u}: ALL tier must contribute every train pair")
-                if c is ShareTier.PART and not (0 < len(pairs) < len(local)):
-                    raise ValueError(f"user {u}: PART tier must contribute a proper nonempty subset")
+        ratio = np.asarray(self.ratio)
+        none = _tier_mask(self.category, ShareTier.NONE)
+        every = _tier_mask(self.category, ShareTier.ALL)
+        out = np.flatnonzero(~((0.0 <= ratio) & (ratio <= 1.0)))
+        if out.size:
+            raise ValueError(f"user {out[0]}: ratio {ratio[out[0]]} outside [0,1]")
+        _reject(np.flatnonzero(none & (ratio != 0.0)), "NONE tier requires ratio 0")
+        _reject(np.flatnonzero(every & (ratio != 1.0)), "ALL tier requires ratio 1")
+        if self.contributed is None or ds is None:
+            return
+        c, n_items = self.contributed, ds.n_items
+        # (u, i) keys are unique only for in-range pairs; the rest are outside
+        in_range = (c >= 0).all(axis=1) & (c[:, 0] < ds.n_users) & (c[:, 1] < n_items)
+        inside = in_range & np.isin(c[:, 0] * n_items + c[:, 1], ds.train[:, 0] * n_items + ds.train[:, 1])
+        shared = np.bincount(c[inside, 0], minlength=self.n_users)
+        local = np.bincount(ds.train[:, 0], minlength=self.n_users)
+        part = _tier_mask(self.category, ShareTier.PART)
+        _reject(c[~inside, 0], "contributed pairs outside own train set")
+        _reject(np.flatnonzero(none & (shared > 0)), "NONE tier contributed data")
+        _reject(np.flatnonzero(every & (shared != local)), "ALL tier must contribute every train pair")
+        proper = (0 < shared) & (shared < local)
+        _reject(np.flatnonzero(part & ~proper), "PART tier must contribute a proper nonempty subset")
 
 
 def _clamp_ratio(r: float) -> tuple[float, ShareTier]:
@@ -301,58 +301,40 @@ def assign_share_policy(
     return SharePolicy(ratio=ratios, category=tiers)
 
 
-def _sample_pairs(pairs_sorted: list[Pair], take: int, rng: np.random.Generator) -> tuple[Pair, ...]:
-    if take <= 0:
-        return ()
-    if take >= len(pairs_sorted):
-        return tuple(pairs_sorted)
-    idx = rng.choice(len(pairs_sorted), size=take, replace=False)
-    return tuple(pairs_sorted[j] for j in sorted(idx.tolist()))
-
-
 def attach_contributions(policy: SharePolicy, ds: InteractionDataset, seed: int = 0) -> SharePolicy:
-    """Sample each user's contributed pair set from their train split.
+    """Sample each user's contributed pairs from their train split.
 
     PART contributions are capped at n-1 pairs so they stay proper subsets;
     a PART user with a single train pair degrades to NONE (contributing
-    that pair would reveal their whole history).
+    that pair would reveal their whole history), as does any sharer with no
+    train pairs. A PART user's subset is drawn from their train items in
+    ascending order under their own seed-derived child stream.
     """
     if policy.n_users != ds.n_users:
         raise ValueError("policy/dataset user count mismatch")
-    by_user = ds.pairs_by_user(ds.train)
     ratios = policy.ratio.copy()
     tiers = list(policy.category)
-    contributed: list[tuple[Pair, ...]] = []
-    for u in range(ds.n_users):
-        local = sorted((u, i) for i in by_user.get(u, ()))
-        tier = tiers[u]
-        if tier is ShareTier.NONE or not local:
-            if tier is not ShareTier.NONE and not local:
-                tiers[u] = ShareTier.NONE
-                ratios[u] = 0.0
-            contributed.append(())
-            continue
-        if tier is ShareTier.ALL:
-            contributed.append(tuple(local))
-            continue
-        take = min(math.ceil(ratios[u] * len(local)), len(local) - 1)
-        if take <= 0:
-            tiers[u] = ShareTier.NONE
-            ratios[u] = 0.0
-            contributed.append(())
-            continue
-        rng = child_rng(seed, "subset", u)
-        contributed.append(_sample_pairs(local, take, rng))
-    return SharePolicy(ratio=ratios, category=tiers, contributed=tuple(contributed))
+    counts = np.bincount(ds.train[:, 0], minlength=ds.n_users)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    every = _tier_mask(tiers, ShareTier.ALL)
+    part = _tier_mask(tiers, ShareTier.PART)
+    take = np.minimum(np.ceil(ratios * counts), counts - 1)
+    degrade = (every & (counts == 0)) | (part & (take <= 0))
+    ratios[degrade] = 0.0
+    for u in np.flatnonzero(degrade).tolist():
+        tiers[u] = ShareTier.NONE
+    keep = every[ds.train[:, 0]]
+    for u in np.flatnonzero(part & ~degrade).tolist():
+        picked = child_rng(seed, "subset", u).choice(int(counts[u]), size=int(take[u]), replace=False)
+        keep[ptr[u] + picked] = True
+    return SharePolicy(ratio=ratios, category=tiers, contributed=ds.train[keep])
 
 
 def save_dataset(ds: InteractionDataset, out_dir: str) -> None:
     """Write train/val/test TSVs (dense ids) plus the raw-id map."""
     os.makedirs(out_dir, exist_ok=True)
     for name, split in (("train", ds.train), ("val", ds.val), ("test", ds.test)):
-        with open(os.path.join(out_dir, f"{name}.tsv"), "w", encoding="utf-8") as fh:
-            for u, i in sorted(split):
-                fh.write(f"{u}\t{i}\n")
+        np.savetxt(os.path.join(out_dir, f"{name}.tsv"), split, fmt="%d", delimiter="\t")
     with open(os.path.join(out_dir, "idmap.tsv"), "w", encoding="utf-8") as fh:
         for dense, raw in enumerate(ds.user_raw_ids):
             fh.write(f"u\t{dense}\t{raw}\n")
@@ -361,23 +343,28 @@ def save_dataset(ds: InteractionDataset, out_dir: str) -> None:
 
 
 def load_dataset(in_dir: str) -> InteractionDataset:
-    """Inverse of ``save_dataset``."""
-    user_raw: dict[int, int] = {}
-    item_raw: dict[int, int] = {}
+    """Inverse of ``save_dataset``: the id map lists each kind's dense ids in
+    order 0..n-1. Raises DataFormatError naming the file for a malformed
+    row, an out-of-range pair, or overlapping splits."""
+    raw_ids: dict[str, list[int]] = {"u": [], "i": []}
     idmap_path = os.path.join(in_dir, "idmap.tsv")
     with open(idmap_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
                 continue
-            if len(tokens) != 3 or tokens[0] not in ("u", "i"):
-                raise DataFormatError(f"{idmap_path}:{lineno}: bad id-map row {line!r}")
-            kind, dense, raw = tokens[0], int(tokens[1]), int(tokens[2])
-            (user_raw if kind == "u" else item_raw)[dense] = raw
+            ids = raw_ids.get(tokens[0])
+            try:
+                if ids is None or len(tokens) != 3 or int(tokens[1]) != len(ids):
+                    raise ValueError
+                ids.append(int(tokens[2]))
+            except ValueError:
+                raise DataFormatError(f"{idmap_path}:{lineno}: bad id-map row {line!r}") from None
+    n_users, n_items = len(raw_ids["u"]), len(raw_ids["i"])
 
-    def read_split(name: str) -> set[Pair]:
+    def read_split(name: str) -> list[tuple[int, int]]:
         path = os.path.join(in_dir, f"{name}.tsv")
-        out: set[Pair] = set()
+        out: list[tuple[int, int]] = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 tokens = line.split()
@@ -386,19 +373,25 @@ def load_dataset(in_dir: str) -> InteractionDataset:
                 if len(tokens) < 2:
                     raise DataFormatError(f"{path}:{lineno}: expected 2 tokens")
                 try:
-                    out.add((int(tokens[0]), int(tokens[1])))
+                    u, i = int(tokens[0]), int(tokens[1])
                 except ValueError:
                     raise DataFormatError(f"{path}:{lineno}: non-integer id") from None
+                if not (0 <= u < n_users and 0 <= i < n_items):
+                    raise DataFormatError(f"{path}:{lineno}: pair ({u},{i}) out of range of {idmap_path}")
+                out.append((u, i))
         return out
 
     ds = InteractionDataset(
-        n_users=len(user_raw),
-        n_items=len(item_raw),
+        n_users=n_users,
+        n_items=n_items,
         train=read_split("train"),
         val=read_split("val"),
         test=read_split("test"),
-        user_raw_ids=tuple(user_raw[d] for d in sorted(user_raw)),
-        item_raw_ids=tuple(item_raw[d] for d in sorted(item_raw)),
+        user_raw_ids=tuple(raw_ids["u"]),
+        item_raw_ids=tuple(raw_ids["i"]),
     )
-    ds.validate()
+    try:
+        ds.validate()
+    except ValueError as exc:
+        raise DataFormatError(f"{in_dir}: {exc}") from None
     return ds

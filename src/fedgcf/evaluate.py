@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,7 @@ def top_per_row(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap: int
     return order[rank < cap]
 
 
-def recall_at_k(ranked: np.ndarray, relevant: set[int]) -> float:
+def recall_at_k(ranked: np.ndarray, relevant: set) -> float:
     """|ranked intersect relevant| / |relevant| (relevant must be nonempty)."""
     if not relevant:
         raise ValueError("relevant set must be nonempty")
@@ -70,7 +69,7 @@ def recall_at_k(ranked: np.ndarray, relevant: set[int]) -> float:
     return hits / len(relevant)
 
 
-def ndcg_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
+def ndcg_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
     """Binary-gain NDCG with IDCG truncated at min(k, |relevant|)."""
     if not relevant:
         raise ValueError("relevant set must be nonempty")
@@ -81,13 +80,6 @@ def ndcg_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
     ideal = min(k, len(relevant))
     idcg = sum(1.0 / np.log2(p + 1) for p in range(1, ideal + 1))
     return dcg / idcg
-
-
-def _edge_array(pairs, n_items: int) -> np.ndarray:
-    """A set of (user, item) pairs as an (n, 2) int64 array sorted by (user, item)."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    keys = np.sort(flat[0::2] * n_items + flat[1::2])
-    return np.stack(np.divmod(keys, n_items), axis=1)
 
 
 def _score_block(
@@ -133,12 +125,11 @@ def evaluate(
         raise ConfigError(f"k must be >= 1, got {k}")
     if sim not in ("inner", "cosine"):
         raise ConfigError(f"unknown similarity {sim!r}")
-    relevant = _edge_array(ds.val if split == "val" else ds.test, ds.n_items)
-    train = _edge_array(ds.train, ds.n_items)
+    relevant = ds.val if split == "val" else ds.test
     users, starts = np.unique(relevant[:, 0], return_index=True)
     rel_ptr = np.append(starts, relevant.shape[0])
     # the train pairs of ranked users, as (row in ``users``, item)
-    train = train[np.isin(train[:, 0], users)]
+    train = ds.train[np.isin(ds.train[:, 0], users)]
     train_rows = np.searchsorted(users, train[:, 0])
     item_norms = np.linalg.norm(item_views, axis=1) if sim == "cosine" else None
     n_items = item_views.shape[0]

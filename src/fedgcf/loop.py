@@ -5,7 +5,7 @@ full training run with periodic evaluation and early stopping.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,14 +74,6 @@ def select_clients(n_users: int, n: int, round_idx: int, seed: int) -> np.ndarra
     return np.sort(rng.choice(n_users, size=size, replace=False)).astype(np.int64)
 
 
-def _resolved_hyper(hyper: HyperParams, disable_cl: bool) -> HyperParams:
-    if not disable_cl:
-        return hyper
-    resolved = HyperParams(**vars(hyper))
-    resolved.cl_weight = 0.0
-    return resolved
-
-
 def _check_negatives(degrees: np.ndarray, n_items: int, what: str) -> None:
     """Raise DataFormatError naming the lowest user of degree ``n_items``."""
     full = np.flatnonzero(degrees == n_items)
@@ -111,22 +103,19 @@ def prepare_run(
     could be sampled for it: a train split that a device trains on, or a
     row of the mended server graph.
     """
-    hyper = _resolved_hyper(hyper, disable_cl)
+    if disable_cl:
+        hyper = replace(hyper, cl_weight=0.0)
     policy = assign_share_policy(ds.n_users, share_mode, seed_policy, share_ratio)
     policy = attach_contributions(policy, ds, seed_policy)
     policy.validate(ds)
 
     model = xavier_init(ds.n_users, ds.n_items, hyper.dim, child_rng(seed_train, "init"))
-    train_by_user = ds.pairs_by_user(ds.train)
     if not server_only:
-        train_deg = np.array([len(train_by_user.get(u, ())) for u in range(ds.n_users)])
-        _check_negatives(train_deg, ds.n_items, "train split")
+        _check_negatives(np.bincount(ds.train[:, 0], minlength=ds.n_users), ds.n_items, "train split")
+    train_by_user = ds.pairs_by_user(ds.train)
+    no_items = np.zeros(0, dtype=np.int64)
     devices = {
-        u: DeviceState(
-            user_id=u,
-            local_items=train_by_user.get(u, ()),
-            p_u=model.user[u].copy(),
-        )
+        u: DeviceState(user_id=u, local_items=train_by_user.get(u, no_items), p_u=model.user[u].copy())
         for u in range(ds.n_users)
     }
 
@@ -242,16 +231,14 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     )
 
 
-def device_views(device_user: np.ndarray, item: np.ndarray, local_items) -> tuple[np.ndarray, np.ndarray]:
+def device_views(device_user: np.ndarray, item: np.ndarray, ds: InteractionDataset) -> tuple[np.ndarray, np.ndarray]:
     """Device-side evaluation views: each user's ego-combined view of their
-    own ``local_items[u]`` from their device row ``device_user[u]``, against
-    raw (layer-0 scaled) item rows."""
+    own train items from their device row ``device_user[u]``, against raw
+    (layer-0 scaled) item rows."""
     alpha = default_alpha(1)
-    user_views = np.zeros_like(device_user)
-    for u, items in enumerate(local_items):
-        local = np.asarray(items, dtype=np.int64)
-        q_local = item[local] if local.size else np.zeros((0, item.shape[1]))
-        user_views[u], _ = ego_infer(device_user[u], q_local, alpha)
+    user_views = alpha[0] * device_user  # the ego view of a user with no items
+    for u, items in ds.pairs_by_user(ds.train).items():
+        user_views[u], _ = ego_infer(device_user[u], item[items], alpha)
     return user_views, alpha[0] * item
 
 
@@ -259,16 +246,14 @@ def eval_views(ctx: RunContext, mode: str = "server"):
     """Embedding views used for evaluation.
 
     ``server``: global model propagated over the mended contributed graph.
-    ``device``: ``device_views`` of every device's user row and train items.
+    ``device``: ``device_views`` of every device's user row.
     """
     if mode == "server":
         return server_infer(ctx.server.graph, ctx.server.model, ctx.hyper.layers_server)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
-    devices = [ctx.devices[u] for u in range(ctx.ds.n_users)]
-    return device_views(
-        np.stack([dev.p_u for dev in devices]), ctx.server.model.item, [dev.local_items for dev in devices]
-    )
+    device_user = np.stack([ctx.devices[u].p_u for u in range(ctx.ds.n_users)])
+    return device_views(device_user, ctx.server.model.item, ctx.ds)
 
 
 def run_training(

@@ -111,7 +111,7 @@ class ServerState:
 
 def build_server_graph(policy: SharePolicy, n_users: int, n_items: int) -> BipartiteGraph:
     """Union of every user's contributed pairs."""
-    return BipartiteGraph(n_users, n_items, list(policy.shared_pairs()))
+    return BipartiteGraph(n_users, n_items, policy.contributed)
 
 
 def server_infer(graph: BipartiteGraph, model: EmbeddingState, layers: int):
@@ -125,7 +125,7 @@ def embedding_exchange(
     selected: np.ndarray,
     user_views: np.ndarray,
     item_views: np.ndarray,
-    local_items: dict[int, tuple[int, ...]],
+    local_items: dict[int, np.ndarray],
     round_idx: int,
     audit: AuditLog | None = None,
 ) -> dict[int, ReceivedViews]:
@@ -155,7 +155,7 @@ def embedding_exchange(
         else:
             owners = np.union1d(all_sharers, [dev_id])
             users = RowBlock(owners, user_views[owners])
-        items = np.unique(np.asarray(local_items.get(dev_id, ()), dtype=np.int64))
+        items = local_items.get(dev_id, np.zeros(0, dtype=np.int64))
         received[dev_id] = ReceivedViews(users, RowBlock(items, item_views[items]))
     if audit is not None and received:
         audit.log_exchange(round_idx, sorted(received), shared.rows.tolist())

@@ -16,6 +16,7 @@ from fedgcf.data import ShareTier
 from fedgcf.errors import ConfigError
 from fedgcf.graph import default_alpha, propagate_combine
 from fedgcf.learn import GradientBundle, RowBlock, compute_gradients
+from fedgcf.seeds import child_rng
 
 
 def dense_norm_adjacency(n_users: int, n_items: int, pairs) -> np.ndarray:
@@ -69,6 +70,12 @@ def csr_reference(n_users: int, n_items: int, pairs) -> dict:
     }
 
 
+def pair_set(edges) -> set:
+    """An (n, 2) edge array as a set of (user, item) tuples. (A tuple ``in``
+    an array tests elements, not rows, so tests compare these sets.)"""
+    return set(map(tuple, np.asarray(edges).tolist()))
+
+
 def kcore_fixpoint(pairs, min_user: int, min_item: int) -> set:
     """Brute-force iterative k-core on raw pair sets."""
     pairs = set(pairs)
@@ -83,6 +90,78 @@ def kcore_fixpoint(pairs, min_user: int, min_item: int) -> set:
         if survivors == pairs:
             return pairs
         pairs = survivors
+
+
+# Splitting and contribution sampling as they were when every split was a
+# set of (user, item) tuples: one Python loop over each user's sorted items.
+
+
+def _items_by_user(pairs) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for u, i in pairs:
+        out.setdefault(u, []).append(i)
+    return {u: tuple(sorted(items)) for u, items in out.items()}
+
+
+def split_sets(pairs: set, ratios=(8, 1, 1), seed: int = 0) -> tuple[set, set, set]:
+    """(train, val, test) pair sets of ``split_dataset`` on ``pairs``."""
+    total = float(sum(ratios))
+    by_user = _items_by_user(pairs)
+    train: set = set()
+    val: set = set()
+    test: set = set()
+    for u, items in by_user.items():
+        n = len(items)
+        n_val = math.floor(n * ratios[1] / total)
+        n_test = math.floor(n * ratios[2] / total)
+        rng = child_rng(seed, "split", u)
+        perm = rng.permutation(n)
+        shuffled = [items[j] for j in perm]
+        for i in shuffled[:n_val]:
+            val.add((u, i))
+        for i in shuffled[n_val : n_val + n_test]:
+            test.add((u, i))
+        for i in shuffled[n_val + n_test :]:
+            train.add((u, i))
+    return train, val, test
+
+
+def _sample_pairs(pairs_sorted: list, take: int, rng: np.random.Generator) -> tuple:
+    if take <= 0:
+        return ()
+    if take >= len(pairs_sorted):
+        return tuple(pairs_sorted)
+    idx = rng.choice(len(pairs_sorted), size=take, replace=False)
+    return tuple(pairs_sorted[j] for j in sorted(idx.tolist()))
+
+
+def attach_sets(ratio: np.ndarray, category: list, train: set, n_users: int, seed: int = 0):
+    """(ratios, tiers, per-user contributed tuples) of ``attach_contributions``."""
+    by_user = _items_by_user(train)
+    ratios = ratio.copy()
+    tiers = list(category)
+    contributed: list[tuple] = []
+    for u in range(n_users):
+        local = sorted((u, i) for i in by_user.get(u, ()))
+        tier = tiers[u]
+        if tier is ShareTier.NONE or not local:
+            if tier is not ShareTier.NONE and not local:
+                tiers[u] = ShareTier.NONE
+                ratios[u] = 0.0
+            contributed.append(())
+            continue
+        if tier is ShareTier.ALL:
+            contributed.append(tuple(local))
+            continue
+        take = min(math.ceil(ratios[u] * len(local)), len(local) - 1)
+        if take <= 0:
+            tiers[u] = ShareTier.NONE
+            ratios[u] = 0.0
+            contributed.append(())
+            continue
+        rng = child_rng(seed, "subset", u)
+        contributed.append(_sample_pairs(local, take, rng))
+    return ratios, tiers, tuple(contributed)
 
 
 def recall_oracle(ranked, relevant) -> float:

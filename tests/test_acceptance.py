@@ -393,7 +393,7 @@ def _centralized_reference(ds, dim, lr, reg, layers, batch_cap, rounds, seed):
     lim_i = np.sqrt(6.0 / (n_i + dim))
     user_tab = rng.uniform(-lim_u, lim_u, size=(n_u, dim))
     item_tab = rng.uniform(-lim_i, lim_i, size=(n_i, dim))
-    edges = np.asarray(sorted(ds.train), dtype=np.int64)
+    edges = ds.train
     adj = dense_norm_adjacency(n_u, n_i, edges)
     alpha = np.full(layers + 1, 1.0 / (layers + 1))
     by_user = {u: np.asarray(v, dtype=np.int64) for u, v in ds.pairs_by_user(ds.train).items()}

@@ -141,7 +141,7 @@ def test_load_run_dataset_synth_and_kcore():
     )
     ds = load_run_dataset(config)
     assert ds.n_users <= 30 and ds.n_items <= 40
-    assert ds.train  # split happened
+    assert len(ds.train)  # split happened
     counts_u: dict[int, int] = {}
     counts_i: dict[int, int] = {}
     for u, i in ds.all_pairs():
@@ -420,3 +420,26 @@ def test_server_graph_row_holding_every_item_exit_code(tmp_path, capsys):
 
 def test_unreadable_config_exit_code(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("test.tsv", "999\t0\n", r"test\.tsv:\d+: pair \(999,0\) out of range"),
+        ("idmap.tsv", "u\tx\t7\n", r"idmap\.tsv:\d+: bad id-map row"),
+        ("idmap.tsv", "u\t999\t7\n", r"idmap\.tsv:\d+: bad id-map row"),
+        ("val.tsv", None, r"ds: splits are not disjoint"),
+    ],
+    ids=["out-of-range", "bad-idmap", "idmap-gap", "overlap"],
+)
+def test_malformed_dataset_dir_exit_code(tmp_path, capsys, name, line, message):
+    ds_dir = tmp_path / "ds"
+    assert main(["synth", *FAST, "--out", str(ds_dir)]) == 0
+    if line is None:  # a train pair repeated in another split
+        line = (ds_dir / "train.tsv").read_text().splitlines(keepends=True)[0]
+    with open(ds_dir / name, "a", encoding="utf-8") as fh:
+        fh.write(line)
+    capsys.readouterr()
+    assert main(["train", *FAST, "--set", f"dataset_dir={ds_dir}", "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(message, err), err

@@ -17,7 +17,7 @@ from oracles import as_dict, block_of
 
 def make_device(user_id=3, items=(0, 2, 5), dim=6, seed=0):
     rng = np.random.default_rng(seed)
-    return DeviceState(user_id=user_id, local_items=tuple(items), p_u=rng.normal(size=dim))
+    return DeviceState(user_id=user_id, local_items=np.array(items, dtype=np.int64), p_u=rng.normal(size=dim))
 
 
 def make_table(n_items=8, dim=6, seed=1):
@@ -29,7 +29,7 @@ def make_views(dev, item_table, extra_users=(7,), dim=6, seed=2):
     user_views = {dev.user_id: rng.normal(size=dim)}
     for u in extra_users:
         user_views[u] = rng.normal(size=dim)
-    item_views = {int(i): rng.normal(size=dim) for i in dev.local_items}
+    item_views = {i: rng.normal(size=dim) for i in dev.local_items.tolist()}
     return ReceivedViews(user_views=block_of(user_views), item_views=block_of(item_views))
 
 

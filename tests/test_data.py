@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgcf.data import (
     InteractionDataset,
@@ -18,7 +20,7 @@ from fedgcf.data import (
 )
 from fedgcf.errors import ConfigError, DataFormatError, EmptyDatasetError
 
-from oracles import kcore_fixpoint
+from oracles import attach_sets, kcore_fixpoint, pair_set, split_sets
 
 
 def test_load_interactions_densifies_first_appearance(tmp_path):
@@ -29,7 +31,7 @@ def test_load_interactions_densifies_first_appearance(tmp_path):
     assert ds.n_users == 2 and ds.n_items == 2
     assert ds.user_raw_ids == (7, 3)
     assert ds.item_raw_ids == (42, 9)
-    assert ds.train == {(0, 0), (1, 0), (0, 1)}
+    assert ds.train.tolist() == [[0, 0], [0, 1], [1, 0]]
 
 
 def test_load_interactions_rejects_bad_rows(tmp_path):
@@ -59,7 +61,7 @@ def test_kcore_zero_thresholds_identity():
     pairs = {(0, 0), (1, 1), (2, 0)}
     ds = InteractionDataset(3, 2, set(pairs))
     out = filter_k_core(ds, 0, 0)
-    assert out.train == pairs
+    assert pair_set(out.train) == pairs
 
 
 def test_kcore_matches_bruteforce_exhaustively():
@@ -76,7 +78,7 @@ def test_kcore_matches_bruteforce_exhaustively():
                 continue
             out = filter_k_core(ds, mu, mi)
             # map survivors back to original ids through the raw-id maps
-            back = {(out.user_raw_ids[u], out.item_raw_ids[i]) for u, i in out.train}
+            back = {(out.user_raw_ids[u], out.item_raw_ids[i]) for u, i in out.train.tolist()}
             assert back == expected, (pairs, mu, mi)
 
 
@@ -100,7 +102,7 @@ def test_kcore_random_larger_instances():
                 filter_k_core(ds, mu, mi)
             continue
         out = filter_k_core(ds, mu, mi)
-        back = {(out.user_raw_ids[u], out.item_raw_ids[i]) for u, i in out.train}
+        back = {(out.user_raw_ids[u], out.item_raw_ids[i]) for u, i in out.train.tolist()}
         assert back == expected
 
 
@@ -109,13 +111,13 @@ def test_split_10_interactions_gives_8_1_1():
     ds = InteractionDataset(1, 10, set(pairs))
     out = split_dataset(ds, (8, 1, 1), seed=0)
     assert len(out.train) == 8 and len(out.val) == 1 and len(out.test) == 1
-    assert out.train | out.val | out.test == pairs
+    assert pair_set(out.train) | pair_set(out.val) | pair_set(out.test) == pairs
 
 
 def test_split_single_interaction_all_train():
     ds = InteractionDataset(1, 1, {(0, 0)})
     out = split_dataset(ds, (8, 1, 1), seed=3)
-    assert out.train == {(0, 0)} and not out.val and not out.test
+    assert pair_set(out.train) == {(0, 0)} and not len(out.val) and not len(out.test)
 
 
 def test_split_partition_and_determinism():
@@ -124,13 +126,14 @@ def test_split_partition_and_determinism():
     ds = InteractionDataset(20, 30, set(pairs))
     a = split_dataset(ds, (8, 1, 1), seed=5)
     b = split_dataset(ds, (8, 1, 1), seed=5)
-    assert (a.train, a.val, a.test) == (b.train, b.val, b.test)
-    assert a.train | a.val | a.test == pairs
-    assert not (a.train & a.val) and not (a.train & a.test) and not (a.val & a.test)
+    assert all(np.array_equal(x, y) for x, y in zip((a.train, a.val, a.test), (b.train, b.val, b.test)))
+    train, val, test = pair_set(a.train), pair_set(a.val), pair_set(a.test)
+    assert train | val | test == pairs
+    assert not (train & val) and not (train & test) and not (val & test)
     for u in range(20):
         mine = [p for p in pairs if p[0] == u]
         if mine:
-            assert any(p in a.train for p in mine), f"user {u} lost all train pairs"
+            assert any(p in train for p in mine), f"user {u} lost all train pairs"
 
 
 def test_split_rejects_bad_ratios():
@@ -143,7 +146,7 @@ def test_synth_two_clusters_mostly_within():
     within = cross = 0
     for seed in range(5):
         ds = synth_dataset(20, 20, 2, 1.0, seed=seed)
-        for u, i in ds.train:
+        for u, i in ds.train.tolist():
             if u % 2 == i % 2:
                 within += 1
             else:
@@ -154,7 +157,7 @@ def test_synth_two_clusters_mostly_within():
 def test_synth_determinism_and_validation():
     a = synth_dataset(15, 25, 3, 0.4, seed=9)
     b = synth_dataset(15, 25, 3, 0.4, seed=9)
-    assert a.train == b.train
+    assert np.array_equal(a.train, b.train)
     with pytest.raises(ConfigError):
         synth_dataset(10, 10, 2, 0.0, seed=0)
     with pytest.raises(ConfigError):
@@ -193,14 +196,14 @@ def test_shared_subset_sizes():
 
     def shared(ratio, tier):
         pol = SharePolicy(ratio=np.array([ratio]), category=[tier])
-        return attach_contributions(pol, ds, seed=1).contributed[0]
+        return pair_set(attach_contributions(pol, ds, seed=1).contributed)
 
     assert len(shared(0.5, ShareTier.PART)) == math.ceil(0.5 * 7)
     assert len(shared(0.01, ShareTier.PART)) == 1
     assert len(shared(0.94, ShareTier.PART)) == 7 - 1
-    assert set(shared(0.5, ShareTier.PART)) < pairs
-    assert shared(0.0, ShareTier.NONE) == ()
-    assert set(shared(1.0, ShareTier.ALL)) == pairs
+    assert shared(0.5, ShareTier.PART) < pairs
+    assert shared(0.0, ShareTier.NONE) == set()
+    assert shared(1.0, ShareTier.ALL) == pairs
 
 
 def test_attach_contributions_invariants():
@@ -212,8 +215,8 @@ def test_attach_contributions_invariants():
     pol = attach_contributions(pol, ds, seed=3)
     pol.validate(ds)  # raises on any tier/subset violation
     # contributed pairs never touch val/test
-    shared = pol.shared_pairs()
-    assert not (shared & ds.val) and not (shared & ds.test)
+    shared = pair_set(pol.contributed)
+    assert not (shared & pair_set(ds.val)) and not (shared & pair_set(ds.test))
 
 
 def test_attach_contributions_part_user_singleton_degrades():
@@ -221,7 +224,7 @@ def test_attach_contributions_part_user_singleton_degrades():
     pol = assign_share_policy(1, "fixed", seed=0, ratio=0.5)
     pol = attach_contributions(pol, ds, seed=0)
     assert pol.category[0] is ShareTier.NONE
-    assert pol.contributed[0] == ()
+    assert pol.contributed.shape == (0, 2)
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -229,5 +232,88 @@ def test_dataset_roundtrip(tmp_path):
     ds = split_dataset(ds, (8, 1, 1), seed=1)
     save_dataset(ds, str(tmp_path / "snap"))
     back = load_dataset(str(tmp_path / "snap"))
-    assert back.train == ds.train and back.val == ds.val and back.test == ds.test
+    assert all(np.array_equal(getattr(back, s), getattr(ds, s)) for s in ("train", "val", "test"))
     assert back.user_raw_ids == ds.user_raw_ids and back.item_raw_ids == ds.item_raw_ids
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"train": {(0, 0), (2, 1)}}, IndexError, r"train pair \(2,1\) out of range"),
+        ({"train": {(0, 0)}, "test": {(1, 2)}}, IndexError, r"test pair \(1,2\) out of range"),
+        ({"train": {(0, 0), (1, 1)}, "val": {(1, 1)}}, ValueError, "splits are not disjoint"),
+        ({"train": {(0, 0)}, "user_raw_ids": (7,)}, ValueError, "raw id maps do not match"),
+    ],
+    ids=["train-range", "test-range", "disjoint", "raw-id-map"],
+)
+def test_dataset_validate_rejects(kwargs, error, message):
+    ds = InteractionDataset(n_users=2, n_items=2, **kwargs)
+    with pytest.raises(error, match=message):
+        ds.validate()
+
+
+def _contributed(n_items, ratio, tier):
+    """Contributions of one user who holds items 0..n_items-1."""
+    ds = InteractionDataset(1, n_items, {(0, i) for i in range(n_items)})
+    pol = SharePolicy(ratio=np.array([ratio]), category=[tier])
+    return attach_contributions(pol, ds, seed=0).contributed
+
+
+@pytest.mark.parametrize(
+    "ratio, tier, shares, message",
+    [
+        ([0.5, 0.5], ShareTier.PART, None, "ratio/category length mismatch"),
+        ([1.5], ShareTier.PART, None, r"user 0: ratio 1.5 outside \[0,1\]"),
+        ([0.3], ShareTier.NONE, None, "user 0: NONE tier requires ratio 0"),
+        ([0.5], ShareTier.ALL, None, "user 0: ALL tier requires ratio 1"),
+        ([1.0], ShareTier.ALL, (4, 1.0, ShareTier.ALL), "user 0: contributed pairs outside own train set"),
+        ([0.0], ShareTier.NONE, (3, 0.5, ShareTier.PART), "user 0: NONE tier contributed data"),
+        ([1.0], ShareTier.ALL, (3, 0.5, ShareTier.PART), "user 0: ALL tier must contribute every train pair"),
+        ([0.5], ShareTier.PART, (3, 1.0, ShareTier.ALL), "user 0: PART tier must contribute a proper nonempty subset"),
+    ],
+    ids=["length", "range", "none-ratio", "all-ratio", "outside", "none-shares", "all-partial", "part-whole"],
+)
+def test_share_policy_validate_rejects(ratio, tier, shares, message):
+    # contributions drawn for a user of 3 (or 4) items, checked against the
+    # user's 3 train items under a tier they do not fit
+    ds = InteractionDataset(1, 3, {(0, 0), (0, 1), (0, 2)})
+    contributed = None if shares is None else _contributed(*shares)
+    pol = SharePolicy(ratio=np.array(ratio), category=[tier], contributed=contributed)
+    with pytest.raises(ValueError, match=message):
+        pol.validate(ds)
+
+
+@st.composite
+def _datasets(draw):
+    """Small datasets where users with 0 or 1 pairs are common."""
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 7))
+    cells = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1))
+    return InteractionDataset(n_users, n_items, draw(st.sets(cells, max_size=n_users * n_items)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_datasets(), st.sampled_from([(8, 1, 1), (1, 1, 1), (3, 0, 2), (0.5, 0.3, 0.2)]), st.integers(0, 2**31))
+def test_split_matches_set_reference(ds, ratios, seed):
+    out = split_dataset(ds, ratios, seed)
+    expected = split_sets(pair_set(ds.train), ratios, seed)
+    assert (pair_set(out.train), pair_set(out.val), pair_set(out.test)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_datasets(), st.data(), st.integers(0, 2**31))
+def test_attach_contributions_matches_set_reference(ds, data, seed):
+    # PART ratios run down to ones that take no pair, so PART users degrade
+    # to NONE both for a lone pair and for a ratio too small to round up
+    tiers = data.draw(st.lists(st.sampled_from(list(ShareTier)), min_size=ds.n_users, max_size=ds.n_users))
+    ratios_of = {
+        ShareTier.NONE: st.just(0.0),
+        ShareTier.PART: st.one_of(st.just(0.0), st.floats(0.06, 0.94)),
+        ShareTier.ALL: st.just(1.0),
+    }
+    ratio = np.array([data.draw(ratios_of[t]) for t in tiers])
+    pol = attach_contributions(SharePolicy(ratio=ratio, category=tiers), ds, seed)
+    ratios, categories, contributed = attach_sets(ratio, tiers, pair_set(ds.train), ds.n_users, seed)
+    assert np.array_equal(pol.ratio, ratios) and pol.category == categories
+    assert pair_set(pol.contributed) == {p for pairs in contributed for p in pairs}
+    pol.validate(ds)

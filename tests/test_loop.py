@@ -13,6 +13,8 @@ from fedgcf.loop import (
     select_clients,
 )
 
+from oracles import pair_set
+
 
 def toy_dataset(seed=0):
     ds = synth_dataset(16, 20, 2, 0.5, seed=seed)
@@ -60,7 +62,7 @@ def test_prepare_run_initializes_devices_from_model():
     for u, dev in ctx.devices.items():
         assert np.array_equal(dev.p_u, ctx.server.model.user[u])
         assert dev.p_u is not ctx.server.model.user[u]  # private copy
-        assert dev.local_items == tuple(sorted(i for uu, i in ds.train if uu == u))
+        assert dev.local_items.tolist() == sorted(i for uu, i in ds.train.tolist() if uu == u)
     # mended graph supersets the contributed graph
     shared = ctx.server.shared_graph
     assert ctx.server.graph.edge_count >= shared.edge_count
@@ -219,12 +221,12 @@ def test_run_training_val_test_never_influence_model():
     ds_a = toy_dataset()
     rng = np.random.default_rng(99)
     # same train pairs, scrambled val/test assignment
-    swapped = set(ds_a.val) | set(ds_a.test)
+    swapped = pair_set(ds_a.val) | pair_set(ds_a.test)
     val2 = {p for p in swapped if rng.random() < 0.5}
     ds_b = type(ds_a)(
         n_users=ds_a.n_users,
         n_items=ds_a.n_items,
-        train=set(ds_a.train),
+        train=pair_set(ds_a.train),
         val=val2,
         test=swapped - val2,
     )
@@ -259,7 +261,7 @@ def test_eval_views_device_uses_local_items():
     ctx = prepare_run(ds, toy_hyper())
     u_dev, _ = eval_views(ctx, "device")
     # a user's device view depends only on p_u and local item rows
-    some_u = next(u for u, d in ctx.devices.items() if d.local_items)
+    some_u = next(u for u, d in ctx.devices.items() if d.local_items.size)
     ctx.devices[some_u].p_u = ctx.devices[some_u].p_u + 1.0
     u_dev2, _ = eval_views(ctx, "device")
     assert not np.array_equal(u_dev[some_u], u_dev2[some_u])

@@ -31,12 +31,7 @@ def make_policy():
     return SharePolicy(
         ratio=np.array([0.0, 0.5, 1.0, 1.0]),
         category=list(TIERS),
-        contributed=(
-            (),
-            ((1, 0),),
-            ((2, 0), (2, 1)),
-            ((3, 1), (3, 2)),
-        ),
+        contributed=[(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)],
     )
 
 
@@ -61,7 +56,7 @@ def test_exchange_tier_rules():
     }
     user_views = rng.normal(size=(4, 4))
     item_views = rng.normal(size=(3, 4))
-    local_items = {0: (0,), 1: (0,), 2: (0, 1), 3: (1, 2)}
+    local_items = {u: np.array(items) for u, items in {0: [0], 1: [0], 2: [0, 1], 3: [1, 2]}.items()}
     received = embedding_exchange(
         policy, server.uploaded, np.arange(4), user_views, item_views, local_items, 0
     )
@@ -91,7 +86,7 @@ def test_exchange_only_selected_devices():
         np.array([2]),
         rng.normal(size=(4, 4)),
         rng.normal(size=(3, 4)),
-        {2: (0,)},
+        {2: np.array([0])},
         0,
     )
     assert set(received) == {2}
@@ -264,7 +259,7 @@ def test_server_train_produces_delta_upload():
 
 
 def test_server_train_empty_graph_is_noop():
-    policy = SharePolicy(np.zeros(2), [ShareTier.NONE, ShareTier.NONE], ((), ()))
+    policy = SharePolicy(np.zeros(2), [ShareTier.NONE, ShareTier.NONE], ())
     g = build_server_graph(policy, 2, 2)
     rng = np.random.default_rng(6)
     server = ServerState(
