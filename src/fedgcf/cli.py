@@ -260,20 +260,14 @@ def _train(config: RunConfig) -> RunResult:
 
 def _share_bins(policy) -> list[dict]:
     """User counts per contribution-ratio bin, clamped tiers separate."""
-    bins = [{"bin": "0 (none)", "users": 0}]
-    edges = [round(0.1 * j, 1) for j in range(10)]
-    for lo in edges:
-        label = f"({lo},{lo + 0.1:.1f})" if lo == 0.0 else f"[{lo},{lo + 0.1:.1f})"
-        bins.append({"bin": label, "users": 0})
-    bins.append({"bin": "1 (all)", "users": 0})
-    for r in policy.ratio:
-        if r == 0.0:
-            bins[0]["users"] += 1
-        elif r == 1.0:
-            bins[-1]["users"] += 1
-        else:
-            bins[1 + min(int(r * 10), 9)]["users"] += 1
-    return bins
+    labels = ["0 (none)"]
+    for lo in (round(0.1 * j, 1) for j in range(10)):
+        labels.append(f"({lo},{lo + 0.1:.1f})" if lo == 0.0 else f"[{lo},{lo + 0.1:.1f})")
+    labels.append("1 (all)")
+    r = policy.ratio
+    idx = np.where(r == 0.0, 0, np.where(r == 1.0, 11, 1 + np.minimum((r * 10).astype(np.int64), 9)))
+    counts = np.bincount(idx, minlength=len(labels)).tolist()
+    return [{"bin": label, "users": n} for label, n in zip(labels, counts)]
 
 
 def emit_metrics(result: RunResult, config: RunConfig, out_dir: str) -> str:

@@ -153,7 +153,7 @@ def client_local_train(
     """
     n_items = item_table.shape[0]
     local = dev.local_items
-    if tier is ShareTier.NONE:
+    if tier == ShareTier.NONE:
         received = None
     p_start = dev.p_u.copy()
     me = np.array([dev.user_id], dtype=np.int64)
@@ -201,11 +201,7 @@ def client_local_train(
             grads = RowBlock(compact_ids[bundle.item.rows], bundle.item.values)
             dev.moments.t_item += 1
             step = adam_update_rows(grads, dev.moments.item, dev.moments.t_item, hyper)
-            merged = np.union1d(work.rows, step.rows)
-            values = np.empty((merged.size, item_table.shape[1]))
-            values[np.searchsorted(merged, work.rows)] = work.values
-            values[np.searchsorted(merged, step.rows)] = rows[bundle.item.rows] + step.values
-            work = RowBlock(merged, values)
+            work = work.merge(RowBlock(step.rows, rows[bundle.item.rows] + step.values))
 
     epochs = float(hyper.local_epochs)
     loss_acc.bpr /= epochs
@@ -218,7 +214,7 @@ def client_local_train(
         delta.user = RowBlock(me, (dev.p_u - p_start)[None, :])
 
     user_view = None
-    if tier is not ShareTier.NONE:
+    if tier != ShareTier.NONE:
         user_view, _ = ego_infer(dev.p_u, _private_rows(work, item_table, local), alpha)
     upload = DeviceUpload(
         device_id=dev.user_id,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ def _edges(pairs) -> np.ndarray:
     return arr[fresh]
 
 
-@dataclass
+@dataclass(eq=False)
 class InteractionDataset:
     """Implicit-feedback interactions split into train/val/test edge arrays.
 
@@ -200,16 +200,13 @@ def synth_dataset(
     return InteractionDataset(n_users=n_users, n_items=n_items, train=pairs)
 
 
-class ShareTier(enum.Enum):
-    """How much of their train data a user contributes to the server."""
+class ShareTier(enum.IntEnum):
+    """How much of their train data a user contributes to the server; the
+    values are those of ``SharePolicy.tier``."""
 
-    NONE = "none"
-    PART = "part"
-    ALL = "all"
-
-
-def _tier_mask(category: list[ShareTier], tier: ShareTier) -> np.ndarray:
-    return np.array([c is tier for c in category], dtype=bool)
+    NONE = 0
+    PART = 1
+    ALL = 2
 
 
 def _reject(users: np.ndarray, message: str) -> None:
@@ -218,38 +215,38 @@ def _reject(users: np.ndarray, message: str) -> None:
         raise ValueError(f"user {int(users.min())}: {message}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SharePolicy:
-    """Per-user contribution ratio, tier, and the contributed pairs.
+    """Per-user contribution ratio and the contributed pairs.
 
-    ``contributed`` is one edge array of every user's contributed pairs (the
-    constructor accepts any collection of pairs), or None until
+    ``tier`` is derived from ``ratio`` once, as an int8 array of
+    ``ShareTier`` values: ratio 0 is NONE, ratio 1 is ALL, any other ratio
+    PART. ``contributed`` is one edge array of every user's contributed
+    pairs (the constructor accepts any collection of pairs), or None until
     ``attach_contributions`` samples the actual subsets from a dataset.
     """
 
     ratio: np.ndarray
-    category: list[ShareTier]
     contributed: np.ndarray | None = None
+    tier: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.ratio = np.asarray(self.ratio, dtype=np.float64)
+        self.tier = np.where(
+            self.ratio == 0.0, ShareTier.NONE, np.where(self.ratio == 1.0, ShareTier.ALL, ShareTier.PART)
+        ).astype(np.int8)
         if self.contributed is not None:
             self.contributed = _edges(self.contributed)
 
     @property
     def n_users(self) -> int:
-        return len(self.category)
+        return len(self.ratio)
 
     def validate(self, ds: InteractionDataset | None = None) -> None:
-        if len(self.ratio) != len(self.category):
-            raise ValueError("ratio/category length mismatch")
-        ratio = np.asarray(self.ratio)
-        none = _tier_mask(self.category, ShareTier.NONE)
-        every = _tier_mask(self.category, ShareTier.ALL)
+        ratio = self.ratio
         out = np.flatnonzero(~((0.0 <= ratio) & (ratio <= 1.0)))
         if out.size:
             raise ValueError(f"user {out[0]}: ratio {ratio[out[0]]} outside [0,1]")
-        _reject(np.flatnonzero(none & (ratio != 0.0)), "NONE tier requires ratio 0")
-        _reject(np.flatnonzero(every & (ratio != 1.0)), "ALL tier requires ratio 1")
         if self.contributed is None or ds is None:
             return
         c, n_items = self.contributed, ds.n_items
@@ -258,27 +255,18 @@ class SharePolicy:
         inside = in_range & np.isin(c[:, 0] * n_items + c[:, 1], ds.train[:, 0] * n_items + ds.train[:, 1])
         shared = np.bincount(c[inside, 0], minlength=self.n_users)
         local = np.bincount(ds.train[:, 0], minlength=self.n_users)
-        part = _tier_mask(self.category, ShareTier.PART)
+        tier = self.tier
         _reject(c[~inside, 0], "contributed pairs outside own train set")
-        _reject(np.flatnonzero(none & (shared > 0)), "NONE tier contributed data")
-        _reject(np.flatnonzero(every & (shared != local)), "ALL tier must contribute every train pair")
+        _reject(np.flatnonzero((tier == ShareTier.NONE) & (shared > 0)), "NONE tier contributed data")
+        _reject(np.flatnonzero((tier == ShareTier.ALL) & (shared != local)), "ALL tier must contribute every train pair")
         proper = (0 < shared) & (shared < local)
-        _reject(np.flatnonzero(part & ~proper), "PART tier must contribute a proper nonempty subset")
-
-
-def _clamp_ratio(r: float) -> tuple[float, ShareTier]:
-    # Boundary rule: r <= 0.05 opts out entirely, r >= 0.95 contributes all.
-    if r <= 0.05:
-        return 0.0, ShareTier.NONE
-    if r >= 0.95:
-        return 1.0, ShareTier.ALL
-    return float(r), ShareTier.PART
+        _reject(np.flatnonzero((tier == ShareTier.PART) & ~proper), "PART tier must contribute a proper nonempty subset")
 
 
 def assign_share_policy(
     n_users: int, mode: str = "uniform", seed: int = 0, ratio: float | None = None
 ) -> SharePolicy:
-    """Draw or fix per-user contribution ratios and derive tiers.
+    """Draw or fix per-user contribution ratios.
 
     ``uniform`` draws each ratio from U[0,1]; ``fixed`` applies the given
     ratio to every user. Ratios at or below 0.05 clamp to 0 (tier NONE),
@@ -292,13 +280,7 @@ def assign_share_policy(
         raw = np.full(n_users, float(ratio))
     else:
         raise ConfigError(f"unknown share mode {mode!r}")
-    ratios = np.zeros(n_users)
-    tiers: list[ShareTier] = []
-    for u in range(n_users):
-        r, c = _clamp_ratio(float(raw[u]))
-        ratios[u] = r
-        tiers.append(c)
-    return SharePolicy(ratio=ratios, category=tiers)
+    return SharePolicy(ratio=np.where(raw <= 0.05, 0.0, np.where(raw >= 0.95, 1.0, raw)))
 
 
 def attach_contributions(policy: SharePolicy, ds: InteractionDataset, seed: int = 0) -> SharePolicy:
@@ -312,22 +294,17 @@ def attach_contributions(policy: SharePolicy, ds: InteractionDataset, seed: int 
     """
     if policy.n_users != ds.n_users:
         raise ValueError("policy/dataset user count mismatch")
-    ratios = policy.ratio.copy()
-    tiers = list(policy.category)
     counts = np.bincount(ds.train[:, 0], minlength=ds.n_users)
     ptr = np.concatenate(([0], np.cumsum(counts)))
-    every = _tier_mask(tiers, ShareTier.ALL)
-    part = _tier_mask(tiers, ShareTier.PART)
-    take = np.minimum(np.ceil(ratios * counts), counts - 1)
+    every = policy.tier == ShareTier.ALL
+    part = policy.tier == ShareTier.PART
+    take = np.minimum(np.ceil(policy.ratio * counts), counts - 1)
     degrade = (every & (counts == 0)) | (part & (take <= 0))
-    ratios[degrade] = 0.0
-    for u in np.flatnonzero(degrade).tolist():
-        tiers[u] = ShareTier.NONE
     keep = every[ds.train[:, 0]]
     for u in np.flatnonzero(part & ~degrade).tolist():
         picked = child_rng(seed, "subset", u).choice(int(counts[u]), size=int(take[u]), replace=False)
         keep[ptr[u] + picked] = True
-    return SharePolicy(ratio=ratios, category=tiers, contributed=ds.train[keep])
+    return SharePolicy(ratio=np.where(degrade, 0.0, policy.ratio), contributed=ds.train[keep])
 
 
 def save_dataset(ds: InteractionDataset, out_dir: str) -> None:

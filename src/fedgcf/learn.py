@@ -102,6 +102,16 @@ class RowBlock:
     def __len__(self) -> int:
         return int(self.rows.shape[0])
 
+    def merge(self, new: "RowBlock") -> "RowBlock":
+        """The union of both blocks' rows, ``new``'s values where both hold a row."""
+        if not self:  # an empty block may not know the value width yet
+            return new
+        rows = np.union1d(self.rows, new.rows)
+        values = np.empty((rows.size,) + new.values.shape[1:])
+        values[np.searchsorted(rows, self.rows)] = self.values
+        values[np.searchsorted(rows, new.rows)] = new.values
+        return RowBlock(rows, values)
+
 
 def _nonzero_rows(table: np.ndarray) -> RowBlock:
     rows = np.nonzero(np.any(table != 0.0, axis=1))[0]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .client import DeviceState, DeviceUpload, client_local_train
-from .data import InteractionDataset, SharePolicy, assign_share_policy, attach_contributions
+from .data import InteractionDataset, SharePolicy, ShareTier, assign_share_policy, attach_contributions
 from .errors import DataFormatError
 from .evaluate import evaluate
 from .graph import default_alpha, ego_infer, xavier_init
@@ -180,7 +180,7 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
         upload, parts = client_local_train(
             dev,
             server.model.item,
-            ctx.policy.category[int(u)],
+            ShareTier(ctx.policy.tier[u]),
             received_maps.get(int(u)),
             hyper,
             round_idx,

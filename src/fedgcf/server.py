@@ -44,7 +44,7 @@ class AuditLog:
 
     def log_upload(self, round_idx: int, user: int, tier: ShareTier) -> None:
         self.events.append(
-            {"event": "upload", "round": round_idx, "user": user, "tier": tier.value}
+            {"event": "upload", "round": round_idx, "user": user, "tier": tier.name.lower()}
         )
 
     def log_exchange(self, round_idx: int, recipients: list[int], broadcast: list[int]) -> None:
@@ -61,29 +61,25 @@ class AuditLog:
 
     def violations(self, policy: SharePolicy) -> list[str]:
         """Tier violations present in the log (empty list means clean)."""
+        tier = policy.tier
         problems = []
         for e in self.events:
-            if e["event"] == "upload" and policy.category[e["user"]] is ShareTier.NONE:
+            if e["event"] == "upload" and tier[e["user"]] == ShareTier.NONE:
                 problems.append(f"round {e['round']}: NONE user {e['user']} uploaded a view")
             if e["event"] == "exchange":
-                recipients = e["recipients"]
-                for user in sorted(set(recipients) | set(e["broadcast"])):
-                    if policy.category[user] is ShareTier.NONE:
-                        problems.append(f"round {e['round']}: NONE user {user} view distributed")
-                for owner in e["broadcast"]:
-                    if policy.category[owner] is ShareTier.PART:
-                        problems.extend(
-                            f"round {e['round']}: PART user {owner} view sent to device {dev}"
-                            for dev in recipients
-                            if dev != owner
-                        )
+                recipients = np.asarray(e["recipients"], dtype=np.int64)
+                broadcast = np.asarray(e["broadcast"], dtype=np.int64)
+                seen = np.union1d(recipients, broadcast)
+                problems.extend(
+                    f"round {e['round']}: NONE user {user} view distributed"
+                    for user in seen[tier[seen] == ShareTier.NONE].tolist()
+                )
+                for owner in broadcast[tier[broadcast] == ShareTier.PART].tolist():
+                    problems.extend(
+                        f"round {e['round']}: PART user {owner} view sent to device {dev}"
+                        for dev in recipients[recipients != owner].tolist()
+                    )
         return problems
-
-
-@dataclass
-class UploadedView:
-    vec: np.ndarray
-    tier: ShareTier
 
 
 @dataclass
@@ -94,19 +90,27 @@ class ServerState:
     graph: BipartiteGraph
     shared_graph: BipartiteGraph
     moments: AdamMoments = field(default_factory=AdamMoments)
-    uploaded: dict[int, UploadedView] = field(default_factory=dict)
+    uploaded: RowBlock = field(default_factory=RowBlock)  # each uploader's latest user view
 
-    def absorb_uploads(self, uploads: list[DeviceUpload], policy: SharePolicy, round_idx: int, audit: AuditLog | None = None) -> None:
-        """Refresh stored device views from this round's uploads."""
-        for up in uploads:
-            if up.user_view is None:
-                continue
-            tier = policy.category[up.device_id]
-            if tier is ShareTier.NONE:
-                raise ValueError(f"NONE user {up.device_id} attempted a view upload")
-            self.uploaded[up.device_id] = UploadedView(up.user_view.copy(), tier)
-            if audit is not None:
-                audit.log_upload(round_idx, up.device_id, tier)
+    def absorb_uploads(
+        self, uploads: list[DeviceUpload], policy: SharePolicy, round_idx: int, audit: AuditLog | None = None
+    ) -> None:
+        """Merge this round's uploaded user views into ``uploaded``; a
+        device's latest view replaces any earlier one."""
+        views = [up for up in uploads if up.user_view is not None]
+        if not views:
+            return
+        ids = np.array([up.device_id for up in views], dtype=np.int64)
+        tiers = policy.tier[ids]
+        if (tiers == ShareTier.NONE).any():
+            raise ValueError(f"NONE user {ids[np.argmax(tiers == ShareTier.NONE)]} attempted a view upload")
+        if audit is not None:
+            for user, tier in zip(ids.tolist(), tiers.tolist()):
+                audit.log_upload(round_idx, user, ShareTier(tier))
+        # the last view of a device that uploads twice in one call wins
+        rows, last = np.unique(ids[::-1], return_index=True)
+        values = np.stack([views[k].user_view for k in (ids.size - 1 - last).tolist()])
+        self.uploaded = self.uploaded.merge(RowBlock(rows, values))
 
 
 def build_server_graph(policy: SharePolicy, n_users: int, n_items: int) -> BipartiteGraph:
@@ -121,7 +125,7 @@ def server_infer(graph: BipartiteGraph, model: EmbeddingState, layers: int):
 
 def embedding_exchange(
     policy: SharePolicy,
-    uploaded: dict[int, UploadedView],
+    uploaded: RowBlock,
     selected: np.ndarray,
     user_views: np.ndarray,
     item_views: np.ndarray,
@@ -139,18 +143,15 @@ def embedding_exchange(
     that has uploaded receives the same read-only block of ALL-tier views,
     and the audit gets one exchange record for the round.
     """
-    all_sharers = np.array(
-        sorted(u for u, view in uploaded.items() if view.tier is ShareTier.ALL), dtype=np.int64
-    )
+    all_sharers = uploaded.rows[policy.tier[uploaded.rows] == ShareTier.ALL]
     shared = RowBlock(all_sharers, user_views[all_sharers])
     shared.rows.flags.writeable = False
     shared.values.flags.writeable = False
+    selected = np.unique(np.asarray(selected, dtype=np.int64))
+    selected = selected[policy.tier[selected] != ShareTier.NONE]
     received: dict[int, ReceivedViews] = {}
-    for dev_id in sorted(int(d) for d in selected):
-        tier = policy.category[dev_id]
-        if tier is ShareTier.NONE:
-            continue
-        if dev_id in uploaded and tier is ShareTier.ALL:
+    for dev_id, is_sharer in zip(selected.tolist(), np.isin(selected, all_sharers).tolist()):
+        if is_sharer:
             users = shared
         else:
             owners = np.union1d(all_sharers, [dev_id])
@@ -209,10 +210,10 @@ def server_train(
 
     cl_terms: list[CLTerm] = []
     if hyper.cl_weight > 0.0:
-        batch_uploaders = sorted(set(users.tolist()) & set(server.uploaded))
-        if batch_uploaders:
-            ids = np.asarray(batch_uploaders, dtype=np.int64)
-            fixed = np.stack([server.uploaded[int(u)].vec for u in ids])
+        uploaded = server.uploaded
+        ids = np.intersect1d(users, uploaded.rows)
+        if ids.size:
+            fixed = uploaded.values[np.searchsorted(uploaded.rows, ids)]
             cl_terms.append(
                 CLTerm(
                     kind="user",

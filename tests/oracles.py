@@ -164,6 +164,64 @@ def attach_sets(ratio: np.ndarray, category: list, train: set, n_users: int, see
     return ratios, tiers, tuple(contributed)
 
 
+# Share tiers as they were when each user's tier was a list entry kept beside
+# the ratio: a per-user clamp of the drawn ratio, then a per-user degrade of
+# the sharers with too few train pairs.
+
+
+def clamp_ratio(r: float) -> tuple[float, ShareTier]:
+    # Boundary rule: r <= 0.05 opts out entirely, r >= 0.95 contributes all.
+    if r <= 0.05:
+        return 0.0, ShareTier.NONE
+    if r >= 0.95:
+        return 1.0, ShareTier.ALL
+    return float(r), ShareTier.PART
+
+
+def share_policy_loop(n_users: int, mode: str, ratio, train: np.ndarray, seed: int):
+    """(ratios, tiers, contributed edge array) of ``assign_share_policy``
+    followed by ``attach_contributions`` on the sorted train edge array,
+    both under ``seed``."""
+    raw = child_rng(seed, "ratio").random(n_users) if mode == "uniform" else np.full(n_users, float(ratio))
+    ratios = np.zeros(n_users)
+    tiers: list[ShareTier] = []
+    for u in range(n_users):
+        ratios[u], tier = clamp_ratio(float(raw[u]))
+        tiers.append(tier)
+    counts = np.bincount(train[:, 0], minlength=n_users)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    keep = np.zeros(train.shape[0], dtype=bool)
+    for u in range(n_users):
+        n = int(counts[u])
+        take = min(math.ceil(ratios[u] * n), n - 1)
+        if (tiers[u] is ShareTier.ALL and n == 0) or (tiers[u] is ShareTier.PART and take <= 0):
+            tiers[u] = ShareTier.NONE
+            ratios[u] = 0.0
+        elif tiers[u] is ShareTier.ALL:
+            keep[ptr[u] : ptr[u + 1]] = True
+        elif tiers[u] is ShareTier.PART:
+            keep[ptr[u] + child_rng(seed, "subset", u).choice(n, size=take, replace=False)] = True
+    return ratios, tiers, train[keep]
+
+
+def share_bins_loop(ratio) -> list[dict]:
+    """``cli._share_bins`` one user at a time."""
+    bins = [{"bin": "0 (none)", "users": 0}]
+    edges = [round(0.1 * j, 1) for j in range(10)]
+    for lo in edges:
+        label = f"({lo},{lo + 0.1:.1f})" if lo == 0.0 else f"[{lo},{lo + 0.1:.1f})"
+        bins.append({"bin": label, "users": 0})
+    bins.append({"bin": "1 (all)", "users": 0})
+    for r in ratio:
+        if r == 0.0:
+            bins[0]["users"] += 1
+        elif r == 1.0:
+            bins[-1]["users"] += 1
+        else:
+            bins[1 + min(int(r * 10), 9)]["users"] += 1
+    return bins
+
+
 def recall_oracle(ranked, relevant) -> float:
     hits = 0
     for item in ranked:
@@ -360,15 +418,15 @@ def violations_per_event(events: list, policy) -> list[str]:
     """Tier violations found event by event over the expanded log."""
     problems = []
     for e in events:
-        if e["event"] == "upload" and policy.category[e["user"]] is ShareTier.NONE:
+        if e["event"] == "upload" and policy.tier[e["user"]] == ShareTier.NONE:
             problems.append(f"round {e['round']}: NONE user {e['user']} uploaded a view")
         if e["event"] != "exchange":
             continue
         for owner, recipient in exchange_pairs(e):
-            tier = policy.category[owner]
-            if tier is ShareTier.NONE:
+            tier = policy.tier[owner]
+            if tier == ShareTier.NONE:
                 problems.append(f"round {e['round']}: NONE user {owner} view distributed")
-            if tier is ShareTier.PART and owner != recipient:
+            if tier == ShareTier.PART and owner != recipient:
                 problems.append(f"round {e['round']}: PART user {owner} view sent to device {recipient}")
     return problems
 

@@ -4,16 +4,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgcf.cli import (
     CONFIG_KEYS,
+    _share_bins,
     emit_metrics,
     load_run_dataset,
     main,
     parse_config,
     parse_overrides,
 )
+from fedgcf.data import SharePolicy
 from fedgcf.errors import ConfigError
+
+from oracles import share_bins_loop
 
 FAST = [
     "--set", "synth_users=16",
@@ -443,3 +449,20 @@ def test_malformed_dataset_dir_exit_code(tmp_path, capsys, name, line, message):
     assert main(["train", *FAST, "--set", f"dataset_dir={ds_dir}", "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and re.search(message, err), err
+
+
+# ratios on every bin edge 0.1 j, as 0.1 * j and as j / 10, and one ulp below it
+BIN_RATIOS = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(1, 9).map(lambda j: 0.1 * j),
+    st.integers(1, 9).map(lambda j: j / 10),
+    st.integers(1, 10).map(lambda j: float(np.nextafter(0.1 * j, 0.0))),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BIN_RATIOS, max_size=30))
+def test_share_bins_match_per_user_loop(ratios):
+    policy = SharePolicy(ratio=np.array(ratios, dtype=np.float64))
+    assert _share_bins(policy) == share_bins_loop(policy.ratio)

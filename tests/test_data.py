@@ -20,7 +20,7 @@ from fedgcf.data import (
 )
 from fedgcf.errors import ConfigError, DataFormatError, EmptyDatasetError
 
-from oracles import attach_sets, kcore_fixpoint, pair_set, split_sets
+from oracles import attach_sets, kcore_fixpoint, pair_set, share_policy_loop, split_sets
 
 
 def test_load_interactions_densifies_first_appearance(tmp_path):
@@ -168,23 +168,23 @@ def test_synth_determinism_and_validation():
 
 def test_share_policy_clamps():
     pol = assign_share_policy(3, "fixed", seed=0, ratio=0.03)
-    assert all(c is ShareTier.NONE for c in pol.category)
+    assert all(c == ShareTier.NONE for c in pol.tier)
     assert np.all(pol.ratio == 0.0)
     pol = assign_share_policy(3, "fixed", seed=0, ratio=0.97)
-    assert all(c is ShareTier.ALL for c in pol.category)
+    assert all(c == ShareTier.ALL for c in pol.tier)
     assert np.all(pol.ratio == 1.0)
     pol = assign_share_policy(3, "fixed", seed=0, ratio=0.5)
-    assert all(c is ShareTier.PART for c in pol.category)
+    assert all(c == ShareTier.PART for c in pol.tier)
     # inclusive boundaries
-    assert assign_share_policy(1, "fixed", seed=0, ratio=0.05).category[0] is ShareTier.NONE
-    assert assign_share_policy(1, "fixed", seed=0, ratio=0.95).category[0] is ShareTier.ALL
+    assert assign_share_policy(1, "fixed", seed=0, ratio=0.05).tier[0] == ShareTier.NONE
+    assert assign_share_policy(1, "fixed", seed=0, ratio=0.95).tier[0] == ShareTier.ALL
 
 
 def test_share_policy_uniform_deterministic():
     a = assign_share_policy(50, "uniform", seed=4)
     b = assign_share_policy(50, "uniform", seed=4)
     assert np.array_equal(a.ratio, b.ratio)
-    tiers = {c for c in a.category}
+    tiers = {c for c in a.tier}
     assert ShareTier.PART in tiers  # 50 uniform draws essentially always hit (0.05,0.95)
 
 
@@ -194,16 +194,16 @@ def test_shared_subset_sizes():
     pairs = {(0, i) for i in range(7)}
     ds = InteractionDataset(1, 7, set(pairs))
 
-    def shared(ratio, tier):
-        pol = SharePolicy(ratio=np.array([ratio]), category=[tier])
+    def shared(ratio):
+        pol = SharePolicy(ratio=np.array([ratio]))
         return pair_set(attach_contributions(pol, ds, seed=1).contributed)
 
-    assert len(shared(0.5, ShareTier.PART)) == math.ceil(0.5 * 7)
-    assert len(shared(0.01, ShareTier.PART)) == 1
-    assert len(shared(0.94, ShareTier.PART)) == 7 - 1
-    assert shared(0.5, ShareTier.PART) < pairs
-    assert shared(0.0, ShareTier.NONE) == set()
-    assert shared(1.0, ShareTier.ALL) == pairs
+    assert len(shared(0.5)) == math.ceil(0.5 * 7)
+    assert len(shared(0.01)) == 1
+    assert len(shared(0.94)) == 7 - 1
+    assert shared(0.5) < pairs
+    assert shared(0.0) == set()
+    assert shared(1.0) == pairs
 
 
 def test_attach_contributions_invariants():
@@ -223,7 +223,7 @@ def test_attach_contributions_part_user_singleton_degrades():
     ds = InteractionDataset(1, 1, {(0, 0)})
     pol = assign_share_policy(1, "fixed", seed=0, ratio=0.5)
     pol = attach_contributions(pol, ds, seed=0)
-    assert pol.category[0] is ShareTier.NONE
+    assert pol.tier[0] == ShareTier.NONE
     assert pol.contributed.shape == (0, 2)
 
 
@@ -252,33 +252,30 @@ def test_dataset_validate_rejects(kwargs, error, message):
         ds.validate()
 
 
-def _contributed(n_items, ratio, tier):
+def _contributed(n_items, ratio):
     """Contributions of one user who holds items 0..n_items-1."""
     ds = InteractionDataset(1, n_items, {(0, i) for i in range(n_items)})
-    pol = SharePolicy(ratio=np.array([ratio]), category=[tier])
+    pol = SharePolicy(ratio=np.array([ratio]))
     return attach_contributions(pol, ds, seed=0).contributed
 
 
 @pytest.mark.parametrize(
-    "ratio, tier, shares, message",
+    "ratio, shares, message",
     [
-        ([0.5, 0.5], ShareTier.PART, None, "ratio/category length mismatch"),
-        ([1.5], ShareTier.PART, None, r"user 0: ratio 1.5 outside \[0,1\]"),
-        ([0.3], ShareTier.NONE, None, "user 0: NONE tier requires ratio 0"),
-        ([0.5], ShareTier.ALL, None, "user 0: ALL tier requires ratio 1"),
-        ([1.0], ShareTier.ALL, (4, 1.0, ShareTier.ALL), "user 0: contributed pairs outside own train set"),
-        ([0.0], ShareTier.NONE, (3, 0.5, ShareTier.PART), "user 0: NONE tier contributed data"),
-        ([1.0], ShareTier.ALL, (3, 0.5, ShareTier.PART), "user 0: ALL tier must contribute every train pair"),
-        ([0.5], ShareTier.PART, (3, 1.0, ShareTier.ALL), "user 0: PART tier must contribute a proper nonempty subset"),
+        ([1.5], None, r"user 0: ratio 1.5 outside \[0,1\]"),
+        ([1.0], (4, 1.0), "user 0: contributed pairs outside own train set"),
+        ([0.0], (3, 0.5), "user 0: NONE tier contributed data"),
+        ([1.0], (3, 0.5), "user 0: ALL tier must contribute every train pair"),
+        ([0.5], (3, 1.0), "user 0: PART tier must contribute a proper nonempty subset"),
     ],
-    ids=["length", "range", "none-ratio", "all-ratio", "outside", "none-shares", "all-partial", "part-whole"],
+    ids=["range", "outside", "none-shares", "all-partial", "part-whole"],
 )
-def test_share_policy_validate_rejects(ratio, tier, shares, message):
+def test_share_policy_validate_rejects(ratio, shares, message):
     # contributions drawn for a user of 3 (or 4) items, checked against the
-    # user's 3 train items under a tier they do not fit
+    # user's 3 train items under a tier (derived from the ratio) they do not fit
     ds = InteractionDataset(1, 3, {(0, 0), (0, 1), (0, 2)})
     contributed = None if shares is None else _contributed(*shares)
-    pol = SharePolicy(ratio=np.array(ratio), category=[tier], contributed=contributed)
+    pol = SharePolicy(ratio=np.array(ratio), contributed=contributed)
     with pytest.raises(ValueError, match=message):
         pol.validate(ds)
 
@@ -303,17 +300,40 @@ def test_split_matches_set_reference(ds, ratios, seed):
 @settings(max_examples=200, deadline=None)
 @given(_datasets(), st.data(), st.integers(0, 2**31))
 def test_attach_contributions_matches_set_reference(ds, data, seed):
-    # PART ratios run down to ones that take no pair, so PART users degrade
-    # to NONE both for a lone pair and for a ratio too small to round up
-    tiers = data.draw(st.lists(st.sampled_from(list(ShareTier)), min_size=ds.n_users, max_size=ds.n_users))
-    ratios_of = {
-        ShareTier.NONE: st.just(0.0),
-        ShareTier.PART: st.one_of(st.just(0.0), st.floats(0.06, 0.94)),
-        ShareTier.ALL: st.just(1.0),
-    }
-    ratio = np.array([data.draw(ratios_of[t]) for t in tiers])
-    pol = attach_contributions(SharePolicy(ratio=ratio, category=tiers), ds, seed)
+    # PART users with a lone pair (or none) degrade to NONE
+    ratio_of_user = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.06, 0.94))
+    ratio = np.array(data.draw(st.lists(ratio_of_user, min_size=ds.n_users, max_size=ds.n_users)))
+    given_policy = SharePolicy(ratio=ratio)
+    tiers = [ShareTier(t) for t in given_policy.tier]
+    pol = attach_contributions(given_policy, ds, seed)
     ratios, categories, contributed = attach_sets(ratio, tiers, pair_set(ds.train), ds.n_users, seed)
-    assert np.array_equal(pol.ratio, ratios) and pol.category == categories
+    assert np.array_equal(pol.ratio, ratios) and pol.tier.tolist() == categories
     assert pair_set(pol.contributed) == {p for pairs in contributed for p in pairs}
     pol.validate(ds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_datasets(), st.sampled_from([None, 0.05, 0.95, 0.0, 1.0, 0.04, 0.06, 0.5, 0.94, 0.96]), st.integers(0, 2**31))
+def test_share_policy_matches_per_user_reference(ds, fixed, seed):
+    # None draws uniform ratios; the fixed ones sit on and beside the clamp
+    # boundaries. Users with 0 or 1 train pairs degrade to NONE.
+    mode = "uniform" if fixed is None else "fixed"
+    pol = attach_contributions(assign_share_policy(ds.n_users, mode, seed, fixed), ds, seed)
+    ratios, tiers, contributed = share_policy_loop(ds.n_users, mode, fixed, ds.train, seed)
+    assert np.array_equal(pol.ratio, ratios)
+    assert pol.tier.dtype == np.int8 and pol.tier.tolist() == tiers
+    assert np.array_equal(pol.contributed, contributed)
+
+
+def test_tier_follows_ratio():
+    pol = SharePolicy(ratio=np.array([0.0, 0.01, 0.5, 0.99, 1.0]))
+    assert pol.tier.tolist() == [ShareTier.NONE, ShareTier.PART, ShareTier.PART, ShareTier.PART, ShareTier.ALL]
+    assert (pol.tier == ShareTier.PART).sum() == 3
+
+
+def test_dataset_and_policy_equality_is_identity():
+    # ndarray fields cannot compare as one bool: == is identity and never raises
+    a, b = InteractionDataset(2, 2, {(0, 0)}), InteractionDataset(2, 2, {(0, 0)})
+    assert a == a and a != b
+    p, q = SharePolicy(np.array([0.5, 1.0]), [(1, 0)]), SharePolicy(np.array([0.5, 1.0]), [(1, 0)])
+    assert p == p and p != q

@@ -80,9 +80,9 @@ def test_prepare_run_disable_gm_uses_contributed_graph():
 def test_prepare_run_fixed_share_policy():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper(), share_mode="fixed", share_ratio=1.0)
-    assert all(c is ShareTier.ALL for c in ctx.policy.category)
+    assert all(c == ShareTier.ALL for c in ctx.policy.tier)
     ctx0 = prepare_run(ds, toy_hyper(), share_mode="fixed", share_ratio=0.0)
-    assert all(c is ShareTier.NONE for c in ctx0.policy.category)
+    assert all(c == ShareTier.NONE for c in ctx0.policy.tier)
     # nothing contributed: no mending possible, graph empty
     assert ctx0.server.graph.edge_count == 0
 

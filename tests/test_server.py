@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from fedgcf.client import DeviceUpload, ReceivedViews
 from fedgcf.data import SharePolicy, ShareTier
 from fedgcf.graph import BipartiteGraph, EmbeddingState
-from fedgcf.learn import GradientBundle, HyperParams
+from fedgcf.learn import GradientBundle, HyperParams, RowBlock
 from fedgcf.server import (
     SERVER_ID,
     AuditLog,
     ServerState,
-    UploadedView,
     apply_ldp,
     build_server_graph,
     embedding_exchange,
@@ -25,14 +24,19 @@ from fedgcf.server import (
 from oracles import as_dict, bundle_of, violations_per_event
 
 TIERS = [ShareTier.NONE, ShareTier.PART, ShareTier.ALL, ShareTier.ALL]
+RATIO_OF = {ShareTier.NONE: 0.0, ShareTier.PART: 0.5, ShareTier.ALL: 1.0}
 
 
 def make_policy():
     return SharePolicy(
-        ratio=np.array([0.0, 0.5, 1.0, 1.0]),
-        category=list(TIERS),
+        ratio=np.array([RATIO_OF[t] for t in TIERS]),
         contributed=[(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)],
     )
+
+
+def stored_views(rows, rng):
+    """An ``uploaded`` block holding a random user view for each of ``rows``."""
+    return RowBlock(np.array(rows, dtype=np.int64), rng.normal(size=(len(rows), 4)))
 
 
 def make_server(dim=4, seed=0):
@@ -49,11 +53,7 @@ def make_server(dim=4, seed=0):
 def test_exchange_tier_rules():
     policy, server = make_server()
     rng = np.random.default_rng(1)
-    server.uploaded = {
-        1: UploadedView(rng.normal(size=4), ShareTier.PART),
-        2: UploadedView(rng.normal(size=4), ShareTier.ALL),
-        3: UploadedView(rng.normal(size=4), ShareTier.ALL),
-    }
+    server.uploaded = stored_views([1, 2, 3], rng)
     user_views = rng.normal(size=(4, 4))
     item_views = rng.normal(size=(3, 4))
     local_items = {u: np.array(items) for u, items in {0: [0], 1: [0], 2: [0, 1], 3: [1, 2]}.items()}
@@ -70,7 +70,7 @@ def test_exchange_tier_rules():
     for dev_id, views in received.items():
         for owner in as_dict(views.user_views):
             if owner != dev_id:
-                assert policy.category[owner] is ShareTier.ALL
+                assert policy.tier[owner] == ShareTier.ALL
     # item views cover exactly the local items
     assert set(as_dict(received[1].item_views)) == {0}
     assert set(as_dict(received[3].item_views)) == {1, 2}
@@ -82,7 +82,7 @@ def test_exchange_only_selected_devices():
     rng = np.random.default_rng(2)
     received = embedding_exchange(
         policy,
-        {},
+        RowBlock(),
         np.array([2]),
         rng.normal(size=(4, 4)),
         rng.normal(size=(3, 4)),
@@ -96,7 +96,7 @@ def test_exchange_only_selected_devices():
 def test_exchange_all_views_require_prior_upload():
     policy, server = make_server()
     rng = np.random.default_rng(3)
-    server.uploaded = {3: UploadedView(rng.normal(size=4), ShareTier.ALL)}
+    server.uploaded = stored_views([3], rng)
     received = embedding_exchange(
         policy, server.uploaded, np.array([1]), rng.normal(size=(4, 4)),
         rng.normal(size=(3, 4)), {1: ()}, 0,
@@ -108,7 +108,7 @@ def test_exchange_all_views_require_prior_upload():
 def test_exchange_audit_log(tmp_path):
     policy, server = make_server()
     rng = np.random.default_rng(4)
-    server.uploaded = {2: UploadedView(rng.normal(size=4), ShareTier.ALL)}
+    server.uploaded = stored_views([2], rng)
     audit = AuditLog()
     embedding_exchange(
         policy, server.uploaded, np.arange(4), rng.normal(size=(4, 4)),
@@ -126,10 +126,7 @@ def test_exchange_audit_log(tmp_path):
 def test_exchange_shares_one_read_only_block():
     policy, server = make_server()
     rng = np.random.default_rng(5)
-    server.uploaded = {
-        2: UploadedView(rng.normal(size=4), ShareTier.ALL),
-        3: UploadedView(rng.normal(size=4), ShareTier.ALL),
-    }
+    server.uploaded = stored_views([2, 3], rng)
     user_views = rng.normal(size=(4, 4))
     received = embedding_exchange(
         policy, server.uploaded, np.arange(4), user_views, rng.normal(size=(3, 4)), {}, 0
@@ -162,7 +159,7 @@ def exchange(recipients, broadcast, round_idx=0):
 
 
 def upload(user, round_idx):
-    return {"event": "upload", "round": round_idx, "user": user, "tier": TIERS[user].value}
+    return {"event": "upload", "round": round_idx, "user": user, "tier": TIERS[user].name.lower()}
 
 
 USER_IDS = st.integers(0, len(TIERS) - 1)
@@ -184,7 +181,7 @@ EVENTS = st.integers(0, 3).flatmap(
 @example(tiers=TIERS, events=[exchange([0, 1, 2], [])])  # an empty broadcast
 @example(tiers=TIERS, events=[exchange([1, 2, 3], [0, 1, 2, 3])])  # owners that are also recipients
 def test_audit_violations_match_per_event_reference(tiers, events):
-    policy = SharePolicy(ratio=np.zeros(len(tiers)), category=tiers)
+    policy = SharePolicy(ratio=np.array([RATIO_OF[t] for t in tiers]))
     audit = AuditLog(events=events)
     assert set(audit.violations(policy)) == set(violations_per_event(events, policy))
 
@@ -199,10 +196,9 @@ def test_absorb_uploads_stores_and_audits():
     server.absorb_uploads(
         [DeviceUpload(2, 2.0, GradientBundle(), user_view=view)], policy, 1, audit
     )
-    assert set(server.uploaded) == {2}
-    assert server.uploaded[2].tier is ShareTier.ALL
+    assert server.uploaded.rows.tolist() == [2]
     view[0] = 99.0  # absorbed copy must not alias
-    assert server.uploaded[2].vec[0] == 1.0
+    assert server.uploaded.values[0, 0] == 1.0
     assert audit.events == [{"event": "upload", "round": 1, "user": 2, "tier": "all"}]
 
 
@@ -217,7 +213,24 @@ def test_absorb_rejects_none_tier_view():
 def test_absorb_skips_viewless_uploads():
     policy, server = make_server()
     server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle())], policy, 0)
-    assert server.uploaded == {}
+    assert len(server.uploaded) == 0
+
+
+def test_absorb_uploads_keeps_latest_view_over_rounds():
+    policy, server = make_server()
+    rng = np.random.default_rng(12)
+    latest = {}  # the reference: device -> its last uploaded view
+    # device 3 uploads twice in the last round: its second view wins
+    for round_idx, devices in enumerate([[2, 3], [1], [3, 1, 3]]):
+        uploads = [DeviceUpload(d, 1.0, GradientBundle(), user_view=rng.normal(size=4)) for d in devices]
+        uploads.append(DeviceUpload(0, 1.0, GradientBundle()))  # the NONE device uploads no view
+        server.absorb_uploads(uploads, policy, round_idx)
+        latest.update((up.device_id, up.user_view) for up in uploads if up.user_view is not None)
+        assert server.uploaded.rows.tolist() == sorted(latest)
+        for row, values in zip(server.uploaded.rows.tolist(), server.uploaded.values):
+            assert np.array_equal(values, latest[row])
+    with pytest.raises(ValueError, match="NONE user 0"):
+        server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle(), user_view=np.ones(4))], policy, 3)
 
 
 # ---------------------------------------------------------------- graph
@@ -243,7 +256,7 @@ def test_server_infer_shapes():
 def test_server_train_produces_delta_upload():
     policy, server = make_server()
     rng = np.random.default_rng(5)
-    server.uploaded = {2: UploadedView(rng.normal(size=4), ShareTier.ALL)}
+    server.uploaded = stored_views([2], rng)
     hyper = HyperParams(dim=4, server_batch=4)
     before = server.model.copy()
     upload, parts = server_train(server, hyper, 0, 42)
@@ -259,7 +272,7 @@ def test_server_train_produces_delta_upload():
 
 
 def test_server_train_empty_graph_is_noop():
-    policy = SharePolicy(np.zeros(2), [ShareTier.NONE, ShareTier.NONE], ())
+    policy = SharePolicy(np.zeros(2), ())
     g = build_server_graph(policy, 2, 2)
     rng = np.random.default_rng(6)
     server = ServerState(
@@ -275,10 +288,7 @@ def test_server_train_cl_uses_uploaded_views():
     _, server_b = make_server()
     rng = np.random.default_rng(7)
     # two uploaders so the user-side contrastive softmax has a real negative
-    server_a.uploaded = {
-        2: UploadedView(rng.normal(size=4), ShareTier.ALL),
-        3: UploadedView(rng.normal(size=4), ShareTier.ALL),
-    }
+    server_a.uploaded = stored_views([2, 3], rng)
     hyper = HyperParams(dim=4, server_batch=5)
     up_a, parts_a = server_train(server_a, hyper, 0, 42)
     up_b, parts_b = server_train(server_b, hyper, 0, 42)  # no uploads stored
@@ -290,7 +300,7 @@ def test_server_train_cl_uses_uploaded_views():
 def test_server_train_disable_cl():
     _, server = make_server()
     rng = np.random.default_rng(8)
-    server.uploaded = {2: UploadedView(rng.normal(size=4), ShareTier.ALL)}
+    server.uploaded = stored_views([2], rng)
     # the ablation reaches the server as a zero cl_weight (prepare_run resolves it)
     _, parts = server_train(server, HyperParams(dim=4, cl_weight=0.0), 0, 42)
     assert parts.cl == 0.0
@@ -301,7 +311,7 @@ def test_server_train_deterministic():
     for _ in range(2):
         _, server = make_server()
         rng = np.random.default_rng(9)
-        server.uploaded = {3: UploadedView(rng.normal(size=4), ShareTier.ALL)}
+        server.uploaded = stored_views([3], rng)
         upload, parts = server_train(server, HyperParams(dim=4), 0, 42)
         results.append((upload, parts))
     (u1, p1), (u2, p2) = results
