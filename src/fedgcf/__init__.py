@@ -24,9 +24,9 @@ from .data import (
 )
 from .graph import (
     BipartiteGraph,
+    EgoGraph,
     EmbeddingState,
     default_alpha,
-    ego_infer,
     xavier_init,
 )
 from .learn import (

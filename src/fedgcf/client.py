@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ShareTier
-from .graph import BipartiteGraph, EmbeddingState, default_alpha, ego_infer
+# BipartiteGraph is unused here; perfbench/spans.py wraps client.BipartiteGraph to count graph builds
+from .graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha
 from .learn import (
     AdamMoments,
     CLTerm,
@@ -98,13 +99,11 @@ def _private_rows(work: RowBlock, item_table: np.ndarray, ids: np.ndarray) -> np
 
 def _build_cl_terms(
     dev: DeviceState,
-    received: ReceivedViews | None,
+    received: ReceivedViews,
     local_ids: np.ndarray,
     compact_ids: np.ndarray,
 ) -> list[CLTerm]:
     terms: list[CLTerm] = []
-    if received is None:
-        return terms
     users, items = received.user_views, received.item_views
     if users:
         if dev.user_id not in users.rows:
@@ -158,24 +157,20 @@ def client_local_train(
     p_start = dev.p_u.copy()
     me = np.array([dev.user_id], dtype=np.int64)
     work = RowBlock(values=np.zeros((0, item_table.shape[1])))
-    loss_acc = LossParts()
+    loss_sums = np.zeros(4)  # bpr, cl, reg and total, summed over the epochs
     alpha = default_alpha(1)
 
     for epoch in range(hyper.local_epochs):
-        if local.size:
-            rng = child_rng(train_seed, "neg", round_idx, dev.user_id, epoch)
-            negs = sample_negatives(local, local.size, n_items, rng)
-        else:
-            negs = np.zeros(0, dtype=np.int64)
+        rng = child_rng(train_seed, "neg", round_idx, dev.user_id, epoch)
+        negs = sample_negatives(local, local.size, n_items, rng)
         compact_ids = np.unique(np.concatenate([local, negs]))
         pos_c = np.searchsorted(compact_ids, local)
         neg_c = np.searchsorted(compact_ids, negs)
-        ego = BipartiteGraph(1, compact_ids.size, np.stack([np.zeros_like(pos_c), pos_c], axis=1))
         rows = _private_rows(work, item_table, compact_ids)
         state = EmbeddingState(dev.p_u[None, :].copy(), rows)
         cl_weight = hyper.cl_weight if received is not None and not received.is_empty() else 0.0
         spec = LossSpec(
-            graph=ego,
+            graph=EgoGraph(pos_c, compact_ids.size),
             alpha=alpha,
             bpr_users=np.zeros(local.size, dtype=np.int64),
             bpr_pos=pos_c,
@@ -185,13 +180,10 @@ def client_local_train(
             cl_weight=cl_weight,
             reg_lambda=hyper.reg_lambda,
             reg_user_rows=np.array([0], dtype=np.int64),
-            reg_item_rows=np.unique(np.concatenate([pos_c, neg_c])),
+            reg_item_rows=np.arange(compact_ids.size),
         )
         parts, bundle = compute_gradients(spec, state)
-        loss_acc.bpr += parts.bpr
-        loss_acc.cl += parts.cl
-        loss_acc.reg += parts.reg
-        loss_acc.total += parts.total
+        loss_sums += (parts.bpr, parts.cl, parts.reg, parts.total)
 
         if bundle.user:
             dev.moments.t_user += 1
@@ -203,23 +195,19 @@ def client_local_train(
             step = adam_update_rows(grads, dev.moments.item, dev.moments.t_item, hyper)
             work = work.merge(RowBlock(step.rows, rows[bundle.item.rows] + step.values))
 
-    epochs = float(hyper.local_epochs)
-    loss_acc.bpr /= epochs
-    loss_acc.cl /= epochs
-    loss_acc.reg /= epochs
-    loss_acc.total /= epochs
-
     delta = GradientBundle(item=RowBlock(work.rows, work.values - item_table[work.rows]))
     if not np.array_equal(dev.p_u, p_start):
         delta.user = RowBlock(me, (dev.p_u - p_start)[None, :])
 
     user_view = None
     if tier != ShareTier.NONE:
-        user_view, _ = ego_infer(dev.p_u, _private_rows(work, item_table, local), alpha)
+        ego = EgoGraph(np.arange(local.size), local.size)
+        user_view = ego.combine(dev.p_u[None, :], _private_rows(work, item_table, local), alpha)[0][0]
     upload = DeviceUpload(
         device_id=dev.user_id,
         weight=float(local.size * hyper.local_epochs),
         delta=delta,
         user_view=user_view,
     )
-    return upload, loss_acc
+    bpr, cl, reg, total = (loss_sums / hyper.local_epochs).tolist()
+    return upload, LossParts(bpr=bpr, cl=cl, reg=reg, total=total)

@@ -1,4 +1,5 @@
-"""Bipartite interaction graph and light graph convolution.
+"""Bipartite interaction graph, the device's ego graph, and light graph
+convolution.
 
 The graph is stored as two CSR-style adjacency lists (user side and item
 side) with sorted neighbor arrays. Propagation sums neighbor embeddings
@@ -85,6 +86,10 @@ class BipartiteGraph:
         users = np.repeat(np.arange(self.n_users), self.user_deg)
         return np.stack([users, self.user_adj], axis=1)
 
+    def combine(self, user0: np.ndarray, item0: np.ndarray, alpha: np.ndarray):
+        """``propagate_combine`` on this graph."""
+        return propagate_combine(self, user0, item0, alpha)
+
 
 def _segment_rows(values: np.ndarray, ptr: np.ndarray, n_out: int) -> np.ndarray:
     """Sum consecutive row groups of ``values`` delimited by CSR ``ptr``.
@@ -146,27 +151,32 @@ def propagate_combine(g: BipartiteGraph, user0: np.ndarray, item0: np.ndarray, a
     return acc_u, acc_i
 
 
-def ego_infer(p_u: np.ndarray, q_local: np.ndarray, alpha: np.ndarray):
-    """Device-side inference on the user's ego graph (one layer).
+class EgoGraph:
+    """The one-user star a device trains on: user 0 linked to the item rows
+    ``pos``, every other of the ``n_items`` rows isolated.
 
-    On the ego graph the user's degree is the local item count k and every
-    item's degree is 1, so e_u = a0 p_u + a1 sum_i q_i / sqrt(k) and
-    e_i = a0 q_i + a1 p_u / sqrt(k). With no local items the propagated
-    part vanishes and e_u = a0 p_u.
+    One normalized step maps user 0 to the sum of its k items over sqrt(k)
+    and each linked item to p_u / sqrt(k). ``combine`` is bitwise
+    ``propagate_combine`` on the same star as a ``BipartiteGraph``: the
+    same one-segment ``np.add.reduceat`` sums the items in ascending order.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape[0] != 2:
-        raise ValueError("ego inference is single-layer; alpha must have 2 entries")
-    q_local = np.asarray(q_local, dtype=np.float64)
-    if q_local.ndim != 2:
-        q_local = q_local.reshape(0, p_u.shape[0])
-    k = q_local.shape[0]
-    if k == 0:
-        return alpha[0] * p_u, np.zeros((0, p_u.shape[0]))
-    s = 1.0 / np.sqrt(k)
-    e_u = alpha[0] * p_u + alpha[1] * (q_local.sum(axis=0) * s)
-    e_items = alpha[0] * q_local + alpha[1] * (p_u[None, :] * s)
-    return e_u, e_items
+
+    __slots__ = ("pos", "n_items", "scale")
+
+    def __init__(self, pos, n_items: int) -> None:
+        self.pos = np.unique(np.asarray(pos, dtype=np.int64))
+        self.n_items = int(n_items)
+        self.scale = 1.0 / np.sqrt(self.pos.size) if self.pos.size else 0.0
+
+    def combine(self, user0: np.ndarray, item0: np.ndarray, alpha: np.ndarray):
+        """One propagation step plus the layer combine on (1, d) user and
+        (n_items, d) item tables; self-adjoint like ``propagate_combine``."""
+        if len(alpha) != 2:
+            raise ValueError("the ego graph is single-layer; alpha must have 2 entries")
+        hop_u = np.add.reduceat(item0[self.pos], [0], axis=0) * self.scale if self.pos.size else np.zeros_like(user0)
+        hop_i = np.zeros_like(item0)
+        hop_i[self.pos] = user0[0] * self.scale
+        return alpha[0] * user0 + alpha[1] * hop_u, alpha[0] * item0 + alpha[1] * hop_i
 
 
 def xavier_init(n_users: int, n_items: int, dim: int, rng: np.random.Generator) -> EmbeddingState:

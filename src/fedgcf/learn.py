@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .graph import BipartiteGraph, EmbeddingState, propagate_combine
+from .graph import BipartiteGraph, EgoGraph, EmbeddingState
 
 _NORM_FLOOR = 1e-12
 
@@ -264,7 +264,7 @@ class LossSpec:
     once in the combined objective.
     """
 
-    graph: BipartiteGraph
+    graph: BipartiteGraph | EgoGraph
     alpha: np.ndarray
     bpr_users: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     bpr_pos: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -294,10 +294,6 @@ class LossParts:
     total: float = 0.0
 
 
-def _final_views(spec: LossSpec, state: EmbeddingState):
-    return propagate_combine(spec.graph, state.user, state.item, spec.alpha)
-
-
 def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts, GradientBundle]:
     """Evaluate the composite loss and its layer-0 gradient bundle.
 
@@ -306,7 +302,7 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
     views, which the self-adjoint propagation maps back to layer 0. The
     regularizer acts on layer-0 rows directly.
     """
-    final_u, final_i = _final_views(spec, state)
+    final_u, final_i = spec.graph.combine(state.user, state.item, spec.alpha)
     grad_u = np.zeros_like(final_u)
     grad_i = np.zeros_like(final_i)
     parts = LossParts()
@@ -360,7 +356,7 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
     # adjoint pass: the propagation operator is symmetric, so pushing the
     # final-view gradients through the same propagate+combine yields the
     # layer-0 gradients
-    grad_u0, grad_i0 = propagate_combine(spec.graph, grad_u, grad_i, spec.alpha)
+    grad_u0, grad_i0 = spec.graph.combine(grad_u, grad_i, spec.alpha)
     if spec.reg_lambda > 0.0:
         if reg_u.size:
             grad_u0[reg_u] += 2.0 * spec.reg_lambda * state.user[reg_u]

@@ -13,7 +13,7 @@ from .client import DeviceState, DeviceUpload, client_local_train
 from .data import InteractionDataset, SharePolicy, ShareTier, assign_share_policy, attach_contributions
 from .errors import DataFormatError
 from .evaluate import evaluate
-from .graph import default_alpha, ego_infer, xavier_init
+from .graph import EgoGraph, default_alpha, xavier_init
 from .learn import HyperParams, LossParts
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
@@ -238,7 +238,8 @@ def device_views(device_user: np.ndarray, item: np.ndarray, ds: InteractionDatas
     alpha = default_alpha(1)
     user_views = alpha[0] * device_user  # the ego view of a user with no items
     for u, items in ds.pairs_by_user(ds.train).items():
-        user_views[u], _ = ego_infer(device_user[u], item[items], alpha)
+        ego = EgoGraph(np.arange(items.size), items.size)
+        user_views[u] = ego.combine(device_user[u : u + 1], item[items], alpha)[0][0]
     return user_views, alpha[0] * item
 
 

@@ -310,6 +310,12 @@ def fd_gradient(loss_fn, state, h: float = 1e-5):
     return grads[0], grads[1]
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: stricter than ``np.array_equal``,
+    which takes -0.0 for 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0

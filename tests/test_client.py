@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fedgcf.client
 from fedgcf.client import (
     DeviceState,
     DeviceUpload,
@@ -9,10 +12,10 @@ from fedgcf.client import (
     sample_negatives,
 )
 from fedgcf.data import ShareTier
-from fedgcf.graph import default_alpha, ego_infer
-from fedgcf.learn import AdamMoments, HyperParams
+from fedgcf.graph import BipartiteGraph, EgoGraph, default_alpha
+from fedgcf.learn import AdamMoments, HyperParams, compute_gradients
 
-from oracles import as_dict, block_of
+from oracles import as_dict, block_of, same_bits
 
 
 def make_device(user_id=3, items=(0, 2, 5), dim=6, seed=0):
@@ -138,8 +141,9 @@ def test_sharer_gets_contrastive_loss_and_view():
     final_rows = np.stack(
         [table[i] + as_dict(upload.delta.item).get(i, 0.0) for i in dev.local_items]
     )
-    want, _ = ego_infer(dev.p_u, final_rows, default_alpha(1))
-    assert np.allclose(upload.user_view, want, atol=1e-12)
+    ego = EgoGraph(np.arange(len(final_rows)), len(final_rows))
+    want, _ = ego.combine(dev.p_u[None, :], final_rows, default_alpha(1))
+    assert np.allclose(upload.user_view, want[0], atol=1e-12)
 
 
 def test_sharer_without_received_views_trains_plain_bpr():
@@ -219,6 +223,34 @@ def test_device_without_items_still_regularizes():
     assert upload.weight == 0.0
     assert not upload.delta.item
     assert loss.bpr == 0.0 and loss.reg > 0.0
+
+
+@pytest.mark.parametrize("with_views", [True, False], ids=["views", "no-views"])
+@pytest.mark.parametrize("items", [(0, 2, 5), tuple(range(1, 40, 3)), ()], ids=["k3", "k13", "k0"])
+def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, items):
+    # every device step is also run on its ego graph built as a
+    # BipartiteGraph; losses and gradient bundles must agree bit for bit
+    table = make_table(n_items=48)
+    dev = make_device(items=items)
+    views = make_views(dev, table) if with_views else None
+    steps = []
+
+    def on_both_graphs(spec, state):
+        star = BipartiteGraph(1, spec.graph.n_items, [(0, p) for p in spec.graph.pos])
+        got = compute_gradients(spec, state)
+        steps.append((got, compute_gradients(replace(spec, graph=star), state)))
+        return got
+
+    monkeypatch.setattr(fedgcf.client, "compute_gradients", on_both_graphs)
+    hyper = HyperParams(dim=6, learning_rate=0.01, local_epochs=4)
+    for round_idx in range(2):
+        client_local_train(dev, table, ShareTier.ALL, views, hyper, round_idx, 42)
+    assert len(steps) == 8
+    assert any(parts.cl > 0.0 for (parts, _), _ in steps) == with_views
+    for (parts, bundle), (want_parts, want_bundle) in steps:
+        assert parts == want_parts
+        for block, want in ((bundle.user, want_bundle.user), (bundle.item, want_bundle.item)):
+            assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
 
 
 def test_moments_persist_across_rounds():

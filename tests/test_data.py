@@ -280,6 +280,14 @@ def test_share_policy_validate_rejects(ratio, shares, message):
         pol.validate(ds)
 
 
+@pytest.mark.parametrize("contributed", [None, [(0, 0)]], ids=["unattached", "attached"])
+def test_share_policy_validate_rejects_user_count_mismatch(contributed):
+    ds = InteractionDataset(2, 2, {(0, 0), (1, 0)})
+    pol = SharePolicy(np.array([1.0]), contributed=contributed)
+    with pytest.raises(ValueError, match="policy has 1 users, dataset has 2"):
+        pol.validate(ds)
+
+
 @st.composite
 def _datasets(draw):
     """Small datasets where users with 0 or 1 pairs are common."""

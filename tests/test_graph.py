@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgcf.graph import (
     BipartiteGraph,
+    EgoGraph,
     EmbeddingState,
     default_alpha,
-    ego_infer,
     propagate_combine,
     propagate_once,
     xavier_init,
 )
 
-from oracles import csr_reference, dense_combine, dense_propagate
+from oracles import csr_reference, dense_combine, dense_propagate, same_bits
 
 
 def random_graph(rng, n_u=5, n_i=6, p=0.4):
@@ -143,31 +145,54 @@ def test_propagation_bitwise_deterministic():
         assert np.array_equal(x.user, y.user) and np.array_equal(x.item, y.item)
 
 
-def test_ego_infer_closed_form_and_graph_agree():
-    rng = np.random.default_rng(9)
-    for k in (0, 1, 4):
-        d = 6
-        p_u = rng.normal(size=d)
-        q = rng.normal(size=(k, d))
-        alpha = default_alpha(1)
-        e_u, e_items = ego_infer(p_u, q, alpha)
-        if k == 0:
-            assert np.allclose(e_u, alpha[0] * p_u)
-            assert e_items.shape == (0, d)
-            continue
-        g = BipartiteGraph(1, k, [(0, i) for i in range(k)])
-        fu, fi = propagate_combine(g, p_u[None, :], q, alpha)
-        assert np.allclose(e_u, fu[0], atol=1e-12)
-        assert np.allclose(e_items, fi, atol=1e-12)
+def assert_star_matches_graph(pos, n: int, user0: np.ndarray, item0: np.ndarray):
+    """EgoGraph(pos, n).combine is bit for bit propagate_combine on the same
+    star built as a BipartiteGraph."""
+    alpha = default_alpha(1)
+    want = propagate_combine(BipartiteGraph(1, n, [(0, p) for p in pos]), user0, item0, alpha)
+    got = EgoGraph(pos, n).combine(user0, item0, alpha)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    return got
 
 
-def test_ego_infer_single_item_example():
-    # one local item: e_u = (p_u + q_i)/2 with uniform alpha
-    p_u = np.array([2.0, 0.0])
-    q = np.array([[0.0, 4.0]])
-    e_u, e_items = ego_infer(p_u, q, default_alpha(1))
-    assert np.allclose(e_u, [1.0, 2.0])
-    assert np.allclose(e_items, [[1.0, 2.0]])
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(0, 240),
+    extra=st.integers(0, 30),
+    d=st.sampled_from([1, 6, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, extra=0, d=1, seed=0)
+@example(k=23, extra=23, d=64, seed=1)
+@example(k=201, extra=5, d=6, seed=2)
+def test_ego_graph_combine_is_bitwise_the_bipartite_star(k, extra, d, seed):
+    # k >= 3 is where the one-segment reduceat and a sequential sum of the
+    # item rows round differently
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    linked = rng.choice(n, size=k, replace=False)
+    # unsorted, with repeats: both graphs keep one sorted edge per item
+    pos = rng.permutation(np.concatenate([linked, linked[: int(rng.integers(0, k + 1))]]))
+    # forward: dense layer-0 tables
+    assert_star_matches_graph(pos, n, rng.normal(size=(1, d)), rng.normal(size=(n, d)))
+    # adjoint: final-view gradients, nonzero only on the rows a loss touched
+    grad_i = np.zeros((n, d))
+    touched = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    grad_i[touched] = rng.normal(size=(touched.size, d))
+    assert_star_matches_graph(pos, n, rng.normal(size=(1, d)), grad_i)
+
+
+def test_ego_graph_single_item_example():
+    # one local item: e_u = (p_u + q_i)/2 with uniform alpha; the isolated
+    # item row keeps alpha_0 of itself
+    e_u, e_i = assert_star_matches_graph([0], 2, np.array([[2.0, 0.0]]), np.array([[0.0, 4.0], [2.0, 2.0]]))
+    assert np.allclose(e_u, [[1.0, 2.0]])
+    assert np.allclose(e_i, [[1.0, 2.0], [1.0, 1.0]])
+
+
+def test_ego_graph_is_single_layer():
+    with pytest.raises(ValueError, match="single-layer"):
+        EgoGraph([0], 1).combine(np.ones((1, 2)), np.ones((1, 2)), default_alpha(2))
 
 
 def test_xavier_init_bounds_and_determinism():

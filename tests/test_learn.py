@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedgcf.errors import NumericError
-from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha
+from fedgcf.graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha
 from fedgcf.learn import (
     AdamMoments,
     CLTerm,
@@ -349,6 +349,66 @@ def test_gradients_match_finite_differences(layers):
         fd_u, fd_i = fd_gradient(lambda s: compute_loss(spec, s).total, state)
         assert max_rel_err(dense_u, fd_u) < 1e-5
         assert max_rel_err(dense_i, fd_i) < 1e-5
+
+
+def make_device_spec(rng):
+    """A device step: user 0's ego graph over its k local items plus
+    isolated negatives, with BPR, a user and an item contrastive term, and
+    the regularizer, laid out as client_local_train lays them out."""
+    k = int(rng.integers(1, 7))
+    n = k + int(rng.integers(1, 4))
+    pos = np.sort(rng.choice(n, size=k, replace=False))
+    neg = rng.choice(np.setdiff1d(np.arange(n), pos), size=k)
+    d = 5
+    state = EmbeddingState(rng.normal(size=(1, d)), rng.normal(size=(n, d)))
+    item_ids = pos + 100  # the items' global ids
+    cl_terms = [
+        CLTerm(
+            kind="user",
+            trainable="query",
+            rows=np.array([0]),
+            ids=np.array([4]),
+            fixed_ids=np.array([1, 4, 9]),
+            fixed_views=rng.normal(size=(3, d)),
+        ),
+        CLTerm(
+            kind="item",
+            trainable="query",
+            rows=pos,
+            ids=item_ids,
+            fixed_ids=item_ids,
+            fixed_views=rng.normal(size=(k, d)),
+        ),
+    ]
+    spec = LossSpec(
+        graph=EgoGraph(pos, n),
+        alpha=default_alpha(1),
+        bpr_users=np.zeros(k, dtype=np.int64),
+        bpr_pos=pos,
+        bpr_neg=neg,
+        cl_terms=cl_terms,
+        tau=0.2,
+        cl_weight=0.3,
+        reg_lambda=0.05,
+        reg_user_rows=np.array([0]),
+        reg_item_rows=np.unique(np.concatenate([pos, neg])),
+    )
+    return spec, state
+
+
+def test_ego_graph_gradients_match_finite_differences():
+    rng = np.random.default_rng(11)
+    for _ in range(16):
+        spec, state = make_device_spec(rng)
+        parts, bundle = compute_gradients(spec, state)
+        assert parts.bpr > 0.0 and parts.cl > 0.0 and parts.reg > 0.0
+        dense_u = np.zeros_like(state.user)
+        dense_i = np.zeros_like(state.item)
+        dense_u[bundle.user.rows] = bundle.user.values
+        dense_i[bundle.item.rows] = bundle.item.values
+        fd_u, fd_i = fd_gradient(lambda s: compute_loss(spec, s).total, state)
+        assert max_rel_err(dense_u, fd_u) <= 1e-4
+        assert max_rel_err(dense_i, fd_i) <= 1e-4
 
 
 def test_gradient_zero_row_is_safe():
