@@ -2,8 +2,11 @@
 convolution.
 
 The graph is stored as two CSR-style adjacency lists (user side and item
-side) with sorted neighbor arrays. Propagation sums neighbor embeddings
-in stored neighbor order, so repeated runs are bitwise identical.
+side) with sorted neighbor arrays. Each side's nodes are also grouped into
+degree buckets: the nodes of degree k and a (k, n_k) matrix of their
+neighbor ids. Propagation gathers a bucket's neighbor rows once and adds
+them one at a time in stored neighbor order, so a node's sum does not
+depend on its bucket-mates and repeated runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ class BipartiteGraph:
         "item_deg",
         "user_inv_sqrt",
         "item_inv_sqrt",
+        "user_buckets",
+        "item_buckets",
     )
 
     def __init__(self, n_users: int, n_items: int, pairs) -> None:
@@ -68,6 +73,8 @@ class BipartiteGraph:
         with np.errstate(divide="ignore"):
             self.user_inv_sqrt = np.where(self.user_deg > 0, 1.0 / np.sqrt(self.user_deg), 0.0)
             self.item_inv_sqrt = np.where(self.item_deg > 0, 1.0 / np.sqrt(self.item_deg), 0.0)
+        self.user_buckets = _degree_buckets(self.user_deg, self.user_ptr, self.user_adj)
+        self.item_buckets = _degree_buckets(self.item_deg, self.item_ptr, self.item_adj)
 
     @property
     def edge_count(self) -> int:
@@ -91,34 +98,50 @@ class BipartiteGraph:
         return propagate_combine(self, user0, item0, alpha)
 
 
-def _segment_rows(values: np.ndarray, ptr: np.ndarray, n_out: int) -> np.ndarray:
-    """Sum consecutive row groups of ``values`` delimited by CSR ``ptr``.
+def _degree_buckets(deg: np.ndarray, ptr: np.ndarray, adj: np.ndarray):
+    """One (nodes, nbr) pair per distinct nonzero degree k: the ascending
+    ids of the nodes of degree k and the (k, n_k) matrix whose column j
+    holds node j's neighbors in stored order."""
+    nodes = np.argsort(deg, kind="stable")
+    nodes = nodes[deg[nodes] > 0]
+    ks, starts = np.unique(deg[nodes], return_index=True)
+    return tuple(
+        (group, adj[ptr[group] + np.arange(k)[:, None]])
+        for k, group in zip(ks.tolist(), np.split(nodes, starts[1:]))
+    )
 
-    np.add.reduceat mishandles empty segments, so sums are taken only at
-    nonempty starts; the gaps between consecutive nonempty starts contain
-    exactly one segment's rows because empty segments contribute nothing.
+
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=0)`` with the rows added one at a time in order.
+
+    numpy adds along a strided axis 0 row by row, but sums a contiguous
+    one pairwise; axis 0 is contiguous only when each row is one number,
+    and there ``np.add.accumulate`` keeps the sequential order.
     """
-    out = np.zeros((n_out, values.shape[1]), dtype=np.float64)
-    if values.shape[0] == 0:
-        return out
-    counts = np.diff(ptr)
-    nonempty = counts > 0
-    starts = ptr[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
+    if rows[0].size == 1:
+        return np.add.accumulate(rows, axis=0)[-1]
+    return rows.sum(axis=0)
+
+
+def _gather_sum(src: np.ndarray, buckets, n_out: int) -> np.ndarray:
+    out = np.zeros((n_out, src.shape[1]), dtype=np.float64)
+    for nodes, nbr in buckets:
+        out[nodes] = _ordered_sum(src[nbr])
     return out
 
 
 def propagate_once(g: BipartiteGraph, user_emb: np.ndarray, item_emb: np.ndarray):
     """One symmetric-normalized propagation step.
 
-    new_user[u] = sum over i in N(u) of item_emb[i] / sqrt(|N(u)| |N(i)|),
-    and symmetrically for items; isolated nodes map to zero. Both outputs
-    read the pre-step inputs.
+    new_user[u] = sum over i in N(u) of item_emb[i] / sqrt(|N(i)|), added
+    in stored neighbor order, times 1 / sqrt(|N(u)|); symmetrically for
+    items; isolated nodes map to zero. Both outputs read the pre-step
+    inputs.
     """
-    vals = item_emb[g.user_adj] * g.item_inv_sqrt[g.user_adj, None]
-    new_user = _segment_rows(vals, g.user_ptr, g.n_users) * g.user_inv_sqrt[:, None]
-    vals = user_emb[g.item_adj] * g.user_inv_sqrt[g.item_adj, None]
-    new_item = _segment_rows(vals, g.item_ptr, g.n_items) * g.item_inv_sqrt[:, None]
+    new_user = _gather_sum(item_emb * g.item_inv_sqrt[:, None], g.user_buckets, g.n_users)
+    new_user *= g.user_inv_sqrt[:, None]
+    new_item = _gather_sum(user_emb * g.user_inv_sqrt[:, None], g.item_buckets, g.n_items)
+    new_item *= g.item_inv_sqrt[:, None]
     return new_user, new_item
 
 
@@ -158,7 +181,7 @@ class EgoGraph:
     One normalized step maps user 0 to the sum of its k items over sqrt(k)
     and each linked item to p_u / sqrt(k). ``combine`` is bitwise
     ``propagate_combine`` on the same star as a ``BipartiteGraph``: the
-    same one-segment ``np.add.reduceat`` sums the items in ascending order.
+    same ``_ordered_sum`` adds the items one at a time in ascending order.
     """
 
     __slots__ = ("pos", "n_items", "scale")
@@ -173,7 +196,7 @@ class EgoGraph:
         (n_items, d) item tables; self-adjoint like ``propagate_combine``."""
         if len(alpha) != 2:
             raise ValueError("the ego graph is single-layer; alpha must have 2 entries")
-        hop_u = np.add.reduceat(item0[self.pos], [0], axis=0) * self.scale if self.pos.size else np.zeros_like(user0)
+        hop_u = _ordered_sum(item0[self.pos])[None] * self.scale if self.pos.size else np.zeros_like(user0)
         hop_i = np.zeros_like(item0)
         hop_i[self.pos] = user0[0] * self.scale
         return alpha[0] * user0 + alpha[1] * hop_u, alpha[0] * item0 + alpha[1] * hop_i

@@ -50,6 +50,33 @@ def dense_combine(layer_list, alpha):
     return user, item
 
 
+def sequential_propagate(n_users: int, n_items: int, pairs, user_emb, item_emb):
+    """One symmetric-normalized propagation step by a per-node loop.
+
+    Each node starts from its first neighbor's row, pre-scaled by
+    1/sqrt(neighbor degree), adds the other pre-scaled rows one at a time in
+    ascending neighbor order, then scales the sum by 1/sqrt(own degree).
+    Isolated nodes stay zero. Returns (new_user, new_item)."""
+    by_user = [[] for _ in range(n_users)]
+    by_item = [[] for _ in range(n_items)]
+    for u, i in sorted(set((int(u), int(i)) for u, i in pairs)):
+        by_user[u].append(i)
+        by_item[i].append(u)
+
+    def side(nbrs, src, src_nbrs):
+        out = np.zeros((len(nbrs), src.shape[1]))
+        for v, vs in enumerate(nbrs):
+            rows = [src[w] * (1.0 / math.sqrt(len(src_nbrs[w]))) for w in vs]
+            if rows:
+                acc = rows[0]
+                for row in rows[1:]:
+                    acc = acc + row
+                out[v] = acc * (1.0 / math.sqrt(len(vs)))
+        return out
+
+    return side(by_user, item_emb, by_item), side(by_item, user_emb, by_user)
+
+
 def csr_reference(n_users: int, n_items: int, pairs) -> dict:
     """Adjacency arrays of a BipartiteGraph built from a sorted set of
     (user, item) tuples: neighbors sorted, degrees counted one edge at a

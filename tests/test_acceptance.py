@@ -301,7 +301,10 @@ def _plain_federated_bpr(ds, dim, lr, reg, clients, epochs, rounds, seed):
                     ni = np.zeros((compact.size, dim))
                     if local.size:
                         vals = item_block[pos_c] * inv_i[pos_c, None]
-                        nu[0] = np.add.reduceat(vals, np.array([0]), axis=0)[0]
+                        # the local item rows added one at a time, in order
+                        nu[0] = vals[0]
+                        for row in vals[1:]:
+                            nu[0] = nu[0] + row
                         ni[pos_c] = (user_block[0] * inv_u[0]) * inv_i[pos_c, None]
                     nu = nu * inv_u[:, None]
                     return nu, ni

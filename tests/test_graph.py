@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from fedgcf.graph import (
     xavier_init,
 )
 
-from oracles import csr_reference, dense_combine, dense_propagate, same_bits
+from oracles import csr_reference, dense_combine, dense_propagate, same_bits, sequential_propagate
 
 
 def random_graph(rng, n_u=5, n_i=6, p=0.4):
@@ -143,6 +145,69 @@ def test_propagation_bitwise_deterministic():
     for l in range(4):
         x, y = layer(g, e0, l), layer(g, e0, l)
         assert np.array_equal(x.user, y.user) and np.array_equal(x.item, y.item)
+
+
+graph_cases = dict(
+    n_u=st.integers(0, 12),
+    n_i=st.integers(0, 40),
+    p=st.floats(0.0, 1.0),
+    d=st.sampled_from([1, 2, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**graph_cases)
+@example(n_u=0, n_i=0, p=0.5, d=1, seed=0)  # the empty graph
+@example(n_u=6, n_i=9, p=0.0, d=2, seed=0)  # nodes but no edges
+@example(n_u=8, n_i=30, p=0.1, d=64, seed=3)  # isolated users and items
+@example(n_u=12, n_i=40, p=1.0, d=1, seed=4)  # one degree per side: (40, 12, 1) and (12, 40, 1) gathers
+@example(n_u=1, n_i=30, p=1.0, d=1, seed=5)  # a lone node of degree 30 at d = 1: a (30, 1, 1) gather
+@example(n_u=3, n_i=40, p=0.6, d=1, seed=6)  # lone users of degree >= 9 at d = 1
+def test_propagation_is_bitwise_the_sequential_loop(n_u, n_i, p, d, seed):
+    rng = np.random.default_rng(seed)
+    pairs, g = random_graph(rng, n_u, n_i, p)
+    user, item = rng.normal(size=(n_u, d)), rng.normal(size=(n_i, d))
+    got = propagate_once(g, user, item)
+    want = sequential_propagate(n_u, n_i, pairs, user, item)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**graph_cases)
+@example(n_u=12, n_i=40, p=1.0, d=1, seed=4)
+@example(n_u=3, n_i=40, p=0.6, d=1, seed=6)
+def test_propagation_is_batch_invariant(n_u, n_i, p, d, seed):
+    # a node's row is the row it gets in the subgraph of only its own edges,
+    # where it is alone in its degree bucket; the inputs are pre-scaled by
+    # the full graph's degrees, because the subgraph's other side has degree 1
+    rng = np.random.default_rng(seed)
+    _, g = random_graph(rng, n_u, n_i, p)
+    user, item = rng.normal(size=(n_u, d)), rng.normal(size=(n_i, d))
+    new_user, new_item = propagate_once(g, user, item)
+    pre_user, pre_item = user * g.user_inv_sqrt[:, None], item * g.item_inv_sqrt[:, None]
+    for u in range(n_u):
+        own = BipartiteGraph(n_u, n_i, [(u, i) for i in g.user_neighbors(u)])
+        assert same_bits(propagate_once(own, user, pre_item)[0][u], new_user[u])
+    for i in range(n_i):
+        own = BipartiteGraph(n_u, n_i, [(u, i) for u in g.item_adj[g.item_ptr[i] : g.item_ptr[i + 1]]])
+        assert same_bits(propagate_once(own, pre_user, item)[1][i], new_item[i])
+
+
+def test_propagation_transient_memory_is_below_half_an_edge_table():
+    # memory bounded as users grow: no per-edge (E, d) table is materialized
+    rng = np.random.default_rng(0)
+    n, d = 5000, 64
+    g = BipartiteGraph(n, n, rng.integers(0, n, size=(100_000, 2)))
+    user, item = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    propagate_once(g, user, item)  # warm-up
+    tracemalloc.start()
+    try:
+        propagate_once(g, user, item)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.edge_count * d * 8 / 2
 
 
 def assert_star_matches_graph(pos, n: int, user0: np.ndarray, item0: np.ndarray):
