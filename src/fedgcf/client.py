@@ -5,6 +5,12 @@ Adam moments. Each participation round it trains on its ego graph (itself
 plus its local items), optionally aligns its views with received global
 views through the contrastive term, and uploads parameter deltas plus its
 combined local user view.
+
+A round's devices train side by side: each chunk of them is one
+``EgoGraph`` forest, and each local epoch is one ``compute_gradients``
+call and one Adam step over all their rows. A device still draws its own
+negatives, takes its softmax over its own keys and steps its own moments,
+and its results are bitwise those it would get training alone.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .data import ShareTier
 # BipartiteGraph is unused here; perfbench/spans.py wraps client.BipartiteGraph to count graph builds
-from .graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha
+from .graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha, forest_chunks
 from .learn import (
     AdamMoments,
     CLTerm,
@@ -86,128 +92,250 @@ def sample_negatives(
     return rng.choice(complement, size=k, replace=k > complement.size)
 
 
-def _private_rows(work: RowBlock, item_table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rows ``ids`` as the device sees them: its private copy where it has
-    one, the broadcast table otherwise."""
-    rows = item_table[ids]
+def _private_rows(work: RowBlock, item_table: np.ndarray, keys: np.ndarray, n_items: int) -> np.ndarray:
+    """Rows ``keys`` (star * n_items + item) as their devices see them: the
+    device's private copy where it has one, the broadcast table otherwise."""
+    rows = item_table[keys % n_items]
     if work:
-        at = np.minimum(np.searchsorted(work.rows, ids), len(work) - 1)
-        hit = work.rows[at] == ids
+        at = np.minimum(np.searchsorted(work.rows, keys), len(work) - 1)
+        hit = work.rows[at] == keys
         rows[hit] = work.values[at[hit]]
     return rows
 
 
-def _build_cl_terms(
-    dev: DeviceState,
-    received: ReceivedViews,
-    local_ids: np.ndarray,
-    compact_ids: np.ndarray,
-) -> list[CLTerm]:
-    terms: list[CLTerm] = []
-    users, items = received.user_views, received.item_views
-    if users:
-        if dev.user_id not in users.rows:
-            raise ValueError(f"device {dev.user_id} received views without its own positive")
+def _fetch_moments(blocks: list[RowBlock], keys: np.ndarray, n_items: int, d: int) -> RowBlock:
+    """The moments of the rows ``keys`` (star * n_items + item, ascending)
+    from star j's block ``blocks[j]``, zero where it has none."""
+    values = np.zeros((keys.size, 2, d))
+    star = keys // n_items
+    bounds = np.searchsorted(star, np.arange(len(blocks) + 1))
+    for j in np.unique(star).tolist():
+        block = blocks[j]
+        if block:
+            lo, hi = bounds[j], bounds[j + 1]
+            items = keys[lo:hi] - j * n_items
+            at = np.minimum(np.searchsorted(block.rows, items), len(block) - 1)
+            hit = block.rows[at] == items
+            values[lo:hi][hit] = block.values[at[hit]]
+    return RowBlock(keys, values)
+
+
+def _user_terms(devs: list[DeviceState], views: list[ReceivedViews | None]) -> list[CLTerm]:
+    """Each device's user-side contrastive term (its propagated user row
+    against the received user views), one stacked term per key count.
+    Devices that received the very same block share its rows."""
+    on = [j for j, v in enumerate(views) if v is not None and v.user_views]
+    for j in on:
+        if devs[j].user_id not in views[j].user_views.rows:
+            raise ValueError(f"device {devs[j].user_id} received views without its own positive")
+    sizes = np.array([len(views[j].user_views) for j in on], dtype=np.int64)
+    terms = []
+    for size in np.unique(sizes).tolist():
+        group = [j for j, n in zip(on, sizes.tolist()) if n == size]
+        blocks = [views[j].user_views for j in group]
+        if all(b is blocks[0] for b in blocks):
+            fixed_ids, fixed_views = blocks[0].rows, blocks[0].values
+        else:
+            fixed_ids = np.stack([b.rows for b in blocks])
+            fixed_views = np.stack([b.values for b in blocks])
         terms.append(
             CLTerm(
                 kind="user",
                 trainable="query",
-                rows=np.array([0], dtype=np.int64),
-                ids=np.array([dev.user_id], dtype=np.int64),
-                fixed_ids=users.rows,
-                fixed_views=users.values,
-            )
-        )
-    keep = np.isin(items.rows, local_ids)
-    if keep.any():
-        fixed_ids = items.rows[keep]
-        terms.append(
-            CLTerm(
-                kind="item",
-                trainable="query",
-                rows=np.searchsorted(compact_ids, fixed_ids),
-                ids=fixed_ids,
+                rows=np.array(group, dtype=np.int64)[:, None],
+                ids=np.array([devs[j].user_id for j in group], dtype=np.int64)[:, None],
                 fixed_ids=fixed_ids,
-                fixed_views=items.values[keep],
+                fixed_views=fixed_views,
             )
         )
     return terms
 
 
+def _item_groups(views: list[ReceivedViews | None], local_keys: np.ndarray, n_items: int):
+    """Each device's received views of its own local items, as (stars, ids,
+    views) groups of devices with the same count: (n_g,), (n_g, m) and
+    (n_g, m, d)."""
+    on = [j for j, v in enumerate(views) if v is not None and v.item_views]
+    if not on:
+        return []
+    star = np.repeat(on, [len(views[j].item_views) for j in on])
+    ids = np.concatenate([views[j].item_views.rows for j in on])
+    values = np.concatenate([views[j].item_views.values for j in on])
+    keep = np.isin(star * n_items + ids, local_keys)
+    star, ids, values = star[keep], ids[keep], values[keep]
+    counts = np.bincount(star, minlength=len(views))
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for m in np.unique(counts[counts > 0]).tolist():
+        stars = np.flatnonzero(counts == m)
+        at = starts[stars, None] + np.arange(m)
+        groups.append((stars, ids[at], values[at]))
+    return groups
+
+
+class _Chunk:
+    """One forest of devices and their running state over the local epochs.
+
+    Device j is star j. Its item rows are keyed j * n_items + item in the
+    private copies and the moments, so each device only ever meets its own.
+    """
+
+    def __init__(
+        self, devs: list[DeviceState], item_table: np.ndarray, views: list[ReceivedViews | None], hyper: HyperParams
+    ) -> None:
+        self.devs, self.item_table, self.hyper = devs, item_table, hyper
+        n_items, d = item_table.shape
+        n = len(devs)
+        self.local = [dev.local_items for dev in devs]
+        self.star = np.repeat(np.arange(n), [items.size for items in self.local])
+        self.local_keys = self.star * n_items + np.concatenate(self.local).astype(np.int64)
+        if hyper.cl_weight > 0.0:
+            views = [v if v is not None and not v.is_empty() else None for v in views]
+            self.user_terms = _user_terms(devs, views)
+            self.item_groups = _item_groups(views, self.local_keys, n_items)
+        else:
+            self.user_terms, self.item_groups = [], []
+        self.p = np.stack([dev.p_u for dev in devs])
+        self.p_start = self.p.copy()
+        # user row j's moments at j (zero if it has none yet), and the
+        # moments of the item rows the chunk has stepped so far, keyed
+        zero = np.zeros((2, d))
+        self.moments_user = RowBlock(
+            np.arange(n), np.stack([dev.moments.user.values[0] if dev.moments.user else zero for dev in devs])
+        )
+        self.moments_item = RowBlock()
+        self.t_user = np.array([dev.moments.t_user for dev in devs], dtype=np.int64)
+        self.t_item = np.array([dev.moments.t_item for dev in devs], dtype=np.int64)
+        self.work = RowBlock(values=np.zeros((0, d)))  # private item copies, keyed
+        self.loss_sums = np.zeros((4, n))  # bpr, cl, reg and total, summed over the epochs
+
+    def epoch(self, negs: list[np.ndarray]) -> None:
+        """One local epoch of every device, device j against negatives ``negs[j]``."""
+        n_items, d = self.item_table.shape
+        n, hyper = len(self.devs), self.hyper
+        neg_keys = np.repeat(np.arange(n), [x.size for x in negs]) * n_items + np.concatenate(negs).astype(np.int64)
+        keys = np.unique(np.concatenate([self.local_keys, neg_keys]))
+        pos = np.searchsorted(keys, self.local_keys)
+        rows = _private_rows(self.work, self.item_table, keys, n_items)
+        item_terms = [
+            CLTerm(
+                kind="item",
+                trainable="query",
+                rows=np.searchsorted(keys, stars[:, None] * n_items + ids),
+                ids=ids,
+                fixed_ids=ids,
+                fixed_views=fixed_views,
+            )
+            for stars, ids, fixed_views in self.item_groups
+        ]
+        graph = EgoGraph(np.searchsorted(keys, np.arange(n + 1) * n_items), pos)
+        spec = LossSpec(
+            graph=graph,
+            alpha=default_alpha(1),
+            bpr_users=self.star,
+            bpr_pos=pos,
+            bpr_neg=np.searchsorted(keys, neg_keys),
+            cl_terms=self.user_terms + item_terms,
+            tau=hyper.temperature,
+            cl_weight=hyper.cl_weight,
+            reg_lambda=hyper.reg_lambda,
+            reg_user_rows=np.arange(n),
+            reg_item_rows=np.arange(keys.size),
+        )
+        parts, bundle = compute_gradients(spec, EmbeddingState(self.p, rows))
+        self.loss_sums += (parts.bpr, parts.cl, parts.reg, parts.total)
+
+        if bundle.user:
+            r = bundle.user.rows
+            self.t_user[r] += 1
+            step = adam_update_rows(bundle.user, self.moments_user, self.t_user[r], hyper)
+            self.p[r] += step.values
+        if bundle.item:
+            r = bundle.item.rows
+            owner = graph.item_owner[r]
+            self.t_item[np.unique(owner)] += 1
+            grads = RowBlock(keys[r], bundle.item.values)
+            new = np.setdiff1d(grads.rows, self.moments_item.rows, assume_unique=True)
+            fetched = _fetch_moments([dev.moments.item for dev in self.devs], new, n_items, d)
+            self.moments_item = self.moments_item.merge(fetched)
+            step = adam_update_rows(grads, self.moments_item, self.t_item[owner], hyper)
+            self.work = self.work.merge(RowBlock(step.rows, rows[r] + step.values))
+
+    def finish(self, tiers: list[ShareTier]) -> tuple[list[DeviceUpload], list[LossParts]]:
+        """Write every device's row and moments back; its upload and mean losses."""
+        n_items = self.item_table.shape[0]
+        n, hyper, p, work = len(self.devs), self.hyper, self.p, self.work
+        sharers = [j for j, tier in enumerate(tiers) if tier != ShareTier.NONE]
+        user_views = {}
+        if sharers:
+            ego = EgoGraph(np.concatenate(([0], np.cumsum([self.local[j].size for j in sharers]))))
+            rows = _private_rows(work, self.item_table, self.local_keys[np.isin(self.star, sharers)], n_items)
+            user_views = dict(zip(sharers, ego.combine(p[sharers], rows, default_alpha(1))[0]))
+
+        delta_items = work.values - self.item_table[work.rows % n_items]
+        item_at = np.searchsorted(work.rows, np.arange(n + 1) * n_items)
+        moment_at = np.searchsorted(self.moments_item.rows, np.arange(n + 1) * n_items)
+        changed = np.any(p != self.p_start, axis=1)
+        mean_loss = (self.loss_sums / hyper.local_epochs).T.tolist()
+        uploads, losses = [], []
+        for j, dev in enumerate(self.devs):
+            me = np.array([dev.user_id], dtype=np.int64)
+            lo, hi = item_at[j], item_at[j + 1]
+            delta = GradientBundle(item=RowBlock(work.rows[lo:hi] - j * n_items, delta_items[lo:hi]))
+            if changed[j]:
+                delta.user = RowBlock(me, p[j : j + 1] - self.p_start[j : j + 1])
+            weight = float(self.local[j].size * hyper.local_epochs)
+            uploads.append(DeviceUpload(dev.user_id, weight, delta, user_views.get(j)))
+            bpr, cl, reg, total = mean_loss[j]
+            losses.append(LossParts(bpr=bpr, cl=cl, reg=reg, total=total))
+            dev.p_u[...] = p[j]
+            moments = dev.moments
+            moments.t_user, moments.t_item = int(self.t_user[j]), int(self.t_item[j])
+            if moments.t_user:
+                moments.user = RowBlock(me, self.moments_user.values[j : j + 1].copy())
+            lo, hi = moment_at[j], moment_at[j + 1]
+            if hi > lo:
+                rows = self.moments_item.rows[lo:hi] - j * n_items
+                moments.item = moments.item.merge(RowBlock(rows, self.moments_item.values[lo:hi].copy()))
+        return uploads, losses
+
+
 def client_local_train(
-    dev: DeviceState,
+    devices: list[DeviceState],
     item_table: np.ndarray,
-    tier: ShareTier,
-    received: ReceivedViews | None,
+    tiers: list[ShareTier],
+    received: list[ReceivedViews | None],
     hyper: HyperParams,
     round_idx: int,
     train_seed: int,
-) -> tuple[DeviceUpload, LossParts]:
-    """Run the device's local epochs and produce its upload.
+) -> tuple[list[DeviceUpload], list[LossParts]]:
+    """Run every device's local epochs and produce their uploads, in order.
 
-    The device never mutates the broadcast ``item_table``; it edits private
-    copies of the touched rows and uploads the deltas. NONE-tier devices
-    (and devices with no received views) train pure BPR; contributors add
-    the contrastive term and attach their local user view to the upload.
+    ``tiers[j]`` and ``received[j]`` belong to ``devices[j]``. The devices
+    never mutate the broadcast ``item_table``; each edits private copies
+    of its touched rows and uploads the deltas. NONE-tier devices (and
+    devices with no received views) train pure BPR; contributors add the
+    contrastive term and attach their local user view to the upload.
+    Devices train in consecutive chunks of about ``graph._ROW_BUDGET``
+    rows: local items, negatives and contrastive keys.
     """
+    tiers = [ShareTier(t) for t in tiers]
+    views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
+    rows = [
+        1 + 3 * dev.local_items.size + (len(v.user_views) if v is not None else 0)
+        for dev, v in zip(devices, views)
+    ]
     n_items = item_table.shape[0]
-    local = dev.local_items
-    if tier == ShareTier.NONE:
-        received = None
-    p_start = dev.p_u.copy()
-    me = np.array([dev.user_id], dtype=np.int64)
-    work = RowBlock(values=np.zeros((0, item_table.shape[1])))
-    loss_sums = np.zeros(4)  # bpr, cl, reg and total, summed over the epochs
-    alpha = default_alpha(1)
-
-    for epoch in range(hyper.local_epochs):
-        rng = child_rng(train_seed, "neg", round_idx, dev.user_id, epoch)
-        negs = sample_negatives(local, local.size, n_items, rng)
-        compact_ids = np.unique(np.concatenate([local, negs]))
-        pos_c = np.searchsorted(compact_ids, local)
-        neg_c = np.searchsorted(compact_ids, negs)
-        rows = _private_rows(work, item_table, compact_ids)
-        state = EmbeddingState(dev.p_u[None, :].copy(), rows)
-        cl_weight = hyper.cl_weight if received is not None and not received.is_empty() else 0.0
-        spec = LossSpec(
-            graph=EgoGraph(pos_c, compact_ids.size),
-            alpha=alpha,
-            bpr_users=np.zeros(local.size, dtype=np.int64),
-            bpr_pos=pos_c,
-            bpr_neg=neg_c,
-            cl_terms=_build_cl_terms(dev, received, local, compact_ids) if cl_weight > 0.0 else [],
-            tau=hyper.temperature,
-            cl_weight=cl_weight,
-            reg_lambda=hyper.reg_lambda,
-            reg_user_rows=np.array([0], dtype=np.int64),
-            reg_item_rows=np.arange(compact_ids.size),
-        )
-        parts, bundle = compute_gradients(spec, state)
-        loss_sums += (parts.bpr, parts.cl, parts.reg, parts.total)
-
-        if bundle.user:
-            dev.moments.t_user += 1
-            step = adam_update_rows(RowBlock(me, bundle.user.values), dev.moments.user, dev.moments.t_user, hyper)
-            dev.p_u += step.values[0]
-        if bundle.item:
-            grads = RowBlock(compact_ids[bundle.item.rows], bundle.item.values)
-            dev.moments.t_item += 1
-            step = adam_update_rows(grads, dev.moments.item, dev.moments.t_item, hyper)
-            work = work.merge(RowBlock(step.rows, rows[bundle.item.rows] + step.values))
-
-    delta = GradientBundle(item=RowBlock(work.rows, work.values - item_table[work.rows]))
-    if not np.array_equal(dev.p_u, p_start):
-        delta.user = RowBlock(me, (dev.p_u - p_start)[None, :])
-
-    user_view = None
-    if tier != ShareTier.NONE:
-        ego = EgoGraph(np.arange(local.size), local.size)
-        user_view = ego.combine(dev.p_u[None, :], _private_rows(work, item_table, local), alpha)[0][0]
-    upload = DeviceUpload(
-        device_id=dev.user_id,
-        weight=float(local.size * hyper.local_epochs),
-        delta=delta,
-        user_view=user_view,
-    )
-    bpr, cl, reg, total = (loss_sums / hyper.local_epochs).tolist()
-    return upload, LossParts(bpr=bpr, cl=cl, reg=reg, total=total)
+    uploads: list[DeviceUpload] = []
+    losses: list[LossParts] = []
+    for lo, hi in forest_chunks(rows):
+        chunk = _Chunk(devices[lo:hi], item_table, views[lo:hi], hyper)
+        for epoch in range(hyper.local_epochs):
+            chunk.epoch([
+                sample_negatives(items, items.size, n_items, child_rng(train_seed, "neg", round_idx, dev.user_id, epoch))
+                for dev, items in zip(chunk.devs, chunk.local)
+            ])
+        done = chunk.finish(tiers[lo:hi])
+        uploads += done[0]
+        losses += done[1]
+    return uploads, losses

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Rows one EgoGraph forest holds at once (see ``forest_chunks``): with
+# d = 64, 2**12 rows are 2 MB per table.
+_ROW_BUDGET = 2**12
+
 
 @dataclass
 class EmbeddingState:
@@ -41,8 +45,6 @@ class BipartiteGraph:
         "n_items",
         "user_ptr",
         "user_adj",
-        "item_ptr",
-        "item_adj",
         "user_deg",
         "item_deg",
         "user_inv_sqrt",
@@ -65,16 +67,16 @@ class BipartiteGraph:
         self.user_deg = np.bincount(arr[:, 0], minlength=n_users).astype(np.int64)
         self.item_deg = np.bincount(arr[:, 1], minlength=n_items).astype(np.int64)
         self.user_ptr = np.concatenate(([0], np.cumsum(self.user_deg)))
-        self.item_ptr = np.concatenate(([0], np.cumsum(self.item_deg)))
         # arr is sorted by (user, item) so this is the user-side CSR directly
         self.user_adj = arr[:, 1].copy()
-        order = np.lexsort((arr[:, 0], arr[:, 1]))
-        self.item_adj = arr[order, 0].copy()
         with np.errstate(divide="ignore"):
             self.user_inv_sqrt = np.where(self.user_deg > 0, 1.0 / np.sqrt(self.user_deg), 0.0)
             self.item_inv_sqrt = np.where(self.item_deg > 0, 1.0 / np.sqrt(self.item_deg), 0.0)
         self.user_buckets = _degree_buckets(self.user_deg, self.user_ptr, self.user_adj)
-        self.item_buckets = _degree_buckets(self.item_deg, self.item_ptr, self.item_adj)
+        # the item side needs no CSR of its own: its buckets read the users
+        # of each item straight from the (item, user) order
+        by_item = arr[np.lexsort((arr[:, 0], arr[:, 1])), 0]
+        self.item_buckets = _degree_buckets(self.item_deg, np.cumsum(self.item_deg) - self.item_deg, by_item)
 
     @property
     def edge_count(self) -> int:
@@ -98,16 +100,17 @@ class BipartiteGraph:
         return propagate_combine(self, user0, item0, alpha)
 
 
-def _degree_buckets(deg: np.ndarray, ptr: np.ndarray, adj: np.ndarray):
+def _degree_buckets(deg: np.ndarray, starts: np.ndarray, adj: np.ndarray):
     """One (nodes, nbr) pair per distinct nonzero degree k: the ascending
     ids of the nodes of degree k and the (k, n_k) matrix whose column j
-    holds node j's neighbors in stored order."""
+    holds node j's neighbors, ``adj[starts[j]:starts[j] + k]`` in stored
+    order."""
     nodes = np.argsort(deg, kind="stable")
     nodes = nodes[deg[nodes] > 0]
-    ks, starts = np.unique(deg[nodes], return_index=True)
+    ks, first = np.unique(deg[nodes], return_index=True)
     return tuple(
-        (group, adj[ptr[group] + np.arange(k)[:, None]])
-        for k, group in zip(ks.tolist(), np.split(nodes, starts[1:]))
+        (group, adj[starts[group] + np.arange(k)[:, None]])
+        for k, group in zip(ks.tolist(), np.split(nodes, first[1:]))
     )
 
 
@@ -175,31 +178,59 @@ def propagate_combine(g: BipartiteGraph, user0: np.ndarray, item0: np.ndarray, a
 
 
 class EgoGraph:
-    """The one-user star a device trains on: user 0 linked to the item rows
-    ``pos``, every other of the ``n_items`` rows isolated.
+    """A forest of one-user stars, one per device: user row j linked to the
+    item rows ``pos`` that lie in its own block of rows,
+    ``item_ptr[j]:item_ptr[j + 1]``; every other row of the block is
+    isolated. ``pos`` defaults to every row.
 
-    One normalized step maps user 0 to the sum of its k items over sqrt(k)
-    and each linked item to p_u / sqrt(k). ``combine`` is bitwise
-    ``propagate_combine`` on the same star as a ``BipartiteGraph``: the
-    same ``_ordered_sum`` adds the items one at a time in ascending order.
+    One normalized step maps user j to the sum of its k_j linked items over
+    sqrt(k_j) and each linked item to p_j / sqrt(k_j). ``combine`` groups
+    the stars by k and sums each group's items with one gather and
+    ``_ordered_sum``, in ascending row order, as ``propagate_once`` sums a
+    degree bucket. A star's rows therefore do not depend on the other
+    stars, and each is bitwise ``propagate_combine`` on that star alone as
+    a ``BipartiteGraph``.
     """
 
-    __slots__ = ("pos", "n_items", "scale")
+    __slots__ = ("n_users", "n_items", "item_owner", "pos", "buckets", "scale")
 
-    def __init__(self, pos, n_items: int) -> None:
-        self.pos = np.unique(np.asarray(pos, dtype=np.int64))
-        self.n_items = int(n_items)
-        self.scale = 1.0 / np.sqrt(self.pos.size) if self.pos.size else 0.0
+    def __init__(self, item_ptr, pos=None) -> None:
+        item_ptr = np.asarray(item_ptr, dtype=np.int64)
+        self.n_users = item_ptr.size - 1
+        self.n_items = int(item_ptr[-1])
+        self.item_owner = np.repeat(np.arange(self.n_users), np.diff(item_ptr))
+        self.pos = np.arange(self.n_items) if pos is None else np.unique(np.asarray(pos, dtype=np.int64))
+        deg = np.bincount(self.item_owner[self.pos], minlength=self.n_users)
+        self.buckets = _degree_buckets(deg, np.cumsum(deg) - deg, self.pos)
+        with np.errstate(divide="ignore"):
+            self.scale = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
 
     def combine(self, user0: np.ndarray, item0: np.ndarray, alpha: np.ndarray):
-        """One propagation step plus the layer combine on (1, d) user and
-        (n_items, d) item tables; self-adjoint like ``propagate_combine``."""
+        """One propagation step plus the layer combine on (n_users, d) user
+        and (n_items, d) item tables; self-adjoint like ``propagate_combine``."""
         if len(alpha) != 2:
             raise ValueError("the ego graph is single-layer; alpha must have 2 entries")
-        hop_u = _ordered_sum(item0[self.pos])[None] * self.scale if self.pos.size else np.zeros_like(user0)
+        hop_u = _gather_sum(item0, self.buckets, self.n_users)
+        hop_u *= self.scale[:, None]
+        owner = self.item_owner[self.pos]
         hop_i = np.zeros_like(item0)
-        hop_i[self.pos] = user0[0] * self.scale
+        hop_i[self.pos] = user0[owner] * self.scale[owner, None]
         return alpha[0] * user0 + alpha[1] * hop_u, alpha[0] * item0 + alpha[1] * hop_i
+
+
+def forest_chunks(rows: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive runs of stars holding about ``_ROW_BUDGET`` rows each.
+
+    ``rows[j]`` is what star j holds; a run ends once its rows reach the
+    budget, so a run exceeds it by less than its last star.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return []
+    starts = np.cumsum(rows) - rows
+    cuts = (np.flatnonzero(np.diff(starts // _ROW_BUDGET)) + 1).tolist()
+    bounds = [0, *cuts, rows.size]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def xavier_init(n_users: int, n_items: int, dim: int, rng: np.random.Generator) -> EmbeddingState:

@@ -90,6 +90,14 @@ class HyperParams:
         return problems
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d`` of two int row arrays by one sort, several times
+    faster on the short arrays of one device."""
+    rows = np.concatenate([a, b])
+    rows.sort()
+    return rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+
+
 @dataclass(eq=False)
 class RowBlock:
     """Sorted unique ``rows`` of one table and their ``values``: (n, d) for
@@ -106,7 +114,7 @@ class RowBlock:
         """The union of both blocks' rows, ``new``'s values where both hold a row."""
         if not self:  # an empty block may not know the value width yet
             return new
-        rows = np.union1d(self.rows, new.rows)
+        rows = _union(self.rows, new.rows)
         values = np.empty((rows.size,) + new.values.shape[1:])
         values[np.searchsorted(rows, self.rows)] = self.values
         values[np.searchsorted(rows, new.rows)] = new.values
@@ -140,16 +148,13 @@ class GradientBundle:
         return cls(_nonzero_rows(grad_user), _nonzero_rows(grad_item))
 
 
-def _row_norms(mat: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(mat, axis=1)
-
-
 def _safe_unit(mat: np.ndarray):
-    """Row-normalize; rows below the norm floor become zero (flagged)."""
-    norms = _row_norms(mat)
+    """Normalize along the last axis; rows below the norm floor become zero
+    (flagged)."""
+    norms = np.linalg.norm(mat, axis=-1)
     ok = norms >= _NORM_FLOOR
     inv = np.where(ok, 1.0 / np.where(ok, norms, 1.0), 0.0)
-    return mat * inv[:, None], norms, ok
+    return mat * inv[..., None], norms, ok
 
 
 def _cosine_rows(a: np.ndarray, b: np.ndarray):
@@ -171,11 +176,12 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray):
 
 
 def _bpr_terms(user_vecs: np.ndarray, pos_vecs: np.ndarray, neg_vecs: np.ndarray):
-    """Pairwise ranking loss sum(softplus(-(s_pos - s_neg))) and gradients."""
+    """Pairwise ranking losses softplus(-(s_pos - s_neg)), one per triplet,
+    and gradients."""
     s_pos, du_p, dp = _cosine_rows(user_vecs, pos_vecs)
     s_neg, du_n, dn = _cosine_rows(user_vecs, neg_vecs)
     x = s_pos - s_neg
-    loss = float(np.sum(np.logaddexp(0.0, -x)))
+    loss = np.logaddexp(0.0, -x)
     # d softplus(-x) / dx = sigmoid(x) - 1
     coef = (1.0 / (1.0 + np.exp(-x)) - 1.0)[:, None]
     g_user = coef * (du_p - du_n)
@@ -184,31 +190,47 @@ def _bpr_terms(user_vecs: np.ndarray, pos_vecs: np.ndarray, neg_vecs: np.ndarray
     return loss, g_user, g_pos, g_neg
 
 
-def _infonce_terms(queries: np.ndarray, keys: np.ndarray, pos_idx: np.ndarray, tau: float):
-    """Softmax contrastive loss over cosine logits, with both-side gradients.
+def _infonce_terms(queries: np.ndarray, keys: np.ndarray, pos_idx: np.ndarray, tau: float, trainable: str):
+    """Softmax contrastive loss over cosine logits, with the gradient of the
+    ``trainable`` side ("query" or "key") only.
 
     loss = sum_q [logsumexp_k cos(q, k)/tau - cos(q, k_pos(q))/tau].
     A single query whose positive is the only key gives exactly zero.
+    ``queries`` (..., n_q, d) and ``keys`` (..., n_k, d) may carry leading
+    batch axes that broadcast: each batch entry is its own softmax, its
+    products are stacked matmuls with the bits of that entry alone, and the
+    loss has one sum per entry.
     """
     q_hat, q_norm, q_ok = _safe_unit(queries)
     k_hat, k_norm, k_ok = _safe_unit(keys)
-    logits = (q_hat @ k_hat.T) / tau
-    row_max = logits.max(axis=1, keepdims=True)
+    logits = (q_hat @ np.swapaxes(k_hat, -1, -2)) / tau
+    row_max = logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits - row_max)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_denom = np.log(denom[:, 0]) + row_max[:, 0]
-    loss = float(np.sum(log_denom - logits[np.arange(len(pos_idx)), pos_idx]))
+    denom = exp.sum(axis=-1, keepdims=True)
+    log_denom = np.log(denom[..., 0]) + row_max[..., 0]
+    pos = pos_idx[..., None]
+    loss = np.sum(log_denom - np.take_along_axis(logits, pos, axis=-1)[..., 0], axis=-1)
     d_logits = exp / denom
-    d_logits[np.arange(len(pos_idx)), pos_idx] -= 1.0
+    np.put_along_axis(d_logits, pos, np.take_along_axis(d_logits, pos, axis=-1) - 1.0, axis=-1)
     d_cos = d_logits / tau
-    g_q_hat = d_cos @ k_hat
-    g_k_hat = d_cos.T @ q_hat
-    # project out the radial component: d cos / d q = (g - (g . q_hat) q_hat)/||q||
-    inv_q = np.where(q_ok, 1.0 / np.where(q_ok, q_norm, 1.0), 0.0)
-    inv_k = np.where(k_ok, 1.0 / np.where(k_ok, k_norm, 1.0), 0.0)
-    g_q = (g_q_hat - np.sum(g_q_hat * q_hat, axis=1, keepdims=True) * q_hat) * inv_q[:, None]
-    g_k = (g_k_hat - np.sum(g_k_hat * k_hat, axis=1, keepdims=True) * k_hat) * inv_k[:, None]
-    return loss, g_q, g_k
+    if trainable == "query":
+        g_hat, hat, norm, ok = d_cos @ k_hat, q_hat, q_norm, q_ok
+    else:
+        g_hat, hat, norm, ok = np.swapaxes(d_cos, -1, -2) @ q_hat, k_hat, k_norm, k_ok
+    # project out the radial component: d cos / d x = (g - (g . x_hat) x_hat)/||x||
+    inv = np.where(ok, 1.0 / np.where(ok, norm, 1.0), 0.0)
+    return loss, (g_hat - np.sum(g_hat * hat, axis=-1, keepdims=True) * hat) * inv[..., None]
+
+
+def _search_rows(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``np.searchsorted`` of ``queries`` in sorted ``keys``, row by row when
+    ``keys`` is 2-d (ids are >= 0)."""
+    if keys.ndim == 1:
+        return np.searchsorted(keys, queries)
+    # shift row b's ids past every id of the rows before it: one sorted run
+    span = max(int(keys.max(initial=0)), int(queries.max(initial=0))) + 1
+    shift = np.arange(len(keys))[:, None] * span
+    return np.searchsorted((keys + shift).ravel(), queries + shift) - np.arange(len(keys))[:, None] * keys.shape[1]
 
 
 @dataclass
@@ -222,6 +244,11 @@ class CLTerm:
     as the keys of the softmax; every query id needs a same-id key, its
     positive. Key ids must be sorted and unique; ``pos_idx`` holds each
     query's positive key index.
+
+    A stacked term holds one softmax per star of an ``EgoGraph`` forest:
+    ``rows`` and ``ids`` are (b, n), ``fixed_ids`` (b, m) and
+    ``fixed_views`` (b, m, d), or (m,) and (m, d) when all b share the
+    same constants.
     """
 
     kind: str
@@ -242,14 +269,17 @@ class CLTerm:
         self.fixed_ids = np.asarray(self.fixed_ids, dtype=np.int64)
         if self.rows.shape != self.ids.shape:
             raise ValueError("rows and ids must align")
-        if self.fixed_views.shape[0] != self.fixed_ids.shape[0]:
+        if self.fixed_views.shape[:-1] != self.fixed_ids.shape:
             raise ValueError("fixed_views and fixed_ids must align")
         queries, keys = (self.ids, self.fixed_ids) if self.trainable == "query" else (self.fixed_ids, self.ids)
-        self.pos_idx = np.searchsorted(keys, queries)
+        self.pos_idx = np.zeros(queries.shape, dtype=np.int64)
         if keys.size:
-            if np.any(keys[1:] <= keys[:-1]):
+            if np.any(np.diff(keys, axis=-1) <= 0):
                 raise ValueError("key ids must be sorted and unique")
-            missing = queries[keys[np.minimum(self.pos_idx, keys.size - 1)] != queries]
+            self.pos_idx = _search_rows(keys, queries)
+            at = np.minimum(self.pos_idx, keys.shape[-1] - 1)
+            found = keys[at] if keys.ndim == 1 else np.take_along_axis(keys, at, axis=-1)
+            missing = queries[found != queries]
             if missing.size:
                 raise ValueError(f"query ids {np.unique(missing).tolist()} lack a same-id positive key")
 
@@ -285,13 +315,43 @@ class LossSpec:
 
 @dataclass
 class LossParts:
-    """Loss components; ``total = bpr + cl_weight*cl + mend + reg_lambda*reg``."""
+    """Loss components; ``total = bpr + cl_weight*cl + mend + reg_lambda*reg``.
+
+    Floats, or arrays with one entry per star over an ``EgoGraph`` forest.
+    """
 
     bpr: float = 0.0
     cl: float = 0.0
     mend: float = 0.0
     reg: float = 0.0
     total: float = 0.0
+
+
+def _add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)``, bit for bit. Where no row
+    repeats, each gets one addition, and a fancy ``+=`` makes it without
+    ``add.at``'s per-element loop."""
+    flat = np.sort(rows, axis=None)
+    if np.all(flat[1:] != flat[:-1]):
+        target[rows] += values
+    else:
+        np.add.at(target, rows, values)
+
+
+def _star_sums(values: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
+    """Per star of a forest, ``np.sum`` of the rows of ``values`` it owns,
+    bit for bit: each star's rows form one run in their given order, and
+    the runs of one length are summed as the rows of one matrix, which
+    numpy adds exactly as it adds each run alone."""
+    order = np.argsort(owners, kind="stable")
+    flat = values[order].reshape(-1)
+    counts = np.bincount(owners, minlength=n) * (flat.size // max(len(values), 1))
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(n)
+    for c in np.unique(counts[counts > 0]).tolist():
+        stars = np.flatnonzero(counts == c)
+        out[stars] = flat[starts[stars, None] + np.arange(c)].sum(axis=1)
+    return out
 
 
 def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts, GradientBundle]:
@@ -301,11 +361,19 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
     layers; every loss term produces gradients with respect to the final
     views, which the self-adjoint propagation maps back to layer 0. The
     regularizer acts on layer-0 rows directly.
+
+    Over an ``EgoGraph`` forest the loss parts hold one entry per star,
+    each bitwise the loss of that star alone: a BPR triplet or a link
+    belongs to its user row's star and a regularized row to its own.
     """
+    forest = isinstance(spec.graph, EgoGraph)
     final_u, final_i = spec.graph.combine(state.user, state.item, spec.alpha)
     grad_u = np.zeros_like(final_u)
     grad_i = np.zeros_like(final_i)
-    parts = LossParts()
+    parts = LossParts(*(np.zeros(spec.graph.n_users) for _ in range(5))) if forest else LossParts()
+
+    def loss_sum(values, owners):
+        return _star_sums(values, owners, spec.graph.n_users) if forest else float(np.sum(values))
 
     users = np.asarray(spec.bpr_users, dtype=np.int64)
     if users.size:
@@ -314,24 +382,27 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
         if users.shape != pos.shape or users.shape != neg.shape:
             raise ValueError("bpr triplet arrays must align")
         loss, g_user, g_pos, g_neg = _bpr_terms(final_u[users], final_i[pos], final_i[neg])
-        parts.bpr = loss
-        np.add.at(grad_u, users, g_user)
-        np.add.at(grad_i, pos, g_pos)
-        np.add.at(grad_i, neg, g_neg)
+        parts.bpr = loss_sum(loss, users)
+        _add_rows(grad_u, users, g_user)
+        _add_rows(grad_i, pos, g_pos)
+        _add_rows(grad_i, neg, g_neg)
 
     if spec.cl_terms and spec.cl_weight > 0.0:
         for term in spec.cl_terms:
             if term.rows.size == 0 or term.fixed_ids.size == 0:
                 continue
-            table = final_u if term.kind == "user" else final_i
+            table, target = (final_u, grad_u) if term.kind == "user" else (final_i, grad_i)
             views = table[term.rows]
             if term.trainable == "query":
-                loss, g_train, _ = _infonce_terms(views, term.fixed_views, term.pos_idx, spec.tau)
+                loss, g_train = _infonce_terms(views, term.fixed_views, term.pos_idx, spec.tau, "query")
             else:
-                loss, _, g_train = _infonce_terms(term.fixed_views, views, term.pos_idx, spec.tau)
-            parts.cl += loss
-            target = grad_u if term.kind == "user" else grad_i
-            np.add.at(target, term.rows, spec.cl_weight * g_train)
+                loss, g_train = _infonce_terms(term.fixed_views, views, term.pos_idx, spec.tau, "key")
+            if forest:
+                first = np.atleast_2d(term.rows)[:, 0]
+                parts.cl[first if term.kind == "user" else spec.graph.item_owner[first]] += loss
+            else:
+                parts.cl += float(np.sum(loss))
+            _add_rows(target, term.rows, spec.cl_weight * g_train)
 
     for pairs, target_val in ((spec.link_positives, 1.0), (spec.link_negatives, 0.0)):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -339,17 +410,17 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
             continue
         cos, d_zu, d_zi = _cosine_rows(final_u[pairs[:, 0]], final_i[pairs[:, 1]])
         resid = cos - target_val
-        parts.mend += float(np.sum(np.abs(resid)))
+        parts.mend += loss_sum(np.abs(resid), pairs[:, 0])
         sign = np.sign(resid)[:, None]
-        np.add.at(grad_u, pairs[:, 0], sign * d_zu)
-        np.add.at(grad_i, pairs[:, 1], sign * d_zi)
+        _add_rows(grad_u, pairs[:, 0], sign * d_zu)
+        _add_rows(grad_i, pairs[:, 1], sign * d_zi)
 
     reg_u = np.unique(np.asarray(spec.reg_user_rows, dtype=np.int64))
     reg_i = np.unique(np.asarray(spec.reg_item_rows, dtype=np.int64))
     if reg_u.size:
-        parts.reg += float(np.sum(state.user[reg_u] ** 2))
+        parts.reg += loss_sum(state.user[reg_u] ** 2, reg_u)
     if reg_i.size:
-        parts.reg += float(np.sum(state.item[reg_i] ** 2))
+        parts.reg += loss_sum(state.item[reg_i] ** 2, spec.graph.item_owner[reg_i] if forest else None)
 
     parts.total = parts.bpr + spec.cl_weight * parts.cl + parts.mend + spec.reg_lambda * parts.reg
 
@@ -384,12 +455,21 @@ def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int, hyper: HyperPar
 
     Returns the deltas to add to those rows; ``moments`` grows by the rows
     it has not seen (at zero) and updates in place. ``t`` is the
-    already-incremented step count for this table.
+    already-incremented step count for this table: one count, or one per
+    row when the block holds the rows of several devices, each stepping
+    its own table.
     """
     b1, b2 = hyper.adam_beta1, hyper.adam_beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    rows = np.union1d(moments.rows, grads.rows)
+    if np.ndim(t):
+        # Python's float power for each distinct count: np.power rounds
+        # some powers differently
+        counts, at_t = np.unique(t, return_inverse=True)
+        bc1 = np.array([1.0 - b1**c for c in counts.tolist()])[at_t, None]
+        bc2 = np.array([1.0 - b2**c for c in counts.tolist()])[at_t, None]
+    else:
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+    rows = _union(moments.rows, grads.rows)
     if rows.size > len(moments):
         mv = np.zeros((rows.size, 2, grads.values.shape[1]))
         if len(moments):

@@ -9,12 +9,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .client import DeviceState, DeviceUpload, client_local_train
-from .data import InteractionDataset, SharePolicy, ShareTier, assign_share_policy, attach_contributions
+from .client import DeviceState, client_local_train
+from .data import InteractionDataset, SharePolicy, assign_share_policy, attach_contributions
 from .errors import DataFormatError
 from .evaluate import evaluate
-from .graph import EgoGraph, default_alpha, xavier_init
-from .learn import HyperParams, LossParts
+from .graph import EgoGraph, default_alpha, forest_chunks, xavier_init
+from .learn import HyperParams
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
 from .server import AuditLog, ServerState, apply_ldp, build_server_graph, embedding_exchange, fedavg_aggregate, server_infer, server_train
@@ -173,21 +173,15 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
             ctx.audit,
         )
 
-    uploads: list[DeviceUpload] = []
-    losses: list[LossParts] = []
-    for u in selected:
-        dev = ctx.devices[int(u)]
-        upload, parts = client_local_train(
-            dev,
-            server.model.item,
-            ShareTier(ctx.policy.tier[u]),
-            received_maps.get(int(u)),
-            hyper,
-            round_idx,
-            ctx.train_seed,
-        )
-        uploads.append(upload)
-        losses.append(parts)
+    uploads, losses = client_local_train(
+        [ctx.devices[u] for u in selected.tolist()],
+        server.model.item,
+        ctx.policy.tier[selected].tolist(),
+        [received_maps.get(u) for u in selected.tolist()],
+        hyper,
+        round_idx,
+        ctx.train_seed,
+    )
 
     server.absorb_uploads(uploads, ctx.policy, round_idx, ctx.audit)
     server_upload, server_parts = server_train(server, hyper, round_idx, ctx.train_seed)
@@ -234,12 +228,16 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
 def device_views(device_user: np.ndarray, item: np.ndarray, ds: InteractionDataset) -> tuple[np.ndarray, np.ndarray]:
     """Device-side evaluation views: each user's ego-combined view of their
     own train items from their device row ``device_user[u]``, against raw
-    (layer-0 scaled) item rows."""
+    (layer-0 scaled) item rows. The users with train items are combined as
+    ``EgoGraph`` forests of about ``graph._ROW_BUDGET`` item rows each."""
     alpha = default_alpha(1)
     user_views = alpha[0] * device_user  # the ego view of a user with no items
-    for u, items in ds.pairs_by_user(ds.train).items():
-        ego = EgoGraph(np.arange(items.size), items.size)
-        user_views[u] = ego.combine(device_user[u : u + 1], item[items], alpha)[0][0]
+    users, starts, counts = np.unique(ds.train[:, 0], return_index=True, return_counts=True)
+    item_ptr = np.append(starts, len(ds.train))
+    for lo, hi in forest_chunks(counts):
+        ego = EgoGraph(item_ptr[lo : hi + 1] - item_ptr[lo])
+        rows = item[ds.train[item_ptr[lo] : item_ptr[hi], 1]]
+        user_views[users[lo:hi]] = ego.combine(device_user[users[lo:hi]], rows, alpha)[0]
     return user_views, alpha[0] * item
 
 

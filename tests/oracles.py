@@ -12,10 +12,19 @@ import math
 
 import numpy as np
 
+from fedgcf.client import DeviceUpload, sample_negatives
 from fedgcf.data import ShareTier
 from fedgcf.errors import ConfigError
-from fedgcf.graph import default_alpha, propagate_combine
-from fedgcf.learn import GradientBundle, RowBlock, compute_gradients
+from fedgcf.graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha, propagate_combine
+from fedgcf.learn import (
+    CLTerm,
+    GradientBundle,
+    LossParts,
+    LossSpec,
+    RowBlock,
+    adam_update_rows,
+    compute_gradients,
+)
 from fedgcf.seeds import child_rng
 
 
@@ -532,3 +541,128 @@ def sample_negative_links_loop(g_full, count: int, rng):
         idx = rng.choice(len(candidates), size=need, replace=len(candidates) < need)
         out.extend(candidates[j] for j in np.atleast_1d(idx))
     return np.asarray(out, dtype=np.int64).reshape(-1, 2), need
+
+
+# ---------------------------------------------------------------- devices
+#
+# The package trains a round's devices side by side as one EgoGraph forest.
+# The references below train one device at a time, each on its own star
+# built as a BipartiteGraph, as the package did before the forest.
+
+
+def _private_rows_one(work: RowBlock, item_table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    rows = item_table[ids]
+    if work:
+        at = np.minimum(np.searchsorted(work.rows, ids), len(work) - 1)
+        hit = work.rows[at] == ids
+        rows[hit] = work.values[at[hit]]
+    return rows
+
+
+def _cl_terms_one(dev, received, local_ids: np.ndarray, compact_ids: np.ndarray) -> list:
+    terms = []
+    users, items = received.user_views, received.item_views
+    if users:
+        if dev.user_id not in users.rows:
+            raise ValueError(f"device {dev.user_id} received views without its own positive")
+        terms.append(
+            CLTerm(
+                kind="user",
+                trainable="query",
+                rows=np.array([0], dtype=np.int64),
+                ids=np.array([dev.user_id], dtype=np.int64),
+                fixed_ids=users.rows,
+                fixed_views=users.values,
+            )
+        )
+    keep = np.isin(items.rows, local_ids)
+    if keep.any():
+        fixed_ids = items.rows[keep]
+        terms.append(
+            CLTerm(
+                kind="item",
+                trainable="query",
+                rows=np.searchsorted(compact_ids, fixed_ids),
+                ids=fixed_ids,
+                fixed_ids=fixed_ids,
+                fixed_views=items.values[keep],
+            )
+        )
+    return terms
+
+
+def client_train_one(dev, item_table, tier, received, hyper, round_idx: int, train_seed: int):
+    """One device's local epochs alone: returns (DeviceUpload, LossParts)
+    and updates ``dev`` in place."""
+    n_items = item_table.shape[0]
+    local = dev.local_items
+    if tier == ShareTier.NONE:
+        received = None
+    p_start = dev.p_u.copy()
+    me = np.array([dev.user_id], dtype=np.int64)
+    work = RowBlock(values=np.zeros((0, item_table.shape[1])))
+    loss_sums = np.zeros(4)  # bpr, cl, reg and total, summed over the epochs
+    alpha = default_alpha(1)
+
+    for epoch in range(hyper.local_epochs):
+        rng = child_rng(train_seed, "neg", round_idx, dev.user_id, epoch)
+        negs = sample_negatives(local, local.size, n_items, rng)
+        compact_ids = np.unique(np.concatenate([local, negs]))
+        pos_c = np.searchsorted(compact_ids, local)
+        neg_c = np.searchsorted(compact_ids, negs)
+        rows = _private_rows_one(work, item_table, compact_ids)
+        state = EmbeddingState(dev.p_u[None, :].copy(), rows)
+        cl_weight = hyper.cl_weight if received is not None and not received.is_empty() else 0.0
+        spec = LossSpec(
+            graph=BipartiteGraph(1, compact_ids.size, [(0, p) for p in pos_c.tolist()]),
+            alpha=alpha,
+            bpr_users=np.zeros(local.size, dtype=np.int64),
+            bpr_pos=pos_c,
+            bpr_neg=neg_c,
+            cl_terms=_cl_terms_one(dev, received, local, compact_ids) if cl_weight > 0.0 else [],
+            tau=hyper.temperature,
+            cl_weight=cl_weight,
+            reg_lambda=hyper.reg_lambda,
+            reg_user_rows=np.array([0], dtype=np.int64),
+            reg_item_rows=np.arange(compact_ids.size),
+        )
+        parts, bundle = compute_gradients(spec, state)
+        loss_sums += (parts.bpr, parts.cl, parts.reg, parts.total)
+
+        if bundle.user:
+            dev.moments.t_user += 1
+            step = adam_update_rows(RowBlock(me, bundle.user.values), dev.moments.user, dev.moments.t_user, hyper)
+            dev.p_u += step.values[0]
+        if bundle.item:
+            grads = RowBlock(compact_ids[bundle.item.rows], bundle.item.values)
+            dev.moments.t_item += 1
+            step = adam_update_rows(grads, dev.moments.item, dev.moments.t_item, hyper)
+            work = work.merge(RowBlock(step.rows, rows[bundle.item.rows] + step.values))
+
+    delta = GradientBundle(item=RowBlock(work.rows, work.values - item_table[work.rows]))
+    if not np.array_equal(dev.p_u, p_start):
+        delta.user = RowBlock(me, (dev.p_u - p_start)[None, :])
+
+    user_view = None
+    if tier != ShareTier.NONE:
+        star = BipartiteGraph(1, local.size, [(0, i) for i in range(local.size)])
+        user_view = propagate_combine(star, dev.p_u[None, :], _private_rows_one(work, item_table, local), alpha)[0][0]
+    upload = DeviceUpload(
+        device_id=dev.user_id,
+        weight=float(local.size * hyper.local_epochs),
+        delta=delta,
+        user_view=user_view,
+    )
+    bpr, cl, reg, total = (loss_sums / hyper.local_epochs).tolist()
+    return upload, LossParts(bpr=bpr, cl=cl, reg=reg, total=total)
+
+
+def device_views_loop(device_user: np.ndarray, item: np.ndarray, ds):
+    """Each user's ego view of its own train items, one single-star
+    EgoGraph per user."""
+    alpha = default_alpha(1)
+    user_views = alpha[0] * device_user
+    for u, items in ds.pairs_by_user(ds.train).items():
+        ego = EgoGraph([0, items.size])
+        user_views[u] = ego.combine(device_user[u : u + 1], item[items], alpha)[0][0]
+    return user_views, alpha[0] * item

@@ -1,21 +1,24 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedgcf.client
+import fedgcf.graph
 from fedgcf.client import (
     DeviceState,
-    DeviceUpload,
     ReceivedViews,
     client_local_train,
     sample_negatives,
 )
 from fedgcf.data import ShareTier
 from fedgcf.graph import BipartiteGraph, EgoGraph, default_alpha
-from fedgcf.learn import AdamMoments, HyperParams, compute_gradients
+from fedgcf.learn import HyperParams, RowBlock, compute_gradients
 
-from oracles import as_dict, block_of, same_bits
+from oracles import as_dict, block_of, client_train_one, same_bits
 
 
 def make_device(user_id=3, items=(0, 2, 5), dim=6, seed=0):
@@ -37,6 +40,12 @@ def make_views(dev, item_table, extra_users=(7,), dim=6, seed=2):
 
 
 HYPER = HyperParams(dim=6, learning_rate=0.01, local_epochs=1)
+
+
+def train_one(dev, table, tier, views, hyper, round_idx, seed):
+    """``client_local_train`` on a selection of one device."""
+    (upload,), (loss,) = client_local_train([dev], table, [tier], [views], hyper, round_idx, seed)
+    return upload, loss
 
 
 # ---------------------------------------------------------------- negatives
@@ -79,14 +88,14 @@ def test_broadcast_table_never_mutated():
     dev = make_device()
     table = make_table()
     frozen = table.copy()
-    client_local_train(dev, table, ShareTier.ALL, make_views(dev, table), HYPER, 0, 42)
+    train_one(dev, table, ShareTier.ALL, make_views(dev, table), HYPER, 0, 42)
     assert np.array_equal(table, frozen)
 
 
 def test_upload_rows_limited_to_touched_ids():
     dev = make_device(items=(0, 2, 5))
     table = make_table()
-    upload, _ = client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
+    upload, _ = train_one(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
     assert set(as_dict(upload.delta.user)) <= {dev.user_id}
     # item deltas only for local items or sampled negatives (never others is
     # hard to pin without replaying rng; at minimum all locals are touched
@@ -99,18 +108,18 @@ def test_delta_reproduces_final_state():
     dev = make_device()
     p_start = dev.p_u.copy()
     table = make_table()
-    upload, _ = client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
+    upload, _ = train_one(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
     assert np.allclose(p_start + as_dict(upload.delta.user)[dev.user_id], dev.p_u, atol=1e-15)
 
 
 def test_weight_is_pairs_times_epochs():
     dev = make_device(items=(0, 2, 5))
     table = make_table()
-    up1, _ = client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
+    up1, _ = train_one(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
     assert up1.weight == 3.0
     dev2 = make_device(items=(0, 2, 5))
     hyper2 = HyperParams(dim=6, learning_rate=0.01, local_epochs=2)
-    up2, _ = client_local_train(dev2, table, ShareTier.NONE, None, hyper2, 0, 42)
+    up2, _ = train_one(dev2, table, ShareTier.NONE, None, hyper2, 0, 42)
     assert up2.weight == 6.0
 
 
@@ -119,8 +128,8 @@ def test_none_tier_ignores_received_views():
     dev_a = make_device()
     dev_b = make_device()
     views = make_views(dev_a, table)
-    up_a, loss_a = client_local_train(dev_a, table, ShareTier.NONE, views, HYPER, 0, 42)
-    up_b, loss_b = client_local_train(dev_b, table, ShareTier.NONE, None, HYPER, 0, 42)
+    up_a, loss_a = train_one(dev_a, table, ShareTier.NONE, views, HYPER, 0, 42)
+    up_b, loss_b = train_one(dev_b, table, ShareTier.NONE, None, HYPER, 0, 42)
     assert up_a.user_view is None
     assert loss_a.cl == 0.0
     assert np.array_equal(dev_a.p_u, dev_b.p_u)
@@ -134,14 +143,14 @@ def test_sharer_gets_contrastive_loss_and_view():
     table = make_table()
     dev = make_device()
     views = make_views(dev, table)
-    upload, loss = client_local_train(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
+    upload, loss = train_one(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
     assert loss.cl > 0.0
     assert upload.user_view is not None
     # the uploaded view is the ego-combined view of the *final* local rows
     final_rows = np.stack(
         [table[i] + as_dict(upload.delta.item).get(i, 0.0) for i in dev.local_items]
     )
-    ego = EgoGraph(np.arange(len(final_rows)), len(final_rows))
+    ego = EgoGraph([0, len(final_rows)])
     want, _ = ego.combine(dev.p_u[None, :], final_rows, default_alpha(1))
     assert np.allclose(upload.user_view, want[0], atol=1e-12)
 
@@ -149,7 +158,7 @@ def test_sharer_gets_contrastive_loss_and_view():
 def test_sharer_without_received_views_trains_plain_bpr():
     table = make_table()
     dev = make_device()
-    upload, loss = client_local_train(dev, table, ShareTier.PART, None, HYPER, 0, 42)
+    upload, loss = train_one(dev, table, ShareTier.PART, None, HYPER, 0, 42)
     assert loss.cl == 0.0
     assert upload.user_view is not None  # sharers always attach their view
 
@@ -157,7 +166,7 @@ def test_sharer_without_received_views_trains_plain_bpr():
 def test_empty_received_views_disable_contrastive():
     table = make_table()
     dev = make_device()
-    _, loss = client_local_train(dev, table, ShareTier.ALL, ReceivedViews(), HYPER, 0, 42)
+    _, loss = train_one(dev, table, ShareTier.ALL, ReceivedViews(), HYPER, 0, 42)
     assert loss.cl == 0.0
 
 
@@ -166,7 +175,7 @@ def test_missing_own_positive_rejected():
     dev = make_device(user_id=3)
     views = ReceivedViews(user_views=block_of({9: np.ones(6)}))
     with pytest.raises(ValueError):
-        client_local_train(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
+        train_one(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
 
 
 def test_contrastive_changes_training():
@@ -174,8 +183,8 @@ def test_contrastive_changes_training():
     dev_cl = make_device()
     dev_plain = make_device()
     views = make_views(dev_cl, table)
-    client_local_train(dev_cl, table, ShareTier.ALL, views, HYPER, 0, 42)
-    client_local_train(dev_plain, table, ShareTier.ALL, None, HYPER, 0, 42)
+    train_one(dev_cl, table, ShareTier.ALL, views, HYPER, 0, 42)
+    train_one(dev_plain, table, ShareTier.ALL, None, HYPER, 0, 42)
     assert not np.array_equal(dev_cl.p_u, dev_plain.p_u)
 
 
@@ -185,7 +194,7 @@ def test_training_deterministic():
     for _ in range(2):
         dev = make_device()
         views = make_views(dev, table)
-        up, _ = client_local_train(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
+        up, _ = train_one(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
         ups.append((up, dev.p_u.copy()))
     (u1, p1), (u2, p2) = ups
     assert np.array_equal(p1, p2)
@@ -200,8 +209,8 @@ def test_round_and_seed_vary_negatives():
     table = make_table()
     dev_a = make_device()
     dev_b = make_device()
-    client_local_train(dev_a, table, ShareTier.NONE, None, HYPER, 0, 42)
-    client_local_train(dev_b, table, ShareTier.NONE, None, HYPER, 1, 42)
+    train_one(dev_a, table, ShareTier.NONE, None, HYPER, 0, 42)
+    train_one(dev_b, table, ShareTier.NONE, None, HYPER, 1, 42)
     assert not np.array_equal(dev_a.p_u, dev_b.p_u)  # different negative draws
 
 
@@ -210,7 +219,7 @@ def test_multi_epoch_accumulates_on_private_copies():
     frozen = table.copy()
     dev = make_device()
     hyper = HyperParams(dim=6, learning_rate=0.01, local_epochs=3)
-    upload, loss = client_local_train(dev, table, ShareTier.NONE, None, hyper, 0, 42)
+    upload, loss = train_one(dev, table, ShareTier.NONE, None, hyper, 0, 42)
     assert np.array_equal(table, frozen)
     assert dev.moments.t_user == 3 and dev.moments.t_item == 3
     assert loss.total > 0.0
@@ -219,7 +228,7 @@ def test_multi_epoch_accumulates_on_private_copies():
 def test_device_without_items_still_regularizes():
     table = make_table()
     dev = make_device(items=())
-    upload, loss = client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
+    upload, loss = train_one(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
     assert upload.weight == 0.0
     assert not upload.delta.item
     assert loss.bpr == 0.0 and loss.reg > 0.0
@@ -228,36 +237,116 @@ def test_device_without_items_still_regularizes():
 @pytest.mark.parametrize("with_views", [True, False], ids=["views", "no-views"])
 @pytest.mark.parametrize("items", [(0, 2, 5), tuple(range(1, 40, 3)), ()], ids=["k3", "k13", "k0"])
 def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, items):
-    # every device step is also run on its ego graph built as a
-    # BipartiteGraph; losses and gradient bundles must agree bit for bit
+    # every batched step is also run on its forest of stars built as one
+    # BipartiteGraph; gradient bundles must agree bit for bit, and each
+    # star's losses must add up to the graph's
     table = make_table(n_items=48)
-    dev = make_device(items=items)
-    views = make_views(dev, table) if with_views else None
+    devs = [make_device(user_id=3, items=items), make_device(user_id=5, items=(1, 4), seed=1), make_device(user_id=8, items=(7,), seed=2)]
+    views = [make_views(dev, table) if with_views else None for dev in devs]
     steps = []
 
     def on_both_graphs(spec, state):
-        star = BipartiteGraph(1, spec.graph.n_items, [(0, p) for p in spec.graph.pos])
+        forest = spec.graph
+        owner = forest.item_owner[forest.pos]
+        graph = BipartiteGraph(forest.n_users, forest.n_items, np.stack([owner, forest.pos], axis=1))
         got = compute_gradients(spec, state)
-        steps.append((got, compute_gradients(replace(spec, graph=star), state)))
+        steps.append((got, compute_gradients(replace(spec, graph=graph), state)))
         return got
 
     monkeypatch.setattr(fedgcf.client, "compute_gradients", on_both_graphs)
     hyper = HyperParams(dim=6, learning_rate=0.01, local_epochs=4)
     for round_idx in range(2):
-        client_local_train(dev, table, ShareTier.ALL, views, hyper, round_idx, 42)
+        client_local_train(devs, table, [ShareTier.ALL] * 3, views, hyper, round_idx, 42)
     assert len(steps) == 8
-    assert any(parts.cl > 0.0 for (parts, _), _ in steps) == with_views
+    assert any(parts.cl[0] > 0.0 for (parts, _), _ in steps) == with_views
     for (parts, bundle), (want_parts, want_bundle) in steps:
-        assert parts == want_parts
+        for name in ("bpr", "cl", "reg", "total"):
+            assert getattr(parts, name).shape == (3,)
+            assert np.isclose(getattr(parts, name).sum(), getattr(want_parts, name), rtol=1e-12, atol=0.0)
         for block, want in ((bundle.user, want_bundle.user), (bundle.item, want_bundle.item)):
             assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
+
+
+def random_views(rng, dev, n_users, n_items, dim, shared):
+    """Received views as the exchange hands them out: the shared block when
+    the device's own row is in it, else a block of its own; item views of
+    its local items, sometimes only some of them."""
+    users = shared if dev.user_id in shared.rows else None
+    if users is None:
+        ids = np.union1d(shared.rows, [dev.user_id]) if rng.random() < 0.7 else np.array([dev.user_id])
+        users = RowBlock(ids, rng.normal(size=(ids.size, dim)))
+    items = dev.local_items
+    if items.size and rng.random() < 0.3:
+        items = np.sort(rng.choice(items, size=int(rng.integers(0, items.size + 1)), replace=False))
+    if rng.random() < 0.1:
+        users = RowBlock()
+    return ReceivedViews(users, RowBlock(items, rng.normal(size=(items.size, dim))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_devices=st.integers(1, 9),
+    n_items=st.integers(2, 30),
+    dim=st.sampled_from([1, 3, 8]),
+    local_epochs=st.integers(1, 3),
+    cl_weight=st.sampled_from([0.0, 0.3]),
+    budget=st.sampled_from([1, 8, 40, 2**12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_devices=4, n_items=5, dim=3, local_epochs=2, cl_weight=0.3, budget=8, seed=0)
+@example(n_devices=6, n_items=30, dim=8, local_epochs=3, cl_weight=0.3, budget=40, seed=1)
+def test_batch_is_bitwise_the_single_device_oracle(n_devices, n_items, dim, local_epochs, cl_weight, budget, seed):
+    # the whole selection trained at once, in chunks of ``budget`` rows,
+    # equals each device trained alone: uploads, losses, rows and moments
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(50, size=n_devices, replace=False))
+    # up to n_items - 1 items, so that k > n_items - k forces negatives
+    # drawn with replacement
+    devs = [
+        make_device(int(u), np.sort(rng.choice(n_items, size=int(rng.integers(0, n_items)), replace=False)), dim, seed + j)
+        for j, u in enumerate(ids.tolist())
+    ]
+    twins = [DeviceState(dev.user_id, dev.local_items.copy(), dev.p_u.copy()) for dev in devs]
+    table = rng.normal(size=(n_items, dim))
+    shared_ids = np.sort(rng.choice(ids, size=int(rng.integers(0, n_devices + 1)), replace=False))
+    shared = RowBlock(shared_ids, rng.normal(size=(shared_ids.size, dim)))
+    hyper = HyperParams(dim=dim, learning_rate=0.05, local_epochs=local_epochs, cl_weight=cl_weight)
+    for round_idx in range(2):  # the second round starts from nonempty moments
+        tiers = [ShareTier(int(t)) for t in rng.integers(0, 3, size=n_devices)]
+        views = [random_views(rng, dev, 50, n_items, dim, shared) if rng.random() < 0.8 else None for dev in devs]
+        with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", budget):
+            uploads, losses = client_local_train(devs, table, tiers, views, hyper, round_idx, seed)
+        for j, twin in enumerate(twins):
+            want_upload, want_loss = client_train_one(twin, table, tiers[j], views[j], hyper, round_idx, seed)
+            got = uploads[j]
+            assert got.device_id == want_upload.device_id and got.weight == want_upload.weight
+            assert losses[j] == want_loss
+            for block, want in ((got.delta.user, want_upload.delta.user), (got.delta.item, want_upload.delta.item)):
+                assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
+            assert (got.user_view is None) == (want_upload.user_view is None)
+            if got.user_view is not None:
+                assert same_bits(got.user_view, want_upload.user_view)
+            dev = devs[j]
+            assert same_bits(dev.p_u, twin.p_u)
+            assert (dev.moments.t_user, dev.moments.t_item) == (twin.moments.t_user, twin.moments.t_item)
+            for block, want in ((dev.moments.user, twin.moments.user), (dev.moments.item, twin.moments.item)):
+                assert same_bits(block.rows, want.rows)
+                assert same_bits(block.values.ravel(), want.values.ravel())
+
+
+def test_chunks_follow_the_row_budget():
+    rows = [3, 5, 1, 8, 2, 2]
+    with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", 8):
+        assert fedgcf.graph.forest_chunks(rows) == [(0, 2), (2, 4), (4, 6)]
+        assert fedgcf.graph.forest_chunks([]) == []
+        assert fedgcf.graph.forest_chunks([20]) == [(0, 1)]
 
 
 def test_moments_persist_across_rounds():
     table = make_table()
     dev = make_device()
-    client_local_train(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
+    train_one(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
     t_after_first = dev.moments.t_user
-    client_local_train(dev, table, ShareTier.NONE, None, HYPER, 1, 42)
+    train_one(dev, table, ShareTier.NONE, None, HYPER, 1, 42)
     assert dev.moments.t_user == t_after_first + 1
     assert dev.user_id in as_dict(dev.moments.user)

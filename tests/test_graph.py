@@ -23,6 +23,14 @@ def random_graph(rng, n_u=5, n_i=6, p=0.4):
     return pairs, BipartiteGraph(n_u, n_i, sorted(pairs))
 
 
+def item_csr(g):
+    """(item_ptr, item_adj) read back from the item-side degree buckets."""
+    by_item = {int(i): col for nodes, nbr in g.item_buckets for i, col in zip(nodes, nbr.T)}
+    adj = [by_item.get(i, np.zeros(0, dtype=np.int64)) for i in range(g.n_items)]
+    ptr = np.concatenate(([0], np.cumsum([a.size for a in adj], dtype=np.int64)))
+    return ptr, np.concatenate([np.zeros(0, dtype=np.int64), *adj])
+
+
 def layer(g, e0, l):
     """Layer ``l`` alone: propagate_combine with a one-hot weight on it."""
     return EmbeddingState(*propagate_combine(g, e0.user, e0.item, np.eye(l + 1)[l]))
@@ -35,7 +43,8 @@ def test_build_graph_basic():
     assert g.item_deg.tolist() == [1, 2, 0]
     assert g.has_edge(0, 1) and not g.has_edge(1, 0)
     assert g.user_neighbors(0).tolist() == [0, 1]
-    assert g.item_adj[g.item_ptr[1] : g.item_ptr[2]].tolist() == [0, 1]
+    item_ptr, item_adj = item_csr(g)
+    assert item_adj[item_ptr[1] : item_ptr[2]].tolist() == [0, 1]
     with pytest.raises(IndexError):
         BipartiteGraph(2, 3, [(0, 3)])
     with pytest.raises(IndexError):
@@ -51,8 +60,10 @@ def test_build_matches_sorted_set_reference():
         want = csr_reference(n_u, n_i, pairs)
         for given in (pairs, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)):
             g = BipartiteGraph(n_u, n_i, given)
+            item_ptr, item_adj = item_csr(g)
             for name, ref in want.items():
-                got = getattr(g, name)
+                got = {"item_ptr": item_ptr, "item_adj": item_adj}.get(name)
+                got = getattr(g, name) if got is None else got
                 assert got.dtype == np.int64, name
                 assert np.array_equal(got, np.asarray(ref, dtype=np.int64)), name
 
@@ -189,8 +200,9 @@ def test_propagation_is_batch_invariant(n_u, n_i, p, d, seed):
     for u in range(n_u):
         own = BipartiteGraph(n_u, n_i, [(u, i) for i in g.user_neighbors(u)])
         assert same_bits(propagate_once(own, user, pre_item)[0][u], new_user[u])
+    item_ptr, item_adj = item_csr(g)
     for i in range(n_i):
-        own = BipartiteGraph(n_u, n_i, [(u, i) for u in g.item_adj[g.item_ptr[i] : g.item_ptr[i + 1]]])
+        own = BipartiteGraph(n_u, n_i, [(u, i) for u in item_adj[item_ptr[i] : item_ptr[i + 1]]])
         assert same_bits(propagate_once(own, pre_user, item)[1][i], new_item[i])
 
 
@@ -211,11 +223,11 @@ def test_propagation_transient_memory_is_below_half_an_edge_table():
 
 
 def assert_star_matches_graph(pos, n: int, user0: np.ndarray, item0: np.ndarray):
-    """EgoGraph(pos, n).combine is bit for bit propagate_combine on the same
-    star built as a BipartiteGraph."""
+    """A one-star EgoGraph's combine is bit for bit propagate_combine on the
+    same star built as a BipartiteGraph."""
     alpha = default_alpha(1)
     want = propagate_combine(BipartiteGraph(1, n, [(0, p) for p in pos]), user0, item0, alpha)
-    got = EgoGraph(pos, n).combine(user0, item0, alpha)
+    got = EgoGraph([0, n], pos).combine(user0, item0, alpha)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     return got
 
@@ -257,7 +269,31 @@ def test_ego_graph_single_item_example():
 
 def test_ego_graph_is_single_layer():
     with pytest.raises(ValueError, match="single-layer"):
-        EgoGraph([0], 1).combine(np.ones((1, 2)), np.ones((1, 2)), default_alpha(2))
+        EgoGraph([0, 1]).combine(np.ones((1, 2)), np.ones((1, 2)), default_alpha(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4)), min_size=1, max_size=12),
+    d=st.sampled_from([1, 6, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[(3, 0)] * 5, d=1, seed=0)
+@example(sizes=[(0, 2), (7, 1), (7, 0), (1, 3)], d=6, seed=1)
+def test_ego_forest_is_bitwise_each_star_alone(sizes, d, seed):
+    # stars of equal item count share one gather, yet each star's rows are
+    # the rows its own one-star EgoGraph gives
+    rng = np.random.default_rng(seed)
+    blocks = [k + extra for k, extra in sizes]
+    item_ptr = np.concatenate(([0], np.cumsum(blocks)))
+    linked = [item_ptr[j] + np.sort(rng.choice(n, size=k, replace=False)) for j, ((k, _), n) in enumerate(zip(sizes, blocks))]
+    forest = EgoGraph(item_ptr, np.concatenate([np.zeros(0, dtype=np.int64), *linked]))
+    user0, item0 = rng.normal(size=(len(blocks), d)), rng.normal(size=(item_ptr[-1], d))
+    got_u, got_i = forest.combine(user0, item0, default_alpha(1))
+    for j, n in enumerate(blocks):
+        lo, hi = item_ptr[j], item_ptr[j + 1]
+        want_u, want_i = assert_star_matches_graph(linked[j] - lo, n, user0[j : j + 1], item0[lo:hi])
+        assert same_bits(got_u[j : j + 1], want_u) and same_bits(got_i[lo:hi], want_i)
 
 
 def test_xavier_init_bounds_and_determinism():

@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fedgcf.graph
 from fedgcf.data import InteractionDataset, ShareTier, split_dataset, synth_dataset
 from fedgcf.errors import DataFormatError
 from fedgcf.learn import HyperParams
 from fedgcf.loop import (
     RoundReport,
+    device_views,
     eval_views,
     prepare_run,
     run_round,
@@ -13,7 +19,7 @@ from fedgcf.loop import (
     select_clients,
 )
 
-from oracles import pair_set
+from oracles import device_views_loop, pair_set, same_bits
 
 
 def toy_dataset(seed=0):
@@ -268,3 +274,27 @@ def test_eval_views_device_uses_local_items():
     others = [u for u in ctx.devices if u != some_u]
     assert np.array_equal(u_dev[others], u_dev2[others])
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_users=st.integers(1, 30),
+    n_items=st.integers(1, 25),
+    density=st.sampled_from([0.05, 0.3, 0.9]),
+    d=st.sampled_from([1, 4, 16]),
+    budget=st.sampled_from([1, 7, 2**12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_users=12, n_items=10, density=0.9, d=1, budget=7, seed=0)
+def test_device_views_are_bitwise_the_per_user_loop(n_users, n_items, density, d, budget, seed):
+    # forests of users grouped in chunks of ``budget`` item rows give each
+    # user the view of its own one-star EgoGraph; users without train items
+    # keep alpha_0 of their row
+    rng = np.random.default_rng(seed)
+    pairs = np.argwhere(rng.random((n_users, n_items)) < density)
+    ds = InteractionDataset(n_users=n_users, n_items=n_items, train=pairs)
+    device_user, item = rng.normal(size=(n_users, d)), rng.normal(size=(n_items, d))
+    with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", budget):
+        got = device_views(device_user, item, ds)
+    want = device_views_loop(device_user, item, ds)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
