@@ -262,7 +262,8 @@ class _Chunk:
             self.work = self.work.merge(RowBlock(step.rows, rows[r] + step.values))
 
     def finish(self, tiers: list[ShareTier]) -> tuple[list[DeviceUpload], list[LossParts]]:
-        """Write every device's row and moments back; its upload and mean losses."""
+        """Write every device's row and moments back and return the devices'
+        uploads and mean losses."""
         n_items = self.item_table.shape[0]
         n, hyper, p, work = len(self.devs), self.hyper, self.p, self.work
         sharers = [j for j, tier in enumerate(tiers) if tier != ShareTier.NONE]
@@ -317,10 +318,12 @@ def client_local_train(
     devices with no received views) train pure BPR; contributors add the
     contrastive term and attach their local user view to the upload.
     Devices train in consecutive chunks of about ``graph._ROW_BUDGET``
-    rows: local items, negatives and contrastive keys.
+    rows.
     """
     tiers = [ShareTier(t) for t in tiers]
     views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
+    # a device's rows: its user row, k local and k negative item rows, k
+    # item keys and its user keys
     rows = [
         1 + 3 * dev.local_items.size + (len(v.user_views) if v is not None else 0)
         for dev, v in zip(devices, views)
@@ -335,7 +338,7 @@ def client_local_train(
                 sample_negatives(items, items.size, n_items, child_rng(train_seed, "neg", round_idx, dev.user_id, epoch))
                 for dev, items in zip(chunk.devs, chunk.local)
             ])
-        done = chunk.finish(tiers[lo:hi])
-        uploads += done[0]
-        losses += done[1]
+        chunk_uploads, chunk_losses = chunk.finish(tiers[lo:hi])
+        uploads += chunk_uploads
+        losses += chunk_losses
     return uploads, losses
