@@ -241,7 +241,11 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
     # BipartiteGraph; gradient bundles must agree bit for bit, and each
     # star's losses must add up to the graph's
     table = make_table(n_items=48)
-    devs = [make_device(user_id=3, items=items), make_device(user_id=5, items=(1, 4), seed=1), make_device(user_id=8, items=(7,), seed=2)]
+    devs = [
+        make_device(user_id=3, items=items),
+        make_device(user_id=5, items=(1, 4), seed=1),
+        make_device(user_id=8, items=(7,), seed=2),
+    ]
     views = [make_views(dev, table) if with_views else None for dev in devs]
     steps = []
 
@@ -267,7 +271,7 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
             assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
 
 
-def random_views(rng, dev, n_users, n_items, dim, shared):
+def random_views(rng, dev, dim, shared):
     """Received views as the exchange hands them out: the shared block when
     the device's own row is in it, else a block of its own; item views of
     its local items, sometimes only some of them."""
@@ -313,7 +317,7 @@ def test_batch_is_bitwise_the_single_device_oracle(n_devices, n_items, dim, loca
     hyper = HyperParams(dim=dim, learning_rate=0.05, local_epochs=local_epochs, cl_weight=cl_weight)
     for round_idx in range(2):  # the second round starts from nonempty moments
         tiers = [ShareTier(int(t)) for t in rng.integers(0, 3, size=n_devices)]
-        views = [random_views(rng, dev, 50, n_items, dim, shared) if rng.random() < 0.8 else None for dev in devs]
+        views = [random_views(rng, dev, dim, shared) if rng.random() < 0.8 else None for dev in devs]
         with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", budget):
             uploads, losses = client_local_train(devs, table, tiers, views, hyper, round_idx, seed)
         for j, twin in enumerate(twins):
@@ -332,14 +336,6 @@ def test_batch_is_bitwise_the_single_device_oracle(n_devices, n_items, dim, loca
             for block, want in ((dev.moments.user, twin.moments.user), (dev.moments.item, twin.moments.item)):
                 assert same_bits(block.rows, want.rows)
                 assert same_bits(block.values.ravel(), want.values.ravel())
-
-
-def test_chunks_follow_the_row_budget():
-    rows = [3, 5, 1, 8, 2, 2]
-    with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", 8):
-        assert fedgcf.graph.forest_chunks(rows) == [(0, 2), (2, 4), (4, 6)]
-        assert fedgcf.graph.forest_chunks([]) == []
-        assert fedgcf.graph.forest_chunks([20]) == [(0, 1)]
 
 
 def test_moments_persist_across_rounds():

@@ -1,15 +1,18 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedgcf.graph
 from fedgcf.graph import (
     BipartiteGraph,
     EgoGraph,
     EmbeddingState,
     default_alpha,
+    forest_chunks,
     propagate_combine,
     propagate_once,
     xavier_init,
@@ -294,6 +297,14 @@ def test_ego_forest_is_bitwise_each_star_alone(sizes, d, seed):
         lo, hi = item_ptr[j], item_ptr[j + 1]
         want_u, want_i = assert_star_matches_graph(linked[j] - lo, n, user0[j : j + 1], item0[lo:hi])
         assert same_bits(got_u[j : j + 1], want_u) and same_bits(got_i[lo:hi], want_i)
+
+
+def test_chunks_follow_the_row_budget():
+    rows = [3, 5, 1, 8, 2, 2]
+    with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", 8):
+        assert forest_chunks(rows) == [(0, 2), (2, 4), (4, 6)]
+        assert forest_chunks([]) == []
+        assert forest_chunks([20]) == [(0, 1)]
 
 
 def test_xavier_init_bounds_and_determinism():
