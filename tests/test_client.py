@@ -16,7 +16,7 @@ from fedgcf.client import (
 )
 from fedgcf.data import ShareTier
 from fedgcf.graph import BipartiteGraph, EgoGraph, default_alpha
-from fedgcf.learn import HyperParams, RowBlock, compute_gradients
+from fedgcf.learn import HyperParams, LossParts, RowBlock, compute_gradients
 
 from oracles import as_dict, block_of, client_train_one, same_bits
 
@@ -234,12 +234,37 @@ def test_device_without_items_still_regularizes():
     assert loss.bpr == 0.0 and loss.reg > 0.0
 
 
+def star_terms(spec, j):
+    """``spec`` with only star j's terms: its BPR triplets, its entries of
+    the stacked contrastive terms and its regularized rows."""
+    owner = spec.graph.item_owner
+    keep = spec.bpr_users == j
+    terms = []
+    for term in spec.cl_terms:
+        first = term.rows[:, 0] if term.kind == "user" else owner[term.rows[:, 0]]
+        b = np.flatnonzero(first == j)
+        if b.size:
+            shared = term.fixed_ids.ndim == 1
+            fixed_ids = term.fixed_ids if shared else term.fixed_ids[b]
+            fixed_views = term.fixed_views if shared else term.fixed_views[b]
+            terms.append(replace(term, rows=term.rows[b], ids=term.ids[b], fixed_ids=fixed_ids, fixed_views=fixed_views))
+    return replace(
+        spec,
+        bpr_users=spec.bpr_users[keep],
+        bpr_pos=spec.bpr_pos[keep],
+        bpr_neg=spec.bpr_neg[keep],
+        cl_terms=terms,
+        reg_user_rows=np.array([j]),
+        reg_item_rows=np.flatnonzero(owner == j),
+    )
+
+
 @pytest.mark.parametrize("with_views", [True, False], ids=["views", "no-views"])
 @pytest.mark.parametrize("items", [(0, 2, 5), tuple(range(1, 40, 3)), ()], ids=["k3", "k13", "k0"])
 def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, items):
     # every batched step is also run on its forest of stars built as one
-    # BipartiteGraph; gradient bundles must agree bit for bit, and each
-    # star's losses must add up to the graph's
+    # BipartiteGraph: gradient bundles must agree bit for bit, and each
+    # star's losses must equal the graph's losses of that star's terms alone
     table = make_table(n_items=48)
     devs = [
         make_device(user_id=3, items=items),
@@ -254,7 +279,8 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
         owner = forest.item_owner[forest.pos]
         graph = BipartiteGraph(forest.n_users, forest.n_items, np.stack([owner, forest.pos], axis=1))
         got = compute_gradients(spec, state)
-        steps.append((got, compute_gradients(replace(spec, graph=graph), state)))
+        stars = [compute_gradients(replace(star_terms(spec, j), graph=graph), state)[0] for j in range(forest.n_users)]
+        steps.append((got, compute_gradients(replace(spec, graph=graph), state)[1], stars))
         return got
 
     monkeypatch.setattr(fedgcf.client, "compute_gradients", on_both_graphs)
@@ -262,11 +288,10 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
     for round_idx in range(2):
         client_local_train(devs, table, [ShareTier.ALL] * 3, views, hyper, round_idx, 42)
     assert len(steps) == 8
-    assert any(parts.cl[0] > 0.0 for (parts, _), _ in steps) == with_views
-    for (parts, bundle), (want_parts, want_bundle) in steps:
-        for name in ("bpr", "cl", "reg", "total"):
-            assert getattr(parts, name).shape == (3,)
-            assert np.isclose(getattr(parts, name).sum(), getattr(want_parts, name), rtol=1e-12, atol=0.0)
+    assert any(parts.cl[0] > 0.0 for (parts, _), _, _ in steps) == with_views
+    for (parts, bundle), want_bundle, stars in steps:
+        for j, want in enumerate(stars):
+            assert LossParts(*(getattr(parts, name)[j] for name in ("bpr", "cl", "mend", "reg", "total"))) == want
         for block, want in ((bundle.user, want_bundle.user), (bundle.item, want_bundle.item)):
             assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
 
