@@ -85,11 +85,6 @@ class BipartiteGraph:
     def user_neighbors(self, u: int) -> np.ndarray:
         return self.user_adj[self.user_ptr[u] : self.user_ptr[u + 1]]
 
-    def has_edge(self, u: int, i: int) -> bool:
-        row = self.user_neighbors(u)
-        pos = np.searchsorted(row, i)
-        return pos < row.shape[0] and row[pos] == i
-
     def edge_array(self) -> np.ndarray:
         """Edges as an (E,2) array sorted by (user, item)."""
         users = np.repeat(np.arange(self.n_users), self.user_deg)

@@ -203,20 +203,25 @@ def _infonce_terms(queries: np.ndarray, keys: np.ndarray, pos_idx: np.ndarray, t
     """
     q_hat, q_norm, q_ok = _safe_unit(queries)
     k_hat, k_norm, k_ok = _safe_unit(keys)
-    logits = (q_hat @ np.swapaxes(k_hat, -1, -2)) / tau
-    row_max = logits.max(axis=-1, keepdims=True)
-    exp = np.exp(logits - row_max)
-    denom = exp.sum(axis=-1, keepdims=True)
-    log_denom = np.log(denom[..., 0]) + row_max[..., 0]
+    # one (..., n_q, n_k) buffer goes from logits to exponentials to the
+    # gradient of the cosines, each step in place
+    buf = q_hat @ np.swapaxes(k_hat, -1, -2)
+    buf /= tau
     pos = pos_idx[..., None]
-    loss = np.sum(log_denom - np.take_along_axis(logits, pos, axis=-1)[..., 0], axis=-1)
-    d_logits = exp / denom
-    np.put_along_axis(d_logits, pos, np.take_along_axis(d_logits, pos, axis=-1) - 1.0, axis=-1)
-    d_cos = d_logits / tau
+    pos_logits = np.take_along_axis(buf, pos, axis=-1)[..., 0]
+    row_max = buf.max(axis=-1, keepdims=True)
+    buf -= row_max
+    np.exp(buf, out=buf)
+    denom = buf.sum(axis=-1, keepdims=True)
+    log_denom = np.log(denom[..., 0]) + row_max[..., 0]
+    loss = np.sum(log_denom - pos_logits, axis=-1)
+    buf /= denom
+    np.put_along_axis(buf, pos, np.take_along_axis(buf, pos, axis=-1) - 1.0, axis=-1)
+    buf /= tau  # d loss / d cos
     if trainable == "query":
-        g_hat, hat, norm, ok = d_cos @ k_hat, q_hat, q_norm, q_ok
+        g_hat, hat, norm, ok = buf @ k_hat, q_hat, q_norm, q_ok
     else:
-        g_hat, hat, norm, ok = np.swapaxes(d_cos, -1, -2) @ q_hat, k_hat, k_norm, k_ok
+        g_hat, hat, norm, ok = np.swapaxes(buf, -1, -2) @ q_hat, k_hat, k_norm, k_ok
     # project out the radial component: d cos / d x = (g - (g . x_hat) x_hat)/||x||
     inv = np.where(ok, 1.0 / np.where(ok, norm, 1.0), 0.0)
     return loss, (g_hat - np.sum(g_hat * hat, axis=-1, keepdims=True) * hat) * inv[..., None]
@@ -327,15 +332,30 @@ class LossParts:
     total: float = 0.0
 
 
-def _add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(target, rows, values)``, bit for bit. Where no row
-    repeats, each gets one addition, and a fancy ``+=`` makes it without
-    ``add.at``'s per-element loop."""
+def add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Unbuffered ``target[rows] += values``: a repeated row takes each of
+    its values in turn, in the C order of ``rows``, bit for bit as numpy's
+    unbuffered ``ufunc.at`` adds them, but without its per-element loop.
+
+    Where no row repeats, each gets one addition from one fancy ``+=``.
+    Otherwise the j-th occurrence of every row is added by the j-th fancy
+    ``+=``, so each row takes its contributions one at a time in order.
+    """
     flat = np.sort(rows, axis=None)
     if np.all(flat[1:] != flat[:-1]):
         target[rows] += values
-    else:
-        np.add.at(target, rows, values)
+        return
+    flat = rows.reshape(-1)
+    values = values.reshape(flat.size, *target.shape[1:])
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    rank = np.arange(flat.size) - np.repeat(first, np.diff(np.append(first, flat.size)))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    ends = np.cumsum(np.bincount(rank))
+    for a, b in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        at = by_rank[a:b]
+        target[flat[at]] += values[at]
 
 
 def _star_sums(values: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
@@ -383,9 +403,9 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
             raise ValueError("bpr triplet arrays must align")
         loss, g_user, g_pos, g_neg = _bpr_terms(final_u[users], final_i[pos], final_i[neg])
         parts.bpr = loss_sum(loss, users)
-        _add_rows(grad_u, users, g_user)
-        _add_rows(grad_i, pos, g_pos)
-        _add_rows(grad_i, neg, g_neg)
+        add_rows(grad_u, users, g_user)
+        add_rows(grad_i, pos, g_pos)
+        add_rows(grad_i, neg, g_neg)
 
     if spec.cl_terms and spec.cl_weight > 0.0:
         for term in spec.cl_terms:
@@ -402,7 +422,7 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
                 parts.cl[first if term.kind == "user" else spec.graph.item_owner[first]] += loss
             else:
                 parts.cl += float(np.sum(loss))
-            _add_rows(target, term.rows, spec.cl_weight * g_train)
+            add_rows(target, term.rows, spec.cl_weight * g_train)
 
     for pairs, target_val in ((spec.link_positives, 1.0), (spec.link_negatives, 0.0)):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -412,8 +432,8 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
         resid = cos - target_val
         parts.mend += loss_sum(np.abs(resid), pairs[:, 0])
         sign = np.sign(resid)[:, None]
-        _add_rows(grad_u, pairs[:, 0], sign * d_zu)
-        _add_rows(grad_i, pairs[:, 1], sign * d_zi)
+        add_rows(grad_u, pairs[:, 0], sign * d_zu)
+        add_rows(grad_i, pairs[:, 1], sign * d_zi)
 
     reg_u = np.unique(np.asarray(spec.reg_user_rows, dtype=np.int64))
     reg_i = np.unique(np.asarray(spec.reg_item_rows, dtype=np.int64))

@@ -66,37 +66,100 @@ def impair_graph(g: BipartiteGraph, fraction: float, seed=0):
     return impaired, edges[removed_mask]
 
 
+# Most rejection tries ``_sample_negative_links`` draws in one block.
+_TRY_BLOCK = 2**12
+
+
+def _bounded_draws(words: np.ndarray, bounds: tuple[int, ...]):
+    """The draws that scalar ``rng.integers(n)`` calls, with n cycling
+    through ``bounds`` (each in (1, 2**32)), make from the raw 32-bit
+    ``words`` that follow in the generator's stream.
+
+    numpy runs Lemire's bounded method (Lemire, ACM TOMACS 2019) on one
+    word per try: ``m = w * n`` gives ``m >> 32`` unless
+    ``m mod 2**32 < (2**32 - n) mod n``, which rejects the word and
+    retries the same bound on the next. Returns every completed draw's
+    value and the index one past the word it accepted.
+    """
+    cycle = np.asarray(bounds, dtype=np.uint64)
+    limits = (2**32 - cycle) % cycle
+    values, ends = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    start = phase = 0
+    while start < words.size:
+        reps = -(-(words.size - start) // cycle.size)
+        n, limit = (np.tile(np.roll(a, -phase), reps)[: words.size - start] for a in (cycle, limits))
+        m = words[start:] * n
+        rejected = np.flatnonzero((m & 0xFFFFFFFF) < limit)
+        stop = rejected[0] if rejected.size else m.size
+        values.append((m[:stop] >> 32).astype(np.int64))
+        ends.append(start + 1 + np.arange(stop))
+        # a rejection shifts every later draw by one word
+        start += stop + 1
+        phase = (phase + stop) % cycle.size
+    return np.concatenate(values), np.concatenate(ends)
+
+
 def _sample_negative_links(
     g_full: BipartiteGraph, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform non-edges of ``g_full`` among nonzero-degree endpoints, 1 per
     positive. Rejection sampling; falls back to a draw from the full
     non-edge list when the graph is too dense for rejection to finish
-    quickly."""
+    quickly.
+
+    A try is a user draw then an item draw, each ``rng.integers`` over the
+    candidates, and is kept when it is not an edge; sampling stops at
+    ``count`` links or ``50 * count`` tries. The tries are drawn in blocks
+    of raw words and reduced as ``rng.integers`` would reduce them, and
+    the generator is left where those scalar draws would leave it.
+    """
     users = np.nonzero(g_full.user_deg > 0)[0]
     items = np.nonzero(g_full.item_deg > 0)[0]
     total_cells = users.size * items.size
     if total_cells == 0 or total_cells <= g_full.edge_count:
         return np.zeros((0, 2), dtype=np.int64)
     n_items = g_full.n_items
-    keys: list[int] = []  # u * n_items + i
-    attempts = 0
+    edges = g_full.edge_array()  # sorted by (user, item), so the keys are sorted
+    edge_keys = edges[:, 0] * n_items + edges[:, 1]
+    non_edges = total_cells - g_full.edge_count
+    # a bound of 1 draws no word
+    bounds = tuple(n for n in (users.size, items.size) if n > 1)
+    saved = rng.bit_generator.state
+    found = [np.zeros(0, dtype=np.int64)]  # keys u * n_items + i
+    n_found = attempts = consumed = 0
     max_attempts = 50 * max(count, 1)
-    while len(keys) < count and attempts < max_attempts:
-        u = int(users[rng.integers(users.size)])
-        i = int(items[rng.integers(items.size)])
-        attempts += 1
-        if not g_full.has_edge(u, i):
-            keys.append(u * n_items + i)
-    need = count - len(keys)
+    words = np.zeros(0, dtype=np.uint64)
+    while n_found < count and attempts < max_attempts:
+        # the tries expected to find the links still needed, and a tenth more
+        block = min(_TRY_BLOCK, (count - n_found) * total_cells * 11 // (10 * non_edges) + 1)
+        words = np.concatenate([words, rng.integers(0, 2**32, size=block * len(bounds), dtype=np.uint64)])
+        values, ends = _bounded_draws(words, bounds)
+        tries = min(values.size // len(bounds), max_attempts - attempts)
+        draws = values[: tries * len(bounds)].reshape(tries, len(bounds))
+        u = draws[:, 0] if users.size > 1 else np.zeros(tries, dtype=np.int64)
+        i = draws[:, -1] if items.size > 1 else np.zeros(tries, dtype=np.int64)
+        keys = users[u] * n_items + items[i]
+        at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+        hit = np.flatnonzero(edge_keys[at] != keys)[: count - n_found]
+        if hit.size == count - n_found:
+            tries = int(hit[-1]) + 1
+        found.append(keys[hit])
+        n_found += hit.size
+        attempts += tries
+        used = int(ends[tries * len(bounds) - 1]) if tries else 0
+        consumed += used
+        words = words[used:]
+    rng.bit_generator.state = saved
+    rng.integers(0, 2**32, size=consumed, dtype=np.uint64)
+    keys = np.concatenate(found)
+    need = count - n_found
     if need > 0:
         # the non-edges in user-major order, as keys
         cells = (users[:, None] * n_items + items).ravel()
-        edges = g_full.edge_array()
-        candidates = cells[~np.isin(cells, edges[:, 0] * n_items + edges[:, 1])]
+        candidates = cells[~np.isin(cells, edge_keys)]
         idx = rng.choice(candidates.size, size=need, replace=candidates.size < need)
-        keys.extend(candidates[idx].tolist())
-    return np.stack(np.divmod(np.asarray(keys, dtype=np.int64), n_items), axis=1)
+        keys = np.concatenate([keys, candidates[idx]])
+    return np.stack(np.divmod(keys, n_items), axis=1)
 
 
 def train_mender(

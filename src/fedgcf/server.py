@@ -25,6 +25,7 @@ from .learn import (
     LossSpec,
     RowBlock,
     adam_step,
+    add_rows,
     compute_gradients,
 )
 from .seeds import child_rng
@@ -309,7 +310,7 @@ def fedavg_aggregate(
             continue
         touched, at = np.unique(np.concatenate([b.rows for b, _ in blocks]), return_inverse=True)
         vec_sum = np.zeros((touched.size, table.shape[1]))
-        np.add.at(vec_sum, at, np.concatenate([w * b.values for b, w in blocks]))
+        add_rows(vec_sum, at, np.concatenate([w * b.values for b, w in blocks]))
         w_sum = np.bincount(at, np.repeat([w for _, w in blocks], [len(b) for b, _ in blocks]))
         ok = w_sum > 0.0
         table[touched[ok]] += vec_sum[ok] / w_sum[ok, None]

@@ -106,6 +106,11 @@ def csr_reference(n_users: int, n_items: int, pairs) -> dict:
     }
 
 
+def has_edge(g, u: int, i: int) -> bool:
+    """Whether ``g`` links user ``u`` and item ``i``."""
+    return int(i) in g.user_neighbors(int(u)).tolist()
+
+
 def pair_set(edges) -> set:
     """An (n, 2) edge array as a set of (user, item) tuples. (A tuple ``in``
     an array tests elements, not rows, so tests compare these sets.)"""
@@ -528,7 +533,7 @@ def sample_negative_links_loop(g_full, count: int, rng):
         u = int(users[rng.integers(users.size)])
         i = int(items[rng.integers(items.size)])
         attempts += 1
-        if not g_full.has_edge(u, i):
+        if not has_edge(g_full, u, i):
             out.append((u, i))
     need = count - len(out)
     if need > 0:

@@ -18,7 +18,7 @@ from fedgcf.graph import (
     xavier_init,
 )
 
-from oracles import csr_reference, dense_combine, dense_propagate, same_bits, sequential_propagate
+from oracles import csr_reference, dense_combine, dense_propagate, has_edge, same_bits, sequential_propagate
 
 
 def random_graph(rng, n_u=5, n_i=6, p=0.4):
@@ -44,7 +44,7 @@ def test_build_graph_basic():
     assert g.edge_count == 3  # duplicate collapsed
     assert g.user_deg.tolist() == [2, 1]
     assert g.item_deg.tolist() == [1, 2, 0]
-    assert g.has_edge(0, 1) and not g.has_edge(1, 0)
+    assert has_edge(g, 0, 1) and not has_edge(g, 1, 0)
     assert g.user_neighbors(0).tolist() == [0, 1]
     item_ptr, item_adj = item_csr(g)
     assert item_adj[item_ptr[1] : item_ptr[2]].tolist() == [0, 1]

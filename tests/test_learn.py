@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedgcf.errors import NumericError
 from fedgcf.graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha
@@ -12,10 +14,11 @@ from fedgcf.learn import (
     HyperParams,
     LossSpec,
     adam_step,
+    add_rows,
     compute_gradients,
 )
 
-from oracles import as_dict, bundle_of, compute_loss, cosine_oracle, fd_gradient, max_rel_err
+from oracles import as_dict, bundle_of, compute_loss, cosine_oracle, fd_gradient, max_rel_err, same_bits
 
 # frozen expected values, derived by hand:
 #   ln 2                       = 0.6931471805599453
@@ -454,6 +457,49 @@ def test_bundle_check_finite_raises():
     b = bundle_of(user={0: np.array([np.nan, 1.0])})
     with pytest.raises(NumericError):
         b.check_finite()
+
+
+# ---------------------------------------------------------------- scatter
+
+# signed zeros, and magnitudes far enough apart that the order of the
+# additions shows in the bits
+_SCATTER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 3e-17]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    shape=st.sampled_from([(0,), (1,), (7,), (40,), (0, 3), (2, 3), (3, 5)]),
+    d=st.integers(1, 3),
+    unique=st.booleans(),
+)
+@example(data=None, n=2, shape=(3, 5), d=2, unique=False)  # heavy repeats, (b, n, d) values
+def test_add_rows_is_bitwise_unbuffered_add(data, n, shape, d, unique):
+    size = int(np.prod(shape))
+    if data is None:  # the explicit example: one row takes -0.0 values onto -0.0
+        rows = np.arange(size) % n
+        values = np.full((size, d), -0.0)
+        values[rows == 1] = np.array([1e16, 1.0, -1e16, 3e-17, -1.0, 2.0, -2.0])[:, None]
+        target = np.full((n, d), -0.0)
+    else:
+        if unique:
+            n = max(n, size)
+            rows = data.draw(st.permutations(range(n)))[:size]
+        else:
+            rows = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+        values = data.draw(st.lists(_SCATTER_FLOATS, min_size=size * d, max_size=size * d))
+        target = data.draw(st.lists(_SCATTER_FLOATS, min_size=n * d, max_size=n * d))
+    rows = np.asarray(rows, dtype=np.int64).reshape(shape)
+    values = np.asarray(values, dtype=np.float64).reshape(*shape, d)
+    target = np.asarray(target, dtype=np.float64).reshape(n, d)
+    expect = target.copy()
+    np.add.at(expect, rows, values)
+    add_rows(target, rows, values)
+    assert same_bits(target, expect)
 
 
 # ---------------------------------------------------------------- adam

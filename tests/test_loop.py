@@ -19,7 +19,7 @@ from fedgcf.loop import (
     select_clients,
 )
 
-from oracles import device_views_loop, pair_set, same_bits
+from oracles import device_views_loop, has_edge, pair_set, same_bits
 
 
 def toy_dataset(seed=0):
@@ -73,7 +73,7 @@ def test_prepare_run_initializes_devices_from_model():
     shared = ctx.server.shared_graph
     assert ctx.server.graph.edge_count >= shared.edge_count
     for u, i in shared.edge_array():
-        assert ctx.server.graph.has_edge(u, i)
+        assert has_edge(ctx.server.graph, u, i)
 
 
 def test_prepare_run_disable_gm_uses_contributed_graph():

@@ -1,13 +1,16 @@
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedgcf.mending as mending_module
 from fedgcf.graph import BipartiteGraph, EmbeddingState, xavier_init
 from fedgcf.learn import HyperParams
 from fedgcf.mending import (
+    _bounded_draws,
     _sample_negative_links,
     impair_graph,
     mend_graph,
@@ -16,7 +19,7 @@ from fedgcf.mending import (
     write_predictions_tsv,
 )
 
-from oracles import predict_links_loop, sample_negative_links_loop
+from oracles import has_edge, predict_links_loop, sample_negative_links_loop
 
 # the package re-exports the function ``evaluate`` under its module's name
 evaluate_module = importlib.import_module("fedgcf.evaluate")
@@ -41,7 +44,7 @@ def test_impair_removes_requested_fraction():
     assert len(removed) == target
     assert impaired.edge_count == g.edge_count - target
     for u, i in removed:
-        assert g.has_edge(u, i) and not impaired.has_edge(u, i)
+        assert has_edge(g, u, i) and not has_edge(impaired, u, i)
 
 
 def test_impair_never_isolates_nodes():
@@ -91,7 +94,7 @@ def test_predict_links_excludes_existing_edges():
     mender = xavier_init(g.n_users, g.n_items, 8, np.random.default_rng(0))
     predicted, scores = predict_links(g, mender, threshold=-1.0, cap_per_user=None, layers=3)
     for pair in predicted:
-        assert not g.has_edge(*pair)
+        assert not has_edge(g, *pair)
     assert len(scores) == len(predicted)
     assert predicted.tolist() == sorted(predicted.tolist())
 
@@ -252,6 +255,42 @@ def test_sample_negative_links_dense_fallback_matches_nested_loop(side, n_missin
     assert set(map(tuple, links.tolist())) <= missing
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    g=graphs(),
+    count=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 2, 5]),
+)
+def test_sample_negative_links_over_many_blocks_matches_nested_loop(g, count, seed, block):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(mending_module, "_TRY_BLOCK", block):
+        links = _sample_negative_links(g, count, rng)
+    ref_links, _ = sample_negative_links_loop(g, count, ref_rng)
+    assert np.array_equal(links, ref_links)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(3 * 2**30, 2**31 + 1), (2**31 + 1, 7), (5, 3 * 2**30), (1600, 2400), (2**31 + 1,), (3 * 2**30,)],
+)
+def test_bounded_draws_reproduce_scalar_integers(bounds):
+    # bounds above 2**31 reject up to half the words, so the later draws
+    # sit at shifted words and a rejected word may end a block
+    m = 2000
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    expect = [ref_rng.integers(bounds[j % len(bounds)]) for j in range(m)]
+    saved = rng.bit_generator.state
+    values, ends = _bounded_draws(rng.integers(0, 2**32, size=4 * m, dtype=np.uint64), bounds)
+    assert values.dtype == np.int64 and values[:m].tolist() == expect
+    if max(bounds) > 2**31:
+        assert ends[m - 1] > m  # some words were rejected
+    rng.bit_generator.state = saved
+    rng.integers(0, 2**32, size=ends[m - 1], dtype=np.uint64)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -289,10 +328,10 @@ def test_mend_graph_supersets_input():
     g = ladder_graph()
     art = mend_graph(g, small_hyper(mend_threshold=0.6), seed=9)
     for u, i in g.edge_array():
-        assert art.mended.has_edge(u, i)
+        assert has_edge(art.mended, u, i)
     assert art.mended.edge_count == g.edge_count + len(art.predicted)
     for pair, score in zip(art.predicted, art.scores):
-        assert not g.has_edge(*pair)
+        assert not has_edge(g, *pair)
         assert score >= 0.6
 
 
