@@ -345,17 +345,15 @@ def add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     if np.all(flat[1:] != flat[:-1]):
         target[rows] += values
         return
-    flat = rows.reshape(-1)
-    values = values.reshape(flat.size, *target.shape[1:])
-    order = np.argsort(flat, kind="stable")
-    ranked = flat[order]
-    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    rank = np.arange(flat.size) - np.repeat(first, np.diff(np.append(first, flat.size)))
+    rows = rows.reshape(-1)
+    values = values.reshape(rows.size, *target.shape[1:])
+    order = np.argsort(rows, kind="stable")
+    # flat is rows[order]: rank each occurrence within its run of one row
+    first = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    rank = np.arange(rows.size) - np.repeat(first, np.diff(np.append(first, rows.size)))
     by_rank = order[np.argsort(rank, kind="stable")]
-    ends = np.cumsum(np.bincount(rank))
-    for a, b in zip([0, *ends[:-1].tolist()], ends.tolist()):
-        at = by_rank[a:b]
-        target[flat[at]] += values[at]
+    for at in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+        target[rows[at]] += values[at]
 
 
 def _star_sums(values: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
