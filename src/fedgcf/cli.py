@@ -344,25 +344,33 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = parse_config(args.config, _collect_overrides(args))
     ds = load_run_dataset(config)
-    try:
-        snap = np.load(args.snapshot)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read snapshot {args.snapshot}: {exc}") from exc
     device = config.eval_view == "device"
     user_key = "device_user" if device else "user"
-    missing = [k for k in (user_key, "item", "graph_edges") if k not in getattr(snap, "files", ())]
+    keys = (user_key, "item", "graph_edges")
+    try:
+        snap = np.load(args.snapshot)
+        arrays = {k: snap[k] for k in keys if k in getattr(snap, "files", ())}
+    except (OSError, ValueError) as exc:  # ValueError also for object arrays, which need pickle
+        raise ConfigError(f"cannot read snapshot {args.snapshot}: {exc}") from exc
+    missing = [k for k in keys if k not in arrays]
     if missing:
         raise ConfigError(f"{args.snapshot} is not a train snapshot: no {', '.join(missing)} array")
-    user, item = snap[user_key], snap["item"]
+    user, item, edges = (arrays[k] for k in keys)
     if user.ndim != 2 or user.shape[0] != ds.n_users or item.shape != (ds.n_items, user.shape[1]):
         raise ConfigError(
             f"snapshot tables {user_key} {user.shape} and item {item.shape} do not fit"
             f" the dataset's {ds.n_users} users and {ds.n_items} items"
         )
+    id_pairs = edges.ndim == 2 and edges.shape[1] == 2 and np.issubdtype(edges.dtype, np.integer)
+    if not id_pairs or edges.size and (edges.min() < 0 or (edges.max(axis=0) >= (ds.n_users, ds.n_items)).any()):
+        raise ConfigError(
+            f"{args.snapshot}: graph_edges {edges.dtype} {edges.shape} is not an (n, 2) array of"
+            f" ids among the dataset's {ds.n_users} users and {ds.n_items} items"
+        )
     if device:
         user_views, item_views = device_views(user, item, ds)
     else:
-        graph = BipartiteGraph(ds.n_users, ds.n_items, snap["graph_edges"].reshape(-1, 2))
+        graph = BipartiteGraph(ds.n_users, ds.n_items, edges)
         user_views, item_views = server_infer(graph, EmbeddingState(user, item), config.layers_server)
     res = evaluate(user_views, item_views, ds, args.split, config.eval_k, config.score_sim)
     print(f"{args.split} recall@{config.eval_k}={res.recall:.4f} ndcg@{config.eval_k}={res.ndcg:.4f}")

@@ -50,16 +50,15 @@ class DeviceState:
 class ReceivedViews:
     """Global views handed to a device for contrastive alignment.
 
-    ``user_views`` holds the device's own server-side view plus the views
-    of full contributors; ``item_views`` holds server-side views of the
-    device's local items.
+    ``user_views`` is the round's one read-only block of full contributors'
+    views, the same object for every recipient; ``own_view`` is the
+    device's own server-side view (d,), and ``item_views`` holds
+    server-side views of the device's local items.
     """
 
-    user_views: RowBlock = field(default_factory=RowBlock)
-    item_views: RowBlock = field(default_factory=RowBlock)
-
-    def is_empty(self) -> bool:
-        return not self.user_views and not self.item_views
+    user_views: RowBlock
+    own_view: np.ndarray
+    item_views: RowBlock
 
 
 @dataclass
@@ -121,34 +120,39 @@ def _fetch_moments(blocks: list[RowBlock], keys: np.ndarray, n_items: int, d: in
 
 
 def _user_terms(devs: list[DeviceState], views: list[ReceivedViews | None]) -> list[CLTerm]:
-    """Each device's user-side contrastive term (its propagated user row
-    against the received user views), one stacked term per key count.
-    Devices that received the very same block share its rows."""
-    on = [j for j, v in enumerate(views) if v is not None and v.user_views]
-    for j in on:
-        if devs[j].user_id not in views[j].user_views.rows:
-            raise ValueError(f"device {devs[j].user_id} received views without its own positive")
-    sizes = np.array([len(views[j].user_views) for j in on], dtype=np.int64)
-    terms = []
-    for size in np.unique(sizes).tolist():
-        group = [j for j, n in zip(on, sizes.tolist()) if n == size]
-        blocks = [views[j].user_views for j in group]
-        if all(b is blocks[0] for b in blocks):
-            fixed_ids, fixed_views = blocks[0].rows, blocks[0].values
-        else:
-            fixed_ids = np.stack([b.rows for b in blocks])
-            fixed_views = np.stack([b.values for b in blocks])
-        terms.append(
-            CLTerm(
-                kind="user",
-                trainable="query",
-                rows=np.array(group, dtype=np.int64)[:, None],
-                ids=np.array([devs[j].user_id for j in group], dtype=np.int64)[:, None],
-                fixed_ids=fixed_ids,
-                fixed_views=fixed_views,
-            )
+    """The devices' user-side contrastive terms: each device's propagated
+    user row against the full contributors' block, with its own view as
+    the positive. Devices inside the block take its rows as they are; the
+    others take the block plus their own row, in id order, as one stacked
+    (n, m + 1) term."""
+    on = np.array([j for j, v in enumerate(views) if v is not None], dtype=np.int64)
+    if not on.size:
+        return []
+    block = views[on[0]].user_views
+    ids = np.array([devs[j].user_id for j in on.tolist()], dtype=np.int64)
+    inside = np.isin(ids, block.rows)
+    own = np.array([views[j].own_view for j in on[~inside].tolist()]).reshape(-1, block.values.shape[1])
+    # key k of a device outside: block row k before its own slot, its own
+    # row at the slot, block row k - 1 after it
+    m, k = len(block), np.arange(len(block) + 1)
+    at = np.searchsorted(block.rows, ids[~inside])[:, None]
+    pick = np.where(k == at, m + np.arange(len(own))[:, None], k - (k > at))
+    keys = (
+        (inside, block.rows, block.values),
+        (~inside, np.concatenate([block.rows, ids[~inside]])[pick], np.concatenate([block.values, own])[pick]),
+    )
+    return [
+        CLTerm(
+            kind="user",
+            trainable="query",
+            rows=on[mask, None],
+            ids=ids[mask, None],
+            fixed_ids=fixed_ids,
+            fixed_views=fixed_views,
         )
-    return terms
+        for mask, fixed_ids, fixed_views in keys
+        if mask.any()
+    ]
 
 
 def _item_groups(views: list[ReceivedViews | None], local_keys: np.ndarray, n_items: int):
@@ -190,7 +194,6 @@ class _Chunk:
         self.star = np.repeat(np.arange(n), [items.size for items in self.local])
         self.local_keys = self.star * n_items + np.concatenate(self.local).astype(np.int64)
         if hyper.cl_weight > 0.0:
-            views = [v if v is not None and not v.is_empty() else None for v in views]
             self.user_terms = _user_terms(devs, views)
             self.item_groups = _item_groups(views, self.local_keys, n_items)
         else:
@@ -312,20 +315,22 @@ def client_local_train(
 ) -> tuple[list[DeviceUpload], list[LossParts]]:
     """Run every device's local epochs and produce their uploads, in order.
 
-    ``tiers[j]`` and ``received[j]`` belong to ``devices[j]``. The devices
-    never mutate the broadcast ``item_table``; each edits private copies
-    of its touched rows and uploads the deltas. NONE-tier devices (and
-    devices with no received views) train pure BPR; contributors add the
-    contrastive term and attach their local user view to the upload.
+    ``tiers[j]`` and ``received[j]`` belong to ``devices[j]``, and every
+    ``received`` entry carries the same ``user_views`` block, as
+    ``embedding_exchange`` hands them out. The devices never mutate the
+    broadcast ``item_table``; each edits private copies of its touched
+    rows and uploads the deltas. NONE-tier devices (and devices with no
+    received views) train pure BPR; contributors add the contrastive term
+    and attach their local user view to the upload.
     Devices train in consecutive chunks of about ``graph._ROW_BUDGET``
     rows.
     """
     tiers = [ShareTier(t) for t in tiers]
     views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
     # a device's rows: its user row, k local and k negative item rows, k
-    # item keys and its user keys
+    # item keys and at most m + 1 user keys
     rows = [
-        1 + 3 * dev.local_items.size + (len(v.user_views) if v is not None else 0)
+        1 + 3 * dev.local_items.size + (len(v.user_views) + 1 if v is not None else 0)
         for dev, v in zip(devices, views)
     ]
     n_items = item_table.shape[0]

@@ -468,7 +468,7 @@ class AdamMoments:
     t_item: int = 0
 
 
-def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int, hyper: HyperParams) -> RowBlock:
+def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int | np.ndarray, hyper: HyperParams) -> RowBlock:
     """One bias-corrected Adam step over a block of row gradients.
 
     Returns the deltas to add to those rows; ``moments`` grows by the rows
@@ -478,15 +478,11 @@ def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int, hyper: HyperPar
     its own table.
     """
     b1, b2 = hyper.adam_beta1, hyper.adam_beta2
-    if np.ndim(t):
-        # Python's float power for each distinct count: np.power rounds
-        # some powers differently
-        counts, at_t = np.unique(t, return_inverse=True)
-        bc1 = np.array([1.0 - b1**c for c in counts.tolist()])[at_t, None]
-        bc2 = np.array([1.0 - b2**c for c in counts.tolist()])[at_t, None]
-    else:
-        bc1 = 1.0 - b1**t
-        bc2 = 1.0 - b2**t
+    # Python's float power for each distinct count: np.power rounds some
+    # powers differently
+    counts, at_t = np.unique(np.atleast_1d(t), return_inverse=True)
+    bc1 = np.array([1.0 - b1**c for c in counts.tolist()])[at_t, None]
+    bc2 = np.array([1.0 - b2**c for c in counts.tolist()])[at_t, None]
     rows = _union(moments.rows, grads.rows)
     if rows.size > len(moments):
         mv = np.zeros((rows.size, 2, grads.values.shape[1]))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .client import DeviceState, client_local_train
+from .client import DeviceState, ReceivedViews, client_local_train
 from .data import InteractionDataset, SharePolicy, assign_share_policy, attach_contributions
 from .errors import DataFormatError
 from .evaluate import evaluate
@@ -158,19 +158,12 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     else:
         selected = select_clients(ctx.ds.n_users, hyper.clients_per_round, round_idx, ctx.train_seed)
 
-    received_maps: dict[int, "ReceivedViews"] = {}
+    received_maps: dict[int, ReceivedViews] = {}
     if selected.size:
         user_views, item_views = server_infer(server.graph, server.model, hyper.layers_server)
-        local_items = {int(u): ctx.devices[int(u)].local_items for u in selected}
+        local_items = {u: ctx.devices[u].local_items for u in selected.tolist()}
         received_maps = embedding_exchange(
-            ctx.policy,
-            server.uploaded,
-            selected,
-            user_views,
-            item_views,
-            local_items,
-            round_idx,
-            ctx.audit,
+            ctx.policy, server.uploaded, selected, user_views, item_views, local_items, round_idx, ctx.audit
         )
 
     uploads, losses = client_local_train(

@@ -93,9 +93,7 @@ class ServerState:
     moments: AdamMoments = field(default_factory=AdamMoments)
     uploaded: RowBlock = field(default_factory=RowBlock)  # each uploader's latest user view
 
-    def absorb_uploads(
-        self, uploads: list[DeviceUpload], policy: SharePolicy, round_idx: int, audit: AuditLog | None = None
-    ) -> None:
+    def absorb_uploads(self, uploads: list[DeviceUpload], policy: SharePolicy, round_idx: int, audit: AuditLog) -> None:
         """Merge this round's uploaded user views into ``uploaded``; a
         device's latest view replaces any earlier one."""
         views = [up for up in uploads if up.user_view is not None]
@@ -105,9 +103,8 @@ class ServerState:
         tiers = policy.tier[ids]
         if (tiers == ShareTier.NONE).any():
             raise ValueError(f"NONE user {ids[np.argmax(tiers == ShareTier.NONE)]} attempted a view upload")
-        if audit is not None:
-            for user, tier in zip(ids.tolist(), tiers.tolist()):
-                audit.log_upload(round_idx, user, ShareTier(tier))
+        for user, tier in zip(ids.tolist(), tiers.tolist()):
+            audit.log_upload(round_idx, user, ShareTier(tier))
         # the last view of a device that uploads twice in one call wins
         rows, last = np.unique(ids[::-1], return_index=True)
         values = np.stack([views[k].user_view for k in (ids.size - 1 - last).tolist()])
@@ -132,17 +129,16 @@ def embedding_exchange(
     item_views: np.ndarray,
     local_items: dict[int, np.ndarray],
     round_idx: int,
-    audit: AuditLog | None = None,
+    audit: AuditLog,
 ) -> dict[int, ReceivedViews]:
     """Decide which server-side views each selected device receives.
 
-    A selected contributor (PART or ALL) gets its own server-side user
-    view, the server-side user views of every ALL-tier user that has
-    uploaded at least once, and server-side item views for its local
-    items. NONE devices and unselected devices receive nothing; PART
-    views are never placed in another device's map. Every ALL-tier device
-    that has uploaded receives the same read-only block of ALL-tier views,
-    and the audit gets one exchange record for the round.
+    A selected contributor (PART or ALL) gets the one read-only block of
+    server-side user views of every ALL-tier user that has uploaded at
+    least once, its own server-side user view, and server-side item views
+    for its local items. NONE devices and unselected devices receive
+    nothing; PART views are never placed in another device's map. The
+    audit gets one exchange record for the round.
     """
     all_sharers = uploaded.rows[policy.tier[uploaded.rows] == ShareTier.ALL]
     shared = RowBlock(all_sharers, user_views[all_sharers])
@@ -151,16 +147,11 @@ def embedding_exchange(
     selected = np.unique(np.asarray(selected, dtype=np.int64))
     selected = selected[policy.tier[selected] != ShareTier.NONE]
     received: dict[int, ReceivedViews] = {}
-    for dev_id, is_sharer in zip(selected.tolist(), np.isin(selected, all_sharers).tolist()):
-        if is_sharer:
-            users = shared
-        else:
-            owners = np.union1d(all_sharers, [dev_id])
-            users = RowBlock(owners, user_views[owners])
+    for dev_id, own_view in zip(selected.tolist(), user_views[selected]):
         items = local_items.get(dev_id, np.zeros(0, dtype=np.int64))
-        received[dev_id] = ReceivedViews(users, RowBlock(items, item_views[items]))
-    if audit is not None and received:
-        audit.log_exchange(round_idx, sorted(received), shared.rows.tolist())
+        received[dev_id] = ReceivedViews(shared, own_view, RowBlock(items, item_views[items]))
+    if received:
+        audit.log_exchange(round_idx, selected.tolist(), shared.rows.tolist())
     return received
 
 

@@ -567,19 +567,23 @@ def _private_rows_one(work: RowBlock, item_table: np.ndarray, ids: np.ndarray) -
 def _cl_terms_one(dev, received, local_ids: np.ndarray, compact_ids: np.ndarray) -> list:
     terms = []
     users, items = received.user_views, received.item_views
-    if users:
-        if dev.user_id not in users.rows:
-            raise ValueError(f"device {dev.user_id} received views without its own positive")
-        terms.append(
-            CLTerm(
-                kind="user",
-                trainable="query",
-                rows=np.array([0], dtype=np.int64),
-                ids=np.array([dev.user_id], dtype=np.int64),
-                fixed_ids=users.rows,
-                fixed_views=users.values,
-            )
+    # the device's keys as one sorted block of its own: the shared block's
+    # views, plus its own view where the block lacks it
+    user_ids, user_values = users.rows, users.values
+    if dev.user_id not in user_ids:
+        user_ids = np.union1d(users.rows, [dev.user_id])
+        at = int(np.searchsorted(user_ids, dev.user_id))
+        user_values = np.insert(users.values, at, received.own_view, axis=0)
+    terms.append(
+        CLTerm(
+            kind="user",
+            trainable="query",
+            rows=np.array([0], dtype=np.int64),
+            ids=np.array([dev.user_id], dtype=np.int64),
+            fixed_ids=user_ids,
+            fixed_views=user_values,
         )
+    )
     keep = np.isin(items.rows, local_ids)
     if keep.any():
         fixed_ids = items.rows[keep]
@@ -617,7 +621,7 @@ def client_train_one(dev, item_table, tier, received, hyper, round_idx: int, tra
         neg_c = np.searchsorted(compact_ids, negs)
         rows = _private_rows_one(work, item_table, compact_ids)
         state = EmbeddingState(dev.p_u[None, :].copy(), rows)
-        cl_weight = hyper.cl_weight if received is not None and not received.is_empty() else 0.0
+        cl_weight = hyper.cl_weight if received is not None else 0.0
         spec = LossSpec(
             graph=BipartiteGraph(1, compact_ids.size, [(0, p) for p in pos_c.tolist()]),
             alpha=alpha,

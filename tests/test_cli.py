@@ -299,10 +299,35 @@ def test_eval_non_snapshot_file_is_config_error(tmp_path, capsys):
     text.write_text("not a snapshot\n")
     partial = tmp_path / "partial.npz"
     np.savez(partial, user=np.zeros((16, 8)))
-    for path, reason in ((text, "cannot read snapshot"), (partial, "no item, graph_edges array")):
+    objects = tmp_path / "objects.npz"  # np.load reads object arrays only through pickle
+    edges = np.array([[0, 1], [2, "x"]], dtype=object)
+    np.savez(objects, user=np.zeros((16, 8)), item=np.zeros((20, 8)), graph_edges=edges)
+    cases = ((text, "cannot read snapshot"), (partial, "no item, graph_edges array"), (objects, "cannot read snapshot"))
+    for path, reason in cases:
         assert main(["eval", *FAST, "--snapshot", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize(
+    "edges, shape",
+    [
+        (np.array([[0, 1], [16, 2]]), "int64 (2, 2)"),
+        (np.array([[0, 20]]), "int64 (1, 2)"),
+        (np.array([[-1, 0]]), "int64 (1, 2)"),
+        (np.arange(5), "int64 (5,)"),
+        (np.zeros((3, 2)), "float64 (3, 2)"),
+    ],
+    ids=["user-out-of-range", "item-out-of-range", "negative-id", "five-elements", "float-ids"],
+)
+def test_eval_bad_graph_edges_is_config_error(tmp_path, capsys, edges, shape):
+    snap = tmp_path / "snapshot.npz"
+    tables = {"user": np.zeros((16, 8)), "item": np.zeros((20, 8)), "device_user": np.zeros((16, 8))}
+    np.savez(snap, graph_edges=edges, **tables)
+    assert main(["eval", *FAST, "--snapshot", str(snap)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(snap) in err
+    assert f"graph_edges {shape} is not an (n, 2) array of ids among the dataset's 16 users and 20 items" in err
 
 
 # ---------------------------------------------------------------- mend

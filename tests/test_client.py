@@ -30,13 +30,22 @@ def make_table(n_items=8, dim=6, seed=1):
     return np.random.default_rng(seed).normal(size=(n_items, dim))
 
 
-def make_views(dev, item_table, extra_users=(7,), dim=6, seed=2):
+# the round's one block of full contributors' views, the same object for
+# every device: user 5 is inside it, the other test devices are not
+SHARED = RowBlock(np.array([5, 7]), np.random.default_rng(7).normal(size=(2, 6)))
+
+
+def make_views(dev, item_table, dim=6, seed=2):
+    """Views as the exchange hands them out: the shared block, the device's
+    own view (its row of the block when it has one) and views of its local
+    items."""
     rng = np.random.default_rng(seed)
-    user_views = {dev.user_id: rng.normal(size=dim)}
-    for u in extra_users:
-        user_views[u] = rng.normal(size=dim)
+    own_view = rng.normal(size=dim)
+    inside = np.flatnonzero(SHARED.rows == dev.user_id)
+    if inside.size:
+        own_view = SHARED.values[inside[0]]
     item_views = {i: rng.normal(size=dim) for i in dev.local_items.tolist()}
-    return ReceivedViews(user_views=block_of(user_views), item_views=block_of(item_views))
+    return ReceivedViews(SHARED, own_view, block_of(item_views))
 
 
 HYPER = HyperParams(dim=6, learning_rate=0.01, local_epochs=1)
@@ -164,18 +173,15 @@ def test_sharer_without_received_views_trains_plain_bpr():
 
 
 def test_empty_received_views_disable_contrastive():
+    # an empty block and no item views leave the own view as the only key:
+    # a softmax over one key is exactly zero, and so is its gradient
     table = make_table()
-    dev = make_device()
-    _, loss = train_one(dev, table, ShareTier.ALL, ReceivedViews(), HYPER, 0, 42)
+    dev, plain = make_device(), make_device()
+    views = ReceivedViews(RowBlock(values=np.zeros((0, 6))), np.ones(6), RowBlock())
+    _, loss = train_one(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
+    train_one(plain, table, ShareTier.ALL, None, HYPER, 0, 42)
     assert loss.cl == 0.0
-
-
-def test_missing_own_positive_rejected():
-    table = make_table()
-    dev = make_device(user_id=3)
-    views = ReceivedViews(user_views=block_of({9: np.ones(6)}))
-    with pytest.raises(ValueError):
-        train_one(dev, table, ShareTier.ALL, views, HYPER, 0, 42)
+    assert np.array_equal(dev.p_u, plain.p_u)
 
 
 def test_contrastive_changes_training():
@@ -297,19 +303,15 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
 
 
 def random_views(rng, dev, dim, shared):
-    """Received views as the exchange hands them out: the shared block when
-    the device's own row is in it, else a block of its own; item views of
-    its local items, sometimes only some of them."""
-    users = shared if dev.user_id in shared.rows else None
-    if users is None:
-        ids = np.union1d(shared.rows, [dev.user_id]) if rng.random() < 0.7 else np.array([dev.user_id])
-        users = RowBlock(ids, rng.normal(size=(ids.size, dim)))
+    """Received views as the exchange hands them out: the shared block, the
+    device's own view (its row of the block when it has one) and item views
+    of its local items, sometimes only some of them."""
+    inside = np.flatnonzero(shared.rows == dev.user_id)
+    own_view = shared.values[inside[0]] if inside.size else rng.normal(size=dim)
     items = dev.local_items
     if items.size and rng.random() < 0.3:
         items = np.sort(rng.choice(items, size=int(rng.integers(0, items.size + 1)), replace=False))
-    if rng.random() < 0.1:
-        users = RowBlock()
-    return ReceivedViews(users, RowBlock(items, rng.normal(size=(items.size, dim))))
+    return ReceivedViews(shared, own_view, RowBlock(items, rng.normal(size=(items.size, dim))))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -50,6 +51,11 @@ def make_server(dim=4, seed=0):
 # ---------------------------------------------------------------- exchange
 
 
+def user_keys(views: ReceivedViews, dev_id: int) -> dict:
+    """The user views a device aligns with: the shared block plus its own."""
+    return {**as_dict(views.user_views), dev_id: views.own_view}
+
+
 def test_exchange_tier_rules():
     policy, server = make_server()
     rng = np.random.default_rng(1)
@@ -58,39 +64,43 @@ def test_exchange_tier_rules():
     item_views = rng.normal(size=(3, 4))
     local_items = {u: np.array(items) for u, items in {0: [0], 1: [0], 2: [0, 1], 3: [1, 2]}.items()}
     received = embedding_exchange(
-        policy, server.uploaded, np.arange(4), user_views, item_views, local_items, 0
+        policy, server.uploaded, np.arange(4), user_views, item_views, local_items, 0, AuditLog()
     )
     # NONE user gets nothing at all
     assert 0 not in received
     # each sharer gets its own view plus the ALL-tier uploaders' views
-    assert set(as_dict(received[1].user_views)) == {1, 2, 3}
-    assert set(as_dict(received[2].user_views)) == {2, 3}
-    assert set(as_dict(received[3].user_views)) == {3, 2}
+    assert set(user_keys(received[1], 1)) == {1, 2, 3}
+    assert set(user_keys(received[2], 2)) == {2, 3}
+    assert set(user_keys(received[3], 3)) == {3, 2}
     # PART views never appear in another device's map
-    for dev_id, views in received.items():
+    for views in received.values():
         for owner in as_dict(views.user_views):
-            if owner != dev_id:
-                assert policy.tier[owner] == ShareTier.ALL
+            assert policy.tier[owner] == ShareTier.ALL
     # item views cover exactly the local items
     assert set(as_dict(received[1].item_views)) == {0}
     assert set(as_dict(received[3].item_views)) == {1, 2}
-    assert np.array_equal(as_dict(received[2].user_views)[2], user_views[2])
+    for dev_id, views in received.items():
+        assert np.array_equal(views.own_view, user_views[dev_id])
 
 
 def test_exchange_only_selected_devices():
     policy, server = make_server()
     rng = np.random.default_rng(2)
+    user_views = rng.normal(size=(4, 4))
     received = embedding_exchange(
         policy,
         RowBlock(),
         np.array([2]),
-        rng.normal(size=(4, 4)),
+        user_views,
         rng.normal(size=(3, 4)),
         {2: np.array([0])},
         0,
+        AuditLog(),
     )
     assert set(received) == {2}
-    assert set(as_dict(received[2].user_views)) == {2}  # nobody has uploaded yet
+    assert len(received[2].user_views) == 0  # nobody has uploaded yet
+    assert received[2].user_views.values.shape == (0, 4)
+    assert np.array_equal(received[2].own_view, user_views[2])
 
 
 def test_exchange_all_views_require_prior_upload():
@@ -99,10 +109,10 @@ def test_exchange_all_views_require_prior_upload():
     server.uploaded = stored_views([3], rng)
     received = embedding_exchange(
         policy, server.uploaded, np.array([1]), rng.normal(size=(4, 4)),
-        rng.normal(size=(3, 4)), {1: ()}, 0,
+        rng.normal(size=(3, 4)), {1: ()}, 0, AuditLog(),
     )
     # user 2 is ALL-tier but never uploaded, so its view is not distributed
-    assert set(as_dict(received[1].user_views)) == {1, 3}
+    assert set(user_keys(received[1], 1)) == {1, 3}
 
 
 def test_exchange_audit_log(tmp_path):
@@ -126,22 +136,25 @@ def test_exchange_audit_log(tmp_path):
 def test_exchange_shares_one_read_only_block():
     policy, server = make_server()
     rng = np.random.default_rng(5)
-    server.uploaded = stored_views([2, 3], rng)
+    server.uploaded = stored_views([1, 2, 3], rng)
     user_views = rng.normal(size=(4, 4))
     received = embedding_exchange(
-        policy, server.uploaded, np.arange(4), user_views, rng.normal(size=(3, 4)), {}, 0
+        policy, server.uploaded, np.arange(4), user_views, rng.normal(size=(3, 4)), {}, 0, AuditLog()
     )
     shared = received[2].user_views
-    assert received[3].user_views is shared
     assert shared.rows.tolist() == [2, 3]
     assert np.array_equal(shared.values, user_views[[2, 3]])
     with pytest.raises(ValueError):
         shared.values[0, 0] = 1.0
-    # the PART device's block is the sharers plus itself, a block of its own
-    part = received[1].user_views
-    assert part is not shared
-    assert part.rows.tolist() == [1, 2, 3]
-    assert np.array_equal(part.values, user_views[[1, 2, 3]])
+    for dev_id, views in received.items():
+        # every recipient, PART device 1 too, holds the one block
+        assert views.user_views is shared
+        assert np.shares_memory(views.user_views.values, shared.values)
+        assert np.array_equal(views.own_view, user_views[dev_id])
+        # outside the block, nothing holds more than one user row
+        assert [f.name for f in fields(views)] == ["user_views", "own_view", "item_views"]
+        assert views.own_view.shape == (4,)
+        assert not np.shares_memory(views.own_view, shared.values)
 
 
 def test_audit_violations_detected():
@@ -193,9 +206,7 @@ def test_absorb_uploads_stores_and_audits():
     policy, server = make_server()
     audit = AuditLog()
     view = np.ones(4)
-    server.absorb_uploads(
-        [DeviceUpload(2, 2.0, GradientBundle(), user_view=view)], policy, 1, audit
-    )
+    server.absorb_uploads([DeviceUpload(2, 2.0, GradientBundle(), user_view=view)], policy, 1, audit)
     assert server.uploaded.rows.tolist() == [2]
     view[0] = 99.0  # absorbed copy must not alias
     assert server.uploaded.values[0, 0] == 1.0
@@ -205,14 +216,12 @@ def test_absorb_uploads_stores_and_audits():
 def test_absorb_rejects_none_tier_view():
     policy, server = make_server()
     with pytest.raises(ValueError):
-        server.absorb_uploads(
-            [DeviceUpload(0, 1.0, GradientBundle(), user_view=np.ones(4))], policy, 0
-        )
+        server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle(), user_view=np.ones(4))], policy, 0, AuditLog())
 
 
 def test_absorb_skips_viewless_uploads():
     policy, server = make_server()
-    server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle())], policy, 0)
+    server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle())], policy, 0, AuditLog())
     assert len(server.uploaded) == 0
 
 
@@ -224,13 +233,13 @@ def test_absorb_uploads_keeps_latest_view_over_rounds():
     for round_idx, devices in enumerate([[2, 3], [1], [3, 1, 3]]):
         uploads = [DeviceUpload(d, 1.0, GradientBundle(), user_view=rng.normal(size=4)) for d in devices]
         uploads.append(DeviceUpload(0, 1.0, GradientBundle()))  # the NONE device uploads no view
-        server.absorb_uploads(uploads, policy, round_idx)
+        server.absorb_uploads(uploads, policy, round_idx, AuditLog())
         latest.update((up.device_id, up.user_view) for up in uploads if up.user_view is not None)
         assert server.uploaded.rows.tolist() == sorted(latest)
         for row, values in zip(server.uploaded.rows.tolist(), server.uploaded.values):
             assert np.array_equal(values, latest[row])
     with pytest.raises(ValueError, match="NONE user 0"):
-        server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle(), user_view=np.ones(4))], policy, 3)
+        server.absorb_uploads([DeviceUpload(0, 1.0, GradientBundle(), user_view=np.ones(4))], policy, 3, AuditLog())
 
 
 # ---------------------------------------------------------------- graph
