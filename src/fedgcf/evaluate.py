@@ -37,16 +37,30 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     rows; the last one also takes the remainder, so no block is shorter
     than that unless it is the only one. Then, under a single-threaded
     OpenBLAS, a block's product with a column table has the bits of the
-    full product. Its gemm works through rows in groups of the kernel's
-    row unroll (24 rows for the OpenBLAS 0.3.31 kernel this was measured
-    with; 48 is a multiple of the common 4, 8, 16 and 24) and rounds the
-    group that ends a product differently at the column tail; a one-row
-    block goes to gemv. With more BLAS threads the full product's own bits
-    depend on the thread count at some shapes.
+    full product at the shapes ``evaluate`` and ``predict_links`` use. Its
+    gemm works through rows in groups of the kernel's row unroll (24 rows
+    for the OpenBLAS 0.3.31 kernel this was measured with; 48 is a multiple
+    of the common 4, 8, 16 and 24) and rounds the group that ends a product
+    differently at the column tail; a one-row block goes to gemv.
+
+    The exception: with OpenBLAS 0.3.31 on one thread, 91 of 4000 random
+    shapes gave a block other bits than the full product, all with at most
+    25 columns and d >= 32 (one was d = 62, 10 columns, 215 rows). At the
+    default budget so few columns take more than one block only above about
+    80k rows. With more BLAS threads the full product's own bits depend on
+    the thread count at some shapes.
     """
     size = max(_ROW_ALIGN, _SCORE_BUDGET // max(n_cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
     starts = list(range(0, n_rows, size))[: max(1, n_rows // size)]  # the last takes the rest
     return list(zip(starts, starts[1:] + [n_rows]))
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with each row divided by its norm; a row of norm below 1e-12
+    becomes zero, so it scores 0 against every row."""
+    norms = np.linalg.norm(x, axis=1)
+    ok = norms > 1e-12
+    return np.where(ok[:, None], x / np.where(ok, norms, 1.0)[:, None], 0.0)
 
 
 def top_per_row(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap: int) -> np.ndarray:
@@ -61,47 +75,39 @@ def top_per_row(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap: int
     return order[rank < cap]
 
 
-def recall_at_k(ranked: np.ndarray, relevant: set) -> float:
-    """|ranked intersect relevant| / |relevant| (relevant must be nonempty)."""
+def _metrics(hit: np.ndarray, n_relevant: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recall and binary-gain NDCG at k of each row of a ``(rows, width)``
+    hit matrix whose columns are ranks, best first.
+
+    DCG adds the gain columns one rank at a time and a miss adds 0.0, so a
+    row has the bits of a scalar loop over its ranked list. IDCG, truncated
+    at min(k, |relevant|), comes from a prefix table summed in the same
+    order.
+    """
+    gains = 1.0 / np.log2(np.arange(2, max(k, hit.shape[1]) + 2))
+    dcg = np.zeros(hit.shape[0])
+    for rank in range(hit.shape[1]):
+        dcg += np.where(hit[:, rank], gains[rank], 0.0)
+    idcg = np.cumsum(gains)[np.minimum(k, n_relevant) - 1]
+    return np.count_nonzero(hit, axis=1) / n_relevant, dcg / idcg
+
+
+def _one_row_metrics(ranked: np.ndarray, relevant: set, k: int) -> tuple[float, float]:
     if not relevant:
         raise ValueError("relevant set must be nonempty")
-    hits = sum(1 for i in np.asarray(ranked).tolist() if i in relevant)
-    return hits / len(relevant)
+    hit = np.isin(np.asarray(ranked, dtype=np.int64), np.fromiter(relevant, np.int64, len(relevant)))
+    recall, ndcg = _metrics(hit[None], np.array([len(relevant)]), k)
+    return float(recall[0]), float(ndcg[0])
+
+
+def recall_at_k(ranked: np.ndarray, relevant: set) -> float:
+    """|ranked intersect relevant| / |relevant| (relevant must be nonempty)."""
+    return _one_row_metrics(ranked, relevant, 1)[0]
 
 
 def ndcg_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
     """Binary-gain NDCG with IDCG truncated at min(k, |relevant|)."""
-    if not relevant:
-        raise ValueError("relevant set must be nonempty")
-    dcg = 0.0
-    for pos, item in enumerate(np.asarray(ranked).tolist(), start=1):
-        if item in relevant:
-            dcg += 1.0 / np.log2(pos + 1)
-    ideal = min(k, len(relevant))
-    idcg = sum(1.0 / np.log2(p + 1) for p in range(1, ideal + 1))
-    return dcg / idcg
-
-
-def _score_block(
-    user_views: np.ndarray, users: np.ndarray, item_views: np.ndarray, item_norms: np.ndarray | None
-) -> np.ndarray:
-    """Float64 scores of ``users`` against every item, one row per user.
-
-    Each row is that user's own gemv, so its bits do not depend on the
-    block. Given ``item_norms`` the scores are cosines: divided by the item
-    norms times the user's ``sqrt(vecdot)`` norm, zero where either norm is
-    below 1e-12.
-    """
-    scores = np.empty((users.size, item_views.shape[0]))
-    for row, u in enumerate(users.tolist()):
-        np.matmul(item_views, user_views[u], out=scores[row])
-    if item_norms is None:
-        return scores
-    block = user_views[users]
-    user_norms = np.sqrt(np.vecdot(block, block))[:, None]
-    ok = (item_norms > 1e-12) & (user_norms > 1e-12)
-    denom = np.where(ok, item_norms * np.maximum(user_norms, 1e-300), 1.0)
-    return np.where(ok, scores / denom, 0.0)
+    return _one_row_metrics(ranked, relevant, k)[1]
 
 
 def evaluate(
@@ -116,8 +122,12 @@ def evaluate(
 
     Each user with held-out items gets the k best non-train items by score,
     ties broken toward the smaller item id (fewer than k when fewer remain).
-    Users are scored in row blocks of bounded size, and each row is exact:
-    the ranking equals a full stable sort of that user's scores.
+    Scores are one users x items product, taken in ``row_blocks`` of
+    bounded size: for cosine, of the unit user and item rows (``unit_rows``,
+    normalised once per call), for inner product of the views themselves.
+    Each row's ranking equals a full stable sort of that row of the
+    product; the per-user metrics come from one array pass over all ranked
+    lists.
     """
     if split not in ("val", "test"):
         raise ConfigError(f"split must be val|test, got {split!r}")
@@ -126,36 +136,40 @@ def evaluate(
     if sim not in ("inner", "cosine"):
         raise ConfigError(f"unknown similarity {sim!r}")
     relevant = ds.val if split == "val" else ds.test
+    if relevant.shape[0] == 0:
+        return EvalResult(k=k, per_user={}, recall=0.0, ndcg=0.0)
     users, starts = np.unique(relevant[:, 0], return_index=True)
-    rel_ptr = np.append(starts, relevant.shape[0])
+    n_relevant = np.diff(np.append(starts, relevant.shape[0]))
     # the train pairs of ranked users, as (row in ``users``, item)
     train = ds.train[np.isin(ds.train[:, 0], users)]
     train_rows = np.searchsorted(users, train[:, 0])
-    item_norms = np.linalg.norm(item_views, axis=1) if sim == "cosine" else None
+    rows_v, cols_v = user_views[users], item_views
+    if sim == "cosine":
+        rows_v, cols_v = unit_rows(rows_v), unit_rows(cols_v)
     n_items = item_views.shape[0]
-    kth = n_items - min(k, n_items)  # the k-th best score's ascending position
+    width = min(k, n_items)
+    kth = n_items - width  # the k-th best score's ascending position
 
-    per_user: dict[int, tuple[float, float]] = {}
+    ranked_rows, ranked = [], []
     for a, b in row_blocks(users.size, n_items):
-        scores = _score_block(user_views, users[a:b], item_views, item_norms)
+        scores = rows_v[a:b] @ cols_v.T
         lo, hi = np.searchsorted(train_rows, [a, b])
         scores[train_rows[lo:hi] - a, train[lo:hi, 1]] = -np.inf
         # every entry at or above the row's k-th score: ties at the cut stay
         cut = np.partition(scores, kth, axis=1)[:, kth, None]
         rows, cols = np.nonzero((scores >= cut) & (scores > -np.inf))
         top = top_per_row(rows, cols, scores[rows, cols], k)
-        ranked_rows, ranked = rows[top], cols[top]
-        ptr = np.searchsorted(ranked_rows, np.arange(b - a + 1))
-        for row, u in enumerate(users[a:b].tolist()):
-            items = set(relevant[rel_ptr[a + row] : rel_ptr[a + row + 1], 1].tolist())
-            ranked_u = ranked[ptr[row] : ptr[row + 1]]
-            per_user[u] = (recall_at_k(ranked_u, items), ndcg_at_k(ranked_u, items, k))
-    if per_user:
-        recall = float(np.mean([m[0] for m in per_user.values()]))
-        ndcg = float(np.mean([m[1] for m in per_user.values()]))
-    else:
-        recall = ndcg = 0.0
-    return EvalResult(k=k, per_user=per_user, recall=recall, ndcg=ndcg)
+        ranked_rows.append(rows[top] + a)
+        ranked.append(cols[top])
+    ranked_rows = np.concatenate(ranked_rows)
+    ranked = np.concatenate(ranked)
+    rank = np.arange(ranked.size) - np.searchsorted(ranked_rows, ranked_rows)
+    rel_rows = np.repeat(np.arange(users.size), n_relevant)
+    hit = np.zeros((users.size, width), dtype=bool)
+    hit[ranked_rows, rank] = np.isin(ranked_rows * n_items + ranked, rel_rows * n_items + relevant[:, 1])
+    recall, ndcg = _metrics(hit, n_relevant, k)
+    per_user = dict(zip(users.tolist(), zip(recall.tolist(), ndcg.tolist())))
+    return EvalResult(k=k, per_user=per_user, recall=float(np.mean(recall)), ndcg=float(np.mean(ndcg)))
 
 
 def write_per_user_tsv(result: EvalResult, path: str) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import row_blocks, top_per_row
+from .evaluate import row_blocks, top_per_row, unit_rows
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from .seeds import child_rng
@@ -223,12 +223,7 @@ def predict_links(
     items = np.nonzero(g.item_deg > 0)[0]
     if users.size == 0 or items.size == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0)
-    norms_u = np.linalg.norm(z_u[users], axis=1)
-    norms_i = np.linalg.norm(z_i[items], axis=1)
-    safe_u = np.where(norms_u > 1e-12, norms_u, 1.0)
-    safe_i = np.where(norms_i > 1e-12, norms_i, 1.0)
-    unit_u = np.where((norms_u > 1e-12)[:, None], z_u[users] / safe_u[:, None], 0.0)
-    unit_i = np.where((norms_i > 1e-12)[:, None], z_i[items] / safe_i[:, None], 0.0)
+    unit_u, unit_i = unit_rows(z_u[users]), unit_rows(z_i[items])
     edges = g.edge_array()
     edge_rows = np.searchsorted(users, edges[:, 0])
     edge_cols = np.searchsorted(items, edges[:, 1])

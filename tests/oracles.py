@@ -281,8 +281,56 @@ def ndcg_oracle(ranked, relevant, k) -> float:
     return dcg / idcg
 
 
-# Ranking as it was when every user was scored and sorted on their own: one
-# gemv, the item norms recomputed, and a full stable argsort per user.
+# Ranking as ``evaluate`` defines it: one product over the split's users (of
+# unit rows, for cosine), then a full stable argsort of each user's row. The
+# per-user gemv it replaced stays as ``rank_candidates_gemv``.
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(x, axis=1)
+    safe = np.where(norms > 1e-12, norms, 1.0)
+    return np.where((norms > 1e-12)[:, None], x / safe[:, None], 0.0)
+
+
+def _top_k(scores: np.ndarray, train_items, k: int) -> np.ndarray:
+    mask = np.zeros(scores.size, dtype=bool)
+    train_idx = np.asarray(sorted(train_items), dtype=np.int64)
+    if train_idx.size:
+        mask[train_idx] = True
+    scores = np.where(mask, -np.inf, scores)
+    order = np.argsort(-scores, kind="stable")
+    order = order[~mask[order]]
+    return order[:k].astype(np.int64)
+
+
+def rank_candidates(
+    user_views: np.ndarray,
+    item_views: np.ndarray,
+    train_items,
+    k: int,
+    sim: str = "cosine",
+):
+    """Top-k candidate items of each user row, excluding its train items.
+
+    ``user_views`` holds the split's users, one row each, and
+    ``train_items`` one collection of item ids per row; every row is scored
+    by one product against the item table. A single ``(d,)`` vector is a
+    split of one user: ``train_items`` is then its collection, and one id
+    array comes back instead of a list. Ties in score break toward the
+    smaller item id (stable sort on the negated scores). Returns fewer than
+    k ids when fewer candidates exist.
+    """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if sim not in ("inner", "cosine"):
+        raise ConfigError(f"unknown similarity {sim!r}")
+    one = np.ndim(user_views) == 1
+    rows, cols = np.atleast_2d(user_views), item_views
+    if sim == "cosine":
+        rows, cols = _unit_rows(rows), _unit_rows(cols)
+    scores = rows @ cols.T
+    ranked = [_top_k(row, train, k) for row, train in zip(scores, [train_items] if one else train_items)]
+    return ranked[0] if one else ranked
 
 
 def _score_rows(user_vec: np.ndarray, item_views: np.ndarray, sim: str) -> np.ndarray:
@@ -297,29 +345,18 @@ def _score_rows(user_vec: np.ndarray, item_views: np.ndarray, sim: str) -> np.nd
     return np.where(ok, item_views @ user_vec / denom, 0.0)
 
 
-def rank_candidates(
+def rank_candidates_gemv(
     user_vec: np.ndarray,
     item_views: np.ndarray,
     train_items,
     k: int,
     sim: str = "cosine",
 ) -> np.ndarray:
-    """Top-k candidate items for one user, excluding their train items.
-
-    Ties in score break toward the smaller item id (stable sort on the
-    negated scores). Returns fewer than k ids when fewer candidates exist.
-    """
+    """One user's top-k as ranking was when each user was scored alone: a
+    gemv against the item table and, for cosine, a division by both norms."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    scores = _score_rows(user_vec, item_views, sim)
-    mask = np.zeros(item_views.shape[0], dtype=bool)
-    train_idx = np.asarray(sorted(train_items), dtype=np.int64)
-    if train_idx.size:
-        mask[train_idx] = True
-    scores = np.where(mask, -np.inf, scores)
-    order = np.argsort(-scores, kind="stable")
-    order = order[~mask[order]]
-    return order[:k].astype(np.int64)
+    return _top_k(_score_rows(user_vec, item_views, sim), train_items, k)
 
 
 def cosine_oracle(a, b) -> float:
@@ -491,13 +528,7 @@ def predict_links_loop(g, mender, threshold: float, cap_per_user, layers: int):
     items = np.nonzero(g.item_deg > 0)[0]
     if users.size == 0 or items.size == 0:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0)
-    norms_u = np.linalg.norm(z_u[users], axis=1)
-    norms_i = np.linalg.norm(z_i[items], axis=1)
-    safe_u = np.where(norms_u > 1e-12, norms_u, 1.0)
-    safe_i = np.where(norms_i > 1e-12, norms_i, 1.0)
-    unit_u = np.where((norms_u > 1e-12)[:, None], z_u[users] / safe_u[:, None], 0.0)
-    unit_i = np.where((norms_i > 1e-12)[:, None], z_i[items] / safe_i[:, None], 0.0)
-    sims = unit_u @ unit_i.T
+    sims = _unit_rows(z_u[users]) @ _unit_rows(z_i[items]).T
     predicted = []
     scores = {}
     for row, u in enumerate(users):

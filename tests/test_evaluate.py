@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import importlib
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from fedgcf.evaluate import (
     write_per_user_tsv,
 )
 
-from oracles import ndcg_oracle, rank_candidates, recall_oracle
+from oracles import ndcg_oracle, rank_candidates, rank_candidates_gemv, recall_oracle
 
 # the package re-exports the function ``evaluate`` under its module's name
 evaluate_module = importlib.import_module("fedgcf.evaluate")
@@ -239,14 +242,97 @@ def test_evaluate_matches_per_user_oracle(case, k, sim, budget):
         if budget is not None:
             mp.setattr(evaluate_module, "_SCORE_BUDGET", budget)
         res = evaluate(user_views, item_views, ds, "test", k, sim)
-    train_by_user = ds.pairs_by_user(ds.train)
-    expected = {}
-    for u, items in sorted(ds.pairs_by_user(ds.test).items()):
-        ranked = rank_candidates(user_views[u], item_views, train_by_user.get(u, ()), k, sim)
-        expected[u] = (recall_at_k(ranked, set(items)), ndcg_at_k(ranked, set(items), k))
+    expected = _oracle_metrics(user_views, item_views, ds, k, sim)
     assert list(res.per_user.items()) == list(expected.items())
     for j, macro in enumerate((res.recall, res.ndcg)):
         assert macro == (float(np.mean([m[j] for m in expected.values()])) if expected else 0.0)
+
+
+@pytest.mark.parametrize("n_users,n_items", [(97, 5), (145, 3), (193, 8)])
+def test_evaluate_blocks_leaving_a_lone_row_match_oracle(monkeypatch, n_users, n_items):
+    # 48-row blocks would leave one row over; alone, that row would go to
+    # gemv and round differently from the full product
+    rng = np.random.default_rng(n_users)
+    user_views, item_views = rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3))
+    test = {(u, int(rng.integers(n_items))) for u in range(n_users)}
+    train = {(u, int(rng.integers(n_items))) for u in range(n_users)} - test
+    ds = InteractionDataset(n_users, n_items, train, test=test)
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    assert len(evaluate_module.row_blocks(n_users, n_items)) == n_users // 48
+    for sim in ("cosine", "inner"):
+        res = evaluate(user_views, item_views, ds, "test", 2, sim)
+        assert list(res.per_user.items()) == list(_oracle_metrics(user_views, item_views, ds, 2, sim).items())
+
+
+@pytest.mark.parametrize("sim", ["cosine", "inner"])
+def test_evaluate_ranks_generic_views_as_per_user_gemv(sim):
+    # one product in place of a gemv per user moves scores by a few ulp:
+    # on views without near-ties no ranking moves
+    rng = np.random.default_rng(15)
+    n_users, n_items = 200, 300
+    user_views, item_views = rng.normal(size=(n_users, 64)), rng.normal(size=(n_items, 64))
+    pairs = {(u, int(i)) for u in range(n_users) for i in rng.choice(n_items, 12, replace=False)}
+    test = {p for p in pairs if p[1] % 4 == 0}
+    ds = InteractionDataset(n_users, n_items, pairs - test, test=test)
+    res = evaluate(user_views, item_views, ds, "test", 20, sim)
+    train_by_user = ds.pairs_by_user(ds.train)
+    expected = {}
+    for u, items in sorted(ds.pairs_by_user(ds.test).items()):
+        ranked = rank_candidates_gemv(user_views[u], item_views, train_by_user.get(u, ()), 20, sim)
+        expected[u] = (recall_at_k(ranked, set(items)), ndcg_at_k(ranked, set(items), 20))
+    assert len(expected) > 150
+    assert list(res.per_user.items()) == list(expected.items())
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the test, as the bitwise block
+    claims assume; a BLAS whose thread count cannot be set runs as it is."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        lib = ctypes.CDLL(path)
+        for get, put in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            if hasattr(lib, get) and hasattr(lib, put):
+                getattr(lib, get).restype = ctypes.c_int
+                getattr(lib, put).argtypes = [ctypes.c_int]
+                threads = getattr(lib, get)()
+                getattr(lib, put)(1)
+                try:
+                    yield
+                finally:
+                    getattr(lib, put)(threads)
+                return
+    yield
+
+
+@pytest.mark.parametrize("n_cols", [300, 2400])
+def test_row_blocks_have_the_bits_of_the_full_product(monkeypatch, one_blas_thread, n_cols):
+    # the shapes evaluate and predict_links block at: d = 64, hundreds to
+    # thousands of columns, 48-row blocks plus a remainder
+    rng = np.random.default_rng(n_cols)
+    rows, cols = rng.normal(size=(400, 64)), rng.normal(size=(n_cols, 64))
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    for n_rows in range(49, 401):
+        full = rows[:n_rows] @ cols.T
+        blocks = [rows[a:b] @ cols.T for a, b in evaluate_module.row_blocks(n_rows, n_cols)]
+        assert len(blocks) == n_rows // 48
+        assert np.array_equal(np.concatenate(blocks), full), n_rows
+
+
+def _oracle_metrics(user_views, item_views, ds, k, sim):
+    """Per-user (recall, ndcg) of the test split, ranked from the split's
+    full product."""
+    test_by_user = sorted(ds.pairs_by_user(ds.test).items())
+    train_by_user = ds.pairs_by_user(ds.train)
+    users = [u for u, _ in test_by_user]
+    ranked = rank_candidates(user_views[users], item_views, [train_by_user.get(u, ()) for u in users], k, sim)
+    return {
+        u: (recall_at_k(r, set(items)), ndcg_at_k(r, set(items), k))
+        for (u, items), r in zip(test_by_user, ranked)
+    }
 
 
 def test_evaluate_val_split_and_bad_split():
