@@ -72,6 +72,18 @@ class DeviceUpload:
     user_view: np.ndarray | None = None
 
 
+def nth_outside(members: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The ``q[j]``-th smallest (from 0) non-negative integer that is not in
+    the ascending, duplicate-free ``members``.
+
+    ``members[e] - e`` non-members lie below ``members[e]``, and these
+    counts ascend, so the q-th non-member skips exactly the members whose
+    count is at most q: one ``searchsorted`` maps every position, with no
+    mask over the range.
+    """
+    return q + np.searchsorted(members - np.arange(members.size), q, side="right")
+
+
 def sample_negatives(
     interacted: np.ndarray, k: int, n_items: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -79,16 +91,19 @@ def sample_negatives(
 
     Sampling is without replacement while the complement allows it; when k
     exceeds the complement size the draw falls back to replacement so the
-    caller still gets k negatives.
+    caller still gets k negatives. The draw is ``rng.choice`` of the
+    complement's size, which draws what ``rng.choice`` of the complement
+    itself would; ``nth_outside`` maps it to items.
     """
-    mask = np.ones(n_items, dtype=bool)
-    mask[np.asarray(interacted, dtype=np.int64)] = False
-    complement = np.flatnonzero(mask)
-    if complement.size == 0:
+    items = np.asarray(interacted, dtype=np.int64)
+    if items.size > 1 and not (items[1:] > items[:-1]).all():
+        items = np.unique(items)  # a device's local items are already ascending
+    free = n_items - items.size
+    if free == 0:
         raise ValueError("user interacted with every item; no negatives exist")
     if k <= 0:
         return np.zeros(0, dtype=np.int64)
-    return rng.choice(complement, size=k, replace=k > complement.size)
+    return nth_outside(items, rng.choice(free, size=k, replace=k > free))
 
 
 def _private_rows(work: RowBlock, item_table: np.ndarray, keys: np.ndarray, n_items: int) -> np.ndarray:

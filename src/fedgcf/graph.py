@@ -82,9 +82,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return int(self.user_adj.shape[0])
 
-    def user_neighbors(self, u: int) -> np.ndarray:
-        return self.user_adj[self.user_ptr[u] : self.user_ptr[u + 1]]
-
     def edge_array(self) -> np.ndarray:
         """Edges as an (E,2) array sorted by (user, item)."""
         users = np.repeat(np.arange(self.n_users), self.user_deg)
@@ -141,6 +138,22 @@ def propagate_once(g: BipartiteGraph, user_emb: np.ndarray, item_emb: np.ndarray
     new_item = _gather_sum(user_emb * g.user_inv_sqrt[:, None], g.item_buckets, g.n_items)
     new_item *= g.item_inv_sqrt[:, None]
     return new_user, new_item
+
+
+def propagate_items(g: BipartiteGraph, user_emb: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The item side of ``propagate_once`` for the ascending ids ``items``
+    only, bitwise: each degree bucket is cut to its nodes among ``items``,
+    and a node's sum does not depend on its bucket-mates."""
+    out = np.zeros((items.size, user_emb.shape[1]), dtype=np.float64)
+    wanted = np.zeros(g.n_items, dtype=bool)
+    wanted[items] = True
+    for nodes, nbr in g.item_buckets:
+        keep = wanted[nodes]
+        if keep.any():
+            nbr = nbr[:, keep]
+            out[np.searchsorted(items, nodes[keep])] = _ordered_sum(user_emb[nbr] * g.user_inv_sqrt[nbr, None])
+    out *= g.item_inv_sqrt[items, None]
+    return out
 
 
 def default_alpha(layers: int) -> np.ndarray:

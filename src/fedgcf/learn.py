@@ -296,7 +296,9 @@ class LossSpec:
     BPR triplets index rows of the propagated tables. ``link_positives`` /
     ``link_negatives`` are (u,i) pairs for the mending objective.
     ``reg_user_rows`` / ``reg_item_rows`` are the layer-0 rows regularized
-    once in the combined objective.
+    once in the combined objective. ``views``, when given, are the final
+    (user, item) views of the state over ``graph`` with ``alpha``, which
+    the gradient then reads instead of computing its forward pass.
     """
 
     graph: BipartiteGraph | EgoGraph
@@ -312,6 +314,7 @@ class LossSpec:
     reg_lambda: float = 0.0
     reg_user_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     reg_item_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    views: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -376,16 +379,19 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
     """Evaluate the composite loss and its layer-0 gradient bundle.
 
     The forward pass propagates layer 0 through the graph and combines the
-    layers; every loss term produces gradients with respect to the final
-    views, which the self-adjoint propagation maps back to layer 0. The
-    regularizer acts on layer-0 rows directly.
+    layers, or reads ``spec.views``; every loss term produces gradients
+    with respect to the final views, which the self-adjoint propagation
+    maps back to layer 0. The regularizer acts on layer-0 rows directly.
 
     Over an ``EgoGraph`` forest the loss parts hold one entry per star,
     each bitwise the loss of that star alone: a BPR triplet or a link
     belongs to its user row's star and a regularized row to its own.
     """
     forest = isinstance(spec.graph, EgoGraph)
-    final_u, final_i = spec.graph.combine(state.user, state.item, spec.alpha)
+    if spec.views is None:
+        final_u, final_i = spec.graph.combine(state.user, state.item, spec.alpha)
+    else:
+        final_u, final_i = spec.views
     grad_u = np.zeros_like(final_u)
     grad_i = np.zeros_like(final_i)
     parts = LossParts(*(np.zeros(spec.graph.n_users) for _ in range(5))) if forest else LossParts()

@@ -49,6 +49,8 @@ class RunContext:
     train_seed: int
     server_only: bool = False
     sync_all_users: bool = False
+    # (model, graph, read-only views) of the last ``_server_views`` miss
+    server_views: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -142,6 +144,24 @@ def prepare_run(
     )
 
 
+def _server_views(ctx: RunContext) -> tuple[np.ndarray, np.ndarray]:
+    """``server_infer``'s views of the server model, computed once per model.
+
+    They are keyed on the identity of ``ctx.server.model`` (and its graph):
+    ``fedavg_aggregate`` replaces the model rather than changing it. The
+    arrays are read-only, so a write raises instead of leaving stale views.
+    """
+    server = ctx.server
+    cached = ctx.server_views
+    if cached is None or cached[0] is not server.model or cached[1] is not server.graph:
+        ctx.server_views = None  # let the stale views go before computing new ones
+        views = server_infer(server.graph, server.model, ctx.hyper.layers_server)
+        for view in views:
+            view.flags.writeable = False
+        cached = ctx.server_views = (server.model, server.graph, views)
+    return cached[2]
+
+
 def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     """One federation round.
 
@@ -158,9 +178,9 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     else:
         selected = select_clients(ctx.ds.n_users, hyper.clients_per_round, round_idx, ctx.train_seed)
 
+    user_views, item_views = _server_views(ctx)
     received_maps: dict[int, ReceivedViews] = {}
     if selected.size:
-        user_views, item_views = server_infer(server.graph, server.model, hyper.layers_server)
         local_items = {u: ctx.devices[u].local_items for u in selected.tolist()}
         received_maps = embedding_exchange(
             ctx.policy, server.uploaded, selected, user_views, item_views, local_items, round_idx, ctx.audit
@@ -177,7 +197,7 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     )
 
     server.absorb_uploads(uploads, ctx.policy, round_idx, ctx.audit)
-    server_upload, server_parts = server_train(server, hyper, round_idx, ctx.train_seed)
+    server_upload, server_parts = server_train(server, hyper, round_idx, ctx.train_seed, (user_views, item_views))
 
     if hyper.ldp_clip > 0.0 or hyper.ldp_noise > 0.0:
         uploads = [
@@ -237,11 +257,12 @@ def device_views(device_user: np.ndarray, item: np.ndarray, ds: InteractionDatas
 def eval_views(ctx: RunContext, mode: str = "server"):
     """Embedding views used for evaluation.
 
-    ``server``: global model propagated over the mended contributed graph.
+    ``server``: global model propagated over the mended contributed graph,
+    the read-only views the next round's exchange and ``server_train`` share.
     ``device``: ``device_views`` of every device's user row.
     """
     if mode == "server":
-        return server_infer(ctx.server.graph, ctx.server.model, ctx.hyper.layers_server)
+        return _server_views(ctx)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
     device_user = np.stack([ctx.devices[u].p_u for u in range(ctx.ds.n_users)])

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .client import DeviceUpload, ReceivedViews, sample_negatives
+from .client import DeviceUpload, ReceivedViews, nth_outside
 from .data import SharePolicy, ShareTier
-from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine
+from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, propagate_items
 from .learn import (
     AdamMoments,
     CLTerm,
@@ -155,16 +155,32 @@ def embedding_exchange(
     return received
 
 
-def _first_order_item_views(
-    shared_graph: BipartiteGraph, model: EmbeddingState
-) -> np.ndarray:
-    """Single-layer combined item views over the unmended contributed graph.
+def _first_order_item_views(shared_graph: BipartiteGraph, model: EmbeddingState, items: np.ndarray) -> np.ndarray:
+    """Single-layer combined views of the ascending ``items`` over the
+    unmended contributed graph, bitwise those of ``propagate_combine``.
 
     These stand in for device-side item views in the server's contrastive
     term (devices upload only user views) and are treated as constants.
     """
-    _, item_views = propagate_combine(shared_graph, model.user, model.item, default_alpha(1))
-    return item_views
+    alpha = default_alpha(1)
+    return alpha[0] * model.item[items] + alpha[1] * propagate_items(shared_graph, model.user, items)
+
+
+def _server_negatives(graph: BipartiteGraph, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One negative per entry of the ascending, nonempty ``users``, outside
+    the user's row of ``graph``: per run of one user, ``rng.choice`` of the
+    row's complement size (with replacement only when the run is longer),
+    then one ``nth_outside`` over all rows laid end to end, user u's items
+    as the keys ``u * n_items + item``."""
+    run_users, counts = np.unique(users, return_counts=True)
+    free = graph.n_items - graph.user_deg[run_users]
+    if (free == 0).any():
+        raise ValueError(f"user {run_users[np.argmax(free == 0)]} interacted with every item; no negatives exist")
+    pos = np.concatenate([rng.choice(c, size=n, replace=n > c) for c, n in zip(free.tolist(), counts.tolist())])
+    keys = np.repeat(np.arange(graph.n_users) * graph.n_items, graph.user_deg) + graph.user_adj
+    base = users * graph.n_items
+    # the rows before user u hold u * n_items - user_ptr[u] non-members
+    return nth_outside(keys, base - graph.user_ptr[users] + pos) - base
 
 
 def server_train(
@@ -172,13 +188,16 @@ def server_train(
     hyper: HyperParams,
     round_idx: int,
     train_seed: int,
+    views: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[DeviceUpload | None, LossParts | None]:
     """One Adam step on a minibatch of contributed interactions.
 
     BPR positives come from the real contributed pairs; negatives avoid
     each user's mended adjacency. The contrastive term aligns the server's
     propagated views with uploaded device user views (and with detached
-    first-order item views) for batch members. Returns the server's own
+    first-order item views) for batch members. ``views``, when given, are
+    ``server_infer``'s views of ``server.model`` over ``server.graph``;
+    the gradient then skips its forward pass. Returns the server's own
     delta upload, or None when there is no contributed data.
     """
     edges = server.shared_graph.edge_array()
@@ -191,14 +210,8 @@ def server_train(
     users = batch[:, 0]
     positives = batch[:, 1]
 
-    negatives = np.zeros(batch_size, dtype=np.int64)
-    rng_neg = child_rng(train_seed, "server_neg", round_idx)
     # the batch is sorted by user, so each user's rows form one run
-    run_users, starts, counts = np.unique(users, return_index=True, return_counts=True)
-    for u, start, n in zip(run_users.tolist(), starts.tolist(), counts.tolist()):
-        negatives[start : start + n] = sample_negatives(
-            server.graph.user_neighbors(u), n, server.graph.n_items, rng_neg
-        )
+    negatives = _server_negatives(server.graph, users, child_rng(train_seed, "server_neg", round_idx))
 
     cl_terms: list[CLTerm] = []
     if hyper.cl_weight > 0.0:
@@ -216,20 +229,18 @@ def server_train(
                     fixed_views=fixed,
                 )
             )
+        # positives are contributed edges, so every batch item has degree >= 1
         batch_items = np.unique(positives)
-        batch_items = batch_items[server.shared_graph.item_deg[batch_items] > 0]
-        if batch_items.size:
-            first_order = _first_order_item_views(server.shared_graph, server.model)
-            cl_terms.append(
-                CLTerm(
-                    kind="item",
-                    trainable="key",
-                    rows=batch_items,
-                    ids=batch_items,
-                    fixed_ids=batch_items,
-                    fixed_views=first_order[batch_items],
-                )
+        cl_terms.append(
+            CLTerm(
+                kind="item",
+                trainable="key",
+                rows=batch_items,
+                ids=batch_items,
+                fixed_ids=batch_items,
+                fixed_views=_first_order_item_views(server.shared_graph, server.model, batch_items),
             )
+        )
 
     spec = LossSpec(
         graph=server.graph,
@@ -243,6 +254,7 @@ def server_train(
         reg_lambda=hyper.reg_lambda,
         reg_user_rows=np.unique(users),
         reg_item_rows=np.unique(np.concatenate([positives, negatives])),
+        views=views,
     )
     parts, grads = compute_gradients(spec, server.model)
     work = server.model.copy()

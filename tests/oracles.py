@@ -106,9 +106,14 @@ def csr_reference(n_users: int, n_items: int, pairs) -> dict:
     }
 
 
+def user_row(g, u: int) -> np.ndarray:
+    """User ``u``'s ascending item neighbours in ``g``."""
+    return g.user_adj[g.user_ptr[u] : g.user_ptr[u + 1]]
+
+
 def has_edge(g, u: int, i: int) -> bool:
     """Whether ``g`` links user ``u`` and item ``i``."""
-    return int(i) in g.user_neighbors(int(u)).tolist()
+    return int(i) in user_row(g, int(u)).tolist()
 
 
 def pair_set(edges) -> set:
@@ -532,7 +537,7 @@ def predict_links_loop(g, mender, threshold: float, cap_per_user, layers: int):
     predicted = []
     scores = {}
     for row, u in enumerate(users):
-        mask = np.isin(items, g.user_neighbors(int(u)))
+        mask = np.isin(items, user_row(g, int(u)))
         cand_scores = sims[row]
         hits = np.nonzero((cand_scores >= threshold) & ~mask)[0]
         if hits.size == 0:
@@ -570,13 +575,29 @@ def sample_negative_links_loop(g_full, count: int, rng):
     if need > 0:
         candidates = []
         for u in users:
-            row = set(g_full.user_neighbors(int(u)).tolist())
+            row = set(user_row(g_full, int(u)).tolist())
             for i in items:
                 if int(i) not in row:
                     candidates.append((int(u), int(i)))
         idx = rng.choice(len(candidates), size=need, replace=len(candidates) < need)
         out.extend(candidates[j] for j in np.atleast_1d(idx))
     return np.asarray(out, dtype=np.int64).reshape(-1, 2), need
+
+
+def server_negatives_loop(graph, users: np.ndarray, rng) -> np.ndarray:
+    """One negative per entry of the ascending ``users``: per run of one
+    user, an ``n_items`` mask of its row, the complement from
+    ``flatnonzero`` and one ``rng.choice`` of it."""
+    negatives = np.zeros(users.size, dtype=np.int64)
+    run_users, starts, counts = np.unique(users, return_index=True, return_counts=True)
+    for u, start, n in zip(run_users.tolist(), starts.tolist(), counts.tolist()):
+        mask = np.ones(graph.n_items, dtype=bool)
+        mask[user_row(graph, u)] = False
+        complement = np.flatnonzero(mask)
+        if complement.size == 0:
+            raise ValueError(f"user {u} interacted with every item")
+        negatives[start : start + n] = rng.choice(complement, size=n, replace=n > complement.size)
+    return negatives
 
 
 # ---------------------------------------------------------------- devices

@@ -18,7 +18,7 @@ from fedgcf.data import ShareTier
 from fedgcf.graph import BipartiteGraph, EgoGraph, default_alpha
 from fedgcf.learn import HyperParams, LossParts, RowBlock, compute_gradients
 
-from oracles import as_dict, block_of, client_train_one, same_bits
+from oracles import as_dict, block_of, client_train_one, same_bits, server_negatives_loop
 
 
 def make_device(user_id=3, items=(0, 2, 5), dim=6, seed=0):
@@ -88,6 +88,22 @@ def test_sample_negatives_exhausted_raises():
 
 def test_sample_negatives_zero_k():
     assert sample_negatives(np.array([0]), 0, 3, np.random.default_rng(4)).size == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    interacted=st.lists(st.integers(0, 11), max_size=11),  # any order, repeats allowed
+    k=st.integers(1, 20),
+    seed=st.integers(0, 2**16),
+)
+@example(interacted=[3, 1, 3, 0], k=4, seed=0)
+def test_sample_negatives_match_mask_draw(interacted, k, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_negatives(np.array(interacted, dtype=np.int64), k, 12, got_rng)
+    row = BipartiteGraph(1, 12, [(0, i) for i in interacted])
+    want = server_negatives_loop(row, np.zeros(k, dtype=np.int64), want_rng)
+    assert same_bits(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------- training

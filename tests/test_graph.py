@@ -14,11 +14,12 @@ from fedgcf.graph import (
     default_alpha,
     forest_chunks,
     propagate_combine,
+    propagate_items,
     propagate_once,
     xavier_init,
 )
 
-from oracles import csr_reference, dense_combine, dense_propagate, has_edge, same_bits, sequential_propagate
+from oracles import csr_reference, dense_combine, dense_propagate, has_edge, same_bits, sequential_propagate, user_row
 
 
 def random_graph(rng, n_u=5, n_i=6, p=0.4):
@@ -45,7 +46,7 @@ def test_build_graph_basic():
     assert g.user_deg.tolist() == [2, 1]
     assert g.item_deg.tolist() == [1, 2, 0]
     assert has_edge(g, 0, 1) and not has_edge(g, 1, 0)
-    assert g.user_neighbors(0).tolist() == [0, 1]
+    assert user_row(g, 0).tolist() == [0, 1]
     item_ptr, item_adj = item_csr(g)
     assert item_adj[item_ptr[1] : item_ptr[2]].tolist() == [0, 1]
     with pytest.raises(IndexError):
@@ -201,12 +202,24 @@ def test_propagation_is_batch_invariant(n_u, n_i, p, d, seed):
     new_user, new_item = propagate_once(g, user, item)
     pre_user, pre_item = user * g.user_inv_sqrt[:, None], item * g.item_inv_sqrt[:, None]
     for u in range(n_u):
-        own = BipartiteGraph(n_u, n_i, [(u, i) for i in g.user_neighbors(u)])
+        own = BipartiteGraph(n_u, n_i, [(u, i) for i in user_row(g, u)])
         assert same_bits(propagate_once(own, user, pre_item)[0][u], new_user[u])
     item_ptr, item_adj = item_csr(g)
     for i in range(n_i):
         own = BipartiteGraph(n_u, n_i, [(u, i) for u in item_adj[item_ptr[i] : item_ptr[i + 1]]])
         assert same_bits(propagate_once(own, pre_user, item)[1][i], new_item[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**graph_cases, share=st.floats(0.0, 1.0))
+@example(n_u=12, n_i=40, p=1.0, d=1, seed=4, share=0.3)
+@example(n_u=3, n_i=40, p=0.6, d=1, seed=6, share=1.0)
+def test_propagate_items_is_bitwise_the_full_item_side(n_u, n_i, p, d, seed, share):
+    rng = np.random.default_rng(seed)
+    _, g = random_graph(rng, n_u, n_i, p)
+    user, item = rng.normal(size=(n_u, d)), rng.normal(size=(n_i, d))
+    items = np.flatnonzero(rng.random(n_i) < share)  # isolated items included
+    assert same_bits(propagate_items(g, user, items), propagate_once(g, user, item)[1][items])
 
 
 def test_propagation_transient_memory_is_below_half_an_edge_table():

@@ -276,6 +276,50 @@ def test_eval_views_device_uses_local_items():
 
 
 
+def test_cached_server_views_are_read_only():
+    ctx = prepare_run(toy_dataset(), toy_hyper())
+    for view in eval_views(ctx):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
+def test_one_server_forward_per_model():
+    # a round propagates the server views once per model: its exchange and
+    # server_train share them with a server-view evaluation of that model,
+    # and server_train adds only its adjoint pass
+    calls = []
+    real = fedgcf.graph.propagate_once
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(fedgcf.graph, "propagate_once", counted):
+        ctx = prepare_run(toy_dataset(), toy_hyper(), disable_gm=True)
+        layers = ctx.hyper.layers_server
+        counts = [len(calls)]
+        run_round(ctx, 1)  # views of the initial model, then the adjoint
+        counts.append(len(calls))
+        first = eval_views(ctx)  # views of the aggregated model
+        assert eval_views(ctx) is first
+        counts.append(len(calls))
+        run_round(ctx, 2)  # reuses them: the adjoint alone
+        counts.append(len(calls))
+    assert np.diff(counts).tolist() == [2 * layers, layers, layers]
+    assert counts[0] == 0
+
+
+def test_eval_cadence_never_changes_training_bits():
+    ds = toy_dataset()
+    every = run_training(ds, toy_hyper(rounds=4, eval_every=1, patience=4))
+    sparse = run_training(ds, toy_hyper(rounds=4, eval_every=3, patience=4))
+    assert [e["round"] for e in sparse.evals] == [0, 3, 4]
+    assert every.rounds_run == sparse.rounds_run == 4
+    assert every.reports == sparse.reports
+    a, b = every.context.server.model, sparse.context.server.model
+    assert same_bits(a.user, b.user) and same_bits(a.item, b.item)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_users=st.integers(1, 30),

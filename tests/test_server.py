@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from fedgcf.client import DeviceUpload, ReceivedViews
 from fedgcf.data import SharePolicy, ShareTier
-from fedgcf.graph import BipartiteGraph, EmbeddingState
+from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine
 from fedgcf.learn import GradientBundle, HyperParams, RowBlock
+from fedgcf.seeds import child_rng
 from fedgcf.server import (
     SERVER_ID,
     AuditLog,
     ServerState,
+    _first_order_item_views,
+    _server_negatives,
     apply_ldp,
     build_server_graph,
     embedding_exchange,
@@ -22,7 +25,7 @@ from fedgcf.server import (
     server_train,
 )
 
-from oracles import as_dict, bundle_of, violations_per_event
+from oracles import as_dict, bundle_of, same_bits, server_negatives_loop, violations_per_event
 
 TIERS = [ShareTier.NONE, ShareTier.PART, ShareTier.ALL, ShareTier.ALL]
 RATIO_OF = {ShareTier.NONE: 0.0, ShareTier.PART: 0.5, ShareTier.ALL: 1.0}
@@ -330,6 +333,61 @@ def test_server_train_deterministic():
         assert set(store1) == set(store2)
         for row in store1:
             assert np.array_equal(store1[row], store2[row])
+
+
+def test_server_train_with_given_views_is_bitwise_its_own_forward():
+    hyper = HyperParams(dim=4, server_batch=5)
+    results = []
+    for given_views in (False, True):
+        _, server = make_server()
+        server.uploaded = stored_views([2, 3], np.random.default_rng(10))
+        views = server_infer(server.graph, server.model, hyper.layers_server) if given_views else None
+        results.append(server_train(server, hyper, 0, 42, views))
+    (up_a, parts_a), (up_b, parts_b) = results
+    assert parts_a == parts_b
+    for block_a, block_b in ((up_a.delta.user, up_b.delta.user), (up_a.delta.item, up_b.delta.item)):
+        assert np.array_equal(block_a.rows, block_b.rows)
+        assert same_bits(block_a.values, block_b.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_users=st.integers(1, 6),
+    n_items=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    batch=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+)
+@example(n_users=2, n_items=3, density=0.6, batch=12, seed=1)  # runs longer than the complement
+@example(n_users=1, n_items=1, density=0.0, batch=3, seed=0)  # a one-item complement
+def test_server_negatives_match_per_user_mask_loop(n_users, n_items, density, batch, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(u, i) for u in range(n_users) for i in range(n_items) if rng.random() < density]
+    # every user keeps at least one item outside its row; user 0 keeps exactly one
+    pairs = [(u, i) for u, i in pairs if i != n_items - 1] + [(0, i) for i in range(n_items - 1)]
+    graph = BipartiteGraph(n_users, n_items, pairs)
+    users = np.sort(rng.integers(0, n_users, size=batch))
+    got_rng, want_rng = child_rng(seed, "neg"), child_rng(seed, "neg")
+    got = _server_negatives(graph, users, got_rng)
+    want = server_negatives_loop(graph, users, want_rng)
+    assert same_bits(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_server_negatives_user_with_every_item_raises():
+    graph = BipartiteGraph(2, 3, [(0, 0), (1, 0), (1, 1), (1, 2)])
+    users = np.array([0, 1, 1])
+    with pytest.raises(ValueError):
+        server_negatives_loop(graph, users, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="user 1"):
+        _server_negatives(graph, users, np.random.default_rng(0))
+
+
+def test_first_order_item_views_match_full_propagation():
+    policy, server = make_server()
+    items = np.array([0, 2])
+    _, want = propagate_combine(server.shared_graph, server.model.user, server.model.item, default_alpha(1))
+    assert same_bits(_first_order_item_views(server.shared_graph, server.model, items), want[items])
 
 
 # ---------------------------------------------------------------- ldp
