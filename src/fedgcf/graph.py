@@ -110,9 +110,11 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     """``rows.sum(axis=0)`` with the rows added one at a time in order.
 
     numpy adds along a strided axis 0 row by row, but sums a contiguous
-    one pairwise; axis 0 is contiguous only when each row is one number,
+    one pairwise. In C order (a gather through a column subset of a
+    bucket is not) axis 0 is contiguous only when each row is one number,
     and there ``np.add.accumulate`` keeps the sequential order.
     """
+    rows = np.ascontiguousarray(rows)
     if rows[0].size == 1:
         return np.add.accumulate(rows, axis=0)[-1]
     return rows.sum(axis=0)

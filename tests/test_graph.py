@@ -214,6 +214,7 @@ def test_propagation_is_batch_invariant(n_u, n_i, p, d, seed):
 @given(**graph_cases, share=st.floats(0.0, 1.0))
 @example(n_u=12, n_i=40, p=1.0, d=1, seed=4, share=0.3)
 @example(n_u=3, n_i=40, p=0.6, d=1, seed=6, share=1.0)
+@example(n_u=8, n_i=2, p=1.0, d=1, seed=1, share=1.0)  # a cut bucket gathers in F order
 def test_propagate_items_is_bitwise_the_full_item_side(n_u, n_i, p, d, seed, share):
     rng = np.random.default_rng(seed)
     _, g = random_graph(rng, n_u, n_i, p)

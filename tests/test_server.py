@@ -384,7 +384,7 @@ def test_server_negatives_user_with_every_item_raises():
 
 
 def test_first_order_item_views_match_full_propagation():
-    policy, server = make_server()
+    _, server = make_server()
     items = np.array([0, 2])
     _, want = propagate_combine(server.shared_graph, server.model.user, server.model.item, default_alpha(1))
     assert same_bits(_first_order_item_views(server.shared_graph, server.model, items), want[items])
