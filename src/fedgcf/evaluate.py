@@ -13,6 +13,8 @@ from .errors import ConfigError
 _SCORE_BUDGET = 2**21
 # Row blocks start at multiples of this many rows (see ``row_blocks``).
 _ROW_ALIGN = 48
+# The least finite float: the lowest cut a selection makes.
+_LOWEST = -np.finfo(np.float64).max
 
 
 @dataclass
@@ -32,6 +34,9 @@ class EvalResult:
 def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     """Split rows ``0..n_rows`` into ``(start, stop)`` blocks of about
     ``_SCORE_BUDGET / n_cols`` rows.
+
+    ``evaluate`` and ``predict_links`` score and select one block at a time
+    (``_select_blocks``), so no array they build grows past a block.
 
     Every block but the last has the same size, a multiple of ``_ROW_ALIGN``
     rows; the last one also takes the remainder, so no block is shorter
@@ -63,40 +68,67 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return np.where(ok[:, None], x / np.where(ok, norms, 1.0)[:, None], 0.0)
 
 
-def top_per_row(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap: int) -> np.ndarray:
-    """Positions of the ``cap`` best entries of each row.
+def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int | None):
+    """The one selection rule of ``evaluate`` and ``predict_links``, per
+    ``row_blocks`` block of ``rows_v @ cols_v.T``: yields ``(a, b), rows,
+    cols, scores`` of the kept entries, global row ids, in (row, col) order.
 
-    Entries are ranked inside each row by score descending, ties broken by
-    ascending column; the positions come back in (row, rank) order.
+    The known (row, col) pairs (sorted by row) score -inf and are never
+    kept. Each row keeps its entries at or above its cut: ``threshold``,
+    raised to the row's k-th best score where more than k entries reach the
+    threshold (``k`` None: no cap). Ties at the cut go to the smaller
+    columns, so a row keeps at most k entries.
     """
-    order = np.lexsort((cols, -scores, rows))
-    run_rows = rows[order]
-    rank = np.arange(order.size) - np.searchsorted(run_rows, run_rows)
-    return order[rank < cap]
+    n_cols = cols_v.shape[0]
+    for a, b in row_blocks(rows_v.shape[0], n_cols):
+        scores = rows_v[a:b] @ cols_v.T
+        lo, hi = np.searchsorted(known_rows, [a, b])
+        scores[known_rows[lo:hi] - a, known_cols[lo:hi]] = -np.inf
+        # no cut is below the least finite float, so -inf entries never pass
+        cut = np.full((b - a, 1), max(threshold, _LOWEST))
+        keep = None if threshold == -np.inf else scores >= cut
+        over = np.zeros(b - a, dtype=bool)
+        if k is not None and k < n_cols:
+            over = np.count_nonzero(keep, axis=1) > k if keep is not None else ~over
+            if over.any():
+                kth = np.partition(scores if over.all() else scores[over], -k, axis=1)[:, -k]
+                cut[over, 0] = np.maximum(kth, _LOWEST)
+                keep = np.greater_equal(scores, cut, out=keep)
+        flat = np.flatnonzero(scores >= cut if keep is None else keep)
+        rows, cols = np.divmod(flat, n_cols)
+        s = scores.ravel()[flat]
+        if over.any():
+            # a row passes k entries only by ties at its cut: a running count
+            # keeps the first of them by column
+            tie = s == cut[rows, 0]
+            seen = np.cumsum(tie) - tie
+            room = k - np.bincount(rows[~tie], minlength=b - a)
+            keep = ~tie | (seen - seen[np.searchsorted(rows, rows)] < room[rows])
+            rows, cols, s = rows[keep], cols[keep], s[keep]
+        yield (a, b), rows + a, cols, s
 
 
-def _metrics(hit: np.ndarray, n_relevant: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recall and binary-gain NDCG at k of each row of a ``(rows, width)``
-    hit matrix whose columns are ranks, best first.
+def _metrics(hit_rows: np.ndarray, hit_ranks: np.ndarray, n_relevant: np.ndarray, k: int, n_ranks: int):
+    """Recall and binary-gain NDCG at k of each row, from the (row, rank)
+    of its hits in (row, rank) order; ranks count from 0, best first, and
+    lie below ``n_ranks``.
 
-    DCG adds the gain columns one rank at a time and a miss adds 0.0, so a
-    row has the bits of a scalar loop over its ranked list. IDCG, truncated
-    at min(k, |relevant|), comes from a prefix table summed in the same
-    order.
+    DCG adds each row's gains in rank order (``bincount`` adds its weights
+    in list order), which has the bits of a scalar loop over the ranked list
+    because a miss would add 0.0. IDCG, truncated at min(k, |relevant|),
+    comes from a prefix table summed in the same order.
     """
-    gains = 1.0 / np.log2(np.arange(2, max(k, hit.shape[1]) + 2))
-    dcg = np.zeros(hit.shape[0])
-    for rank in range(hit.shape[1]):
-        dcg += np.where(hit[:, rank], gains[rank], 0.0)
+    gains = 1.0 / np.log2(np.arange(2, max(k, n_ranks) + 2))
+    dcg = np.bincount(hit_rows, weights=gains[hit_ranks], minlength=n_relevant.size)
     idcg = np.cumsum(gains)[np.minimum(k, n_relevant) - 1]
-    return np.count_nonzero(hit, axis=1) / n_relevant, dcg / idcg
+    return np.bincount(hit_rows, minlength=n_relevant.size) / n_relevant, dcg / idcg
 
 
 def _one_row_metrics(ranked: np.ndarray, relevant: set, k: int) -> tuple[float, float]:
     if not relevant:
         raise ValueError("relevant set must be nonempty")
-    hit = np.isin(np.asarray(ranked, dtype=np.int64), np.fromiter(relevant, np.int64, len(relevant)))
-    recall, ndcg = _metrics(hit[None], np.array([len(relevant)]), k)
+    ranks = np.flatnonzero(np.isin(np.asarray(ranked, dtype=np.int64), np.fromiter(relevant, np.int64, len(relevant))))
+    recall, ndcg = _metrics(np.zeros_like(ranks), ranks, np.array([len(relevant)]), k, len(ranked))
     return float(recall[0]), float(ndcg[0])
 
 
@@ -125,9 +157,11 @@ def evaluate(
     Scores are one users x items product, taken in ``row_blocks`` of
     bounded size: for cosine, of the unit user and item rows (``unit_rows``,
     normalised once per call), for inner product of the views themselves.
-    Each row's ranking equals a full stable sort of that row of the
-    product; the per-user metrics come from one array pass over all ranked
-    lists.
+    The selection is ``predict_links``' rule without a threshold: train
+    items score -inf and each row keeps its k best entries above -inf
+    (``_select_blocks``). Each row's ranking equals a full stable sort of
+    that row of the product. Only the (user, rank) of each hit outlives its
+    block; the per-user metrics come from one array pass over them.
     """
     if split not in ("val", "test"):
         raise ConfigError(f"split must be val|test, got {split!r}")
@@ -138,36 +172,29 @@ def evaluate(
     relevant = ds.val if split == "val" else ds.test
     if relevant.shape[0] == 0:
         return EvalResult(k=k, per_user={}, recall=0.0, ndcg=0.0)
-    users, starts = np.unique(relevant[:, 0], return_index=True)
-    n_relevant = np.diff(np.append(starts, relevant.shape[0]))
+    users, n_relevant = np.unique(relevant[:, 0], return_counts=True)
     # the train pairs of ranked users, as (row in ``users``, item)
     train = ds.train[np.isin(ds.train[:, 0], users)]
-    train_rows = np.searchsorted(users, train[:, 0])
     rows_v, cols_v = user_views[users], item_views
     if sim == "cosine":
         rows_v, cols_v = unit_rows(rows_v), unit_rows(cols_v)
     n_items = item_views.shape[0]
-    width = min(k, n_items)
-    kth = n_items - width  # the k-th best score's ascending position
+    rel_keys = np.searchsorted(users, relevant[:, 0]) * n_items + relevant[:, 1]
 
-    ranked_rows, ranked = [], []
-    for a, b in row_blocks(users.size, n_items):
-        scores = rows_v[a:b] @ cols_v.T
-        lo, hi = np.searchsorted(train_rows, [a, b])
-        scores[train_rows[lo:hi] - a, train[lo:hi, 1]] = -np.inf
-        # every entry at or above the row's k-th score: ties at the cut stay
-        cut = np.partition(scores, kth, axis=1)[:, kth, None]
-        rows, cols = np.nonzero((scores >= cut) & (scores > -np.inf))
-        top = top_per_row(rows, cols, scores[rows, cols], k)
-        ranked_rows.append(rows[top] + a)
-        ranked.append(cols[top])
-    ranked_rows = np.concatenate(ranked_rows)
-    ranked = np.concatenate(ranked)
-    rank = np.arange(ranked.size) - np.searchsorted(ranked_rows, ranked_rows)
-    rel_rows = np.repeat(np.arange(users.size), n_relevant)
-    hit = np.zeros((users.size, width), dtype=bool)
-    hit[ranked_rows, rank] = np.isin(ranked_rows * n_items + ranked, rel_rows * n_items + relevant[:, 1])
-    recall, ndcg = _metrics(hit, n_relevant, k)
+    hit_rows, hit_ranks = [], []
+    blocks = _select_blocks(rows_v, cols_v, np.searchsorted(users, train[:, 0]), train[:, 1], -np.inf, k)
+    for (a, b), rows, cols, scores in blocks:
+        # each row's kept entries left-aligned in column order: a stable
+        # sort of the negated scores, padded with +inf, ranks them
+        pos = np.arange(rows.size) - np.searchsorted(rows, rows)
+        padded = np.full((b - a, pos.max(initial=-1) + 1), np.inf)
+        padded[rows - a, pos] = -scores
+        hit = np.zeros(padded.shape, dtype=bool)
+        hit[rows - a, pos] = np.isin(rows * n_items + cols, rel_keys, assume_unique=True)
+        r, rank = np.nonzero(np.take_along_axis(hit, np.argsort(padded, axis=1, kind="stable"), axis=1))
+        hit_rows.append(r + a)
+        hit_ranks.append(rank)
+    recall, ndcg = _metrics(np.concatenate(hit_rows), np.concatenate(hit_ranks), n_relevant, k, min(k, n_items))
     per_user = dict(zip(users.tolist(), zip(recall.tolist(), ndcg.tolist())))
     return EvalResult(k=k, per_user=per_user, recall=float(np.mean(recall)), ndcg=float(np.mean(ndcg)))
 

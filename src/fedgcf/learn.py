@@ -504,19 +504,23 @@ def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int | np.ndarray, hy
 
 
 def adam_step(
-    state: EmbeddingState, grads: GradientBundle, moments: AdamMoments, hyper: HyperParams
-) -> EmbeddingState:
-    """Apply one Adam step to the touched rows of ``state`` in place.
+    state: EmbeddingState | None, grads: GradientBundle, moments: AdamMoments, hyper: HyperParams
+) -> GradientBundle:
+    """One Adam step on the touched rows: returns the deltas and adds them
+    to ``state`` in place (None: the deltas only).
 
     An empty bundle leaves the state, the moments, and the step counters
-    unchanged.
+    unchanged, and gives empty deltas.
     """
+    deltas = GradientBundle()
     if grads.user:
         moments.t_user += 1
-        delta = adam_update_rows(grads.user, moments.user, moments.t_user, hyper)
-        state.user[delta.rows] += delta.values
+        deltas.user = adam_update_rows(grads.user, moments.user, moments.t_user, hyper)
     if grads.item:
         moments.t_item += 1
-        delta = adam_update_rows(grads.item, moments.item, moments.t_item, hyper)
-        state.item[delta.rows] += delta.values
-    return state
+        deltas.item = adam_update_rows(grads.item, moments.item, moments.t_item, hyper)
+    if state is not None:
+        for table, delta in ((state.user, deltas.user), (state.item, deltas.item)):
+            if delta:
+                table[delta.rows] += delta.values
+    return deltas

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import row_blocks, top_per_row, unit_rows
+from .evaluate import _select_blocks, unit_rows
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from .seeds import child_rng
@@ -211,9 +211,12 @@ def predict_links(
     contributed graph in the production pipeline). Only endpoints with
     nonzero degree are candidates. Per user, at most ``cap_per_user``
     predictions survive (None: no cap), best score first, ties broken by
-    ascending item id. Users are scored in row blocks of bounded size,
-    which under a single-threaded BLAS have the bits of one users x items
-    product (see ``evaluate.row_blocks``).
+    ascending item id: existing edges score -inf, and each row keeps its
+    entries above -inf that reach the threshold, the cap best of them
+    (``evaluate._select_blocks``, the rule ``evaluate`` ranks by). Users are
+    scored in row blocks of bounded size, which under a single-threaded
+    BLAS have the bits of one users x items product (see
+    ``evaluate.row_blocks``).
 
     Returns the (n, 2) predicted pairs sorted by (user, item) and their
     scores, one per row.
@@ -227,20 +230,7 @@ def predict_links(
     edges = g.edge_array()
     edge_rows = np.searchsorted(users, edges[:, 0])
     edge_cols = np.searchsorted(items, edges[:, 1])
-    rows, cols, scores = [], [], []
-    for a, b in row_blocks(users.size, items.size):
-        sims = unit_u[a:b] @ unit_i.T
-        hit = sims >= threshold
-        lo, hi = np.searchsorted(edge_rows, [a, b])
-        hit[edge_rows[lo:hi] - a, edge_cols[lo:hi]] = False
-        r, c = np.nonzero(hit)
-        s = sims[r, c]
-        if cap_per_user is not None:
-            keep = np.sort(top_per_row(r, c, s, cap_per_user))
-            r, c, s = r[keep], c[keep], s[keep]
-        rows.append(r + a)
-        cols.append(c)
-        scores.append(s)
+    _, rows, cols, scores = zip(*_select_blocks(unit_u, unit_i, edge_rows, edge_cols, threshold, cap_per_user))
     pairs = np.stack([users[np.concatenate(rows)], items[np.concatenate(cols)]], axis=1)
     return pairs, np.concatenate(scores)
 

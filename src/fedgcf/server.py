@@ -257,15 +257,17 @@ def server_train(
         views=views,
     )
     parts, grads = compute_gradients(spec, server.model)
-    work = server.model.copy()
-    adam_step(work, grads, server.moments, hyper)
-    u, i = grads.user.rows, grads.item.rows
-    delta = GradientBundle(
-        RowBlock(u, work.user[u] - server.model.user[u]),
-        RowBlock(i, work.item[i] - server.model.item[i]),
-    )
+    step = adam_step(None, grads, server.moments, hyper)
+    delta = GradientBundle(_moved(server.model.user, step.user), _moved(server.model.item, step.item))
     upload = DeviceUpload(device_id=SERVER_ID, weight=float(batch_size), delta=delta)
     return upload, parts
+
+
+def _moved(table: np.ndarray, step: RowBlock) -> RowBlock:
+    """The rows of ``table`` plus their Adam ``step``, minus the rows: the
+    bits of a stepped copy of the table less the table."""
+    old = table[step.rows]
+    return RowBlock(step.rows, (old + step.values) - old if step else old)
 
 
 def _privatize(block: RowBlock, clip: float, noise_scale: float, rng: np.random.Generator) -> RowBlock:

@@ -2,6 +2,7 @@ import ctypes
 import glob
 import importlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,54 @@ def test_evaluate_blocks_leaving_a_lone_row_match_oracle(monkeypatch, n_users, n
     for sim in ("cosine", "inner"):
         res = evaluate(user_views, item_views, ds, "test", 2, sim)
         assert list(res.per_user.items()) == list(_oracle_metrics(user_views, item_views, ds, 2, sim).items())
+
+
+def _tied_case(n_users, n_items, seed):
+    """Views on a coarse grid, so most rows tie at their k-th score, with
+    zero user and item rows, and two train and two test items per user."""
+    rng = np.random.default_rng(seed)
+    user_views = rng.integers(-1, 2, size=(n_users, 2)) * 1.0
+    item_views = rng.integers(-1, 2, size=(n_items, 2)) * 1.0
+    user_views[::5] = 0.0
+    item_views[::7] = 0.0
+    pairs = [(u, int(i)) for u in range(n_users) for i in rng.choice(n_items, 4, replace=False)]
+    return user_views, item_views, InteractionDataset(n_users, n_items, pairs[0::2], test=pairs[1::2])
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("k", [1, 3, 10, 30, 40, 41, 60])
+def test_evaluate_matches_oracle_on_ties_at_the_cut(monkeypatch, budget, k):
+    # 40 items on a 3 x 3 grid of directions: each row's k-th score ties
+    # many others, and k runs past the item count
+    user_views, item_views, ds = _tied_case(150, 40, k)
+    if budget is not None:
+        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    for sim in ("cosine", "inner"):
+        res = evaluate(user_views, item_views, ds, "test", k, sim)
+        assert list(res.per_user.items()) == list(_oracle_metrics(user_views, item_views, ds, k, sim).items())
+
+
+@pytest.mark.parametrize("k", [500, 600])
+def test_evaluate_at_k_past_the_items_stays_inside_a_row_block(monkeypatch, k):
+    # 2400 x 500 scores, ranked 48 rows at a time: what one call holds at
+    # once is bounded by a few blocks plus the per-user results, not by
+    # users x items
+    n_users, n_items = 2400, 500
+    rng = np.random.default_rng(k)
+    user_views, item_views = rng.normal(size=(n_users, 2)), rng.normal(size=(n_items, 2))
+    train = np.stack([np.arange(n_users), rng.integers(n_items, size=n_users)], axis=1)
+    test = np.stack([np.arange(n_users), (train[:, 1] + 1 + rng.integers(n_items - 1, size=n_users)) % n_items], axis=1)
+    ds = InteractionDataset(n_users, n_items, train, test=test)
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    block_bytes = 8 * 48 * n_items
+    tracemalloc.start()
+    try:
+        res = evaluate(user_views, item_views, ds, "test", k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.per_user) == n_users
+    assert peak < 32 * block_bytes + 1000 * n_users < 8 * n_users * n_items
 
 
 @pytest.mark.parametrize("sim", ["cosine", "inner"])

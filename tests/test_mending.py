@@ -227,6 +227,22 @@ def test_predict_links_blocks_leaving_a_lone_row_match_per_user_loop(monkeypatch
         assert _same_bits(scores, ref_scores)
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+def test_predict_links_matches_per_user_loop_on_ties_at_the_cap(monkeypatch, budget):
+    # mender rows on a coarse grid: most users tie at their capped score,
+    # and at threshold -1 every non-edge is a candidate
+    g = ladder_graph(150, 40, extra=600, seed=3)
+    rng = np.random.default_rng(3)
+    mender = EmbeddingState(*(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (150, 40)))
+    if budget is not None:
+        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    for threshold, cap in ((-1.0, 1), (-1.0, 3), (-1.0, 45), (0.0, 3), (0.5, 1), (0.9, None)):
+        pairs, scores = predict_links(g, mender, threshold, cap, layers=0)
+        ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers=0)
+        assert np.array_equal(pairs, ref_pairs)
+        assert _same_bits(scores, ref_scores)
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=graphs(), count=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
 def test_sample_negative_links_matches_nested_loop(g, count, seed):
