@@ -36,7 +36,10 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     ``_SCORE_BUDGET / n_cols`` rows.
 
     ``evaluate`` and ``predict_links`` score and select one block at a time
-    (``_select_blocks``), so no array they build grows past a block.
+    under one rule (``_select_blocks``): known pairs score -inf, and each
+    row keeps its entries at or above a threshold (-inf for ``evaluate``),
+    at most k of them, best first with ties toward the smaller column. No
+    array either builds grows past a block.
 
     Every block but the last has the same size, a multiple of ``_ROW_ALIGN``
     rows; the last one also takes the remainder, so no block is shorter
@@ -89,7 +92,7 @@ def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: 
         keep = None if threshold == -np.inf else scores >= cut
         over = np.zeros(b - a, dtype=bool)
         if k is not None and k < n_cols:
-            over = np.count_nonzero(keep, axis=1) > k if keep is not None else ~over
+            over = np.count_nonzero(keep, axis=1) > k if keep is not None else np.ones(b - a, dtype=bool)
             if over.any():
                 kth = np.partition(scores if over.all() else scores[over], -k, axis=1)[:, -k]
                 cut[over, 0] = np.maximum(kth, _LOWEST)
@@ -173,12 +176,12 @@ def evaluate(
     if relevant.shape[0] == 0:
         return EvalResult(k=k, per_user={}, recall=0.0, ndcg=0.0)
     users, n_relevant = np.unique(relevant[:, 0], return_counts=True)
-    # the train pairs of ranked users, as (row in ``users``, item)
-    train = ds.train[np.isin(ds.train[:, 0], users)]
+    train = ds.train[np.isin(ds.train[:, 0], users)]  # the train pairs of ranked users
     rows_v, cols_v = user_views[users], item_views
     if sim == "cosine":
         rows_v, cols_v = unit_rows(rows_v), unit_rows(cols_v)
     n_items = item_views.shape[0]
+    # held-out pairs as (row in ``users``) * n_items + item keys
     rel_keys = np.searchsorted(users, relevant[:, 0]) * n_items + relevant[:, 1]
 
     hit_rows, hit_ranks = [], []
