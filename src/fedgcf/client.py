@@ -319,6 +319,21 @@ class _Chunk:
         return uploads, losses
 
 
+def _device_rows(devices: list[DeviceState], views: list[ReceivedViews | None]) -> np.ndarray:
+    """The rows each device adds to its chunk: its user row, k local and k
+    negative item rows and k item keys, plus m + 1 user keys for a
+    contributor outside the shared block of m rows (``_user_terms`` stacks
+    the block and its own row; a device inside the block takes the block
+    itself, with no copy)."""
+    rows = np.array([1 + 3 * dev.local_items.size for dev in devices], dtype=np.int64)
+    on = np.array([j for j, v in enumerate(views) if v is not None], dtype=np.int64)
+    if on.size:
+        block = views[on[0]].user_views
+        ids = np.array([devices[j].user_id for j in on.tolist()], dtype=np.int64)
+        rows[on[~np.isin(ids, block.rows)]] += len(block) + 1
+    return rows
+
+
 def client_local_train(
     devices: list[DeviceState],
     item_table: np.ndarray,
@@ -342,16 +357,10 @@ def client_local_train(
     """
     tiers = [ShareTier(t) for t in tiers]
     views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
-    # a device's rows: its user row, k local and k negative item rows, k
-    # item keys and at most m + 1 user keys
-    rows = [
-        1 + 3 * dev.local_items.size + (len(v.user_views) + 1 if v is not None else 0)
-        for dev, v in zip(devices, views)
-    ]
     n_items = item_table.shape[0]
     uploads: list[DeviceUpload] = []
     losses: list[LossParts] = []
-    for lo, hi in forest_chunks(rows):
+    for lo, hi in forest_chunks(_device_rows(devices, views)):
         chunk = _Chunk(devices[lo:hi], item_table, views[lo:hi], hyper)
         for epoch in range(hyper.local_epochs):
             chunk.epoch([

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,12 +11,28 @@ import numpy as np
 from .data import InteractionDataset
 from .errors import ConfigError
 
-# Scores held at once while ranking: about 2**21 floats (16 MB) per row block.
-_SCORE_BUDGET = 2**21
+# Scores held at once per row block: about 2**18 floats (2 MB), so a block
+# and its mask stay in cache while a worker selects from them.
+_SCORE_BUDGET = 2**18
 # Row blocks start at multiples of this many rows (see ``row_blocks``).
 _ROW_ALIGN = 48
 # The least finite float: the lowest cut a selection makes.
 _LOWEST = -np.finfo(np.float64).max
+# Row blocks are scored and selected on two worker threads (``_select_blocks``).
+_WORKERS = 2
+
+
+def _new_pool() -> None:
+    """Set up ``_POOL``; it starts its threads on its first multi-block call.
+    A forked child inherits the pool but not its threads, so it gets a new
+    one."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="fedgcf-select")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # where processes can fork
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass
@@ -33,13 +51,15 @@ class EvalResult:
 
 def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     """Split rows ``0..n_rows`` into ``(start, stop)`` blocks of about
-    ``_SCORE_BUDGET / n_cols`` rows.
+    ``_SCORE_BUDGET / n_cols`` rows: 2**18 scores, 2 MB, so that a block
+    and its mask stay in a core's cache while it is selected from.
 
-    ``evaluate`` and ``predict_links`` score and select one block at a time
-    under one rule (``_select_blocks``): known pairs score -inf, and each
-    row keeps its entries at or above a threshold (-inf for ``evaluate``),
-    at most k of them, best first with ties toward the smaller column. No
-    array either builds grows past a block.
+    ``evaluate`` and ``predict_links`` score and select each block on its
+    own under one rule (``_select_blocks``), two blocks at a time on the
+    selection pool: known pairs score -inf, and each row keeps its entries
+    at or above a threshold (-inf for ``evaluate``), at most k of them,
+    best first with ties toward the smaller column. No array either builds
+    grows past a block.
 
     Every block but the last has the same size, a multiple of ``_ROW_ALIGN``
     rows; the last one also takes the remainder, so no block is shorter
@@ -54,8 +74,9 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     The exception: with OpenBLAS 0.3.31 on one thread, 91 of 4000 random
     shapes gave a block other bits than the full product, all with at most
     25 columns and d >= 32 (one was d = 62, 10 columns, 215 rows). At the
-    default budget so few columns take more than one block only above about
-    80k rows. With more BLAS threads the full product's own bits depend on
+    default budget a block of 25 columns holds 10,464 rows (about
+    2**18 / 25), so so few columns take more than one block from about 21k
+    rows on. With more BLAS threads the full product's own bits depend on
     the thread count at some shapes.
     """
     size = max(_ROW_ALIGN, _SCORE_BUDGET // max(n_cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
@@ -71,44 +92,89 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return np.where(ok[:, None], x / np.where(ok, norms, 1.0)[:, None], 0.0)
 
 
-def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int | None):
+def _select_block(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int | None, a: int, b: int, bufs):
+    """Rows ``a:b`` of ``_select_blocks``: the kept entries' block rows,
+    columns and scores, in (row, col) order. Works in ``bufs``, block-sized
+    scores, their mask and a copy to partition (None where no row is cut at
+    k); nothing it returns is a view of them."""
+    n_cols = cols_v.shape[0]
+    scores_buf, mask_buf, part_buf = bufs
+    scores = np.matmul(rows_v[a:b], cols_v.T, out=scores_buf[: b - a])
+    lo, hi = np.searchsorted(known_rows, [a, b])
+    scores[known_rows[lo:hi] - a, known_cols[lo:hi]] = -np.inf
+    # no cut is below the least finite float, so -inf entries never pass
+    cut = np.full((b - a, 1), max(threshold, _LOWEST))
+    keep = None if threshold == -np.inf else np.greater_equal(scores, cut, out=mask_buf[: b - a])
+    over = np.zeros(b - a, dtype=bool)
+    if k is not None and k < n_cols:
+        over = np.count_nonzero(keep, axis=1) > k if keep is not None else np.ones(b - a, dtype=bool)
+        if over.any():
+            if over.all():
+                part = part_buf[: b - a]
+                np.copyto(part, scores)
+            else:
+                at = np.flatnonzero(over)
+                part = np.take(scores, at, axis=0, out=part_buf[: at.size], mode="clip")
+            part.partition(-k, axis=1)
+            cut[over, 0] = np.maximum(part[:, -k], _LOWEST)
+            keep = None
+    flat = np.flatnonzero(np.greater_equal(scores, cut, out=mask_buf[: b - a]) if keep is None else keep)
+    rows, cols = np.divmod(flat, n_cols)
+    s = scores.ravel()[flat]
+    if over.any():
+        # a row passes k entries only by ties at its cut: a running count
+        # keeps the first of them by column
+        tie = s == cut[rows, 0]
+        seen = np.cumsum(tie) - tie
+        counts = np.bincount(rows, minlength=b - a)
+        room = k - np.bincount(rows[~tie], minlength=b - a)
+        keep = ~tie | (seen - seen[(np.cumsum(counts) - counts)[rows]] < room[rows])
+        rows, cols, s = rows[keep], cols[keep], s[keep]
+    return rows, cols, s
+
+
+def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int | None, finish=None) -> list:
     """The one selection rule of ``evaluate`` and ``predict_links``, per
-    ``row_blocks`` block of ``rows_v @ cols_v.T``: yields ``(a, b), rows,
-    cols, scores`` of the kept entries, global row ids, in (row, col) order.
+    ``row_blocks`` block of ``rows_v @ cols_v.T``; returns one result per
+    block, in block order.
 
     The known (row, col) pairs (sorted by row) score -inf and are never
     kept. Each row keeps its entries at or above its cut: ``threshold``,
     raised to the row's k-th best score where more than k entries reach the
     threshold (``k`` None: no cap). Ties at the cut go to the smaller
     columns, so a row keeps at most k entries.
+
+    A block's result is ``finish(a, b, rows, cols, scores)`` of its rows
+    ``a:b`` and kept entries (block rows, in (row, col) order), run in the
+    same worker; without ``finish`` it is the entries' global rows, columns
+    and scores. Blocks run on ``_POOL``, each worker in one set of buffers
+    this thread allocates and a later block reuses. Every block's work
+    depends on its own rows alone and results are collected by block index,
+    so the output never depends on scheduling; a one-block call runs
+    inline.
     """
     n_cols = cols_v.shape[0]
-    for a, b in row_blocks(rows_v.shape[0], n_cols):
-        scores = rows_v[a:b] @ cols_v.T
-        lo, hi = np.searchsorted(known_rows, [a, b])
-        scores[known_rows[lo:hi] - a, known_cols[lo:hi]] = -np.inf
-        # no cut is below the least finite float, so -inf entries never pass
-        cut = np.full((b - a, 1), max(threshold, _LOWEST))
-        keep = None if threshold == -np.inf else scores >= cut
-        over = np.zeros(b - a, dtype=bool)
-        if k is not None and k < n_cols:
-            over = np.count_nonzero(keep, axis=1) > k if keep is not None else np.ones(b - a, dtype=bool)
-            if over.any():
-                kth = np.partition(scores if over.all() else scores[over], -k, axis=1)[:, -k]
-                cut[over, 0] = np.maximum(kth, _LOWEST)
-                keep = np.greater_equal(scores, cut, out=keep)
-        flat = np.flatnonzero(scores >= cut if keep is None else keep)
-        rows, cols = np.divmod(flat, n_cols)
-        s = scores.ravel()[flat]
-        if over.any():
-            # a row passes k entries only by ties at its cut: a running count
-            # keeps the first of them by column
-            tie = s == cut[rows, 0]
-            seen = np.cumsum(tie) - tie
-            room = k - np.bincount(rows[~tie], minlength=b - a)
-            keep = ~tie | (seen - seen[np.searchsorted(rows, rows)] < room[rows])
-            rows, cols, s = rows[keep], cols[keep], s[keep]
-        yield (a, b), rows + a, cols, s
+    blocks = row_blocks(rows_v.shape[0], n_cols)
+    shape = max(b - a for a, b in blocks), n_cols
+    cut_at_k = k is not None and k < n_cols
+    sets = [
+        (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape) if cut_at_k else None)
+        for _ in range(min(_WORKERS, len(blocks)))
+    ]
+
+    def run(j):
+        a, b = blocks[j]
+        rows, cols, scores = _select_block(rows_v, cols_v, known_rows, known_cols, threshold, k, a, b, sets[j % len(sets)])
+        return (rows + a, cols, scores) if finish is None else finish(a, b, rows, cols, scores)
+
+    if len(blocks) == 1:
+        return [run(0)]
+    futures = []
+    for j in range(len(blocks)):
+        if j >= len(sets):
+            futures[j - len(sets)].result()  # block j takes over its buffers
+        futures.append(_POOL.submit(run, j))
+    return [f.result() for f in futures]
 
 
 def _metrics(hit_rows: np.ndarray, hit_ranks: np.ndarray, n_relevant: np.ndarray, k: int, n_ranks: int):
@@ -176,27 +242,32 @@ def evaluate(
     if relevant.shape[0] == 0:
         return EvalResult(k=k, per_user={}, recall=0.0, ndcg=0.0)
     users, n_relevant = np.unique(relevant[:, 0], return_counts=True)
-    train = ds.train[np.isin(ds.train[:, 0], users)]  # the train pairs of ranked users
+    # each user's row in ``users``, -1 for users not ranked
+    row_of = np.full(ds.n_users, -1)
+    row_of[users] = np.arange(users.size)
+    train_rows = row_of[ds.train[:, 0]]
+    ranked = train_rows >= 0
+    known = train_rows[ranked], ds.train[ranked, 1]  # the train pairs of ranked users
     rows_v, cols_v = user_views[users], item_views
     if sim == "cosine":
         rows_v, cols_v = unit_rows(rows_v), unit_rows(cols_v)
     n_items = item_views.shape[0]
     # held-out pairs as (row in ``users``) * n_items + item keys
-    rel_keys = np.searchsorted(users, relevant[:, 0]) * n_items + relevant[:, 1]
+    rel_keys = row_of[relevant[:, 0]] * n_items + relevant[:, 1]
 
-    hit_rows, hit_ranks = [], []
-    blocks = _select_blocks(rows_v, cols_v, np.searchsorted(users, train[:, 0]), train[:, 1], -np.inf, k)
-    for (a, b), rows, cols, scores in blocks:
+    def rank_hits(a, b, rows, cols, scores):
         # each row's kept entries left-aligned in column order: a stable
         # sort of the negated scores, padded with +inf, ranks them
-        pos = np.arange(rows.size) - np.searchsorted(rows, rows)
-        padded = np.full((b - a, pos.max(initial=-1) + 1), np.inf)
-        padded[rows - a, pos] = -scores
+        counts = np.bincount(rows, minlength=b - a)
+        pos = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        padded = np.full((b - a, counts.max(initial=0)), np.inf)
+        padded[rows, pos] = -scores
         hit = np.zeros(padded.shape, dtype=bool)
-        hit[rows - a, pos] = np.isin(rows * n_items + cols, rel_keys, assume_unique=True)
+        hit[rows, pos] = np.isin((rows + a) * n_items + cols, rel_keys, assume_unique=True)
         r, rank = np.nonzero(np.take_along_axis(hit, np.argsort(padded, axis=1, kind="stable"), axis=1))
-        hit_rows.append(r + a)
-        hit_ranks.append(rank)
+        return r + a, rank
+
+    hit_rows, hit_ranks = zip(*_select_blocks(rows_v, cols_v, *known, -np.inf, k, rank_hits))
     recall, ndcg = _metrics(np.concatenate(hit_rows), np.concatenate(hit_ranks), n_relevant, k, min(k, n_items))
     per_user = dict(zip(users.tolist(), zip(recall.tolist(), ndcg.tolist())))
     return EvalResult(k=k, per_user=per_user, recall=float(np.mean(recall)), ndcg=float(np.mean(ndcg)))

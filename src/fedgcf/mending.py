@@ -230,7 +230,7 @@ def predict_links(
     edges = g.edge_array()
     edge_rows = np.searchsorted(users, edges[:, 0])
     edge_cols = np.searchsorted(items, edges[:, 1])
-    _, rows, cols, scores = zip(*_select_blocks(unit_u, unit_i, edge_rows, edge_cols, threshold, cap_per_user))
+    rows, cols, scores = zip(*_select_blocks(unit_u, unit_i, edge_rows, edge_cols, threshold, cap_per_user))
     pairs = np.stack([users[np.concatenate(rows)], items[np.concatenate(cols)]], axis=1)
     return pairs, np.concatenate(scores)
 

@@ -318,6 +318,22 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
             assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
 
 
+def test_chunk_rows_count_the_user_keys_of_outsiders_only():
+    # device 5 is inside the shared block and takes it as it is; devices 3
+    # and 8 stack the block's 2 rows and their own; a NONE-tier device and
+    # one without views hold no user keys
+    table = make_table()
+    devs = [
+        make_device(user_id=3, items=(0, 2, 5)),
+        make_device(user_id=5, items=(1, 4), seed=1),
+        make_device(user_id=8, items=(7,), seed=2),
+        make_device(user_id=9, items=(3,), seed=3),
+    ]
+    views = [make_views(dev, table) for dev in devs[:3]] + [None]
+    assert fedgcf.client._device_rows(devs, views).tolist() == [1 + 9 + 3, 1 + 6, 1 + 3 + 3, 1 + 3]
+    assert fedgcf.client._device_rows(devs, [None] * 4).tolist() == [10, 7, 4, 4]
+
+
 def random_views(rng, dev, dim, shared):
     """Received views as the exchange hands them out: the shared block, the
     device's own view (its row of the block when it has one) and item views

@@ -1,8 +1,12 @@
 import ctypes
 import glob
 import importlib
+import multiprocessing
 import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from fedgcf.data import InteractionDataset
 from fedgcf.errors import ConfigError
+from fedgcf.graph import BipartiteGraph, EmbeddingState
+from fedgcf.mending import predict_links
 from fedgcf.evaluate import (
     EvalResult,
     evaluate,
@@ -331,6 +337,149 @@ def test_evaluate_ranks_generic_views_as_per_user_gemv(sim):
         expected[u] = (recall_at_k(ranked, set(items)), ndcg_at_k(ranked, set(items), 20))
     assert len(expected) > 150
     assert list(res.per_user.items()) == list(expected.items())
+
+
+class _Done:
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class _InlinePool:
+    """Runs each block as it is submitted, so blocks finish in block order."""
+
+    def __init__(self):
+        self.order = []
+
+    def submit(self, fn, j):
+        self.order.append(j)
+        return _Done(fn(j))
+
+
+class _Held:
+    def __init__(self, pool):
+        self.pool = pool
+
+    def result(self):
+        self.pool.drain()
+        return self.value
+
+
+class _ReversePool:
+    """Holds submitted blocks until a result is asked for, then runs every
+    held block, the last submitted first."""
+
+    def __init__(self):
+        self.held, self.order = [], []
+
+    def submit(self, fn, j):
+        job = _Held(self)
+        self.held.append((job, fn, j))
+        return job
+
+    def drain(self):
+        while self.held:
+            job, fn, j = self.held.pop()
+            self.order.append(j)
+            job.value = fn(j)
+
+
+def _under_three_pools(monkeypatch, call):
+    """``call()`` on the worker pool, inline in block order and with blocks
+    finishing in reverse order."""
+    inline, backward = _InlinePool(), _ReversePool()
+    results = [call()]
+    for pool in (inline, backward):
+        monkeypatch.setattr(evaluate_module, "_POOL", pool)
+        results.append(call())
+    assert len(inline.order) > 2 and inline.order == sorted(inline.order)
+    assert sorted(backward.order) == inline.order != backward.order
+    return results
+
+
+@pytest.mark.parametrize("budget", [1, 2**15])
+@pytest.mark.parametrize("k", [20, 400])
+def test_pooled_evaluate_is_bitwise_the_inline_in_order_output(monkeypatch, budget, k):
+    # 20 blocks of 48 rows (budget 1) or 10 of 96: generic views, and grid
+    # views where rows tie at their cut; k = 400 ranks past the 300 items
+    rng = np.random.default_rng(budget + k)
+    n_users, n_items = 1000, 300
+    pairs = np.argwhere(rng.random((n_users, n_items)) < 0.05)
+    test = rng.random(len(pairs)) < 0.2
+    ds = InteractionDataset(n_users, n_items, pairs[~test], test=pairs[test])
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    for views in (rng.normal(size=(n_users, 16)), rng.integers(-1, 2, size=(n_users, 2)) * 1.0):
+        items = rng.normal(size=(n_items, views.shape[1])) if views.shape[1] == 16 else rng.integers(-1, 2, size=(n_items, 2)) * 1.0
+        for sim in ("cosine", "inner"):
+            with monkeypatch.context() as mp:
+                got = _under_three_pools(mp, lambda: evaluate(views, items, ds, "test", k, sim))
+            pooled, inline, backward = ([*r.per_user.items(), r.recall, r.ndcg] for r in got)
+            assert pooled == inline == backward
+
+
+@pytest.mark.parametrize("budget", [1, 2**15])
+def test_pooled_predict_links_is_bitwise_the_inline_in_order_output(monkeypatch, budget):
+    # 12 blocks of 48 rows (budget 1) or 4 of at least 144 (2**15)
+    rng = np.random.default_rng(budget)
+    n_users, n_items = 600, 200
+    g = BipartiteGraph(n_users, n_items, np.argwhere(rng.random((n_users, n_items)) < 0.05))
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    for mender in (
+        EmbeddingState(rng.normal(size=(n_users, 8)), rng.normal(size=(n_items, 8))),
+        EmbeddingState(*(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (n_users, n_items))),
+    ):
+        for threshold, cap in ((0.3, None), (-1.0, 10), (0.0, 3), (0.5, 1)):
+            with monkeypatch.context() as mp:
+                got = _under_three_pools(mp, lambda: predict_links(g, mender, threshold, cap, 1))
+            for pairs, scores in got[1:]:
+                assert np.array_equal(pairs, got[0][0])
+                assert scores.tobytes() == got[0][1].tobytes()
+
+
+def test_pooled_blocks_never_share_buffers_under_a_short_switch_interval(monkeypatch):
+    # four workers on buffer sets that later blocks reuse, threads switched
+    # every microsecond: a block that wrote into a set still in use would
+    # change the links
+    rng = np.random.default_rng(4)
+    n_users, n_items = 960, 100
+    g = BipartiteGraph(n_users, n_items, np.argwhere(rng.random((n_users, n_items)) < 0.05))
+    mender = EmbeddingState(rng.normal(size=(n_users, 8)), rng.normal(size=(n_items, 8)))
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(evaluate_module, "_POOL", _InlinePool())
+    want = predict_links(g, mender, -1.0, 5, 1)
+    got = []
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(evaluate_module, "_POOL", pool)
+        monkeypatch.setattr(evaluate_module, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: got.extend(predict_links(g, mender, -1.0, 5, 1) for _ in range(5)))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not caller.is_alive() and len(got) == 5
+    for pairs, scores in got:
+        assert np.array_equal(pairs, want[0]) and scores.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="processes cannot fork here")
+def test_a_forked_child_ranks_on_its_own_pool(monkeypatch):
+    # the child inherits the parent's pool object but not its threads
+    args = (*_tied_case(150, 40, 0), "test", 5)
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    evaluate(*args)  # three blocks: the parent's pool has started its threads
+    child = multiprocessing.get_context("fork").Process(target=evaluate, args=args)
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
 
 
 @pytest.fixture
