@@ -320,17 +320,19 @@ class _Chunk:
 
 
 def _device_rows(devices: list[DeviceState], views: list[ReceivedViews | None]) -> np.ndarray:
-    """The rows each device adds to its chunk: its user row, k local and k
-    negative item rows and k item keys, plus m + 1 user keys for a
-    contributor outside the shared block of m rows (``_user_terms`` stacks
-    the block and its own row; a device inside the block takes the block
-    itself, with no copy)."""
+    """The rows of d floats each device adds to its chunk: its user row, k
+    local and k negative item rows and k item keys, plus its user keys when
+    it contributes. A contributor outside the shared block of m rows stacks
+    the block and its own row, m + 1 keys (``_user_terms``); one inside
+    takes the block itself, with no copy, and holds only its row of m
+    contrastive logits, m / d rows."""
     rows = np.array([1 + 3 * dev.local_items.size for dev in devices], dtype=np.int64)
     on = np.array([j for j, v in enumerate(views) if v is not None], dtype=np.int64)
     if on.size:
         block = views[on[0]].user_views
         ids = np.array([devices[j].user_id for j in on.tolist()], dtype=np.int64)
-        rows[on[~np.isin(ids, block.rows)]] += len(block) + 1
+        m, d = len(block), devices[0].p_u.size
+        rows[on] += np.where(np.isin(ids, block.rows), -(-m // d), m + 1)
     return rows
 
 

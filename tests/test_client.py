@@ -318,10 +318,11 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
             assert same_bits(block.rows, want.rows) and same_bits(block.values, want.values)
 
 
-def test_chunk_rows_count_the_user_keys_of_outsiders_only():
-    # device 5 is inside the shared block and takes it as it is; devices 3
-    # and 8 stack the block's 2 rows and their own; a NONE-tier device and
-    # one without views hold no user keys
+def test_chunk_rows_count_the_shared_block_once_per_outsider():
+    # devices 3 and 8 stack the shared block's 2 rows and their own; device
+    # 5 is inside the block, takes it as it is and holds one row of 2
+    # logits, a third of a row at d = 6; a NONE-tier device and one without
+    # views hold no user keys
     table = make_table()
     devs = [
         make_device(user_id=3, items=(0, 2, 5)),
@@ -330,8 +331,13 @@ def test_chunk_rows_count_the_user_keys_of_outsiders_only():
         make_device(user_id=9, items=(3,), seed=3),
     ]
     views = [make_views(dev, table) for dev in devs[:3]] + [None]
-    assert fedgcf.client._device_rows(devs, views).tolist() == [1 + 9 + 3, 1 + 6, 1 + 3 + 3, 1 + 3]
+    assert fedgcf.client._device_rows(devs, views).tolist() == [1 + 9 + 3, 1 + 6 + 1, 1 + 3 + 3, 1 + 3]
     assert fedgcf.client._device_rows(devs, [None] * 4).tolist() == [10, 7, 4, 4]
+    # a block of 13 rows: outsiders hold 14 user keys, insiders 13 logits,
+    # three rows of 6
+    wide = RowBlock(np.array([5, *range(20, 32)]), np.zeros((13, 6)))
+    views = [ReceivedViews(wide, np.zeros(6), RowBlock(values=np.zeros((0, 6)))) for _ in devs]
+    assert fedgcf.client._device_rows(devs, views).tolist() == [10 + 14, 7 + 3, 4 + 14, 4 + 14]
 
 
 def random_views(rng, dev, dim, shared):
