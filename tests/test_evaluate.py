@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from fedgcf.data import InteractionDataset
 from fedgcf.errors import ConfigError
-from fedgcf.graph import BipartiteGraph, EmbeddingState
-from fedgcf.mending import predict_links
 from fedgcf.evaluate import (
     EvalResult,
     evaluate,
@@ -24,6 +22,8 @@ from fedgcf.evaluate import (
     recall_at_k,
     write_per_user_tsv,
 )
+from fedgcf.graph import BipartiteGraph, EmbeddingState
+from fedgcf.mending import predict_links
 
 from oracles import ndcg_oracle, rank_candidates, rank_candidates_gemv, recall_oracle
 
@@ -410,11 +410,12 @@ def test_pooled_evaluate_is_bitwise_the_inline_in_order_output(monkeypatch, budg
     test = rng.random(len(pairs)) < 0.2
     ds = InteractionDataset(n_users, n_items, pairs[~test], test=pairs[test])
     monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
-    for views in (rng.normal(size=(n_users, 16)), rng.integers(-1, 2, size=(n_users, 2)) * 1.0):
-        items = rng.normal(size=(n_items, views.shape[1])) if views.shape[1] == 16 else rng.integers(-1, 2, size=(n_items, 2)) * 1.0
+    generic = rng.normal(size=(n_users, 16)), rng.normal(size=(n_items, 16))
+    grid = tuple(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (n_users, n_items))
+    for user_views, item_views in (generic, grid):
         for sim in ("cosine", "inner"):
             with monkeypatch.context() as mp:
-                got = _under_three_pools(mp, lambda: evaluate(views, items, ds, "test", k, sim))
+                got = _under_three_pools(mp, lambda: evaluate(user_views, item_views, ds, "test", k, sim))
             pooled, inline, backward = ([*r.per_user.items(), r.recall, r.ndcg] for r in got)
             assert pooled == inline == backward
 
@@ -449,18 +450,18 @@ def test_pooled_blocks_never_share_buffers_under_a_short_switch_interval(monkeyp
     monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
     monkeypatch.setattr(evaluate_module, "_POOL", _InlinePool())
     want = predict_links(g, mender, -1.0, 5, 1)
-    got = []
-    with ThreadPoolExecutor(4) as pool:
-        monkeypatch.setattr(evaluate_module, "_POOL", pool)
-        monkeypatch.setattr(evaluate_module, "_WORKERS", 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            caller = threading.Thread(target=lambda: got.extend(predict_links(g, mender, -1.0, 5, 1) for _ in range(5)))
-            caller.start()
-            caller.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
+    got, pool = [], ThreadPoolExecutor(4)
+    monkeypatch.setattr(evaluate_module, "_POOL", pool)
+    monkeypatch.setattr(evaluate_module, "_WORKERS", 4)
+    caller = threading.Thread(target=lambda: got.extend(predict_links(g, mender, -1.0, 5, 1) for _ in range(5)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False)
     assert not caller.is_alive() and len(got) == 5
     for pairs, scores in got:
         assert np.array_equal(pairs, want[0]) and scores.tobytes() == want[1].tobytes()
