@@ -59,17 +59,20 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     selection pool: known pairs score -inf, and each row keeps its entries
     at or above a threshold (-inf for ``evaluate``), at most k of them,
     best first with ties toward the smaller column. No array either builds
-    grows past a block.
+    grows past a block. The contrastive term (``learn._infonce_terms``)
+    takes its logits and softmax in blocks of query rows on the same pool,
+    in rows of one buffer that its calling thread allocates.
 
     Every block but the last has the same size, a multiple of ``_ROW_ALIGN``
     rows; the last one also takes the remainder, so no block is shorter
     than that unless it is the only one. Then, under a single-threaded
     OpenBLAS, a block's product with a column table has the bits of the
-    full product at the shapes ``evaluate`` and ``predict_links`` use. Its
-    gemm works through rows in groups of the kernel's row unroll (24 rows
-    for the OpenBLAS 0.3.31 kernel this was measured with; 48 is a multiple
-    of the common 4, 8, 16 and 24) and rounds the group that ends a product
-    differently at the column tail; a one-row block goes to gemv.
+    full product at the shapes ``evaluate``, ``predict_links`` and the
+    server's contrastive term use. Its gemm works through rows in groups
+    of the kernel's row unroll (24 rows for the OpenBLAS 0.3.31 kernel
+    this was measured with; 48 is a multiple of the common 4, 8, 16 and
+    24) and rounds the group that ends a product differently at the column
+    tail; a one-row block goes to gemv.
 
     The exception: with OpenBLAS 0.3.31 on one thread, 91 of 4000 random
     shapes gave a block other bits than the full product, all with at most
@@ -147,11 +150,9 @@ def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: 
     A block's result is ``finish(a, b, rows, cols, scores)`` of its rows
     ``a:b`` and kept entries (block rows, in (row, col) order), run in the
     same worker; without ``finish`` it is the entries' global rows, columns
-    and scores. Blocks run on ``_POOL``, each worker in one set of buffers
-    this thread allocates and a later block reuses. Every block's work
-    depends on its own rows alone and results are collected by block index,
-    so the output never depends on scheduling; a one-block call runs
-    inline.
+    and scores. Blocks run through ``map_blocks``, each in one of its
+    buffer sets, which this thread allocates. Every block's work depends on
+    its own rows alone, so the output never depends on scheduling.
     """
     n_cols = cols_v.shape[0]
     blocks = row_blocks(rows_v.shape[0], n_cols)
@@ -164,15 +165,28 @@ def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: 
 
     def run(j):
         a, b = blocks[j]
-        rows, cols, scores = _select_block(rows_v, cols_v, known_rows, known_cols, threshold, k, a, b, sets[j % len(sets)])
+        rows, cols, scores = _select_block(rows_v, cols_v, known_rows, known_cols, threshold, k, a, b, sets[j % _WORKERS])
         return (rows + a, cols, scores) if finish is None else finish(a, b, rows, cols, scores)
 
-    if len(blocks) == 1:
+    return map_blocks(run, len(blocks))
+
+
+def map_blocks(run, n_blocks: int) -> list:
+    """``[run(j) for j in range(n_blocks)]``, the blocks on ``_POOL``.
+
+    Block j is submitted only once block j - ``_WORKERS`` is done, so it may
+    reuse that block's buffers (set ``j % _WORKERS``, which the calling
+    thread allocates). Results are collected by block index, so the output
+    never depends on scheduling as long as each block writes only its own
+    part of any shared output. A one-block call runs inline and starts no
+    worker.
+    """
+    if n_blocks == 1:
         return [run(0)]
     futures = []
-    for j in range(len(blocks)):
-        if j >= len(sets):
-            futures[j - len(sets)].result()  # block j takes over its buffers
+    for j in range(n_blocks):
+        if j >= _WORKERS:
+            futures[j - _WORKERS].result()  # block j takes over its buffers
         futures.append(_POOL.submit(run, j))
     return [f.result() for f in futures]
 

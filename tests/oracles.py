@@ -22,6 +22,7 @@ from fedgcf.learn import (
     LossParts,
     LossSpec,
     RowBlock,
+    _safe_unit,
     adam_update_rows,
     compute_gradients,
 )
@@ -486,6 +487,36 @@ def fedavg_loop(uploads, base_user: np.ndarray, base_item: np.ndarray):
 def compute_loss(spec, state):
     """The loss parts of ``spec`` at ``state`` (gradients discarded)."""
     return compute_gradients(spec, state)[0]
+
+
+def infonce_oracle(queries: np.ndarray, keys: np.ndarray, pos_idx: np.ndarray, tau: float, trainable: str):
+    """``learn._infonce_terms`` as one unblocked pass on the calling
+    thread: a single (..., n_q, n_k) logits buffer, one product for the key
+    gradient. The blocked version must have its bits."""
+    q_hat, q_norm, q_ok = _safe_unit(queries)
+    k_hat, k_norm, k_ok = _safe_unit(keys)
+    # one (..., n_q, n_k) buffer goes from logits to exponentials to the
+    # gradient of the cosines, each step in place
+    buf = q_hat @ np.swapaxes(k_hat, -1, -2)
+    buf /= tau
+    pos = pos_idx[..., None]
+    pos_logits = np.take_along_axis(buf, pos, axis=-1)[..., 0]
+    row_max = buf.max(axis=-1, keepdims=True)
+    buf -= row_max
+    np.exp(buf, out=buf)
+    denom = buf.sum(axis=-1, keepdims=True)
+    log_denom = np.log(denom[..., 0]) + row_max[..., 0]
+    loss = np.sum(log_denom - pos_logits, axis=-1)
+    buf /= denom
+    np.put_along_axis(buf, pos, np.take_along_axis(buf, pos, axis=-1) - 1.0, axis=-1)
+    buf /= tau  # d loss / d cos
+    if trainable == "query":
+        g_hat, hat, norm, ok = buf @ k_hat, q_hat, q_norm, q_ok
+    else:
+        g_hat, hat, norm, ok = np.swapaxes(buf, -1, -2) @ q_hat, k_hat, k_norm, k_ok
+    # project out the radial component: d cos / d x = (g - (g . x_hat) x_hat)/||x||
+    inv = np.where(ok, 1.0 / np.where(ok, norm, 1.0), 0.0)
+    return loss, (g_hat - np.sum(g_hat * hat, axis=-1, keepdims=True) * hat) * inv[..., None]
 
 
 # The privacy audit as it was checked when the log held one event per

@@ -1,8 +1,5 @@
-import ctypes
-import glob
 import importlib
 import multiprocessing
-import os
 import sys
 import threading
 import tracemalloc
@@ -26,6 +23,7 @@ from fedgcf.graph import BipartiteGraph, EmbeddingState
 from fedgcf.mending import predict_links
 
 from oracles import ndcg_oracle, rank_candidates, rank_candidates_gemv, recall_oracle
+from pools import InlinePool, under_three_pools
 
 # the package re-exports the function ``evaluate`` under its module's name
 evaluate_module = importlib.import_module("fedgcf.evaluate")
@@ -339,66 +337,6 @@ def test_evaluate_ranks_generic_views_as_per_user_gemv(sim):
     assert list(res.per_user.items()) == list(expected.items())
 
 
-class _Done:
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        return self.value
-
-
-class _InlinePool:
-    """Runs each block as it is submitted, so blocks finish in block order."""
-
-    def __init__(self):
-        self.order = []
-
-    def submit(self, fn, j):
-        self.order.append(j)
-        return _Done(fn(j))
-
-
-class _Held:
-    def __init__(self, pool):
-        self.pool = pool
-
-    def result(self):
-        self.pool.drain()
-        return self.value
-
-
-class _ReversePool:
-    """Holds submitted blocks until a result is asked for, then runs every
-    held block, the last submitted first."""
-
-    def __init__(self):
-        self.held, self.order = [], []
-
-    def submit(self, fn, j):
-        job = _Held(self)
-        self.held.append((job, fn, j))
-        return job
-
-    def drain(self):
-        while self.held:
-            job, fn, j = self.held.pop()
-            self.order.append(j)
-            job.value = fn(j)
-
-
-def _under_three_pools(monkeypatch, call):
-    """``call()`` on the worker pool, inline in block order and with blocks
-    finishing in reverse order."""
-    inline, backward = _InlinePool(), _ReversePool()
-    results = [call()]
-    for pool in (inline, backward):
-        monkeypatch.setattr(evaluate_module, "_POOL", pool)
-        results.append(call())
-    assert len(inline.order) > 2 and inline.order == sorted(inline.order)
-    assert sorted(backward.order) == inline.order != backward.order
-    return results
-
-
 @pytest.mark.parametrize("budget", [1, 2**15])
 @pytest.mark.parametrize("k", [20, 400])
 def test_pooled_evaluate_is_bitwise_the_inline_in_order_output(monkeypatch, budget, k):
@@ -415,7 +353,7 @@ def test_pooled_evaluate_is_bitwise_the_inline_in_order_output(monkeypatch, budg
     for user_views, item_views in (generic, grid):
         for sim in ("cosine", "inner"):
             with monkeypatch.context() as mp:
-                got = _under_three_pools(mp, lambda: evaluate(user_views, item_views, ds, "test", k, sim))
+                got = under_three_pools(mp, lambda: evaluate(user_views, item_views, ds, "test", k, sim))
             pooled, inline, backward = ([*r.per_user.items(), r.recall, r.ndcg] for r in got)
             assert pooled == inline == backward
 
@@ -433,7 +371,7 @@ def test_pooled_predict_links_is_bitwise_the_inline_in_order_output(monkeypatch,
     ):
         for threshold, cap in ((0.3, None), (-1.0, 10), (0.0, 3), (0.5, 1)):
             with monkeypatch.context() as mp:
-                got = _under_three_pools(mp, lambda: predict_links(g, mender, threshold, cap, 1))
+                got = under_three_pools(mp, lambda: predict_links(g, mender, threshold, cap, 1))
             for pairs, scores in got[1:]:
                 assert np.array_equal(pairs, got[0][0])
                 assert scores.tobytes() == got[0][1].tobytes()
@@ -448,7 +386,7 @@ def test_pooled_blocks_never_share_buffers_under_a_short_switch_interval(monkeyp
     g = BipartiteGraph(n_users, n_items, np.argwhere(rng.random((n_users, n_items)) < 0.05))
     mender = EmbeddingState(rng.normal(size=(n_users, 8)), rng.normal(size=(n_items, 8)))
     monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
-    monkeypatch.setattr(evaluate_module, "_POOL", _InlinePool())
+    monkeypatch.setattr(evaluate_module, "_POOL", InlinePool())
     want = predict_links(g, mender, -1.0, 5, 1)
     got, pool = [], ThreadPoolExecutor(4)
     monkeypatch.setattr(evaluate_module, "_POOL", pool)
@@ -481,30 +419,6 @@ def test_a_forked_child_ranks_on_its_own_pool(monkeypatch):
     finally:
         if child.is_alive():
             child.kill()
-
-
-@pytest.fixture
-def one_blas_thread():
-    """numpy's OpenBLAS on one thread for the test, as the bitwise block
-    claims assume; a BLAS whose thread count cannot be set runs as it is."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(pattern):
-        lib = ctypes.CDLL(path)
-        for get, put in (
-            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-            ("openblas_get_num_threads", "openblas_set_num_threads"),
-        ):
-            if hasattr(lib, get) and hasattr(lib, put):
-                getattr(lib, get).restype = ctypes.c_int
-                getattr(lib, put).argtypes = [ctypes.c_int]
-                threads = getattr(lib, get)()
-                getattr(lib, put)(1)
-                try:
-                    yield
-                finally:
-                    getattr(lib, put)(threads)
-                return
-    yield
 
 
 @pytest.mark.parametrize("n_cols", [300, 2400])

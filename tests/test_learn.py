@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,12 +16,14 @@ from fedgcf.learn import (
     GradientBundle,
     HyperParams,
     LossSpec,
+    _infonce_terms,
     adam_step,
     add_rows,
     compute_gradients,
 )
 
-from oracles import as_dict, bundle_of, compute_loss, cosine_oracle, fd_gradient, max_rel_err, same_bits
+from oracles import as_dict, bundle_of, compute_loss, cosine_oracle, fd_gradient, infonce_oracle, max_rel_err, same_bits
+from pools import evaluate_module, under_three_pools
 
 # frozen expected values, derived by hand:
 #   ln 2                       = 0.6931471805599453
@@ -201,6 +206,77 @@ def test_infonce_decreases_when_views_align():
     aligned = {k: keys[k] + 0.01 * rng.normal(size=4) for k in range(3)}
     scrambled = {k: rng.normal(size=4) for k in range(3)}
     assert contrastive_loss(aligned, keys, 0.2) < contrastive_loss(scrambled, keys, 0.2)
+
+
+def _infonce_case(n_q, n_k, d, seed):
+    """Generic query and key rows with every 7th query and 11th key of zero
+    norm, and positives drawn at random."""
+    rng = np.random.default_rng(seed)
+    queries, keys = rng.normal(size=(n_q, d)), rng.normal(size=(n_k, d))
+    queries[::7] = 0.0
+    keys[::11] = 0.0
+    return queries, keys, rng.integers(0, n_k, size=n_q)
+
+
+def _same_infonce(got, want):
+    return got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("budget, n_q, n_k", [(1, 450, 500), (None, 2315, 2315)])
+@pytest.mark.parametrize("d", [4, 64])
+def test_blocked_infonce_is_bitwise_the_one_buffer_oracle(monkeypatch, one_blas_thread, budget, n_q, n_k, d):
+    # 48-row blocks with a 66-row remainder (budget 1), or the 2315 batch
+    # items of a server round in 24 blocks; at d = 4 a gradient product
+    # taken per block would round differently from the whole product
+    if budget is not None:
+        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    assert len(evaluate_module.row_blocks(n_q, n_k)) > 2
+    queries, keys, pos = _infonce_case(n_q, n_k, d, n_q + d)
+    for trainable in ("key", "query"):
+        want = infonce_oracle(queries, keys, pos, 0.2, trainable)
+        with monkeypatch.context() as mp:
+            got = under_three_pools(mp, lambda: _infonce_terms(queries, keys, pos, 0.2, trainable))
+        assert all(_same_infonce(g, want) for g in got), trainable
+
+
+def test_pooled_infonce_on_four_workers_under_a_short_switch_interval(monkeypatch, one_blas_thread):
+    # four workers write their own rows of one buffer while threads switch
+    # every microsecond: a block that wrote outside its rows would show
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    queries, keys, pos = _infonce_case(450, 500, 16, 3)
+    want = [infonce_oracle(queries, keys, pos, 0.2, trainable) for trainable in ("key", "query")]
+    got, pool = [], ThreadPoolExecutor(4)
+    monkeypatch.setattr(evaluate_module, "_POOL", pool)
+    monkeypatch.setattr(evaluate_module, "_WORKERS", 4)
+    sides = ["key", "query"] * 3
+    caller = threading.Thread(target=lambda: got.extend(_infonce_terms(queries, keys, pos, 0.2, t) for t in sides))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False)
+    assert not caller.is_alive() and len(got) == len(sides)
+    assert all(_same_infonce(g, want[j % 2]) for j, g in enumerate(got))
+
+
+class _NoPool:
+    def submit(self, fn, j):
+        raise AssertionError("a one-block contrastive call started a worker")
+
+
+def test_stacked_and_one_block_infonce_calls_start_no_worker(monkeypatch):
+    # the 300 items of a 200 x 300 run fit one block; a stacked call of
+    # several softmaxes is always one block, whatever its size
+    monkeypatch.setattr(evaluate_module, "_POOL", _NoPool())
+    rng = np.random.default_rng(6)
+    stacked = rng.normal(size=(3, 400, 8)), rng.normal(size=(1000, 8)), rng.integers(0, 1000, size=(3, 400))
+    for queries, keys, pos in (_infonce_case(300, 300, 64, 1), stacked):
+        for trainable in ("key", "query"):
+            got = _infonce_terms(queries, keys, pos, 0.2, trainable)
+            assert _same_infonce(got, infonce_oracle(queries, keys, pos, 0.2, trainable))
 
 
 # ---------------------------------------------------------------- mending
