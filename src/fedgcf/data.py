@@ -38,6 +38,7 @@ class InteractionDataset:
     (user, item) without duplicates; the constructor accepts any collection
     of pairs. An unsplit dataset keeps every pair in ``train`` and leaves
     ``val`` and ``test`` empty; ``split_dataset`` redistributes the union.
+    The split arrays are read-only: ``evaluate`` keys its memo on them.
     """
 
     n_users: int
@@ -50,6 +51,8 @@ class InteractionDataset:
 
     def __post_init__(self):
         self.train, self.val, self.test = _edges(self.train), _edges(self.val), _edges(self.test)
+        for split in (self.train, self.val, self.test):
+            split.flags.writeable = False
         if not self.user_raw_ids:
             self.user_raw_ids = tuple(range(self.n_users))
         if not self.item_raw_ids:

@@ -260,13 +260,17 @@ def eval_views(ctx: RunContext, mode: str = "server"):
     ``server``: global model propagated over the mended contributed graph,
     the read-only views the next round's exchange and ``server_train`` share.
     ``device``: ``device_views`` of every device's user row.
+    Both are read-only, so ``evaluate`` ranks them once for val and test.
     """
     if mode == "server":
         return _server_views(ctx)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
     device_user = np.stack([ctx.devices[u].p_u for u in range(ctx.ds.n_users)])
-    return device_views(device_user, ctx.server.model.item, ctx.ds)
+    views = device_views(device_user, ctx.server.model.item, ctx.ds)
+    for view in views:
+        view.flags.writeable = False
+    return views
 
 
 def run_training(

@@ -136,6 +136,17 @@ def test_split_partition_and_determinism():
             assert any(p in train for p in mine), f"user {u} lost all train pairs"
 
 
+def test_split_arrays_are_read_only():
+    # evaluate keys its memo on a dataset's split arrays
+    pairs = np.array([[0, 0], [0, 1], [0, 2]])
+    ds = split_dataset(InteractionDataset(1, 3, pairs), (1, 1, 1), seed=0)
+    for split in (ds.train, ds.val, ds.test):
+        assert split.shape == (1, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            split[:1] = 0
+    assert pairs.flags.writeable  # the constructor's input stays the caller's
+
+
 def test_split_rejects_bad_ratios():
     ds = InteractionDataset(1, 1, {(0, 0)})
     with pytest.raises(ConfigError):

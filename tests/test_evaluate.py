@@ -3,6 +3,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedgcf.data import InteractionDataset
+from fedgcf.data import InteractionDataset, split_dataset
 from fedgcf.errors import ConfigError
 from fedgcf.evaluate import (
     EvalResult,
@@ -435,17 +436,134 @@ def test_row_blocks_have_the_bits_of_the_full_product(monkeypatch, one_blas_thre
         assert np.array_equal(np.concatenate(blocks), full), n_rows
 
 
-def _oracle_metrics(user_views, item_views, ds, k, sim):
-    """Per-user (recall, ndcg) of the test split, ranked from the split's
-    full product."""
-    test_by_user = sorted(ds.pairs_by_user(ds.test).items())
+def _oracle_metrics(user_views, item_views, ds, k, sim, split="test"):
+    """Per-user (recall, ndcg) of ``split``, ranked from the split's full
+    product."""
+    held_by_user = sorted(ds.pairs_by_user(ds.val if split == "val" else ds.test).items())
     train_by_user = ds.pairs_by_user(ds.train)
-    users = [u for u, _ in test_by_user]
+    users = [u for u, _ in held_by_user]
     ranked = rank_candidates(user_views[users], item_views, [train_by_user.get(u, ()) for u in users], k, sim)
     return {
         u: (recall_at_k(r, set(items)), ndcg_at_k(r, set(items), k))
-        for (u, items), r in zip(test_by_user, ranked)
+        for (u, items), r in zip(held_by_user, ranked)
     }
+
+
+def _split_users_case(layout):
+    """150 users over 12 items, where val and test hold different users:
+    their union of about 110 users takes two blocks under a budget of 1,
+    though test's users alone take one. ``categories``: by ``u % 4``
+    a user is in val only, test only, both or neither, with up to 2 val
+    and up to 4 test items; ``ratios``: ``split_dataset`` at 6/3/1, where
+    users with fewer than 10 pairs get no test pair and fewer than 4 no
+    val pair."""
+    n_users, n_items = 150, 12
+    rng = np.random.default_rng(7)
+    user_views, item_views = rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3))
+    if layout == "ratios":
+        pairs = [(u, int(i)) for u in range(n_users) for i in rng.choice(n_items, 1 + u % 12, replace=False)]
+        return user_views, item_views, split_dataset(InteractionDataset(n_users, n_items, pairs), (6, 3, 1), 0)
+    train, val, test = set(), set(), set()
+    for u in range(n_users):
+        order = rng.permutation(n_items)
+        train |= {(u, int(i)) for i in order[: rng.integers(0, 6)]}
+        if u % 4 in (0, 2):
+            val |= {(u, int(i)) for i in order[6 : 6 + rng.integers(1, 3)]}
+        if u % 4 in (1, 2):
+            test |= {(u, int(i)) for i in order[8 : 8 + rng.integers(1, 5)]}
+    return user_views, item_views, InteractionDataset(n_users, n_items, train, val, test)
+
+
+@pytest.mark.parametrize("layout", ["categories", "ratios"])
+@pytest.mark.parametrize("budget", [None, 1])
+def test_evaluate_matches_oracle_on_both_splits_with_different_users(monkeypatch, layout, budget):
+    user_views, item_views, ds = _split_users_case(layout)
+    val_users, test_users = set(ds.val[:, 0].tolist()), set(ds.test[:, 0].tolist())
+    assert val_users ^ test_users and val_users & test_users
+    assert len(val_users | test_users) < ds.n_users
+    if budget is not None:
+        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    for k in (1, 5, 15):
+        for sim in ("cosine", "inner"):
+            for split in ("val", "test"):
+                res = evaluate(user_views, item_views, ds, split, k, sim)
+                expected = _oracle_metrics(user_views, item_views, ds, k, sim, split)
+                assert list(res.per_user.items()) == list(expected.items())
+                assert res.recall == float(np.mean([m[0] for m in expected.values()]))
+                assert res.ndcg == float(np.mean([m[1] for m in expected.values()]))
+
+
+# ---------------------------------------------------------------- memo
+
+
+def _read_only_views(user_views, item_views):
+    for view in (user_views, item_views):
+        view.flags.writeable = False
+    return user_views, item_views
+
+
+def _as_list(res):
+    return [*res.per_user.items(), res.recall, res.ndcg]
+
+
+@pytest.mark.parametrize("first,second", [("val", "test"), ("test", "val")])
+def test_memo_serves_the_second_split_as_a_fresh_call_would(monkeypatch, first, second):
+    user_views, item_views, ds = _split_users_case("categories")
+    views = _read_only_views(user_views.copy(), item_views.copy())
+    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    calls = []
+    select = evaluate_module._select_blocks
+    monkeypatch.setattr(evaluate_module, "_select_blocks", lambda *a: calls.append(1) or select(*a))
+    got = [evaluate(*views, ds, first, 5), evaluate(*views, ds, second, 5)]
+    assert len(calls) == 1  # the second call ranks nothing
+    # a memo serves one call: asking again ranks again
+    assert _as_list(evaluate(*views, ds, second, 5)) == _as_list(got[1])
+    assert len(calls) == 2
+    fresh = [evaluate(user_views.copy(), item_views.copy(), ds, split, 5) for split in (first, second)]
+    assert [_as_list(r) for r in got] == [_as_list(r) for r in fresh]
+
+
+def test_memo_is_missed_on_another_k_sim_dataset_or_split(monkeypatch):
+    user_views, item_views, ds = _split_users_case("categories")
+    views = _read_only_views(user_views, item_views)
+    other_ds = InteractionDataset(ds.n_users, ds.n_items, ds.train, ds.val, ds.test)
+    calls = []
+    select = evaluate_module._select_blocks
+    monkeypatch.setattr(evaluate_module, "_select_blocks", lambda *a: calls.append(1) or select(*a))
+    misses = ((6, "cosine", ds, "test"), (5, "inner", ds, "test"), (5, "cosine", other_ds, "test"), (5, "cosine", ds, "val"))
+    for k, sim, data, split in misses:
+        calls.clear()
+        evaluate(*views, ds, "val", 5, "cosine")
+        res = evaluate(*views, data, split, k, sim)
+        assert len(calls) == 2
+        assert _as_list(res) == _as_list(evaluate(user_views.copy(), item_views.copy(), data, split, k, sim))
+
+
+@pytest.mark.parametrize("through_base", [False, True])
+def test_writable_views_are_never_memoised(through_base):
+    # a read-only view of a writable base can change under the memo too
+    user_views, item_views, ds = _split_users_case("categories")
+    base = user_views.copy()
+    views = base, item_views
+    if through_base:
+        views = _read_only_views(base[:], item_views)
+    before = evaluate(base.copy(), item_views, ds, "test", 5)
+    evaluate(*views, ds, "val", 5)
+    base *= -1.0
+    after = evaluate(*views, ds, "test", 5)
+    assert _as_list(after) != _as_list(before)
+    assert _as_list(after) == _as_list(evaluate(base.copy(), item_views, ds, "test", 5))
+
+
+def test_memo_keeps_no_views_alive():
+    user_views, item_views, ds = _split_users_case("categories")
+    for calls in (("val",), ("val", "test")):  # a memo waiting, then taken
+        views = _read_only_views(user_views.copy(), item_views.copy())
+        refs = [weakref.ref(view) for view in views]
+        for split in calls:
+            evaluate(*views, ds, split, 5)
+        del views
+        assert all(ref() is None for ref in refs)
 
 
 def test_evaluate_val_split_and_bad_split():

@@ -283,6 +283,14 @@ def test_cached_server_views_are_read_only():
             view[0, 0] = 1.0
 
 
+def test_device_views_are_read_only():
+    # as the server views are, so evaluate ranks them once for val and test
+    ctx = prepare_run(toy_dataset(), toy_hyper())
+    for view in eval_views(ctx, "device"):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
 def test_one_server_forward_per_model():
     # a round propagates the server views once per model: its exchange and
     # server_train share them with a server-view evaluation of that model,
