@@ -7,7 +7,6 @@ remembered in ``user_raw_ids`` / ``item_raw_ids`` so snapshots round-trip.
 from __future__ import annotations
 
 import enum
-import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -20,10 +19,18 @@ from .seeds import child_rng
 def _edges(pairs) -> np.ndarray:
     """Any collection of (user, item) pairs as an (n, 2) int64 edge array
     sorted by (user, item), duplicates dropped. Rows are compared whole, so
-    an out-of-range pair stays itself for ``validate`` to report."""
+    an out-of-range pair stays itself for ``validate`` to report.
+
+    Input that is already sorted and unique skips the sort; it is copied
+    when it shares memory with the caller's array, so the result is always
+    the caller's to keep (the dataset makes its splits read-only)."""
+    given = pairs
     if not isinstance(pairs, np.ndarray):
         pairs = np.fromiter(pairs, dtype=np.dtype((np.int64, 2)))
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    step_u, step_i = np.diff(arr[:, 0]), np.diff(arr[:, 1])
+    if np.all((step_u > 0) | ((step_u == 0) & (step_i > 0))):
+        return arr.copy() if isinstance(given, np.ndarray) and np.may_share_memory(arr, given) else arr
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
     fresh = np.ones(arr.shape[0], dtype=bool)
     fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
@@ -166,14 +173,21 @@ def split_dataset(
     total = float(sum(ratios))
     pairs = ds.all_pairs()
     ptr = np.searchsorted(pairs[:, 0], np.arange(ds.n_users + 1))
-    target = np.zeros(pairs.shape[0], dtype=np.int8)  # 0 train, 1 val, 2 test
-    for u in np.flatnonzero(np.diff(ptr)).tolist():
-        n = int(ptr[u + 1] - ptr[u])
-        n_val = math.floor(n * ratios[1] / total)
-        n_test = math.floor(n * ratios[2] / total)
-        perm = ptr[u] + child_rng(seed, "split", u).permutation(n)
-        target[perm[:n_val]] = 1
-        target[perm[n_val : n_val + n_test]] = 2
+    counts = np.diff(ptr)
+    bounds = ptr.tolist()
+    # each user's permutation of their pairs, user after user, as positions
+    # in ``pairs``
+    perm = np.empty(pairs.shape[0], dtype=np.int64)
+    for u in np.flatnonzero(counts).tolist():
+        perm[bounds[u] : bounds[u + 1]] = child_rng(seed, "split", u).permutation(bounds[u + 1] - bounds[u])
+    perm += np.repeat(ptr[:-1], counts)
+    # a permutation's first n_val pairs go to val, the next n_test to test
+    # and the rest to train: one run of each label per user, in that order
+    n_val = np.floor(counts * ratios[1] / total).astype(np.int64)
+    n_test = np.floor(counts * ratios[2] / total).astype(np.int64)
+    runs = np.stack([n_val, n_test, counts - n_val - n_test], axis=1).ravel()
+    target = np.empty(pairs.shape[0], dtype=np.int8)  # 0 train, 1 val, 2 test
+    target[perm] = np.repeat(np.tile(np.array([1, 2, 0], dtype=np.int8), ds.n_users), runs)
     return replace(ds, train=pairs[target == 0], val=pairs[target == 1], test=pairs[target == 2])
 
 
@@ -255,9 +269,17 @@ class SharePolicy:
         if self.contributed is None or ds is None:
             return
         c, n_items = self.contributed, ds.n_items
-        # (u, i) keys are unique only for in-range pairs; the rest are outside
-        in_range = (c >= 0).all(axis=1) & (c[:, 0] < ds.n_users) & (c[:, 1] < n_items)
-        inside = in_range & np.isin(c[:, 0] * n_items + c[:, 1], ds.train[:, 0] * n_items + ds.train[:, 1])
+
+        def in_range(pairs):
+            return (pairs >= 0).all(axis=1) & (pairs[:, 0] < ds.n_users) & (pairs[:, 1] < n_items)
+
+        # (u, i) keys are unique, and ascend with the sorted rows, only for
+        # in-range pairs; the rest are outside
+        train = ds.train[in_range(ds.train)]
+        keys = train[:, 0] * n_items + train[:, 1]
+        c_keys = c[:, 0] * n_items + c[:, 1]
+        # a key past the last one meets the -1 sentinel, which no key equals
+        inside = in_range(c) & (np.append(keys, -1)[np.searchsorted(keys, c_keys)] == c_keys)
         shared = np.bincount(c[inside, 0], minlength=self.n_users)
         local = np.bincount(ds.train[:, 0], minlength=self.n_users)
         tier = self.tier
@@ -306,9 +328,15 @@ def attach_contributions(policy: SharePolicy, ds: InteractionDataset, seed: int 
     take = np.minimum(np.ceil(policy.ratio * counts), counts - 1)
     degrade = (every & (counts == 0)) | (part & (take <= 0))
     keep = every[ds.train[:, 0]]
-    for u in np.flatnonzero(part & ~degrade).tolist():
-        picked = child_rng(seed, "subset", u).choice(int(counts[u]), size=int(take[u]), replace=False)
-        keep[ptr[u] + picked] = True
+    users = np.flatnonzero(part & ~degrade)
+    sizes = take[users].astype(np.int64)
+    # each user's subset, user after user, as offsets into their train pairs
+    picked = np.empty(int(sizes.sum()), dtype=np.int64)
+    at = 0
+    for u, n, k in zip(users.tolist(), counts[users].tolist(), sizes.tolist()):
+        picked[at : at + k] = child_rng(seed, "subset", u).choice(n, size=k, replace=False)
+        at += k
+    keep[np.repeat(ptr[users], sizes) + picked] = True
     return SharePolicy(ratio=np.where(degrade, 0.0, policy.ratio), contributed=ds.train[keep])
 
 

@@ -63,7 +63,9 @@ class BipartiteGraph:
                 raise IndexError("user id out of range in edge list")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_items:
                 raise IndexError("item id out of range in edge list")
-        arr = np.stack(np.divmod(np.unique(arr[:, 0] * self.n_items + arr[:, 1]), self.n_items), axis=1)
+        keys = arr[:, 0] * self.n_items + arr[:, 1]
+        if not np.all(keys[1:] > keys[:-1]):  # sorted unique edges are taken as they are
+            arr = np.stack(np.divmod(np.unique(keys), self.n_items), axis=1)
         self.user_deg = np.bincount(arr[:, 0], minlength=n_users).astype(np.int64)
         self.item_deg = np.bincount(arr[:, 1], minlength=n_items).astype(np.int64)
         self.user_ptr = np.concatenate(([0], np.cumsum(self.user_deg)))
@@ -182,8 +184,8 @@ def propagate_combine(g: BipartiteGraph, user0: np.ndarray, item0: np.ndarray, a
     cur_u, cur_i = user0, item0
     for a in alpha[1:]:
         cur_u, cur_i = propagate_once(g, cur_u, cur_i)
-        acc_u = acc_u + a * cur_u
-        acc_i = acc_i + a * cur_i
+        acc_u += a * cur_u
+        acc_i += a * cur_i
     return acc_u, acc_i
 
 

@@ -17,6 +17,9 @@ from .evaluate import map_blocks, row_blocks
 from .graph import BipartiteGraph, EgoGraph, EmbeddingState
 
 _NORM_FLOOR = 1e-12
+# Most link pairs ``compute_gradients`` holds temporaries for at once: with
+# d = 64, 2**12 rows are 2 MB per temporary.
+_LINK_BLOCK = 2**12
 
 
 @dataclass
@@ -158,15 +161,16 @@ def _safe_unit(mat: np.ndarray):
     return mat * inv[..., None], norms, ok
 
 
-def _cosine_rows(a: np.ndarray, b: np.ndarray):
-    """Row-paired cosines plus gradients w.r.t. both rows.
+def _cosine_rows(a_unit, b_unit):
+    """Row-paired cosines plus gradients w.r.t. both rows, from the
+    ``_safe_unit`` of each side's rows.
 
     d cos / d a = (b_hat - cos * a_hat) / ||a||, symmetric in b; rows with
     a zero-norm side get cosine 0 and zero gradient (the convention's
     subgradient).
     """
-    a_hat, a_norm, a_ok = _safe_unit(a)
-    b_hat, b_norm, b_ok = _safe_unit(b)
+    a_hat, a_norm, a_ok = a_unit
+    b_hat, b_norm, b_ok = b_unit
     ok = a_ok & b_ok
     cos = np.where(ok, np.sum(a_hat * b_hat, axis=1), 0.0)
     inv_a = np.where(ok, 1.0 / np.where(a_ok, a_norm, 1.0), 0.0)
@@ -178,9 +182,10 @@ def _cosine_rows(a: np.ndarray, b: np.ndarray):
 
 def _bpr_terms(user_vecs: np.ndarray, pos_vecs: np.ndarray, neg_vecs: np.ndarray):
     """Pairwise ranking losses softplus(-(s_pos - s_neg)), one per triplet,
-    and gradients."""
-    s_pos, du_p, dp = _cosine_rows(user_vecs, pos_vecs)
-    s_neg, du_n, dn = _cosine_rows(user_vecs, neg_vecs)
+    and gradients. The user rows are normalized once for both cosines."""
+    user_unit = _safe_unit(user_vecs)
+    s_pos, du_p, dp = _cosine_rows(user_unit, _safe_unit(pos_vecs))
+    s_neg, du_n, dn = _cosine_rows(user_unit, _safe_unit(neg_vecs))
     x = s_pos - s_neg
     loss = np.logaddexp(0.0, -x)
     # d softplus(-x) / dx = sigmoid(x) - 1
@@ -450,16 +455,23 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
                 parts.cl += float(np.sum(loss))
             add_rows(target, term.rows, spec.cl_weight * g_train)
 
+    # link terms in blocks of pairs: each pair's terms do not depend on the
+    # others, and the blocks add their rows in pair order, so only the size
+    # of the temporaries depends on the block
     for pairs, target_val in ((spec.link_positives, 1.0), (spec.link_negatives, 0.0)):
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.shape[0] == 0:
             continue
-        cos, d_zu, d_zi = _cosine_rows(final_u[pairs[:, 0]], final_i[pairs[:, 1]])
-        resid = cos - target_val
+        resid = np.empty(pairs.shape[0])
+        for lo in range(0, pairs.shape[0], _LINK_BLOCK):
+            users, items = pairs[lo : lo + _LINK_BLOCK, 0], pairs[lo : lo + _LINK_BLOCK, 1]
+            cos, d_zu, d_zi = _cosine_rows(_safe_unit(final_u[users]), _safe_unit(final_i[items]))
+            block = resid[lo : lo + _LINK_BLOCK]
+            np.subtract(cos, target_val, out=block)
+            sign = np.sign(block)[:, None]
+            add_rows(grad_u, users, sign * d_zu)
+            add_rows(grad_i, items, sign * d_zi)
         parts.mend += loss_sum(np.abs(resid), pairs[:, 0])
-        sign = np.sign(resid)[:, None]
-        add_rows(grad_u, pairs[:, 0], sign * d_zu)
-        add_rows(grad_i, pairs[:, 1], sign * d_zi)
 
     reg_u = np.unique(np.asarray(spec.reg_user_rows, dtype=np.int64))
     reg_i = np.unique(np.asarray(spec.reg_item_rows, dtype=np.int64))
@@ -511,17 +523,27 @@ def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int | np.ndarray, hy
     counts, at_t = np.unique(np.atleast_1d(t), return_inverse=True)
     bc1 = np.array([1.0 - b1**c for c in counts.tolist()])[at_t, None]
     bc2 = np.array([1.0 - b2**c for c in counts.tolist()])[at_t, None]
-    rows = _union(moments.rows, grads.rows)
-    if rows.size > len(moments):
-        mv = np.zeros((rows.size, 2, grads.values.shape[1]))
-        if len(moments):
-            mv[np.searchsorted(rows, moments.rows)] = moments.values
-        moments.rows, moments.values = rows, mv
-    at = np.searchsorted(moments.rows, grads.rows)
+    if len(moments) != len(grads) or not np.array_equal(moments.rows, grads.rows):
+        rows = _union(moments.rows, grads.rows)
+        if rows.size > len(moments):
+            mv = np.zeros((rows.size, 2, grads.values.shape[1]))
+            if len(moments):
+                mv[np.searchsorted(rows, moments.rows)] = moments.values
+            moments.rows, moments.values = rows, mv
+    # the gradient's rows are now among the moments' rows; when they are all
+    # of them the moments update in place, else theirs are gathered and
+    # scattered back
+    every = len(moments) == len(grads)
+    at = slice(None) if every else np.searchsorted(moments.rows, grads.rows)
+    mv = moments.values[at]
+    m, v = mv[:, 0], mv[:, 1]
     g = grads.values
-    m = b1 * moments.values[at, 0] + (1.0 - b1) * g
-    v = b2 * moments.values[at, 1] + (1.0 - b2) * g * g
-    moments.values[at] = np.stack([m, v], axis=1)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    if not every:
+        moments.values[at] = mv
     return RowBlock(grads.rows, -hyper.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + hyper.adam_eps))
 
 

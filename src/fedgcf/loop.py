@@ -200,12 +200,13 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     server_upload, server_parts = server_train(server, hyper, round_idx, ctx.train_seed, (user_views, item_views))
 
     if hyper.ldp_clip > 0.0 or hyper.ldp_noise > 0.0:
+        # a zero noise scale draws nothing, so it needs no generator
         uploads = [
             apply_ldp(
                 up,
                 hyper.ldp_clip,
                 hyper.ldp_noise,
-                child_rng(ctx.train_seed, "ldp", round_idx, up.device_id),
+                child_rng(ctx.train_seed, "ldp", round_idx, up.device_id) if hyper.ldp_noise > 0.0 else None,
             )
             for up in uploads
         ]

@@ -16,15 +16,16 @@ from .seeds import child_rng
 
 @dataclass
 class MendingArtifacts:
-    """Everything the mending stage produced, kept for inspection.
+    """What the mending stage produced that a run reads or reports: the
+    links it held out, the mender's per-epoch losses, its predictions and
+    the mended graph; not the impaired graph or the mender's tables, which
+    a run would otherwise hold to its end.
 
     Link sets are (n, 2) int64 edge arrays sorted by (user, item);
     ``scores`` holds one cosine per row of ``predicted``.
     """
 
-    impaired: BipartiteGraph
     removed: np.ndarray
-    mender: EmbeddingState
     losses: list[float]
     predicted: np.ndarray
     scores: np.ndarray
@@ -248,15 +249,7 @@ def mend_graph(g: BipartiteGraph, hyper: HyperParams, seed=0) -> MendingArtifact
         g, mender, hyper.mend_threshold, hyper.mend_cap_per_user, hyper.layers_server
     )
     mended = BipartiteGraph(g.n_users, g.n_items, np.concatenate([g.edge_array(), predicted]))
-    return MendingArtifacts(
-        impaired=impaired,
-        removed=removed,
-        mender=mender,
-        losses=losses,
-        predicted=predicted,
-        scores=scores,
-        mended=mended,
-    )
+    return MendingArtifacts(removed=removed, losses=losses, predicted=predicted, scores=scores, mended=mended)
 
 
 def write_predictions_tsv(predicted: np.ndarray, scores: np.ndarray, path: str) -> None:

@@ -17,7 +17,10 @@ def child_rng(*keys: int | str) -> np.random.Generator:
     """Return a Generator determined solely by the key tuple.
 
     String keys are hashed with crc32; integer keys are masked to 32 bits
-    so negative ids (the server uses -1) stay valid seed material.
+    so negative ids (the server uses -1) stay valid seed material. The
+    words reach ``default_rng`` as one uint32 array, the entropy numpy
+    makes of the same words as a list of ints, without its per-int
+    conversion.
     """
     words = []
     for key in keys:
@@ -25,4 +28,4 @@ def child_rng(*keys: int | str) -> np.random.Generator:
             words.append(zlib.crc32(key.encode("utf-8")))
         else:
             words.append(int(key) & 0xFFFFFFFF)
-    return np.random.default_rng(words)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))

@@ -270,7 +270,7 @@ def _moved(table: np.ndarray, step: RowBlock) -> RowBlock:
     return RowBlock(step.rows, (old + step.values) - old if step else old)
 
 
-def _privatize(block: RowBlock, clip: float, noise_scale: float, rng: np.random.Generator) -> RowBlock:
+def _privatize(block: RowBlock, clip: float, noise_scale: float, rng: np.random.Generator | None) -> RowBlock:
     values = block.values.copy()
     if clip > 0.0:
         # row norms as sqrt(v . v), the same rounding as np.linalg.norm of one row
@@ -283,12 +283,13 @@ def _privatize(block: RowBlock, clip: float, noise_scale: float, rng: np.random.
 
 
 def apply_ldp(
-    upload: DeviceUpload, clip: float, noise_scale: float, rng: np.random.Generator
+    upload: DeviceUpload, clip: float, noise_scale: float, rng: np.random.Generator | None
 ) -> DeviceUpload:
     """Clip each delta row to L2 norm ``clip`` and add Laplace noise.
 
     ``clip`` of 0 disables clipping; ``noise_scale`` of 0 adds nothing and
-    draws nothing, so a zero-noise run is bit-identical to a disabled one.
+    draws nothing, so a zero-noise run is bit-identical to a disabled one,
+    and ``rng`` may then be None.
     Noise components are i.i.d. Laplace(0, noise_scale), variance
     2 * noise_scale^2, drawn user rows first, rows in ascending order.
     """

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedgcf.data import (
     InteractionDataset,
+    _edges,
     SharePolicy,
     ShareTier,
     assign_share_policy,
@@ -356,3 +357,34 @@ def test_dataset_and_policy_equality_is_identity():
     assert a == a and a != b
     p, q = SharePolicy(np.array([0.5, 1.0]), [(1, 0)]), SharePolicy(np.array([0.5, 1.0]), [(1, 0)])
     assert p == p and p != q
+
+
+def test_edges_take_sorted_input_as_an_equal_fresh_array():
+    pairs = np.array([[0, 1], [0, 3], [2, 0], [2, 2]], dtype=np.int64)
+    for given_pairs in (pairs, pairs[1:], pairs.ravel(), pairs.astype(np.int32), pairs.tolist()):
+        got = _edges(given_pairs)
+        assert np.array_equal(got, np.asarray(given_pairs).reshape(-1, 2)) and got.dtype == np.int64
+        if isinstance(given_pairs, np.ndarray):
+            assert got is not given_pairs and not np.shares_memory(got, given_pairs)
+    # a read-only split handed to a new dataset stays the first dataset's
+    ds = InteractionDataset(3, 4, pairs)
+    again = InteractionDataset(3, 4, ds.train)
+    assert not np.shares_memory(ds.train, pairs) and not np.shares_memory(again.train, ds.train)
+    assert again.train.flags.writeable is False and ds.train.flags.writeable is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=30), st.booleans())
+def test_edges_sort_and_dedupe_any_input(pairs, as_array):
+    # out-of-range ids stay as they are, for validate to report
+    given_pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+    assert _edges(given_pairs).tolist() == [list(p) for p in sorted(set(pairs))]
+
+
+def test_share_policy_validate_counts_no_key_of_an_out_of_range_train_pair():
+    # train pair (0, 3) is out of range at 3 items; its key 0 * 3 + 3 is
+    # also the key of (1, 0), which user 1 does not hold
+    ds = InteractionDataset(2, 3, {(0, 0), (0, 3), (1, 1), (1, 2)})
+    pol = SharePolicy(ratio=np.array([0.0, 0.5]), contributed=[(1, 0)])
+    with pytest.raises(ValueError, match="user 1: contributed pairs outside own train set"):
+        pol.validate(ds)

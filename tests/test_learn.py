@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 from fedgcf.errors import NumericError
 from fedgcf.graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha
+import fedgcf.learn as learn_module
 from fedgcf.learn import (
     AdamMoments,
     CLTerm,
     GradientBundle,
     HyperParams,
     LossSpec,
+    _bpr_terms,
+    _cosine_rows,
     _infonce_terms,
+    _safe_unit,
     adam_step,
     add_rows,
     compute_gradients,
@@ -310,6 +314,65 @@ def test_mending_kink_has_zero_gradient():
     parts, bundle = compute_gradients(spec, state)
     assert parts.mend == pytest.approx(0.0, abs=1e-12)
     assert not bundle.user and not bundle.item
+
+
+def _link_spec(rng, graph, n_users, n_items, n_links):
+    """Positive and negative links with repeated users and items, and a
+    ranking term and the regularizer beside them."""
+    links = [np.stack([rng.integers(0, n_users, n), rng.integers(0, n_items, n)], axis=1) for n in n_links]
+    return LossSpec(
+        graph=graph,
+        alpha=default_alpha(1 if isinstance(graph, EgoGraph) else 2),
+        bpr_users=rng.integers(0, n_users, size=6),
+        bpr_pos=rng.integers(0, n_items, size=6),
+        bpr_neg=rng.integers(0, n_items, size=6),
+        link_positives=links[0],
+        link_negatives=links[1],
+        reg_lambda=0.01,
+        reg_user_rows=np.arange(n_users),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_link_terms_in_blocks_are_bitwise_one_block(monkeypatch, block):
+    rng = np.random.default_rng(17)
+    pairs = {(int(rng.integers(30)), int(rng.integers(40))) for _ in range(120)}
+    flat = BipartiteGraph(30, 40, sorted(pairs))
+    flat_state = EmbeddingState(rng.normal(size=(30, 6)), rng.normal(size=(40, 6)))
+    flat_state.user[3] = 0.0  # a zero view: cosine 0 and no gradient
+    forest = EgoGraph([0, 5, 9, 14], [0, 1, 3, 5, 6, 9, 10, 11, 13])
+    forest_state = EmbeddingState(rng.normal(size=(3, 6)), rng.normal(size=(14, 6)))
+    cases = [
+        (_link_spec(rng, flat, 30, 40, (53, 45)), flat_state),
+        (_link_spec(rng, forest, 3, 14, (11, 8)), forest_state),
+    ]
+    for spec, state in cases:
+        monkeypatch.setattr(learn_module, "_LINK_BLOCK", 2**12)
+        want_parts, want = compute_gradients(spec, state)
+        monkeypatch.setattr(learn_module, "_LINK_BLOCK", block)
+        parts, got = compute_gradients(spec, state)
+        for name in ("bpr", "cl", "mend", "reg", "total"):
+            assert same_bits(np.asarray(getattr(parts, name)), np.asarray(getattr(want_parts, name)))
+        for a, b in ((got.user, want.user), (got.item, want.item)):
+            assert np.array_equal(a.rows, b.rows) and same_bits(a.values, b.values)
+
+
+def test_bpr_terms_normalize_the_user_rows_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    user, pos, neg = (rng.normal(size=(9, 4)) for _ in range(3))
+    user[2] = pos[4] = neg[6] = 0.0  # rows below the norm floor
+    # the two-call form: each cosine normalizes the user rows itself
+    s_pos, du_p, dp = _cosine_rows(_safe_unit(user), _safe_unit(pos))
+    s_neg, du_n, dn = _cosine_rows(_safe_unit(user), _safe_unit(neg))
+    x = s_pos - s_neg
+    coef = (1.0 / (1.0 + np.exp(-x)) - 1.0)[:, None]
+    want = (np.logaddexp(0.0, -x), coef * (du_p - du_n), coef * dp, -coef * dn)
+    calls = []
+    real = learn_module._safe_unit
+    monkeypatch.setattr(learn_module, "_safe_unit", lambda mat: calls.append(mat) or real(mat))
+    got = _bpr_terms(user, pos, neg)
+    assert len(calls) == 3
+    assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------- combined

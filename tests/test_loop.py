@@ -158,6 +158,36 @@ def test_run_round_sync_all_users():
         assert np.array_equal(dev.p_u, ctx.server.model.user[u])
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_ldp_generators_only_where_noise_is_drawn(monkeypatch, noise):
+    import fedgcf.loop as loop_module
+
+    ctx = prepare_run(toy_dataset(), toy_hyper(ldp_clip=0.05, ldp_noise=noise))
+    tags, calls = [], []
+    real_rng, real_ldp = loop_module.child_rng, loop_module.apply_ldp
+
+    def spy_rng(*keys):
+        tags.append(keys[1])
+        return real_rng(*keys)
+
+    def spy_ldp(up, clip, noise_scale, rng):
+        out = real_ldp(up, clip, noise_scale, rng)
+        calls.append((up, rng, out))
+        return out
+
+    monkeypatch.setattr(loop_module, "child_rng", spy_rng)
+    monkeypatch.setattr(loop_module, "apply_ldp", spy_ldp)
+    run_round(ctx, 1)
+    assert calls and tags.count("ldp") == (len(calls) if noise else 0)
+    for up, rng, out in calls:
+        assert (rng is None) == (noise == 0.0)
+        # the upload a generator of the upload's own stream gives
+        want = real_ldp(up, 0.05, noise, real_rng(ctx.train_seed, "ldp", 1, up.device_id))
+        for got_block, want_block in ((out.delta.user, want.delta.user), (out.delta.item, want.delta.item)):
+            assert np.array_equal(got_block.rows, want_block.rows)
+            assert same_bits(got_block.values, want_block.values)
+
+
 def test_server_only_round_trains_server_alone():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper(), server_only=True)

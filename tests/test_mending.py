@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedgcf.mending as mending_module
-from fedgcf.graph import BipartiteGraph, EmbeddingState, xavier_init
-from fedgcf.learn import HyperParams
+from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, xavier_init
+from fedgcf.learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from fedgcf.mending import (
     _bounded_draws,
     _sample_negative_links,
@@ -18,6 +19,8 @@ from fedgcf.mending import (
     train_mender,
     write_predictions_tsv,
 )
+
+from fedgcf.seeds import child_rng
 
 from oracles import has_edge, predict_links_loop, sample_negative_links_loop
 
@@ -335,6 +338,35 @@ def test_train_mender_deterministic():
     s2, l2 = train_mender(impaired, removed, g, hyper, seed=8)
     assert np.array_equal(s1.user, s2.user) and np.array_equal(s1.item, s2.item)
     assert l1 == l2
+
+
+def test_one_mender_epoch_peaks_under_eight_tables():
+    # an epoch of train_mender at 5000 x 6000, d = 64: ~108k uniform pairs,
+    # ~10.8k removed links and as many negatives. Its temporaries are
+    # counted in tables of (users + items) x d float64; the state and the
+    # moments exist before it, as in every epoch after the first.
+    n_users, n_items, d = 5000, 6000, 64
+    rng = np.random.default_rng(0)
+    pairs = np.stack([rng.integers(0, n_users, 108_000), rng.integers(0, n_items, 108_000)], axis=1)
+    g = BipartiteGraph(n_users, n_items, pairs)
+    impaired, removed = impair_graph(g, 0.1, child_rng(0, "impair"))
+    hyper = HyperParams(dim=d)
+    state = xavier_init(n_users, n_items, d, child_rng(0, "mend_init"))
+    moments = AdamMoments()
+
+    def epoch(e):
+        negatives = _sample_negative_links(g, len(removed), child_rng(0, "mend_neg", e))
+        spec = LossSpec(impaired, default_alpha(hyper.layers_server), link_positives=removed, link_negatives=negatives)
+        adam_step(state, compute_gradients(spec, state)[1], moments, hyper)
+
+    epoch(0)
+    tracemalloc.start()
+    try:
+        epoch(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n_users + n_items) * d * 8
 
 
 # ---------------------------------------------------------------- pipeline

@@ -119,6 +119,29 @@ def test_adam_update_rows_matches_loop(steps):
         assert_same_rows(RowBlock(moments.rows, moments.values[:, 1]), {r: v for r, (_, v) in ref_moments.items()})
 
 
+def test_adam_update_rows_on_every_moment_row_matches_loop():
+    # steps on all of the moments' rows update them in place; the others
+    # grow the moments or take some of their rows. One step passes its
+    # count once per row, as a block of several devices does.
+    hyper = HyperParams(learning_rate=0.01)
+    rng = np.random.default_rng(8)
+    steps = [[0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 3], [0, 1, 2, 3, 4], [2], [0, 1, 2, 3, 4]]
+    moments = AdamMoments().item
+    ref_moments: dict = {}
+    for t, rows in enumerate(steps, start=1):
+        grads = RowBlock(np.array(rows), rng.normal(size=(len(rows), D)))
+        before = moments.values
+        count = np.full(len(rows), t) if t == 5 else t
+        delta = adam_update_rows(grads, moments, count, hyper)
+        want = adam_loop(
+            as_dict(grads), ref_moments, t, hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2, hyper.adam_eps
+        )
+        assert_same_rows(delta, want)
+        assert_same_rows(RowBlock(moments.rows, moments.values[:, 0]), {r: m for r, (m, _) in ref_moments.items()})
+        assert_same_rows(RowBlock(moments.rows, moments.values[:, 1]), {r: v for r, (_, v) in ref_moments.items()})
+        assert (moments.values is before) == (t > 2)  # grown at steps 1 and 2 only
+
+
 # ---------------------------------------------------------------- bundle
 
 

@@ -1,4 +1,7 @@
+import zlib
+
 import numpy as np
+import pytest
 
 import fedgcf
 from fedgcf.seeds import child_rng
@@ -28,6 +31,13 @@ def test_child_rng_negative_ids_allowed():
     b = draws(7, "ldp", 0, -1)
     c = draws(7, "ldp", 0, 1)
     assert a == b and a != c
+
+
+@pytest.mark.parametrize("keys", [(), (0,), (1, "neg", 0, 3), (7, "ldp", 0, -1), (2**32 + 5, "split", 2**31, 0)])
+def test_child_rng_is_default_rng_of_its_words(keys):
+    # the stream numpy derives from the key words as a list of ints
+    words = [zlib.crc32(k.encode("utf-8")) if isinstance(k, str) else k & 0xFFFFFFFF for k in keys]
+    assert child_rng(*keys).bit_generator.state == np.random.default_rng(words).bit_generator.state
 
 
 def test_package_reexports_resolve():
