@@ -1,12 +1,17 @@
 """Bipartite interaction graph, the device's ego graph, and light graph
 convolution.
 
-The graph is stored as two CSR-style adjacency lists (user side and item
-side) with sorted neighbor arrays. Each side's nodes are also grouped into
-degree buckets: the nodes of degree k and a (k, n_k) matrix of their
-neighbor ids. Propagation gathers a bucket's neighbor rows once and adds
-them one at a time in stored neighbor order, so a node's sum does not
-depend on its bucket-mates and repeated runs are bitwise identical.
+The graph stores the user side's sorted neighbor ids as a CSR list, and
+each side's neighbor ids once more as a gather plan (``_GatherPlan``),
+built with the graph. The plan groups a side's nodes into degree buckets,
+each a (k, n_k) matrix of neighbor ids, cuts the buckets into column
+slices and packs the slices into units of at most ``_UNIT_ROWS`` ids.
+Propagation gathers one unit's rows at a time into a buffer that stays in
+cache and sums each slice over its k rows in place, so each node's
+neighbors are added one at a time in stored order. A node's sum therefore
+does not depend on its bucket-mates or on the units, and repeated runs are
+bitwise identical. ``propagate_once``, ``propagate_items`` and
+``EgoGraph.combine`` all run this one kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 # Rows one EgoGraph forest holds at once (see ``forest_chunks``): with
 # d = 64, 2**12 rows are 2 MB per table.
 _ROW_BUDGET = 2**12
+# Most rows one propagation gather holds (see ``_GatherPlan``): with d = 64,
+# 2**10 rows are 512 KB, which stay in L2 while they are summed.
+_UNIT_ROWS = 2**10
 
 
 @dataclass
@@ -74,11 +82,13 @@ class BipartiteGraph:
         with np.errstate(divide="ignore"):
             self.user_inv_sqrt = np.where(self.user_deg > 0, 1.0 / np.sqrt(self.user_deg), 0.0)
             self.item_inv_sqrt = np.where(self.item_deg > 0, 1.0 / np.sqrt(self.item_deg), 0.0)
-        self.user_buckets = _degree_buckets(self.user_deg, self.user_ptr, self.user_adj)
-        # the item side needs no CSR of its own: its buckets read the users
-        # of each item straight from the (item, user) order
+        self.user_buckets = _gather_plan(self.user_deg, self.user_ptr, self.user_adj, self.user_inv_sqrt)
+        # the item side needs no CSR of its own: its plan reads the users of
+        # each item straight from the (item, user) order
         by_item = arr[np.lexsort((arr[:, 0], arr[:, 1])), 0]
-        self.item_buckets = _degree_buckets(self.item_deg, np.cumsum(self.item_deg) - self.item_deg, by_item)
+        self.item_buckets = _gather_plan(
+            self.item_deg, np.cumsum(self.item_deg) - self.item_deg, by_item, self.item_inv_sqrt
+        )
 
     @property
     def edge_count(self) -> int:
@@ -94,39 +104,102 @@ class BipartiteGraph:
         return propagate_combine(self, user0, item0, alpha)
 
 
-def _degree_buckets(deg: np.ndarray, starts: np.ndarray, adj: np.ndarray):
-    """One (nodes, nbr) pair per distinct nonzero degree k: the ascending
-    ids of the nodes of degree k and the (k, n_k) matrix whose column j
-    holds node j's neighbors, ``adj[starts[j]:starts[j] + k]`` in stored
-    order."""
+def _gather_plan(deg: np.ndarray, starts: np.ndarray, adj: np.ndarray, inv_sqrt: np.ndarray) -> _GatherPlan:
+    """The plan of the nodes of nonzero degree: one degree bucket per k, in
+    ascending k, whose column j holds node j's neighbours
+    ``adj[starts[j]:starts[j] + k]`` in stored order, cut into slices of
+    ``_UNIT_ROWS // k`` columns (at least one)."""
     nodes = np.argsort(deg, kind="stable")
     nodes = nodes[deg[nodes] > 0]
     ks, first = np.unique(deg[nodes], return_index=True)
-    return tuple(
-        (group, adj[starts[group] + np.arange(k)[:, None]])
-        for k, group in zip(ks.tolist(), np.split(nodes, first[1:]))
-    )
+    bounds = [*first.tolist(), nodes.size]
+    slices = []
+    for k, begin, end in zip(ks.tolist(), bounds[:-1], bounds[1:]):
+        width = max(1, _UNIT_ROWS // k)
+        for lo in range(begin, end, width):
+            part = nodes[lo : min(lo + width, end)]
+            slices.append((part, adj[starts[part] + np.arange(k)[:, None]]))
+    return _GatherPlan(slices, inv_sqrt)
 
 
-def _ordered_sum(rows: np.ndarray) -> np.ndarray:
-    """``rows.sum(axis=0)`` with the rows added one at a time in order.
+class _GatherPlan:
+    """One side's neighbour ids, laid out for ``sums``.
 
-    numpy adds along a strided axis 0 row by row, but sums a contiguous
-    one pairwise. In C order (a gather through a column subset of a
-    bucket is not) axis 0 is contiguous only when each row is one number,
-    and there ``np.add.accumulate`` keeps the sequential order.
+    Built from (nodes, nbr) slices of degree buckets: ``nbr`` is a (k, n)
+    matrix whose column j holds the k neighbours of ``nodes[j]`` in stored
+    order, with k * n <= ``_UNIT_ROWS`` unless n == 1. The ids are copied
+    in C order into one flat array, and runs of consecutive slices are
+    packed into units of at most ``_UNIT_ROWS`` ids; a larger slice is a
+    unit of its own. Iterating gives the slices as views of that array.
+    ``scale`` is ``inv_sqrt`` of each node in slice order, and
+    ``buffer_rows`` the most ids in one unit.
     """
-    rows = np.ascontiguousarray(rows)
-    if rows[0].size == 1:
-        return np.add.accumulate(rows, axis=0)[-1]
-    return rows.sum(axis=0)
 
+    __slots__ = ("order", "scale", "units", "buffer_rows")
 
-def _gather_sum(src: np.ndarray, buckets, n_out: int) -> np.ndarray:
-    out = np.zeros((n_out, src.shape[1]), dtype=np.float64)
-    for nodes, nbr in buckets:
-        out[nodes] = _ordered_sum(src[nbr])
-    return out
+    def __init__(self, slices, inv_sqrt: np.ndarray) -> None:
+        ids = np.concatenate([np.zeros(0, dtype=np.int64), *(nbr.ravel() for _, nbr in slices)])
+        self.order = np.concatenate([np.zeros(0, dtype=np.int64), *(nodes for nodes, _ in slices)])
+        self.scale = inv_sqrt[self.order]
+        self.units = []
+        start = at = lo = 0  # the open unit's first id; the next slice's first id and node
+        parts = []
+        for _, nbr in slices:
+            k, n = nbr.shape
+            if parts and at + k * n - start > _UNIT_ROWS:
+                self.units.append((ids[start:at], tuple(parts)))
+                start, parts = at, []
+            parts.append((k, lo, lo + n))
+            at, lo = at + k * n, lo + n
+        if parts:
+            self.units.append((ids[start:at], tuple(parts)))
+        self.buffer_rows = max((unit.size for unit, _ in self.units), default=0)
+
+    def __iter__(self):
+        for ids, parts in self.units:
+            at = 0
+            for k, lo, hi in parts:
+                yield self.order[lo:hi], ids[at : at + k * (hi - lo)].reshape(k, hi - lo)
+                at += k * (hi - lo)
+
+    def sums(self, src: np.ndarray, n_out: int) -> np.ndarray:
+        """(n_out, d) rows: node v's row is the sum of its neighbours' rows
+        of ``src``, added one at a time in stored order, times v's scale;
+        a node outside the plan gets zeros."""
+        # the gather buffer is freed with ``_table``'s frame, before ``out``
+        # is made, so ``out`` can take its place: made above it, glibc may
+        # trim the heap top after every call and fault the pages back in on
+        # the next (300 faults a call at 2.6k edges, d = 64, in a fresh
+        # process)
+        table = self._table(src)
+        out = np.zeros((n_out, src.shape[1]))
+        out[self.order] = table
+        return out
+
+    def _table(self, src: np.ndarray) -> np.ndarray:
+        """The scaled sums of ``sums`` in slice order. Each unit is gathered
+        into one buffer that stays in cache, and each of its slices is
+        summed over axis 0 of its (k, n, d) view straight into the table."""
+        src = np.asarray(src, dtype=np.float64)  # ``take`` writes only its own dtype
+        d = src.shape[1]
+        table = np.empty((self.order.size, d))
+        buf = np.empty((self.buffer_rows, d))
+        for ids, parts in self.units:
+            # "clip" writes into out directly, where "raise" buffers; the
+            # ids come from the graph, so none is clipped
+            rows = np.take(src, ids, axis=0, out=buf[: ids.size], mode="clip")
+            at = 0
+            for k, lo, hi in parts:
+                block = rows[at : at + k * (hi - lo)]
+                at += k * (hi - lo)
+                if (hi - lo) * d == 1:
+                    # one number per row: axis 0 is contiguous, and numpy
+                    # would sum it pairwise
+                    table[lo] = np.add.accumulate(block)[-1]
+                else:
+                    np.add.reduce(block.reshape(k, hi - lo, d), axis=0, out=table[lo:hi])
+        table *= self.scale[:, None]
+        return table
 
 
 def propagate_once(g: BipartiteGraph, user_emb: np.ndarray, item_emb: np.ndarray):
@@ -137,27 +210,24 @@ def propagate_once(g: BipartiteGraph, user_emb: np.ndarray, item_emb: np.ndarray
     items; isolated nodes map to zero. Both outputs read the pre-step
     inputs.
     """
-    new_user = _gather_sum(item_emb * g.item_inv_sqrt[:, None], g.user_buckets, g.n_users)
-    new_user *= g.user_inv_sqrt[:, None]
-    new_item = _gather_sum(user_emb * g.user_inv_sqrt[:, None], g.item_buckets, g.n_items)
-    new_item *= g.item_inv_sqrt[:, None]
+    new_user = g.user_buckets.sums(item_emb * g.item_inv_sqrt[:, None], g.n_users)
+    new_item = g.item_buckets.sums(user_emb * g.user_inv_sqrt[:, None], g.n_items)
     return new_user, new_item
 
 
 def propagate_items(g: BipartiteGraph, user_emb: np.ndarray, items: np.ndarray) -> np.ndarray:
     """The item side of ``propagate_once`` for the ascending ids ``items``
-    only, bitwise: each degree bucket is cut to its nodes among ``items``,
-    and a node's sum does not depend on its bucket-mates."""
-    out = np.zeros((items.size, user_emb.shape[1]), dtype=np.float64)
+    only, bitwise: each slice of a degree bucket is cut to its nodes among
+    ``items``, and a node's sum does not depend on its bucket-mates."""
     wanted = np.zeros(g.n_items, dtype=bool)
     wanted[items] = True
+    cut = []
     for nodes, nbr in g.item_buckets:
         keep = wanted[nodes]
         if keep.any():
-            nbr = nbr[:, keep]
-            out[np.searchsorted(items, nodes[keep])] = _ordered_sum(user_emb[nbr] * g.user_inv_sqrt[nbr, None])
-    out *= g.item_inv_sqrt[items, None]
-    return out
+            cut.append((np.searchsorted(items, nodes[keep]), nbr[:, keep]))
+    plan = _GatherPlan(cut, g.item_inv_sqrt[items])
+    return plan.sums(user_emb * g.user_inv_sqrt[:, None], items.size)
 
 
 def default_alpha(layers: int) -> np.ndarray:
@@ -196,12 +266,11 @@ class EgoGraph:
     isolated. ``pos`` defaults to every row.
 
     One normalized step maps user j to the sum of its k_j linked items over
-    sqrt(k_j) and each linked item to p_j / sqrt(k_j). ``combine`` groups
-    the stars by k and sums each group's items with one gather and
-    ``_ordered_sum``, in ascending row order, as ``propagate_once`` sums a
-    degree bucket. A star's rows therefore do not depend on the other
-    stars, and each is bitwise ``propagate_combine`` on that star alone as
-    a ``BipartiteGraph``.
+    sqrt(k_j) and each linked item to p_j / sqrt(k_j). ``combine`` sums
+    each star's items in ascending row order through a gather plan of the
+    stars grouped by k, the kernel ``propagate_once`` runs. A star's rows
+    therefore do not depend on the other stars, and each is bitwise
+    ``propagate_combine`` on that star alone as a ``BipartiteGraph``.
     """
 
     __slots__ = ("n_users", "n_items", "item_owner", "pos", "buckets", "scale")
@@ -213,17 +282,16 @@ class EgoGraph:
         self.item_owner = np.repeat(np.arange(self.n_users), np.diff(item_ptr))
         self.pos = np.arange(self.n_items) if pos is None else np.unique(np.asarray(pos, dtype=np.int64))
         deg = np.bincount(self.item_owner[self.pos], minlength=self.n_users)
-        self.buckets = _degree_buckets(deg, np.cumsum(deg) - deg, self.pos)
         with np.errstate(divide="ignore"):
             self.scale = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+        self.buckets = _gather_plan(deg, np.cumsum(deg) - deg, self.pos, self.scale)
 
     def combine(self, user0: np.ndarray, item0: np.ndarray, alpha: np.ndarray):
         """One propagation step plus the layer combine on (n_users, d) user
         and (n_items, d) item tables; self-adjoint like ``propagate_combine``."""
         if len(alpha) != 2:
             raise ValueError("the ego graph is single-layer; alpha must have 2 entries")
-        hop_u = _gather_sum(item0, self.buckets, self.n_users)
-        hop_u *= self.scale[:, None]
+        hop_u = self.buckets.sums(item0, self.n_users)
         owner = self.item_owner[self.pos]
         hop_i = np.zeros_like(item0)
         hop_i[self.pos] = user0[owner] * self.scale[owner, None]

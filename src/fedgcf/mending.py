@@ -100,13 +100,27 @@ def _bounded_draws(words: np.ndarray, bounds: tuple[int, ...]):
     return np.concatenate(values), np.concatenate(ends)
 
 
-def _sample_negative_links(
-    g_full: BipartiteGraph, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform non-edges of ``g_full`` among nonzero-degree endpoints, 1 per
-    positive. Rejection sampling; falls back to a draw from the full
-    non-edge list when the graph is too dense for rejection to finish
-    quickly.
+class _LinkSpace:
+    """What ``_sample_negative_links`` reads of a graph: its users and items
+    of nonzero degree, ascending, and its edges as sorted keys
+    ``u * n_items + i``. A mender run builds it once, since the full graph
+    does not change between epochs."""
+
+    __slots__ = ("users", "items", "n_items", "edge_keys")
+
+    def __init__(self, g: BipartiteGraph) -> None:
+        self.users = np.nonzero(g.user_deg > 0)[0]
+        self.items = np.nonzero(g.item_deg > 0)[0]
+        self.n_items = g.n_items
+        edges = g.edge_array()  # sorted by (user, item), so the keys are sorted
+        self.edge_keys = edges[:, 0] * g.n_items + edges[:, 1]
+
+
+def _sample_negative_links(space: _LinkSpace, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform non-edges of the graph of ``space`` among nonzero-degree
+    endpoints, 1 per positive. Rejection sampling; falls back to a draw
+    from the full non-edge list when the graph is too dense for rejection
+    to finish quickly.
 
     A try is a user draw then an item draw, each ``rng.integers`` over the
     candidates, and is kept when it is not an edge; sampling stops at
@@ -114,15 +128,11 @@ def _sample_negative_links(
     of raw words and reduced as ``rng.integers`` would reduce them, and
     the generator is left where those scalar draws would leave it.
     """
-    users = np.nonzero(g_full.user_deg > 0)[0]
-    items = np.nonzero(g_full.item_deg > 0)[0]
+    users, items, n_items, edge_keys = space.users, space.items, space.n_items, space.edge_keys
     total_cells = users.size * items.size
-    if total_cells == 0 or total_cells <= g_full.edge_count:
+    if total_cells == 0 or total_cells <= edge_keys.size:
         return np.zeros((0, 2), dtype=np.int64)
-    n_items = g_full.n_items
-    edges = g_full.edge_array()  # sorted by (user, item), so the keys are sorted
-    edge_keys = edges[:, 0] * n_items + edges[:, 1]
-    non_edges = total_cells - g_full.edge_count
+    non_edges = total_cells - edge_keys.size
     # a bound of 1 draws no word
     bounds = tuple(n for n in (users.size, items.size) if n > 1)
     saved = rng.bit_generator.state
@@ -183,9 +193,10 @@ def train_mender(
     moments = AdamMoments()
     losses: list[float] = []
     alpha = default_alpha(hyper.layers_server)
+    space = _LinkSpace(g_full)
     for epoch in range(hyper.mend_epochs):
         rng = child_rng(seed, "mend_neg", epoch)
-        negatives = _sample_negative_links(g_full, removed.shape[0], rng)
+        negatives = _sample_negative_links(space, removed.shape[0], rng)
         spec = LossSpec(
             graph=impaired,
             alpha=alpha,

@@ -240,6 +240,62 @@ def test_propagation_transient_memory_is_below_half_an_edge_table():
     assert peak < g.edge_count * d * 8 / 2
 
 
+def test_propagation_transient_memory_is_below_four_and_a_half_tables():
+    # one call holds its two outputs, a scaled copy of one input, one
+    # table of sums in degree order and one gather unit's buffer
+    rng = np.random.default_rng(0)
+    n, d = 5000, 64
+    g = BipartiteGraph(n, n, rng.integers(0, n, size=(100_000, 2)))
+    user, item = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    propagate_once(g, user, item)  # warm-up
+    tracemalloc.start()
+    try:
+        propagate_once(g, user, item)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * d * 8
+
+
+def unit_boundary_graph(case: str, rng) -> tuple[list, BipartiteGraph]:
+    """A graph whose gather plan meets a unit boundary as ``case`` says;
+    each case asserts that its plan has that shape."""
+    unit = fedgcf.graph._UNIT_ROWS
+    if case == "hub":
+        # item 0 has degree 3000: a unit of its own, above the unit size;
+        # the users' degree-1 and degree-2 buckets span several units
+        pairs = [(u, 0) for u in range(3000)] + [(u, 1 + u % 7) for u in range(0, 3000, 3)]
+        g = BipartiteGraph(3000, 8, pairs)
+        assert g.item_buckets.buffer_rows == 3000 > unit
+        assert any(ids.size == 3000 and len(parts) == 1 for ids, parts in g.item_buckets.units)
+    elif case == "wide bucket":
+        # 600 users of degree 5: 3000 gathered rows, cut into column slices
+        pairs = [(u, int(i)) for u in range(600) for i in rng.choice(50, 5, replace=False)]
+        g = BipartiteGraph(600, 50, pairs)
+        assert sum(any(k == 5 for k, _, _ in parts) for _, parts in g.user_buckets.units) > 1
+    else:
+        # users of degree 1, 2 and 4 whose buckets hold 24 + 200 + 800 rows:
+        # one unit exactly
+        degrees = [1] * 24 + [2] * 100 + [4] * 200
+        pairs = [(u, int(i)) for u, k in enumerate(degrees) for i in rng.choice(40, k, replace=False)]
+        g = BipartiteGraph(len(degrees), 40, pairs)
+        assert [(ids.size, len(parts)) for ids, parts in g.user_buckets.units] == [(unit, 3)]
+    return pairs, g
+
+
+@pytest.mark.parametrize("d", [1, 64])
+@pytest.mark.parametrize("case", ["hub", "wide bucket", "exact unit"])
+def test_propagation_is_bitwise_the_sequential_loop_across_unit_boundaries(case, d):
+    rng = np.random.default_rng(11)
+    pairs, g = unit_boundary_graph(case, rng)
+    user, item = rng.normal(size=(g.n_users, d)), rng.normal(size=(g.n_items, d))
+    got = propagate_once(g, user, item)
+    want = sequential_propagate(g.n_users, g.n_items, pairs, user, item)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    items = np.arange(0, g.n_items, 2)
+    assert same_bits(propagate_items(g, user, items), want[1][items])
+
+
 def assert_star_matches_graph(pos, n: int, user0: np.ndarray, item0: np.ndarray):
     """A one-star EgoGraph's combine is bit for bit propagate_combine on the
     same star built as a BipartiteGraph."""
@@ -283,6 +339,9 @@ def test_ego_graph_single_item_example():
     e_u, e_i = assert_star_matches_graph([0], 2, np.array([[2.0, 0.0]]), np.array([[0.0, 4.0], [2.0, 2.0]]))
     assert np.allclose(e_u, [[1.0, 2.0]])
     assert np.allclose(e_i, [[1.0, 2.0], [1.0, 1.0]])
+    # float32 tables are gathered and summed as float64 rows
+    got_u, _ = EgoGraph([0, 2], [0]).combine(np.float32([[2.0, 0.0]]), np.float32([[0.0, 4.0], [2.0, 2.0]]), default_alpha(1))
+    assert same_bits(got_u, e_u)
 
 
 def test_ego_graph_is_single_layer():
@@ -298,6 +357,8 @@ def test_ego_graph_is_single_layer():
 )
 @example(sizes=[(3, 0)] * 5, d=1, seed=0)
 @example(sizes=[(0, 2), (7, 1), (7, 0), (1, 3)], d=6, seed=1)
+@example(sizes=[(1100, 3), (2, 0), (1100, 0)], d=1, seed=2)  # stars above the unit size
+@example(sizes=[(1100, 3), (2, 0)], d=64, seed=3)
 def test_ego_forest_is_bitwise_each_star_alone(sizes, d, seed):
     # stars of equal item count share one gather, yet each star's rows are
     # the rows its own one-star EgoGraph gives

@@ -12,6 +12,7 @@ from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, xavier_i
 from fedgcf.learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from fedgcf.mending import (
     _bounded_draws,
+    _LinkSpace,
     _sample_negative_links,
     impair_graph,
     mend_graph,
@@ -250,7 +251,7 @@ def test_predict_links_matches_per_user_loop_on_ties_at_the_cap(monkeypatch, bud
 @given(g=graphs(), count=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
 def test_sample_negative_links_matches_nested_loop(g, count, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    links = _sample_negative_links(g, count, rng)
+    links = _sample_negative_links(_LinkSpace(g), count, rng)
     ref_links, _ = sample_negative_links_loop(g, count, ref_rng)
     assert links.dtype == np.int64 and links.shape == ref_links.shape
     assert np.array_equal(links, ref_links)
@@ -266,7 +267,7 @@ def test_sample_negative_links_dense_fallback_matches_nested_loop(side, n_missin
     missing = set(map(tuple, rng.choice(side, size=(n_missing, 2)).tolist()))
     g = BipartiteGraph(side, side, [(u, i) for u in range(side) for i in range(side) if (u, i) not in missing])
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    links = _sample_negative_links(g, count, rng)
+    links = _sample_negative_links(_LinkSpace(g), count, rng)
     ref_links, from_list = sample_negative_links_loop(g, count, ref_rng)
     assert from_list > 0
     assert np.array_equal(links, ref_links)
@@ -284,7 +285,7 @@ def test_sample_negative_links_dense_fallback_matches_nested_loop(side, n_missin
 def test_sample_negative_links_over_many_blocks_matches_nested_loop(g, count, seed, block):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with mock.patch.object(mending_module, "_TRY_BLOCK", block):
-        links = _sample_negative_links(g, count, rng)
+        links = _sample_negative_links(_LinkSpace(g), count, rng)
     ref_links, _ = sample_negative_links_loop(g, count, ref_rng)
     assert np.array_equal(links, ref_links)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -340,6 +341,37 @@ def test_train_mender_deterministic():
     assert l1 == l2
 
 
+def test_train_mender_reads_the_full_graph_once():
+    # the full graph does not change between epochs: its edge array is
+    # built once per run, and each epoch's negatives are still those of
+    # the epoch's own generator
+    g = ladder_graph()
+    impaired, removed = impair_graph(g, 0.25, seed=8)
+    real_edge_array, real_gradients = BipartiteGraph.edge_array, mending_module.compute_gradients
+    built, negatives = [], []
+
+    def edge_array(graph):
+        built.append(graph)
+        return real_edge_array(graph)
+
+    def compute_gradients_recorded(spec, state):
+        negatives.append(spec.link_negatives)
+        return real_gradients(spec, state)
+
+    for epochs in (1, 3):
+        built.clear()
+        negatives.clear()
+        with mock.patch.object(BipartiteGraph, "edge_array", edge_array), mock.patch.object(
+            mending_module, "compute_gradients", compute_gradients_recorded
+        ):
+            train_mender(impaired, removed, g, small_hyper(mend_epochs=epochs), seed=8)
+        assert sum(graph is g for graph in built) == 1
+        assert len(negatives) == epochs
+    for epoch, got in enumerate(negatives):
+        want, _ = sample_negative_links_loop(g, len(removed), child_rng(8, "mend_neg", epoch))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_one_mender_epoch_peaks_under_eight_tables():
     # an epoch of train_mender at 5000 x 6000, d = 64: ~108k uniform pairs,
     # ~10.8k removed links and as many negatives. Its temporaries are
@@ -355,7 +387,7 @@ def test_one_mender_epoch_peaks_under_eight_tables():
     moments = AdamMoments()
 
     def epoch(e):
-        negatives = _sample_negative_links(g, len(removed), child_rng(0, "mend_neg", e))
+        negatives = _sample_negative_links(_LinkSpace(g), len(removed), child_rng(0, "mend_neg", e))
         spec = LossSpec(impaired, default_alpha(hyper.layers_server), link_positives=removed, link_negatives=negatives)
         adam_step(state, compute_gradients(spec, state)[1], moments, hyper)
 
