@@ -565,6 +565,10 @@ def adam_step(
         deltas.item = adam_update_rows(grads.item, moments.item, moments.t_item, hyper)
     if state is not None:
         for table, delta in ((state.user, deltas.user), (state.item, deltas.item)):
-            if delta:
+            if not delta:
+                continue
+            if len(delta) == table.shape[0]:  # sorted unique rows: every row
+                table += delta.values
+            else:
                 table[delta.rows] += delta.values
     return deltas

@@ -11,7 +11,7 @@ import numpy as np
 from .evaluate import _select_blocks, unit_rows
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
-from .seeds import child_rng
+from .seeds import bounded_draws, child_rng
 
 
 @dataclass
@@ -71,35 +71,6 @@ def impair_graph(g: BipartiteGraph, fraction: float, seed=0):
 _TRY_BLOCK = 2**12
 
 
-def _bounded_draws(words: np.ndarray, bounds: tuple[int, ...]):
-    """The draws that scalar ``rng.integers(n)`` calls, with n cycling
-    through ``bounds`` (each in (1, 2**32)), make from the raw 32-bit
-    ``words`` that follow in the generator's stream.
-
-    numpy runs Lemire's bounded method (Lemire, ACM TOMACS 2019) on one
-    word per try: ``m = w * n`` gives ``m >> 32`` unless
-    ``m mod 2**32 < (2**32 - n) mod n``, which rejects the word and
-    retries the same bound on the next. Returns every completed draw's
-    value and the index one past the word it accepted.
-    """
-    cycle = np.asarray(bounds, dtype=np.uint64)
-    limits = (2**32 - cycle) % cycle
-    values, ends = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    start = phase = 0
-    while start < words.size:
-        reps = -(-(words.size - start) // cycle.size)
-        n, limit = (np.tile(np.roll(a, -phase), reps)[: words.size - start] for a in (cycle, limits))
-        m = words[start:] * n
-        rejected = np.flatnonzero((m & 0xFFFFFFFF) < limit)
-        stop = rejected[0] if rejected.size else m.size
-        values.append((m[:stop] >> 32).astype(np.int64))
-        ends.append(start + 1 + np.arange(stop))
-        # a rejection shifts every later draw by one word
-        start += stop + 1
-        phase = (phase + stop) % cycle.size
-    return np.concatenate(values), np.concatenate(ends)
-
-
 class _LinkSpace:
     """What ``_sample_negative_links`` reads of a graph: its users and items
     of nonzero degree, ascending, and its edges as sorted keys
@@ -133,8 +104,7 @@ def _sample_negative_links(space: _LinkSpace, count: int, rng: np.random.Generat
     if total_cells == 0 or total_cells <= edge_keys.size:
         return np.zeros((0, 2), dtype=np.int64)
     non_edges = total_cells - edge_keys.size
-    # a bound of 1 draws no word
-    bounds = tuple(n for n in (users.size, items.size) if n > 1)
+    cycle = np.array([users.size, items.size])
     saved = rng.bit_generator.state
     found = [np.zeros(0, dtype=np.int64)]  # keys u * n_items + i
     n_found = attempts = consumed = 0
@@ -143,13 +113,11 @@ def _sample_negative_links(space: _LinkSpace, count: int, rng: np.random.Generat
     while n_found < count and attempts < max_attempts:
         # the tries expected to find the links still needed, and a tenth more
         block = min(_TRY_BLOCK, (count - n_found) * total_cells * 11 // (10 * non_edges) + 1)
-        words = np.concatenate([words, rng.integers(0, 2**32, size=block * len(bounds), dtype=np.uint64)])
-        values, ends = _bounded_draws(words, bounds)
-        tries = min(values.size // len(bounds), max_attempts - attempts)
-        draws = values[: tries * len(bounds)].reshape(tries, len(bounds))
-        u = draws[:, 0] if users.size > 1 else np.zeros(tries, dtype=np.int64)
-        i = draws[:, -1] if items.size > 1 else np.zeros(tries, dtype=np.int64)
-        keys = users[u] * n_items + items[i]
+        # two words a try, or one when a bound of 1 reads none
+        words = np.concatenate([words, rng.integers(0, 2**32, size=2 * block, dtype=np.uint64)])
+        values, ends = bounded_draws(words, np.tile(cycle, min(words.size, max_attempts - attempts)))
+        tries = values.size // 2
+        keys = users[values[0 : 2 * tries : 2]] * n_items + items[values[1 : 2 * tries : 2]]
         at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
         hit = np.flatnonzero(edge_keys[at] != keys)[: count - n_found]
         if hit.size == count - n_found:
@@ -157,7 +125,7 @@ def _sample_negative_links(space: _LinkSpace, count: int, rng: np.random.Generat
         found.append(keys[hit])
         n_found += hit.size
         attempts += tries
-        used = int(ends[tries * len(bounds) - 1]) if tries else 0
+        used = int(ends[2 * tries - 1]) if tries else 0
         consumed += used
         words = words[used:]
     rng.bit_generator.state = saved

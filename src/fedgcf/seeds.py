@@ -29,3 +29,141 @@ def child_rng(*keys: int | str) -> np.random.Generator:
         else:
             words.append(int(key) & 0xFFFFFFFF)
     return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
+def bounded_draws(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The draws that scalar ``rng.integers(n)`` calls, n running through
+    ``bounds`` (each in [1, 2**32]), make from the raw 32-bit ``words``
+    that follow in the generator's stream.
+
+    numpy runs Lemire's bounded method (Lemire, ACM TOMACS 2019) on one
+    word per try: ``m = w * n`` gives ``m >> 32`` unless
+    ``m mod 2**32 < (2**32 - n) mod n``, which rejects the word and
+    retries the same bound on the next. A bound of 1 gives 0 and reads no
+    word. Returns the values of the leading draws the words complete and,
+    for each, the index one past the last word it or an earlier draw read.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    wide = bounds > 1
+    n = bounds[wide]
+    got = np.zeros(n.size, dtype=np.int64)
+    end = np.zeros(n.size, dtype=np.int64)
+    done = start = 0
+    while done < n.size and start < words.size:
+        span = min(n.size - done, words.size - start)
+        bound = n[done : done + span]
+        m = words[start : start + span] * bound
+        low = m & 0xFFFFFFFF
+        # (2**32 - n) mod n < n, so only a low half below n can be rejected
+        near = np.flatnonzero(low < bound)
+        rejected = near[low[near] < (2**32 - bound[near]) % bound[near]]
+        stop = int(rejected[0]) if rejected.size else span
+        got[done : done + stop] = m[:stop] >> 32
+        end[done : done + stop] = np.arange(start + 1, start + 1 + stop)
+        done += stop
+        # a rejection shifts every later draw by one word
+        start += stop + (rejected.size > 0)
+    at = np.flatnonzero(wide)
+    complete = int(at[done]) if done < n.size else bounds.size
+    values = np.zeros(complete, dtype=np.int64)
+    values[at[:done]] = got[:done]
+    ends = np.concatenate([[0], end[:done]])[np.cumsum(wide[:complete])]
+    return values, ends
+
+
+def bounded_integers(rng: np.random.Generator, bounds) -> np.ndarray:
+    """``[rng.integers(n) for n in bounds]`` as one int64 array, drawn as
+    blocks of raw words and reduced by ``bounded_draws``; ``rng`` is left
+    where the scalar calls would leave it."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    saved = rng.bit_generator.state
+    values = [np.zeros(0, dtype=np.int64)]
+    words = np.zeros(0, dtype=np.uint64)
+    consumed = 0
+    while bounds.size:
+        # a word for each draw that reads one, and a few for rejections
+        more = rng.integers(0, 2**32, size=np.count_nonzero(bounds > 1) + 16, dtype=np.uint64)
+        words = np.concatenate([words, more])
+        got, ends = bounded_draws(words, bounds)
+        used = int(ends[-1]) if ends.size else 0
+        values.append(got)
+        bounds, words = bounds[got.size :], words[used:]
+        consumed += used
+    rng.bit_generator.state = saved
+    rng.integers(0, 2**32, size=consumed, dtype=np.uint64)
+    return np.concatenate(values)
+
+
+# numpy's choice without replacement shuffles the tail of arange(c) instead
+# of running Floyd's algorithm when c > _TAIL_POP and n > c // _TAIL_DIV
+_TAIL_POP, _TAIL_DIV = 10_000, 50
+
+
+def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
+    """The draws of ``rng.choice(c, size=n, replace=n > c)`` for each
+    ``(c, n)`` of ``pops`` and ``sizes`` in turn (each c and n at least 1),
+    laid end to end, with ``rng`` left where those calls leave it.
+
+    numpy 2's ``choice``, without ``p``, draws ``rng.integers`` bounds:
+    - with replacement, n draws with bound c;
+    - else, when c > 10,000 and n > c // 50, it shuffles the tail of
+      ``arange(c)``: for i from c - 1 down to max(c - n, 1) it swaps i with
+      a draw of bound i + 1, and returns the last n entries;
+    - else Floyd's algorithm (Bentley & Floyd, CACM 1987): for j from
+      c - n to c - 1 a draw v of bound j + 1 is kept, or j when v was kept
+      before; then a Fisher-Yates shuffle swaps entry i, for i from n - 1
+      down to 1, with a draw of bound i + 1.
+
+    The bounds of every run are known up front, so all draws come from one
+    ``bounded_integers`` call. Floyd's rule and the swaps then run step by
+    step, each step over every run still that long; the rare tail shuffles
+    run one swap at a time.
+    """
+    pops = np.asarray(pops, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    replace = sizes > pops
+    tail = ~replace & (pops > _TAIL_POP) & (sizes > pops // _TAIL_DIV)
+    floyd = ~replace & ~tail
+    tail_stop = np.maximum(pops - sizes, 1)
+    lengths = np.select([replace, tail], [sizes, pops - tail_stop], 2 * sizes - 1)
+    starts = np.cumsum(lengths) - lengths
+    # the bound of each draw, from its step q in its run
+    q = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+    c, n = np.repeat(pops, lengths), np.repeat(sizes, lengths)
+    bounds = np.select(
+        [np.repeat(replace, lengths), np.repeat(tail, lengths), q < n],
+        [c, c - q, c - n + 1 + q],
+        2 * n - q,  # Floyd's shuffle
+    )
+    draws = bounded_integers(rng, bounds)
+
+    # a run's first n draws are its picks, with replacement or by Floyd's
+    out_starts = np.cumsum(sizes) - sizes
+    picks = np.repeat(~tail, sizes)
+    out = np.zeros(picks.size, dtype=np.int64)
+    out[picks] = draws[(np.repeat(starts - out_starts, sizes) + np.arange(picks.size))[picks]]
+
+    # Floyd's rule and shuffle, step by step over the runs still that long
+    runs = np.flatnonzero(floyd)
+    runs = runs[np.argsort(-sizes[runs], kind="stable")]  # longest first
+    length, at, shuffle_at = sizes[runs], out_starts[runs], starts[runs] + sizes[runs]
+    longest = int(length[0]) if runs.size else 0
+    for step in range(1, longest):
+        k = np.count_nonzero(length > step)
+        here = at[:k] + step
+        seen = (out[at[:k, None] + np.arange(step)] == out[here, None]).any(axis=1)
+        # j = c - n + step, free since every earlier pick is below it
+        out[here[seen]] = (pops[runs[:k]] - length[:k] + step)[seen]
+    for step in range(longest - 1):
+        k = np.count_nonzero(length > step + 1)
+        i = at[:k] + length[:k] - 1 - step
+        j = at[:k] + draws[shuffle_at[:k] + step]
+        out[i], out[j] = out[j], out[i]
+
+    for r in np.flatnonzero(tail).tolist():
+        pool = list(range(int(pops[r])))
+        swaps = draws[starts[r] : starts[r] + lengths[r]].tolist()
+        for i, j in zip(range(int(pops[r]) - 1, int(tail_stop[r]) - 1, -1), swaps):
+            pool[i], pool[j] = pool[j], pool[i]
+        out[out_starts[r] : out_starts[r] + sizes[r]] = pool[int(pops[r] - sizes[r]) :]
+    return out

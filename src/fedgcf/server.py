@@ -28,7 +28,7 @@ from .learn import (
     add_rows,
     compute_gradients,
 )
-from .seeds import child_rng
+from .seeds import child_rng, choice_runs
 
 SERVER_ID = -1
 
@@ -168,15 +168,16 @@ def _first_order_item_views(shared_graph: BipartiteGraph, model: EmbeddingState,
 
 def _server_negatives(graph: BipartiteGraph, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One negative per entry of the ascending, nonempty ``users``, outside
-    the user's row of ``graph``: per run of one user, ``rng.choice`` of the
-    row's complement size (with replacement only when the run is longer),
-    then one ``nth_outside`` over all rows laid end to end, user u's items
-    as the keys ``u * n_items + item``."""
+    the user's row of ``graph``: per run of one user, the draws of
+    ``rng.choice`` of the row's complement size (with replacement only when
+    the run is longer), all runs in one ``choice_runs`` pass, then one
+    ``nth_outside`` over all rows laid end to end, user u's items as the
+    keys ``u * n_items + item``."""
     run_users, counts = np.unique(users, return_counts=True)
     free = graph.n_items - graph.user_deg[run_users]
     if (free == 0).any():
         raise ValueError(f"user {run_users[np.argmax(free == 0)]} interacted with every item; no negatives exist")
-    pos = np.concatenate([rng.choice(c, size=n, replace=n > c) for c, n in zip(free.tolist(), counts.tolist())])
+    pos = choice_runs(rng, free, counts)
     keys = np.repeat(np.arange(graph.n_users) * graph.n_items, graph.user_deg) + graph.user_adj
     base = users * graph.n_items
     # the rows before user u hold u * n_items - user_ptr[u] non-members

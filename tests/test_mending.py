@@ -11,7 +11,6 @@ import fedgcf.mending as mending_module
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, xavier_init
 from fedgcf.learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from fedgcf.mending import (
-    _bounded_draws,
     _LinkSpace,
     _sample_negative_links,
     impair_graph,
@@ -21,7 +20,7 @@ from fedgcf.mending import (
     write_predictions_tsv,
 )
 
-from fedgcf.seeds import child_rng
+from fedgcf.seeds import bounded_draws, child_rng
 
 from oracles import has_edge, predict_links_loop, sample_negative_links_loop
 
@@ -302,7 +301,7 @@ def test_bounded_draws_reproduce_scalar_integers(bounds):
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     expect = [ref_rng.integers(bounds[j % len(bounds)]) for j in range(m)]
     saved = rng.bit_generator.state
-    values, ends = _bounded_draws(rng.integers(0, 2**32, size=4 * m, dtype=np.uint64), bounds)
+    values, ends = bounded_draws(rng.integers(0, 2**32, size=4 * m, dtype=np.uint64), np.resize(bounds, 4 * m))
     assert values.dtype == np.int64 and values[:m].tolist() == expect
     if max(bounds) > 2**31:
         assert ends[m - 1] > m  # some words were rejected

@@ -2,9 +2,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedgcf
-from fedgcf.seeds import child_rng
+from fedgcf.seeds import bounded_draws, bounded_integers, child_rng, choice_runs
 
 
 def draws(*keys, n=8):
@@ -55,3 +57,98 @@ def test_package_reexports_resolve():
     ):
         assert getattr(fedgcf, name) is not None
     assert isinstance(fedgcf.__version__, str)
+
+
+# ---------------------------------------------------------------- numpy's bounded draws
+#
+# The server's and the mender's negatives are reproduced from raw words by
+# the emulator in fedgcf.seeds. These tests pin it to numpy's own calls, so
+# a numpy release that draws differently fails here first.
+
+
+def numpy_changed(what: str) -> str:
+    return (
+        f"numpy {np.__version__} {what} no longer draws what fedgcf.seeds emulates; "
+        "the negatives of server_train and of the mender would no longer be numpy's"
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [1, 1, 1],  # a bound of 1 reads no word
+        [5, 1, 7, 1, 1, 2400, 1],
+        [2**31 + 1] * 200,  # rejects about half of the words
+        [3 * 2**30, 1, 2**31 + 1, 2, 2**32] * 40,
+        [1600, 2400] * 300,
+        [],
+    ],
+    ids=["ones", "mixed-ones", "half-rejected", "wide", "mender-cycle", "empty"],
+)
+def test_bounded_integers_are_scalar_integers(bounds):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    want = [int(ref_rng.integers(n)) for n in bounds]
+    got = bounded_integers(rng, bounds)
+    assert got.dtype == np.int64
+    assert got.tolist() == want, numpy_changed("Generator.integers")
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, numpy_changed("Generator.integers")
+
+
+def test_bounded_draws_stop_where_the_words_run_out():
+    # 3 words serve the 3 bounds above 1, rejections aside; the ones
+    # between them complete with the draw before them
+    bounds = [1, 5, 1, 1, 7, 9, 1]
+    words = np.random.default_rng(3).integers(0, 2**32, size=3, dtype=np.uint64)
+    values, ends = bounded_draws(words, bounds)
+    assert values.size == len(bounds) and ends.tolist() == [0, 1, 1, 1, 2, 3, 3]
+    values, ends = bounded_draws(words[:2], bounds)
+    assert values.size == 5 and ends.tolist() == [0, 1, 1, 1, 2]
+    assert bounded_draws(words[:0], bounds)[0].tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [3, 641, 2399, 2**31 + 1, 3 * 2**30 + 1])
+def test_bounded_draws_reject_exactly_below_the_threshold(n):
+    # Lemire's rule at its edge, on words made to land there: a word whose
+    # low product half is (2**32 - n) mod n is kept, one a step below is
+    # rejected and the same bound retried on the next word. An odd n has an
+    # inverse mod 2**32, so the words with a given low half are known
+    threshold = (2**32 - n) % n
+    below, at = ((threshold + k) * pow(n, -1, 2**32) % 2**32 for k in (-1, 0))
+    values, ends = bounded_draws(np.array([below, at], dtype=np.uint64), [n])
+    assert ends.tolist() == [2] and values.tolist() == [at * n >> 32]
+    values, ends = bounded_draws(np.array([at, below], dtype=np.uint64), [n, n])
+    assert ends.tolist() == [1] and values.tolist() == [at * n >> 32]
+
+
+# each case: (complement size, draws) runs, in turn
+CHOICE_CASES = {
+    "replace": [(3, 10), (1, 4), (7, 8)],
+    "floyd": [(2400, 19), (5, 5), (9, 3), (10_000, 300), (20_000, 400), (2, 1)],
+    "tail": [(10_001, 201), (10_050, 300), (10_001, 10_001)],
+    "mixed": [(4, 2), (1, 1), (10_020, 250), (3, 9), (2400, 40), (1, 1)],
+}
+
+
+@pytest.mark.parametrize("case", CHOICE_CASES)
+def test_choice_runs_are_numpy_choice(case):
+    runs = CHOICE_CASES[case]
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.concatenate([ref_rng.choice(c, size=n, replace=n > c) for c, n in runs])
+        got = choice_runs(rng, *zip(*runs))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), numpy_changed(f"Generator.choice ({case})")
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, numpy_changed(f"Generator.choice ({case})")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 16)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_choice_runs_match_numpy_on_small_runs(runs, seed):
+    # small complements: Floyd collisions, runs longer than the complement
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.concatenate([ref_rng.choice(c, size=n, replace=n > c) for c, n in runs])
+    assert np.array_equal(choice_runs(rng, *zip(*runs)), want), numpy_changed("Generator.choice")
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, numpy_changed("Generator.choice")

@@ -1,16 +1,20 @@
 import json
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedgcf.server as server_module
+from fedgcf import cli
 from fedgcf.client import DeviceUpload, ReceivedViews
 from fedgcf.data import SharePolicy, ShareTier
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine
 from fedgcf.learn import GradientBundle, HyperParams, RowBlock
-from fedgcf.seeds import child_rng
+from fedgcf.loop import prepare_run, run_round
+from fedgcf.seeds import child_rng, choice_runs
 from fedgcf.server import (
     SERVER_ID,
     AuditLog,
@@ -381,6 +385,44 @@ def test_server_negatives_user_with_every_item_raises():
         server_negatives_loop(graph, users, np.random.default_rng(0))
     with pytest.raises(ValueError, match="user 1"):
         _server_negatives(graph, users, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("case", ["tail-shuffle", "one-item-complement", "runs-longer-than-complement"])
+def test_server_negatives_branches_match_per_user_mask_loop(case):
+    if case == "tail-shuffle":
+        # one run of 300 over a complement of 10,010 items: numpy shuffles
+        # the tail of the complement's range (c > 10,000 and n > c // 50)
+        graph = BipartiteGraph(2, 10_050, [(0, i) for i in range(0, 400, 10)] + [(1, 0)])
+        users = np.zeros(300, dtype=np.int64)
+        assert graph.n_items - graph.user_deg[0] == 10_010
+    elif case == "one-item-complement":
+        graph = BipartiteGraph(3, 4, [(0, 0), (0, 1), (0, 3), (1, 2), (2, 1), (2, 2), (2, 3)])
+        users = np.array([0, 1, 1, 2])
+        assert (graph.n_items - graph.user_deg).tolist() == [1, 3, 1]
+    else:
+        graph = BipartiteGraph(3, 6, [(0, i) for i in range(4)] + [(1, 5), (2, 0), (2, 2)])
+        users = np.repeat([0, 1, 2], [7, 9, 5])
+        assert (graph.n_items - graph.user_deg).tolist() == [2, 5, 4]
+    for seed in range(4):
+        got_rng, want_rng = child_rng(seed, "neg"), child_rng(seed, "neg")
+        got = _server_negatives(graph, users, got_rng)
+        assert same_bits(got, server_negatives_loop(graph, users, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_server_batch_runs_longer_than_the_complement_in_a_toy_run():
+    # the toy config of the CI smoke step that trains with the draws of
+    # rng.choice with replacement: 10 items, one cluster, every user sharing all
+    config = cli.parse_config(None, {
+        "synth_users": 40, "synth_items": 10, "synth_clusters": 1, "synth_density": 0.6,
+        "split_train": 6, "split_val": 2, "split_test": 2,
+        "share_mode": "fixed", "share_ratio": 1.0, "rounds": 2, "mend_epochs": 2,
+    })
+    ctx = prepare_run(cli.load_run_dataset(config), config.hyper(), **cli._prepare_kwargs(config))
+    with mock.patch.object(server_module, "choice_runs", side_effect=choice_runs) as spy:
+        run_round(ctx, 1)
+    (_, free, counts), _ = spy.call_args
+    assert (free >= 1).all() and (counts > free).any() and (counts <= free).any()
 
 
 def test_first_order_item_views_match_full_propagation():
