@@ -161,9 +161,10 @@ def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
         out[i], out[j] = out[j], out[i]
 
     for r in np.flatnonzero(tail).tolist():
-        pool = list(range(int(pops[r])))
+        pop, size = int(pops[r]), int(sizes[r])
+        pool = list(range(pop))
         swaps = draws[starts[r] : starts[r] + lengths[r]].tolist()
-        for i, j in zip(range(int(pops[r]) - 1, int(tail_stop[r]) - 1, -1), swaps):
+        for i, j in zip(range(pop - 1, int(tail_stop[r]) - 1, -1), swaps):
             pool[i], pool[j] = pool[j], pool[i]
-        out[out_starts[r] : out_starts[r] + sizes[r]] = pool[int(pops[r] - sizes[r]) :]
+        out[out_starts[r] : out_starts[r] + size] = pool[pop - size :]
     return out
