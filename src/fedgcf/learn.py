@@ -565,10 +565,6 @@ def adam_step(
         deltas.item = adam_update_rows(grads.item, moments.item, moments.t_item, hyper)
     if state is not None:
         for table, delta in ((state.user, deltas.user), (state.item, deltas.item)):
-            if not delta:
-                continue
-            if len(delta) == table.shape[0]:  # sorted unique rows: every row
-                table += delta.values
-            else:
+            if delta:
                 table[delta.rows] += delta.values
     return deltas

@@ -97,6 +97,8 @@ def bounded_integers(rng: np.random.Generator, bounds) -> np.ndarray:
 # numpy's choice without replacement shuffles the tail of arange(c) instead
 # of running Floyd's algorithm when c > _TAIL_POP and n > c // _TAIL_DIV
 _TAIL_POP, _TAIL_DIV = 10_000, 50
+# the longest Floyd run that choice_runs steps through as arrays
+_STEPPED_RUN = 64
 
 
 def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
@@ -115,9 +117,13 @@ def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
       down to 1, with a draw of bound i + 1.
 
     The bounds of every run are known up front, so all draws come from one
-    ``bounded_integers`` call. Floyd's rule and the swaps then run step by
-    step, each step over every run still that long; the rare tail shuffles
-    run one swap at a time.
+    ``bounded_integers`` call. For runs of at most ``_STEPPED_RUN`` draws,
+    Floyd's rule and the swaps then run step by step, each step over every
+    run still that long: at most 2 * ``_STEPPED_RUN`` array steps, and step
+    s compares each pick with the s before it. A run that long costs
+    O(n**2) comparisons where numpy's hash set costs O(n), so longer runs,
+    and the rare tail shuffles, run one Python step per draw instead, in
+    time linear in the run.
     """
     pops = np.asarray(pops, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -144,7 +150,7 @@ def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
     out[picks] = draws[(np.repeat(starts - out_starts, sizes) + np.arange(picks.size))[picks]]
 
     # Floyd's rule and shuffle, step by step over the runs still that long
-    runs = np.flatnonzero(floyd)
+    runs = np.flatnonzero(floyd & (sizes <= _STEPPED_RUN))
     runs = runs[np.argsort(-sizes[runs], kind="stable")]  # longest first
     length, at, shuffle_at = sizes[runs], out_starts[runs], starts[runs] + sizes[runs]
     longest = int(length[0]) if runs.size else 0
@@ -159,6 +165,18 @@ def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
         i = at[:k] + length[:k] - 1 - step
         j = at[:k] + draws[shuffle_at[:k] + step]
         out[i], out[j] = out[j], out[i]
+
+    for r in np.flatnonzero(floyd & (sizes > _STEPPED_RUN)).tolist():
+        pop, size, a = int(pops[r]), int(sizes[r]), int(out_starts[r])
+        picks, seen = out[a : a + size].tolist(), set()
+        for step, v in enumerate(picks):
+            if v in seen:
+                picks[step] = v = pop - size + step
+            seen.add(v)
+        swaps = draws[starts[r] + size : starts[r] + lengths[r]].tolist()
+        for i, j in zip(range(size - 1, 0, -1), swaps):
+            picks[i], picks[j] = picks[j], picks[i]
+        out[a : a + size] = picks
 
     for r in np.flatnonzero(tail).tolist():
         pop, size = int(pops[r]), int(sizes[r])

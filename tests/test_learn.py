@@ -705,23 +705,6 @@ def test_adam_deterministic():
     assert np.array_equal(a.user, b.user) and np.array_equal(a.item, b.item)
 
 
-def test_adam_step_on_every_row_is_the_row_indexed_add():
-    # a delta over every row of a table is added in one pass, bitwise the
-    # row-indexed add it replaces
-    hyper = HyperParams(learning_rate=0.05)
-    rng = np.random.default_rng(5)
-    state = EmbeddingState(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)))
-    want = EmbeddingState(state.user.copy(), state.item.copy())
-    moments = AdamMoments()
-    for _ in range(3):
-        grads = GradientBundle.from_dense(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)) * (np.arange(5) % 2)[:, None])
-        deltas = adam_step(state, grads, moments, hyper)
-        assert len(deltas.user) == 4 and len(deltas.item) == 2
-        for table, delta in ((want.user, deltas.user), (want.item, deltas.item)):
-            table[delta.rows] += delta.values
-    assert same_bits(state.user, want.user) and same_bits(state.item, want.item)
-
-
 # ---------------------------------------------------------------- hyper
 
 

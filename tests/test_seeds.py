@@ -125,6 +125,8 @@ CHOICE_CASES = {
     "replace": [(3, 10), (1, 4), (7, 8)],
     "floyd": [(2400, 19), (5, 5), (9, 3), (10_000, 300), (20_000, 400), (2, 1)],
     "tail": [(10_001, 201), (10_050, 300), (10_001, 10_001)],
+    # runs past the stepped length, with Floyd collisions, beside short ones
+    "long-floyd": [(500, 300), (65, 65), (64, 64), (70, 64), (1200, 1000), (2, 1), (90, 65)],
     "mixed": [(4, 2), (1, 1), (10_020, 250), (3, 9), (2400, 40), (1, 1)],
 }
 
