@@ -8,9 +8,13 @@ combined local user view.
 
 A round's devices train side by side: each chunk of them is one
 ``EgoGraph`` forest, and each local epoch is one ``compute_gradients``
-call and one Adam step over all their rows. A device still draws its own
-negatives, takes its softmax over its own keys and steps its own moments,
-and its results are bitwise those it would get training alone.
+call and one Adam step over all their rows. The chunks take the devices in
+ascending local-item count (``graph.forest_chunks``), so the per-count work
+of a chunk (its contrastive softmaxes stacked by count, its gather plan's
+degree buckets, its loss sums per star) runs over a few counts. A device
+still draws its own negatives, takes its softmax over its own keys and
+steps its own moments, and its results are bitwise those it would get
+training alone; they come back in the order the devices were given.
 """
 
 from __future__ import annotations
@@ -354,22 +358,24 @@ def client_local_train(
     rows and uploads the deltas. NONE-tier devices (and devices with no
     received views) train pure BPR; contributors add the contrastive term
     and attach their local user view to the upload.
-    Devices train in consecutive chunks of about ``graph._ROW_BUDGET``
-    rows.
+    Devices train in chunks of about ``graph._ROW_BUDGET`` rows, taken in
+    ascending local-item count (``forest_chunks``); uploads and losses come
+    back in the order of ``devices``.
     """
     tiers = [ShareTier(t) for t in tiers]
     views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
     n_items = item_table.shape[0]
-    uploads: list[DeviceUpload] = []
-    losses: list[LossParts] = []
-    for lo, hi in forest_chunks(_device_rows(devices, views)):
-        chunk = _Chunk(devices[lo:hi], item_table, views[lo:hi], hyper)
+    uploads: list[DeviceUpload] = [None] * len(devices)
+    losses: list[LossParts] = [None] * len(devices)
+    counts = [dev.local_items.size for dev in devices]
+    for members in forest_chunks(counts, _device_rows(devices, views)):
+        members = members.tolist()
+        chunk = _Chunk([devices[j] for j in members], item_table, [views[j] for j in members], hyper)
         for epoch in range(hyper.local_epochs):
             chunk.epoch([
                 sample_negatives(items, items.size, n_items, child_rng(train_seed, "neg", round_idx, dev.user_id, epoch))
                 for dev, items in zip(chunk.devs, chunk.local)
             ])
-        chunk_uploads, chunk_losses = chunk.finish(tiers[lo:hi])
-        uploads += chunk_uploads
-        losses += chunk_losses
+        for j, upload, loss in zip(members, *chunk.finish([tiers[j] for j in members])):
+            uploads[j], losses[j] = upload, loss
     return uploads, losses

@@ -298,19 +298,25 @@ class EgoGraph:
         return alpha[0] * user0 + alpha[1] * hop_u, alpha[0] * item0 + alpha[1] * hop_i
 
 
-def forest_chunks(rows: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive runs of stars holding about ``_ROW_BUDGET`` rows each.
+def forest_chunks(counts, rows=None) -> list[np.ndarray]:
+    """The stars in ascending item count, cut into runs of about
+    ``_ROW_BUDGET`` rows each; each run is an array of star indices.
 
-    ``rows[j]`` is what star j holds; a run ends once its rows reach the
-    budget, so a run exceeds it by less than its last star.
+    ``counts[j]`` is star j's item count and ``rows[j]`` the rows it holds
+    (``counts`` by default). The order is stable, so stars of one count
+    keep their given order. A run ends once its rows reach the budget, so
+    a run exceeds it by less than its last star. Taken in count order, a
+    forest's per-count work (the degree buckets of its gather plan, the
+    stacked contrastive softmaxes, the loss sums per star) runs over a few
+    counts rather than over every count of the selection.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
         return []
+    order = np.argsort(counts, kind="stable")
+    rows = (counts if rows is None else np.asarray(rows, dtype=np.int64))[order]
     starts = np.cumsum(rows) - rows
-    cuts = (np.flatnonzero(np.diff(starts // _ROW_BUDGET)) + 1).tolist()
-    bounds = [0, *cuts, rows.size]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return np.split(order, np.flatnonzero(np.diff(starts // _ROW_BUDGET)) + 1)
 
 
 def xavier_init(n_users: int, n_items: int, dim: int, rng: np.random.Generator) -> EmbeddingState:

@@ -243,15 +243,17 @@ def device_views(device_user: np.ndarray, item: np.ndarray, ds: InteractionDatas
     """Device-side evaluation views: each user's ego-combined view of their
     own train items from their device row ``device_user[u]``, against raw
     (layer-0 scaled) item rows. The users with train items are combined as
-    ``EgoGraph`` forests of about ``graph._ROW_BUDGET`` item rows each."""
+    ``EgoGraph`` forests of about ``graph._ROW_BUDGET`` item rows each, the
+    users taken in ascending train-item count (``forest_chunks``)."""
     alpha = default_alpha(1)
     user_views = alpha[0] * device_user  # the ego view of a user with no items
     users, starts, counts = np.unique(ds.train[:, 0], return_index=True, return_counts=True)
-    item_ptr = np.append(starts, len(ds.train))
-    for lo, hi in forest_chunks(counts):
-        ego = EgoGraph(item_ptr[lo : hi + 1] - item_ptr[lo])
-        rows = item[ds.train[item_ptr[lo] : item_ptr[hi], 1]]
-        user_views[users[lo:hi]] = ego.combine(device_user[users[lo:hi]], rows, alpha)[0]
+    for members in forest_chunks(counts):
+        item_ptr = np.concatenate(([0], np.cumsum(counts[members])))
+        # member j's train pairs, starts[j]:starts[j] + counts[j], one after another
+        at = np.repeat(starts[members] - item_ptr[:-1], counts[members]) + np.arange(item_ptr[-1])
+        ego = EgoGraph(item_ptr)
+        user_views[users[members]] = ego.combine(device_user[users[members]], item[ds.train[at, 1]], alpha)[0]
     return user_views, alpha[0] * item
 
 

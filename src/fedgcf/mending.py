@@ -49,20 +49,21 @@ def impair_graph(g: BipartiteGraph, fraction: float, seed=0):
     edges = g.edge_array()
     rng = np.random.default_rng(seed)
     order = rng.permutation(g.edge_count)
-    u_deg = g.user_deg.copy()
-    i_deg = g.item_deg.copy()
+    # the walk reads Python ints and lists: indexing numpy scalars per edge
+    # costs several times the guard itself
+    u_deg, i_deg = g.user_deg.tolist(), g.item_deg.tolist()
+    taken = []  # positions in ``order`` of the removed edges
+    if target:
+        walk = edges[order]
+        for at, (u, i) in enumerate(zip(walk[:, 0].tolist(), walk[:, 1].tolist())):
+            if u_deg[u] > 1 and i_deg[i] > 1:
+                u_deg[u] -= 1
+                i_deg[i] -= 1
+                taken.append(at)
+                if len(taken) == target:
+                    break
     removed_mask = np.zeros(g.edge_count, dtype=bool)
-    n_removed = 0
-    for idx in order:
-        if n_removed >= target:
-            break
-        u, i = int(edges[idx, 0]), int(edges[idx, 1])
-        if u_deg[u] <= 1 or i_deg[i] <= 1:
-            continue
-        u_deg[u] -= 1
-        i_deg[i] -= 1
-        removed_mask[idx] = True
-        n_removed += 1
+    removed_mask[order[taken]] = True
     impaired = BipartiteGraph(g.n_users, g.n_items, edges[~removed_mask])
     return impaired, edges[removed_mask]
 

@@ -556,6 +556,31 @@ def violations_per_event(events: list, policy) -> list[str]:
 # users and items for the non-edge list.
 
 
+def impair_graph_loop(g, fraction: float, seed=0):
+    """``impair_graph`` as a walk over numpy scalars: the permuted edges are
+    indexed one at a time and the degree counters are numpy arrays."""
+    target = int(np.floor(fraction * g.edge_count))
+    edges = g.edge_array()
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(g.edge_count)
+    u_deg = g.user_deg.copy()
+    i_deg = g.item_deg.copy()
+    removed_mask = np.zeros(g.edge_count, dtype=bool)
+    n_removed = 0
+    for idx in order:
+        if n_removed >= target:
+            break
+        u, i = int(edges[idx, 0]), int(edges[idx, 1])
+        if u_deg[u] <= 1 or i_deg[i] <= 1:
+            continue
+        u_deg[u] -= 1
+        i_deg[i] -= 1
+        removed_mask[idx] = True
+        n_removed += 1
+    impaired = BipartiteGraph(g.n_users, g.n_items, edges[~removed_mask])
+    return impaired, edges[removed_mask]
+
+
 def predict_links_loop(g, mender, threshold: float, cap_per_user, layers: int):
     """Per-user thresholding of the mended-view cosine; returns the
     (pairs, scores) arrays of the predictions sorted by (user, item)."""

@@ -360,21 +360,28 @@ def random_views(rng, dev, dim, shared):
     local_epochs=st.integers(1, 3),
     cl_weight=st.sampled_from([0.0, 0.3]),
     budget=st.sampled_from([1, 8, 40, 2**12]),
+    descending=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_devices=4, n_items=5, dim=3, local_epochs=2, cl_weight=0.3, budget=8, seed=0)
-@example(n_devices=6, n_items=30, dim=8, local_epochs=3, cl_weight=0.3, budget=40, seed=1)
-def test_batch_is_bitwise_the_single_device_oracle(n_devices, n_items, dim, local_epochs, cl_weight, budget, seed):
+@example(n_devices=4, n_items=5, dim=3, local_epochs=2, cl_weight=0.3, budget=8, descending=False, seed=0)
+@example(n_devices=6, n_items=30, dim=8, local_epochs=3, cl_weight=0.3, budget=40, descending=False, seed=1)
+@example(n_devices=9, n_items=12, dim=3, local_epochs=1, cl_weight=0.3, budget=40, descending=True, seed=2)
+def test_batch_is_bitwise_the_single_device_oracle(
+    n_devices, n_items, dim, local_epochs, cl_weight, budget, descending, seed
+):
     # the whole selection trained at once, in chunks of ``budget`` rows,
-    # equals each device trained alone: uploads, losses, rows and moments
+    # equals each device trained alone: uploads, losses, rows and moments;
+    # the chunks take the devices in ascending local-item count, however
+    # the counts arrive, and the results come back in the devices' order
     rng = np.random.default_rng(seed)
     ids = np.sort(rng.choice(50, size=n_devices, replace=False))
     # up to n_items - 1 items, so that k > n_items - k forces negatives
     # drawn with replacement
-    devs = [
-        make_device(int(u), np.sort(rng.choice(n_items, size=int(rng.integers(0, n_items)), replace=False)), dim, seed + j)
-        for j, u in enumerate(ids.tolist())
-    ]
+    item_sets = [np.sort(rng.choice(n_items, size=int(rng.integers(0, n_items)), replace=False)) for _ in ids]
+    if descending:
+        item_sets.sort(key=len, reverse=True)
+    devs = [make_device(int(u), items, dim, seed + j) for j, (u, items) in enumerate(zip(ids.tolist(), item_sets))]
+    count = {dev.user_id: dev.local_items.size for dev in devs}
     twins = [DeviceState(dev.user_id, dev.local_items.copy(), dev.p_u.copy()) for dev in devs]
     table = rng.normal(size=(n_items, dim))
     shared_ids = np.sort(rng.choice(ids, size=int(rng.integers(0, n_devices + 1)), replace=False))
@@ -383,8 +390,18 @@ def test_batch_is_bitwise_the_single_device_oracle(n_devices, n_items, dim, loca
     for round_idx in range(2):  # the second round starts from nonempty moments
         tiers = [ShareTier(int(t)) for t in rng.integers(0, 3, size=n_devices)]
         views = [random_views(rng, dev, dim, shared) if rng.random() < 0.8 else None for dev in devs]
-        with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", budget):
+        chunks = []
+
+        def spy(members, *args, chunk=fedgcf.client._Chunk):
+            chunks.append([dev.user_id for dev in members])
+            return chunk(members, *args)
+
+        with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", budget), mock.patch.object(fedgcf.client, "_Chunk", spy):
             uploads, losses = client_local_train(devs, table, tiers, views, hyper, round_idx, seed)
+        trained = [u for members in chunks for u in members]
+        assert sorted(trained) == ids.tolist()
+        assert all(count[a] <= count[b] for a, b in zip(trained, trained[1:]))
+        assert [up.device_id for up in uploads] == ids.tolist() and len(losses) == n_devices
         for j, twin in enumerate(twins):
             want_upload, want_loss = client_train_one(twin, table, tiers[j], views[j], hyper, round_idx, seed)
             got = uploads[j]

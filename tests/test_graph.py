@@ -376,11 +376,18 @@ def test_ego_forest_is_bitwise_each_star_alone(sizes, d, seed):
 
 
 def test_chunks_follow_the_row_budget():
+    def chunks(counts, rows=None):
+        return [members.tolist() for members in forest_chunks(counts, rows)]
+
     rows = [3, 5, 1, 8, 2, 2]
     with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", 8):
-        assert forest_chunks(rows) == [(0, 2), (2, 4), (4, 6)]
-        assert forest_chunks([]) == []
-        assert forest_chunks([20]) == [(0, 1)]
+        # stars of one count keep their order: consecutive runs
+        assert chunks([4] * 6, rows) == [[0, 1], [2, 3], [4, 5]]
+        assert chunks(rows) == [[2, 4, 5, 0], [1, 3]]
+        assert chunks([]) == []
+        assert chunks([20]) == [[0]]
+        # counts out of order: ascending count, ties in their given order
+        assert chunks([3, 1, 2, 1, 2], [4, 4, 4, 4, 4]) == [[1, 3], [2, 4], [0]]
 
 
 def test_xavier_init_bounds_and_determinism():

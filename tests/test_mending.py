@@ -22,7 +22,7 @@ from fedgcf.mending import (
 
 from fedgcf.seeds import bounded_draws, child_rng
 
-from oracles import has_edge, predict_links_loop, sample_negative_links_loop
+from oracles import has_edge, impair_graph_loop, predict_links_loop, sample_negative_links_loop
 
 # the package re-exports the function ``evaluate`` under its module's name
 evaluate_module = importlib.import_module("fedgcf.evaluate")
@@ -79,6 +79,28 @@ def test_impair_deterministic_and_seed_sensitive():
     _, r3 = impair_graph(g, 0.3, seed=6)
     assert np.array_equal(r1, r2)
     assert not np.array_equal(r1, r3)  # overwhelmingly likely for this size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_users=st.integers(1, 20),
+    n_items=st.integers(1, 20),
+    density=st.sampled_from([0.1, 0.4, 0.9]),
+    fraction=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.99]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_users=1, n_items=1, density=0.9, fraction=0.5, seed=0)  # one edge, guarded
+@example(n_users=12, n_items=15, density=0.9, fraction=0.99, seed=1)  # the guard ends the walk
+def test_impair_is_the_scalar_walk(n_users, n_items, density, fraction, seed):
+    rng = np.random.default_rng(seed)
+    pairs = np.argwhere(rng.random((n_users, n_items)) < density)
+    if not len(pairs):
+        pairs = np.array([[0, 0]])
+    g = BipartiteGraph(n_users, n_items, pairs)
+    impaired, removed = impair_graph(g, fraction, seed=seed)
+    want_impaired, want_removed = impair_graph_loop(g, fraction, seed=seed)
+    assert removed.dtype == want_removed.dtype and np.array_equal(removed, want_removed)
+    assert np.array_equal(impaired.edge_array(), want_impaired.edge_array())
 
 
 def test_impair_rejects_bad_input():
