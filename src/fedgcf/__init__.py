@@ -53,4 +53,4 @@ from .server import (
     server_train,
 )
 from .loop import RoundReport, RunContext, prepare_run, run_round, run_training, select_clients
-from .evaluate import EvalResult, evaluate, ndcg_at_k, recall_at_k
+from .evaluate import EvalResult, evaluate

@@ -24,7 +24,7 @@ from .errors import ConfigError, DataFormatError, EmptyDatasetError, NumericErro
 from .evaluate import evaluate, write_per_user_tsv
 from .graph import BipartiteGraph, EmbeddingState
 from .learn import HyperParams
-from .loop import RunResult, device_views, prepare_run, run_training
+from .loop import RunResult, contribute_and_mend, device_views, run_training
 from .mending import write_predictions_tsv
 from .server import server_infer
 
@@ -383,11 +383,13 @@ def _cmd_eval(args) -> int:
 def _cmd_mend(args) -> int:
     config = parse_config(args.config, _collect_overrides(args))
     ds = load_run_dataset(config)
-    ctx = prepare_run(ds, config.hyper(), **{**_prepare_kwargs(config), "disable_gm": False})
-    if ctx.artifacts is None:
+    prepare = _prepare_kwargs(config)
+    _, _, art = contribute_and_mend(
+        ds, config.hyper(), **{k: prepare[k] for k in ("share_mode", "share_ratio", "seed_policy", "seed_train")}
+    )
+    if art is None:
         print("nothing to mend: no contributed edges or impair_fraction is 0")
         return 0
-    art = ctx.artifacts
     out = args.out or os.path.join(config.out_dir, "predicted_links.tsv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     write_predictions_tsv(art.predicted, art.scores, out)

@@ -259,14 +259,14 @@ class SharePolicy:
     def n_users(self) -> int:
         return len(self.ratio)
 
-    def validate(self, ds: InteractionDataset | None = None) -> None:
+    def validate(self, ds: InteractionDataset) -> None:
         ratio = self.ratio
         out = np.flatnonzero(~((0.0 <= ratio) & (ratio <= 1.0)))
         if out.size:
             raise ValueError(f"user {out[0]}: ratio {ratio[out[0]]} outside [0,1]")
-        if ds is not None and self.n_users != ds.n_users:
+        if self.n_users != ds.n_users:
             raise ValueError(f"policy has {self.n_users} users, dataset has {ds.n_users}")
-        if self.contributed is None or ds is None:
+        if self.contributed is None:
             return
         c, n_items = self.contributed, ds.n_items
 

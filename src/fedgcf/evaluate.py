@@ -96,7 +96,7 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return np.where(ok[:, None], x / np.where(ok, norms, 1.0)[:, None], 0.0)
 
 
-def _select_block(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int | None, a: int, b: int, bufs):
+def _select_block(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int, a: int, b: int, bufs):
     """Rows ``a:b`` of ``_select_blocks``: the kept entries' block rows,
     columns and scores, in (row, col) order. Works in ``bufs``, block-sized
     scores, their mask and a copy to partition (None where no row is cut at
@@ -110,7 +110,7 @@ def _select_block(rows_v, cols_v, known_rows, known_cols, threshold: float, k: i
     cut = np.full((b - a, 1), max(threshold, _LOWEST))
     keep = None if threshold == -np.inf else np.greater_equal(scores, cut, out=mask_buf[: b - a])
     over = np.zeros(b - a, dtype=bool)
-    if k is not None and k < n_cols:
+    if k < n_cols:
         over = np.count_nonzero(keep, axis=1) > k if keep is not None else np.ones(b - a, dtype=bool)
         if over.any():
             if over.all():
@@ -137,7 +137,7 @@ def _select_block(rows_v, cols_v, known_rows, known_cols, threshold: float, k: i
     return rows, cols, s
 
 
-def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int | None, finish=None) -> list:
+def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: int, finish=None) -> list:
     """The one selection rule of ``evaluate`` and ``predict_links``, per
     ``row_blocks`` block of ``rows_v @ cols_v.T``; returns one result per
     block, in block order.
@@ -145,8 +145,9 @@ def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: 
     The known (row, col) pairs (sorted by row) score -inf and are never
     kept. Each row keeps its entries at or above its cut: ``threshold``,
     raised to the row's k-th best score where more than k entries reach the
-    threshold (``k`` None: no cap). Ties at the cut go to the smaller
-    columns, so a row keeps at most k entries.
+    threshold (no row has more than k entries where k is at least the
+    number of columns). Ties at the cut go to the smaller columns, so a row
+    keeps at most k entries.
 
     A block's result is ``finish(a, b, rows, cols, scores)`` of its rows
     ``a:b`` and kept entries (block rows, in (row, col) order), run in the
@@ -158,9 +159,8 @@ def _select_blocks(rows_v, cols_v, known_rows, known_cols, threshold: float, k: 
     n_cols = cols_v.shape[0]
     blocks = row_blocks(rows_v.shape[0], n_cols)
     shape = max(b - a for a, b in blocks), n_cols
-    cut_at_k = k is not None and k < n_cols
     sets = [
-        (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape) if cut_at_k else None)
+        (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape) if k < n_cols else None)
         for _ in range(min(_WORKERS, len(blocks)))
     ]
 
@@ -192,38 +192,20 @@ def map_blocks(run, n_blocks: int) -> list:
     return [f.result() for f in futures]
 
 
-def _metrics(hit_rows: np.ndarray, hit_ranks: np.ndarray, n_relevant: np.ndarray, k: int, n_ranks: int):
+def _metrics(hit_rows: np.ndarray, hit_ranks: np.ndarray, n_relevant: np.ndarray, k: int):
     """Recall and binary-gain NDCG at k of each row, from the (row, rank)
     of its hits in (row, rank) order; ranks count from 0, best first, and
-    lie below ``n_ranks``.
+    lie below k.
 
     DCG adds each row's gains in rank order (``bincount`` adds its weights
     in list order), which has the bits of a scalar loop over the ranked list
     because a miss would add 0.0. IDCG, truncated at min(k, |relevant|),
     comes from a prefix table summed in the same order.
     """
-    gains = 1.0 / np.log2(np.arange(2, max(k, n_ranks) + 2))
+    gains = 1.0 / np.log2(np.arange(2, k + 2))
     dcg = np.bincount(hit_rows, weights=gains[hit_ranks], minlength=n_relevant.size)
     idcg = np.cumsum(gains)[np.minimum(k, n_relevant) - 1]
     return np.bincount(hit_rows, minlength=n_relevant.size) / n_relevant, dcg / idcg
-
-
-def _one_row_metrics(ranked: np.ndarray, relevant: set, k: int) -> tuple[float, float]:
-    if not relevant:
-        raise ValueError("relevant set must be nonempty")
-    ranks = np.flatnonzero(np.isin(np.asarray(ranked, dtype=np.int64), np.fromiter(relevant, np.int64, len(relevant))))
-    recall, ndcg = _metrics(np.zeros_like(ranks), ranks, np.array([len(relevant)]), k, len(ranked))
-    return float(recall[0]), float(ndcg[0])
-
-
-def recall_at_k(ranked: np.ndarray, relevant: set) -> float:
-    """|ranked intersect relevant| / |relevant| (relevant must be nonempty)."""
-    return _one_row_metrics(ranked, relevant, 1)[0]
-
-
-def ndcg_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
-    """Binary-gain NDCG with IDCG truncated at min(k, |relevant|)."""
-    return _one_row_metrics(ranked, relevant, k)[1]
 
 
 # The split the last ``evaluate`` call ranked but did not return: (weak
@@ -357,7 +339,7 @@ def _rank_splits(user_views, item_views, ds: InteractionDataset, k: int, sim: st
         hit_ranks = np.concatenate([hits[j][1] for hits in blocks])
         # a hit's row in ``split_users``: the map keeps (row, rank) order
         split_rows = np.searchsorted(split_users, users[hit_rows])
-        recall, ndcg = _metrics(split_rows, hit_ranks, n_relevant, k, min(k, n_items))
+        recall, ndcg = _metrics(split_rows, hit_ranks, n_relevant, k)
         per_user = dict(zip(split_users.tolist(), zip(recall.tolist(), ndcg.tolist())))
         results[s] = EvalResult(k=k, per_user=per_user, recall=float(np.mean(recall)), ndcg=float(np.mean(ndcg)))
     return results

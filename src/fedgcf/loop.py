@@ -4,7 +4,6 @@ full training run with periodic evaluation and early stopping.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from .client import DeviceState, ReceivedViews, client_local_train
 from .data import InteractionDataset, SharePolicy, assign_share_policy, attach_contributions
 from .errors import DataFormatError
 from .evaluate import evaluate
-from .graph import EgoGraph, default_alpha, forest_chunks, xavier_init
+from .graph import BipartiteGraph, EgoGraph, default_alpha, forest_chunks, xavier_init
 from .learn import HyperParams
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
@@ -22,8 +21,7 @@ from .server import AuditLog, ServerState, apply_ldp, build_server_graph, embedd
 
 @dataclass
 class RoundReport:
-    """Per-round accounting. Wall time is excluded from equality so two
-    deterministic runs compare equal."""
+    """Per-round accounting."""
 
     round_idx: int
     participants: tuple[int, ...]
@@ -32,7 +30,6 @@ class RoundReport:
     participant_loss_sum: float
     server_loss: float
     total_loss: float
-    wall_time: float = field(compare=False, default=0.0)
 
 
 @dataclass
@@ -85,6 +82,30 @@ def _check_negatives(degrees: np.ndarray, n_items: int, what: str) -> None:
         )
 
 
+def contribute_and_mend(
+    ds: InteractionDataset,
+    hyper: HyperParams,
+    share_mode: str = "uniform",
+    share_ratio: float | None = None,
+    seed_policy: int = 1,
+    seed_train: int = 2,
+    disable_gm: bool = False,
+) -> tuple[SharePolicy, BipartiteGraph, MendingArtifacts | None]:
+    """The users' share policy, the server graph of their contributed pairs
+    and its mending under the run's ``"mend"`` stream: None when mending is
+    disabled or there is nothing to mend (no contributed edges). It checks
+    no row a run samples negatives from, so ``fedgcf mend`` runs it alone.
+    """
+    policy = assign_share_policy(ds.n_users, share_mode, seed_policy, share_ratio)
+    policy = attach_contributions(policy, ds, seed_policy)
+    policy.validate(ds)
+    shared_graph = build_server_graph(policy, ds.n_users, ds.n_items)
+    artifacts = None
+    if shared_graph.edge_count > 0 and not disable_gm and hyper.impair_fraction > 0.0:
+        artifacts = mend_graph(shared_graph, hyper, child_rng(seed_train, "mend").integers(2**31))
+    return policy, shared_graph, artifacts
+
+
 def prepare_run(
     ds: InteractionDataset,
     hyper: HyperParams,
@@ -97,38 +118,37 @@ def prepare_run(
     server_only: bool = False,
     sync_all_users: bool = False,
 ) -> RunContext:
-    """Build policy, devices, server graph, and run mending once.
+    """Build policy, devices, server graph, and run mending once
+    (``contribute_and_mend``).
 
-    The mended graph equals the contributed graph when mending is disabled
-    or there is nothing to mend (no contributed edges). Raises
-    DataFormatError when a user's row holds every item, since no negative
-    could be sampled for it: a train split that a device trains on, or a
-    row of the mended server graph.
+    The server trains on the mended graph, or on the contributed graph
+    where nothing is mended. Raises DataFormatError when a user's row holds
+    every item, since no negative could be sampled for it: a train split
+    that a device trains on, or a row of the server graph.
     """
     if disable_cl:
         hyper = replace(hyper, cl_weight=0.0)
-    policy = assign_share_policy(ds.n_users, share_mode, seed_policy, share_ratio)
-    policy = attach_contributions(policy, ds, seed_policy)
-    policy.validate(ds)
-
-    model = xavier_init(ds.n_users, ds.n_items, hyper.dim, child_rng(seed_train, "init"))
     if not server_only:
         _check_negatives(np.bincount(ds.train[:, 0], minlength=ds.n_users), ds.n_items, "train split")
+    policy, shared_graph, artifacts = contribute_and_mend(
+        ds,
+        hyper,
+        share_mode=share_mode,
+        share_ratio=share_ratio,
+        seed_policy=seed_policy,
+        seed_train=seed_train,
+        disable_gm=disable_gm,
+    )
+    graph = shared_graph if artifacts is None else artifacts.mended
+    _check_negatives(graph.user_deg, ds.n_items, "server-graph row")
+
+    model = xavier_init(ds.n_users, ds.n_items, hyper.dim, child_rng(seed_train, "init"))
     train_by_user = ds.pairs_by_user(ds.train)
     no_items = np.zeros(0, dtype=np.int64)
     devices = {
         u: DeviceState(user_id=u, local_items=train_by_user.get(u, no_items), p_u=model.user[u].copy())
         for u in range(ds.n_users)
     }
-
-    shared_graph = build_server_graph(policy, ds.n_users, ds.n_items)
-    artifacts = None
-    if shared_graph.edge_count > 0 and not disable_gm and hyper.impair_fraction > 0.0:
-        artifacts = mend_graph(shared_graph, hyper, child_rng(seed_train, "mend").integers(2**31))
-        graph = artifacts.mended
-    else:
-        graph = shared_graph
-    _check_negatives(graph.user_deg, ds.n_items, "server-graph row")
     server = ServerState(model=model, graph=graph, shared_graph=shared_graph)
     return RunContext(
         ds=ds,
@@ -170,7 +190,6 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     FedAvg, and broadcast (participants additionally resync their user
     row from the new global model).
     """
-    t0 = time.perf_counter()
     hyper = ctx.hyper
     server = ctx.server
     if ctx.server_only:
@@ -235,7 +254,6 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
         participant_loss_sum=participant_sum,
         server_loss=server_loss,
         total_loss=participant_sum + server_loss,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -277,20 +295,10 @@ def eval_views(ctx: RunContext, mode: str = "server"):
 
 
 def run_training(
-    ds: InteractionDataset,
-    hyper: HyperParams,
-    share_mode: str = "uniform",
-    share_ratio: float | None = None,
-    seed_policy: int = 1,
-    seed_train: int = 2,
-    disable_gm: bool = False,
-    disable_cl: bool = False,
-    server_only: bool = False,
-    sync_all_users: bool = False,
-    eval_view: str = "server",
-    score_sim: str = "cosine",
+    ds: InteractionDataset, hyper: HyperParams, eval_view: str = "server", score_sim: str = "cosine", **prepare
 ) -> RunResult:
-    """Full training run: prepare once, loop rounds, evaluate periodically.
+    """Full training run: prepare once (``prepare_run(ds, hyper, **prepare)``),
+    loop rounds, evaluate periodically.
 
     Evaluation happens before round 1 (round index 0) and after every
     ``eval_every`` rounds; training stops early when validation Recall@K
@@ -299,18 +307,7 @@ def run_training(
     problems = hyper.validate()
     if problems:
         raise ValueError("invalid hyperparameters: " + "; ".join(problems))
-    ctx = prepare_run(
-        ds,
-        hyper,
-        share_mode,
-        share_ratio,
-        seed_policy,
-        seed_train,
-        disable_gm,
-        disable_cl,
-        server_only,
-        sync_all_users,
-    )
+    ctx = prepare_run(ds, hyper, **prepare)
     hyper = ctx.hyper
 
     def run_eval(round_idx: int) -> dict:

@@ -182,7 +182,7 @@ def predict_links(
     g: BipartiteGraph,
     mender: EmbeddingState,
     threshold: float,
-    cap_per_user: int | None,
+    cap_per_user: int,
     layers: int,
 ):
     """Score non-edges of ``g`` by mended-view cosine and keep those >= t.
@@ -191,9 +191,9 @@ def predict_links(
     itself (callers pass the impaired graph to measure recovery, or the full
     contributed graph in the production pipeline). Only endpoints with
     nonzero degree are candidates. Per user, at most ``cap_per_user``
-    predictions survive (None: no cap), best score first, ties broken by
-    ascending item id: existing edges score -inf, and each row keeps its
-    entries above -inf that reach the threshold, the cap best of them
+    predictions survive, best score first, ties broken by ascending item
+    id: existing edges score -inf, and each row keeps its entries above
+    -inf that reach the threshold, the cap best of them
     (``evaluate._select_blocks``, the rule ``evaluate`` ranks by). Users are
     scored in row blocks of bounded size, which under a single-threaded
     BLAS have the bits of one users x items product (see

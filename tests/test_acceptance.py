@@ -23,7 +23,7 @@ import pytest
 from fedgcf.cli import main
 from fedgcf.client import DeviceUpload
 from fedgcf.data import ShareTier, split_dataset, synth_dataset
-from fedgcf.evaluate import evaluate, ndcg_at_k, recall_at_k
+from fedgcf.evaluate import _metrics, evaluate
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha
 from fedgcf.learn import (
     CLTerm,
@@ -155,8 +155,11 @@ def test_criterion_2_metrics_equal_brute_force_exactly():
             k = int(rng.integers(1, 13))
             n_ranked = int(rng.integers(0, min(k, n_items) + 1))
             ranked = rng.permutation(n_items)[:n_ranked]
-            assert recall_at_k(ranked, relevant) == recall_oracle(ranked.tolist(), relevant)
-            assert ndcg_at_k(ranked, relevant, k) == ndcg_oracle(ranked.tolist(), relevant, k)
+            # the package's per-row formula on one row: the ranks of its hits
+            hit_ranks = np.flatnonzero(np.isin(ranked, list(relevant)))
+            recall, ndcg = _metrics(np.zeros_like(hit_ranks), hit_ranks, np.array([n_rel]), k)
+            assert recall[0] == recall_oracle(ranked.tolist(), relevant)
+            assert ndcg[0] == ndcg_oracle(ranked.tolist(), relevant, k)
         # whole-pipeline instances: random small datasets, per-user exact equality
         for _ in range(30):
             n_u = int(rng.integers(1, 11))

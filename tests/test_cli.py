@@ -349,6 +349,29 @@ def test_mend_subcommand_writes_predictions(tmp_path, capsys):
         assert float(s) >= 0.3
 
 
+@pytest.mark.parametrize(
+    "data, refusal",
+    [
+        # every user's train split holds all 5 items
+        (["--set", "synth_users=10", "--set", "synth_items=5", "--set", "synth_clusters=1",
+          "--set", "synth_density=1.0"], "train split holds all 5 items"),
+        # every pair shared, and at threshold -1 under a cap above the item
+        # count mending fills each user's server-graph row
+        ([*FAST, "--set", "share_mode=fixed", "--set", "share_ratio=1.0"], "server-graph row holds all 20 items"),
+    ],
+    ids=["train-split", "server-graph-row"],
+)
+def test_mend_skips_the_checks_only_training_needs(tmp_path, capsys, data, refusal):
+    mend = ["--set", "mend_epochs=5", "--set", "mend_threshold=-1", "--set", "mend_cap_per_user=21"]
+    assert main(["train", *data, *mend, "--rounds", "1", "--out-dir", str(tmp_path / "run")]) == 1
+    assert refusal in capsys.readouterr().err
+    out = tmp_path / "links.tsv"
+    assert main(["mend", *data, *mend, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    n_links = len(out.read_text().splitlines())
+    assert n_links > 0 and f"predicted {n_links} links" in printed
+
+
 def test_mend_nothing_to_do(tmp_path, capsys):
     rc = main([
         "mend", *FAST,

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from fedgcf.data import InteractionDataset, split_dataset
 from fedgcf.errors import ConfigError
-from fedgcf.evaluate import (
-    EvalResult,
-    evaluate,
-    ndcg_at_k,
-    recall_at_k,
-    write_per_user_tsv,
-)
+from fedgcf.evaluate import EvalResult, evaluate, write_per_user_tsv
 from fedgcf.graph import BipartiteGraph, EmbeddingState
 from fedgcf.mending import predict_links
 
@@ -35,27 +29,28 @@ NDCG_RANK2 = 0.6309297535714574  # 1/log2(3)
 # ---------------------------------------------------------------- metrics
 
 
+def one_row_metrics(ranked, relevant: set, k: int) -> tuple[float, float]:
+    """Recall and NDCG at k of one ranked list of at most k items, by the
+    package's per-row formula (``_metrics``)."""
+    hit_ranks = np.flatnonzero(np.isin(ranked, list(relevant)))
+    recall, ndcg = evaluate_module._metrics(np.zeros_like(hit_ranks), hit_ranks, np.array([len(relevant)]), k)
+    return float(recall[0]), float(ndcg[0])
+
+
 def test_recall_frozen_values():
-    assert recall_at_k(np.array([1, 2, 3]), {2}) == 1.0
-    assert recall_at_k(np.array([1, 2, 3]), {2, 9}) == 0.5
-    assert recall_at_k(np.array([1, 2, 3]), {7, 8}) == 0.0
+    assert one_row_metrics(np.array([1, 2, 3]), {2}, 3)[0] == 1.0
+    assert one_row_metrics(np.array([1, 2, 3]), {2, 9}, 3)[0] == 0.5
+    assert one_row_metrics(np.array([1, 2, 3]), {7, 8}, 3)[0] == 0.0
 
 
 def test_ndcg_frozen_values():
     # single relevant item at rank 1 / rank 2
-    assert ndcg_at_k(np.array([5, 6]), {5}, 2) == 1.0
-    assert ndcg_at_k(np.array([6, 5]), {5}, 2) == pytest.approx(NDCG_RANK2, abs=1e-12)
+    assert one_row_metrics(np.array([5, 6]), {5}, 2)[1] == 1.0
+    assert one_row_metrics(np.array([6, 5]), {5}, 2)[1] == pytest.approx(NDCG_RANK2, abs=1e-12)
     # both relevant in the ideal order -> exactly 1
-    assert ndcg_at_k(np.array([1, 2]), {1, 2}, 2) == 1.0
+    assert one_row_metrics(np.array([1, 2]), {1, 2}, 2)[1] == 1.0
     # idcg truncates at min(k, |relevant|): one hit out of many relevant
-    assert ndcg_at_k(np.array([1]), {1, 2, 3}, 1) == 1.0
-
-
-def test_metrics_reject_empty_relevant():
-    with pytest.raises(ValueError):
-        recall_at_k(np.array([1]), set())
-    with pytest.raises(ValueError):
-        ndcg_at_k(np.array([1]), set(), 1)
+    assert one_row_metrics(np.array([1]), {1, 2, 3}, 1)[1] == 1.0
 
 
 @given(
@@ -66,12 +61,9 @@ def test_metrics_reject_empty_relevant():
 @settings(max_examples=200, deadline=None)
 def test_metrics_match_oracles(ranked, relevant, k):
     ranked = np.asarray(ranked[:k], dtype=np.int64)
-    assert recall_at_k(ranked, relevant) == pytest.approx(
-        recall_oracle(ranked.tolist(), relevant), abs=1e-12
-    )
-    assert ndcg_at_k(ranked, relevant, k) == pytest.approx(
-        ndcg_oracle(ranked.tolist(), relevant, k), abs=1e-12
-    )
+    recall, ndcg = one_row_metrics(ranked, relevant, k)
+    assert recall == pytest.approx(recall_oracle(ranked.tolist(), relevant), abs=1e-12)
+    assert ndcg == pytest.approx(ndcg_oracle(ranked.tolist(), relevant, k), abs=1e-12)
 
 
 @given(
@@ -83,14 +75,13 @@ def test_metrics_match_oracles(ranked, relevant, k):
 def test_metrics_bounded_zero_one(relevant, k, seed):
     rng = np.random.default_rng(seed)
     ranked = rng.permutation(21)[:k]
-    r = recall_at_k(ranked, relevant)
-    n = ndcg_at_k(ranked, relevant, k)
+    r, n = one_row_metrics(ranked, relevant, k)
     assert 0.0 <= r <= 1.0
     assert 0.0 <= n <= 1.0
     # perfect prefix ranking gives ndcg exactly 1
     ideal = np.asarray(sorted(relevant)[:k], dtype=np.int64)
     if ideal.size:
-        assert ndcg_at_k(ideal, relevant, k) == pytest.approx(1.0, abs=1e-12)
+        assert one_row_metrics(ideal, relevant, k)[1] == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- ranking
@@ -333,7 +324,7 @@ def test_evaluate_ranks_generic_views_as_per_user_gemv(sim):
     expected = {}
     for u, items in sorted(ds.pairs_by_user(ds.test).items()):
         ranked = rank_candidates_gemv(user_views[u], item_views, train_by_user.get(u, ()), 20, sim)
-        expected[u] = (recall_at_k(ranked, set(items)), ndcg_at_k(ranked, set(items), 20))
+        expected[u] = (recall_oracle(ranked.tolist(), set(items)), ndcg_oracle(ranked.tolist(), set(items), 20))
     assert len(expected) > 150
     assert list(res.per_user.items()) == list(expected.items())
 
@@ -370,7 +361,7 @@ def test_pooled_predict_links_is_bitwise_the_inline_in_order_output(monkeypatch,
         EmbeddingState(rng.normal(size=(n_users, 8)), rng.normal(size=(n_items, 8))),
         EmbeddingState(*(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (n_users, n_items))),
     ):
-        for threshold, cap in ((0.3, None), (-1.0, 10), (0.0, 3), (0.5, 1)):
+        for threshold, cap in ((0.3, n_items), (-1.0, 10), (0.0, 3), (0.5, 1)):
             with monkeypatch.context() as mp:
                 got = under_three_pools(mp, lambda: predict_links(g, mender, threshold, cap, 1))
             for pairs, scores in got[1:]:
@@ -444,7 +435,7 @@ def _oracle_metrics(user_views, item_views, ds, k, sim, split="test"):
     users = [u for u, _ in held_by_user]
     ranked = rank_candidates(user_views[users], item_views, [train_by_user.get(u, ()) for u in users], k, sim)
     return {
-        u: (recall_at_k(r, set(items)), ndcg_at_k(r, set(items), k))
+        u: (recall_oracle(r.tolist(), set(items)), ndcg_oracle(r.tolist(), set(items), k))
         for (u, items), r in zip(held_by_user, ranked)
     }
 

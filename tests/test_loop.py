@@ -1,3 +1,5 @@
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,6 @@ from fedgcf.data import InteractionDataset, ShareTier, split_dataset, synth_data
 from fedgcf.errors import DataFormatError
 from fedgcf.learn import HyperParams
 from fedgcf.loop import (
-    RoundReport,
     device_views,
     eval_views,
     prepare_run,
@@ -200,13 +201,18 @@ def test_server_only_round_trains_server_alone():
         assert np.array_equal(dev.p_u, before[u])
 
 
-def test_round_report_equality_ignores_wall_time():
-    a = RoundReport(1, (0,), 0.5, 0.1, 0.6, 0.2, 0.8, wall_time=1.0)
-    b = RoundReport(1, (0,), 0.5, 0.1, 0.6, 0.2, 0.8, wall_time=9.9)
-    assert a == b
-
-
 # ---------------------------------------------------------------- training
+
+
+def test_readme_library_snippet_runs(capsys):
+    # the README's ``python`` block, as written: its keywords reach prepare_run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    result = namespace["result"]
+    assert result.context.policy.ratio.tolist() == [0.5] * 200 and result.context.train_seed == 201
+    assert float(capsys.readouterr().out) == result.evals[-1]["test_recall"]
 
 
 def test_run_training_deterministic():

@@ -117,7 +117,7 @@ def test_impair_rejects_bad_input():
 def test_predict_links_excludes_existing_edges():
     g = ladder_graph()
     mender = xavier_init(g.n_users, g.n_items, 8, np.random.default_rng(0))
-    predicted, scores = predict_links(g, mender, threshold=-1.0, cap_per_user=None, layers=3)
+    predicted, scores = predict_links(g, mender, threshold=-1.0, cap_per_user=g.n_items, layers=3)
     for pair in predicted:
         assert not has_edge(g, *pair)
     assert len(scores) == len(predicted)
@@ -130,7 +130,7 @@ def test_predict_links_threshold_monotone():
     sizes = []
     sets = []
     for t in (-1.0, 0.0, 0.5, 0.9):
-        predicted, scores = predict_links(g, mender, t, cap_per_user=None, layers=3)
+        predicted, scores = predict_links(g, mender, t, cap_per_user=g.n_items, layers=3)
         assert all(s >= t for s in scores)
         sizes.append(len(predicted))
         sets.append(set(map(tuple, predicted.tolist())))
@@ -142,7 +142,7 @@ def test_predict_links_threshold_monotone():
 def test_predict_links_cap_keeps_best_scores():
     g = ladder_graph()
     mender = xavier_init(g.n_users, g.n_items, 8, np.random.default_rng(2))
-    full, full_scores = predict_links(g, mender, -1.0, cap_per_user=None, layers=3)
+    full, full_scores = predict_links(g, mender, -1.0, cap_per_user=g.n_items, layers=3)
     capped, capped_scores = predict_links(g, mender, -1.0, cap_per_user=3, layers=3)
     full_scores = dict(zip(map(tuple, full.tolist()), full_scores))
     capped = list(map(tuple, capped.tolist()))
@@ -163,7 +163,7 @@ def test_predict_links_cap_keeps_best_scores():
 def test_predict_links_skips_zero_degree_endpoints():
     g = BipartiteGraph(3, 3, [(0, 0), (1, 1)])  # user 2 / item 2 isolated
     mender = EmbeddingState(np.ones((3, 4)), np.ones((3, 4)))
-    predicted, _ = predict_links(g, mender, -1.0, cap_per_user=None, layers=3)
+    predicted, _ = predict_links(g, mender, -1.0, cap_per_user=g.n_items, layers=3)
     assert all(u != 2 and i != 2 for u, i in predicted)
 
 
@@ -230,7 +230,7 @@ def test_predict_links_matches_per_user_loop(case, threshold, cap, layers, budge
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(evaluate_module, "_SCORE_BUDGET", budget)
-        pairs, scores = predict_links(g, mender, threshold, cap, layers)
+        pairs, scores = predict_links(g, mender, threshold, g.n_items if cap is None else cap, layers)
     ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers)
     assert pairs.dtype == np.int64 and pairs.shape == (len(scores), 2)
     assert np.array_equal(pairs, ref_pairs)
@@ -246,7 +246,7 @@ def test_predict_links_blocks_leaving_a_lone_row_match_per_user_loop(monkeypatch
     assert len(evaluate_module.row_blocks(n_users, n_items)) == n_users // 48
     mender = EmbeddingState(*(np.random.default_rng(1).normal(size=(n, 3)) for n in (n_users, n_items)))
     for threshold, cap in ((-1.0, None), (0.0, 2)):
-        pairs, scores = predict_links(g, mender, threshold, cap, layers=1)
+        pairs, scores = predict_links(g, mender, threshold, n_items if cap is None else cap, layers=1)
         ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers=1)
         assert np.array_equal(pairs, ref_pairs)
         assert _same_bits(scores, ref_scores)
@@ -262,7 +262,7 @@ def test_predict_links_matches_per_user_loop_on_ties_at_the_cap(monkeypatch, bud
     if budget is not None:
         monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
     for threshold, cap in ((-1.0, 1), (-1.0, 3), (-1.0, 45), (0.0, 3), (0.5, 1), (0.9, None)):
-        pairs, scores = predict_links(g, mender, threshold, cap, layers=0)
+        pairs, scores = predict_links(g, mender, threshold, g.n_items if cap is None else cap, layers=0)
         ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers=0)
         assert np.array_equal(pairs, ref_pairs)
         assert _same_bits(scores, ref_scores)
