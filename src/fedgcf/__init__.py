@@ -46,7 +46,6 @@ from .server import (
     AuditLog,
     ServerState,
     apply_ldp,
-    build_server_graph,
     embedding_exchange,
     fedavg_aggregate,
     server_infer,

@@ -422,7 +422,11 @@ def _cmd_sweep(args) -> int:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"--grid: unknown key {key!r}")
+        if key in dict(grids):
+            raise ConfigError(f"--grid: key {key!r} given twice")
         grids.append((key, [v.strip() for v in values.split(",") if v.strip()]))
+        if not grids[-1][1]:
+            raise ConfigError(f"--grid: key {key!r} has no values")
     if not grids:
         raise ConfigError("sweep needs at least one --grid key=v1,v2,...")
     combos = list(itertools.product(*[vals for _, vals in grids]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .evaluate import map_blocks, row_blocks
+from .blocks import map_blocks, row_blocks
 from .graph import BipartiteGraph, EgoGraph, EmbeddingState
 
 _NORM_FLOOR = 1e-12
@@ -146,10 +146,6 @@ class GradientBundle:
             bad = ~np.all(np.isfinite(block.values), axis=1)
             if bad.any():
                 raise NumericError(f"non-finite gradient for {name} row {block.rows[np.argmax(bad)]}")
-
-    @classmethod
-    def from_dense(cls, grad_user: np.ndarray, grad_item: np.ndarray) -> "GradientBundle":
-        return cls(_nonzero_rows(grad_user), _nonzero_rows(grad_item))
 
 
 def _safe_unit(mat: np.ndarray):
@@ -491,7 +487,7 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
             grad_u0[reg_u] += 2.0 * spec.reg_lambda * state.user[reg_u]
         if reg_i.size:
             grad_i0[reg_i] += 2.0 * spec.reg_lambda * state.item[reg_i]
-    bundle = GradientBundle.from_dense(grad_u0, grad_i0)
+    bundle = GradientBundle(_nonzero_rows(grad_u0), _nonzero_rows(grad_i0))
     bundle.check_finite()
     return parts, bundle
 

@@ -16,7 +16,7 @@ from .graph import BipartiteGraph, EgoGraph, default_alpha, forest_chunks, xavie
 from .learn import HyperParams
 from .mending import MendingArtifacts, mend_graph
 from .seeds import child_rng
-from .server import AuditLog, ServerState, apply_ldp, build_server_graph, embedding_exchange, fedavg_aggregate, server_infer, server_train
+from .server import AuditLog, ServerState, apply_ldp, embedding_exchange, fedavg_aggregate, server_infer, server_train
 
 
 @dataclass
@@ -89,19 +89,18 @@ def contribute_and_mend(
     share_ratio: float | None = None,
     seed_policy: int = 1,
     seed_train: int = 2,
-    disable_gm: bool = False,
 ) -> tuple[SharePolicy, BipartiteGraph, MendingArtifacts | None]:
     """The users' share policy, the server graph of their contributed pairs
-    and its mending under the run's ``"mend"`` stream: None when mending is
-    disabled or there is nothing to mend (no contributed edges). It checks
+    and its mending under the run's ``"mend"`` stream: None when
+    ``impair_fraction`` is 0 or there are no contributed edges. It checks
     no row a run samples negatives from, so ``fedgcf mend`` runs it alone.
     """
     policy = assign_share_policy(ds.n_users, share_mode, seed_policy, share_ratio)
     policy = attach_contributions(policy, ds, seed_policy)
     policy.validate(ds)
-    shared_graph = build_server_graph(policy, ds.n_users, ds.n_items)
+    shared_graph = BipartiteGraph(ds.n_users, ds.n_items, policy.contributed)
     artifacts = None
-    if shared_graph.edge_count > 0 and not disable_gm and hyper.impair_fraction > 0.0:
+    if shared_graph.edge_count > 0 and hyper.impair_fraction > 0.0:
         artifacts = mend_graph(shared_graph, hyper, child_rng(seed_train, "mend").integers(2**31))
     return policy, shared_graph, artifacts
 
@@ -124,8 +123,11 @@ def prepare_run(
     The server trains on the mended graph, or on the contributed graph
     where nothing is mended. Raises DataFormatError when a user's row holds
     every item, since no negative could be sampled for it: a train split
-    that a device trains on, or a row of the server graph.
+    that a device trains on, or a row of the server graph. ``disable_gm``
+    and ``disable_cl`` run with ``impair_fraction`` and ``cl_weight`` 0.
     """
+    if disable_gm:
+        hyper = replace(hyper, impair_fraction=0.0)
     if disable_cl:
         hyper = replace(hyper, cl_weight=0.0)
     if not server_only:
@@ -137,7 +139,6 @@ def prepare_run(
         share_ratio=share_ratio,
         seed_policy=seed_policy,
         seed_train=seed_train,
-        disable_gm=disable_gm,
     )
     graph = shared_graph if artifacts is None else artifacts.mended
     _check_negatives(graph.user_deg, ds.n_items, "server-graph row")
@@ -302,7 +303,8 @@ def run_training(
 
     Evaluation happens before round 1 (round index 0) and after every
     ``eval_every`` rounds; training stops early when validation Recall@K
-    fails to improve for ``patience`` consecutive evaluations.
+    fails to improve for ``patience`` consecutive evaluations, never when
+    the validation split is empty.
     """
     problems = hyper.validate()
     if problems:
@@ -335,7 +337,7 @@ def run_training(
             if record["val_recall"] > best_val:
                 best_val = record["val_recall"]
                 stale = 0
-            else:
+            elif ds.val.shape[0]:
                 stale += 1
                 if stale >= hyper.patience:
                     stopped = True

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import _select_blocks, unit_rows
+from .blocks import select_blocks, unit_rows
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
 from .seeds import bounded_draws, child_rng
@@ -194,10 +194,10 @@ def predict_links(
     predictions survive, best score first, ties broken by ascending item
     id: existing edges score -inf, and each row keeps its entries above
     -inf that reach the threshold, the cap best of them
-    (``evaluate._select_blocks``, the rule ``evaluate`` ranks by). Users are
+    (``blocks.select_blocks``, the rule ``evaluate`` ranks by). Users are
     scored in row blocks of bounded size, which under a single-threaded
     BLAS have the bits of one users x items product (see
-    ``evaluate.row_blocks``).
+    ``blocks.row_blocks``).
 
     Returns the (n, 2) predicted pairs sorted by (user, item) and their
     scores, one per row.
@@ -211,7 +211,7 @@ def predict_links(
     edges = g.edge_array()
     edge_rows = np.searchsorted(users, edges[:, 0])
     edge_cols = np.searchsorted(items, edges[:, 1])
-    rows, cols, scores = zip(*_select_blocks(unit_u, unit_i, edge_rows, edge_cols, threshold, cap_per_user))
+    rows, cols, scores = zip(*select_blocks(unit_u, unit_i, edge_rows, edge_cols, threshold, cap_per_user))
     pairs = np.stack([users[np.concatenate(rows)], items[np.concatenate(cols)]], axis=1)
     return pairs, np.concatenate(scores)
 

@@ -111,11 +111,6 @@ class ServerState:
         self.uploaded = self.uploaded.merge(RowBlock(rows, values))
 
 
-def build_server_graph(policy: SharePolicy, n_users: int, n_items: int) -> BipartiteGraph:
-    """Union of every user's contributed pairs."""
-    return BipartiteGraph(n_users, n_items, policy.contributed)
-
-
 def server_infer(graph: BipartiteGraph, model: EmbeddingState, layers: int):
     """High-order propagated views of every node over ``graph``."""
     return propagate_combine(graph, model.user, model.item, default_alpha(layers))

@@ -1,10 +1,7 @@
-"""Stand-ins for the selection pool (``fedgcf.evaluate._POOL``) that fix the
+"""Stand-ins for the selection pool (``fedgcf.blocks._POOL``) that fix the
 order in which blocks run, for the tests of every block map on it."""
 
-import importlib
-
-# the package re-exports the function ``evaluate`` under its module's name
-evaluate_module = importlib.import_module("fedgcf.evaluate")
+import fedgcf.blocks as blocks_module
 
 
 class _Done:
@@ -60,7 +57,7 @@ def under_three_pools(monkeypatch, call):
     inline, backward = InlinePool(), ReversePool()
     results = [call()]
     for pool in (inline, backward):
-        monkeypatch.setattr(evaluate_module, "_POOL", pool)
+        monkeypatch.setattr(blocks_module, "_POOL", pool)
         results.append(call())
     assert len(inline.order) > 2 and inline.order == sorted(inline.order)
     assert sorted(backward.order) == inline.order != backward.order

@@ -413,9 +413,13 @@ def test_one_point_sweep_matches_train(tmp_path, capsys):
         assert fh.read() == (tmp_path / "train" / "metrics.jsonl").read_bytes()
 
 
-def test_sweep_requires_grid(capsys):
+def test_sweep_requires_grid(tmp_path, capsys):
     assert main(["sweep", *FAST]) == 1
     assert main(["sweep", *FAST, "--grid", "nokey=1"]) == 1
+    out = tmp_path / "sweep"
+    assert main(["sweep", *FAST, "--out-dir", str(out), "--grid", "dim="]) == 1
+    assert main(["sweep", *FAST, "--out-dir", str(out), "--grid", "dim=4", "--grid", "dim=8"]) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- misc

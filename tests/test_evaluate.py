@@ -18,7 +18,7 @@ from fedgcf.graph import BipartiteGraph, EmbeddingState
 from fedgcf.mending import predict_links
 
 from oracles import ndcg_oracle, rank_candidates, rank_candidates_gemv, recall_oracle
-from pools import InlinePool, under_three_pools
+from pools import InlinePool, blocks_module, under_three_pools
 
 # the package re-exports the function ``evaluate`` under its module's name
 evaluate_module = importlib.import_module("fedgcf.evaluate")
@@ -237,7 +237,7 @@ def test_evaluate_matches_per_user_oracle(case, k, sim, budget):
     user_views, item_views, ds = case
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
-            mp.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+            mp.setattr(blocks_module, "_SCORE_BUDGET", budget)
         res = evaluate(user_views, item_views, ds, "test", k, sim)
     expected = _oracle_metrics(user_views, item_views, ds, k, sim)
     assert list(res.per_user.items()) == list(expected.items())
@@ -254,8 +254,8 @@ def test_evaluate_blocks_leaving_a_lone_row_match_oracle(monkeypatch, n_users, n
     test = {(u, int(rng.integers(n_items))) for u in range(n_users)}
     train = {(u, int(rng.integers(n_items))) for u in range(n_users)} - test
     ds = InteractionDataset(n_users, n_items, train, test=test)
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
-    assert len(evaluate_module.row_blocks(n_users, n_items)) == n_users // 48
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
+    assert len(blocks_module.row_blocks(n_users, n_items)) == n_users // 48
     for sim in ("cosine", "inner"):
         res = evaluate(user_views, item_views, ds, "test", 2, sim)
         assert list(res.per_user.items()) == list(_oracle_metrics(user_views, item_views, ds, 2, sim).items())
@@ -280,7 +280,7 @@ def test_evaluate_matches_oracle_on_ties_at_the_cut(monkeypatch, budget, k):
     # many others, and k runs past the item count
     user_views, item_views, ds = _tied_case(150, 40, k)
     if budget is not None:
-        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+        monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", budget)
     for sim in ("cosine", "inner"):
         res = evaluate(user_views, item_views, ds, "test", k, sim)
         assert list(res.per_user.items()) == list(_oracle_metrics(user_views, item_views, ds, k, sim).items())
@@ -297,7 +297,7 @@ def test_evaluate_at_k_past_the_items_stays_inside_a_row_block(monkeypatch, k):
     train = np.stack([np.arange(n_users), rng.integers(n_items, size=n_users)], axis=1)
     test = np.stack([np.arange(n_users), (train[:, 1] + 1 + rng.integers(n_items - 1, size=n_users)) % n_items], axis=1)
     ds = InteractionDataset(n_users, n_items, train, test=test)
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
     block_bytes = 8 * 48 * n_items
     tracemalloc.start()
     try:
@@ -339,7 +339,7 @@ def test_pooled_evaluate_is_bitwise_the_inline_in_order_output(monkeypatch, budg
     pairs = np.argwhere(rng.random((n_users, n_items)) < 0.05)
     test = rng.random(len(pairs)) < 0.2
     ds = InteractionDataset(n_users, n_items, pairs[~test], test=pairs[test])
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", budget)
     generic = rng.normal(size=(n_users, 16)), rng.normal(size=(n_items, 16))
     grid = tuple(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (n_users, n_items))
     for user_views, item_views in (generic, grid):
@@ -356,7 +356,7 @@ def test_pooled_predict_links_is_bitwise_the_inline_in_order_output(monkeypatch,
     rng = np.random.default_rng(budget)
     n_users, n_items = 600, 200
     g = BipartiteGraph(n_users, n_items, np.argwhere(rng.random((n_users, n_items)) < 0.05))
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", budget)
     for mender in (
         EmbeddingState(rng.normal(size=(n_users, 8)), rng.normal(size=(n_items, 8))),
         EmbeddingState(*(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (n_users, n_items))),
@@ -377,12 +377,12 @@ def test_pooled_blocks_never_share_buffers_under_a_short_switch_interval(monkeyp
     n_users, n_items = 960, 100
     g = BipartiteGraph(n_users, n_items, np.argwhere(rng.random((n_users, n_items)) < 0.05))
     mender = EmbeddingState(rng.normal(size=(n_users, 8)), rng.normal(size=(n_items, 8)))
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
-    monkeypatch.setattr(evaluate_module, "_POOL", InlinePool())
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(blocks_module, "_POOL", InlinePool())
     want = predict_links(g, mender, -1.0, 5, 1)
     got, pool = [], ThreadPoolExecutor(4)
-    monkeypatch.setattr(evaluate_module, "_POOL", pool)
-    monkeypatch.setattr(evaluate_module, "_WORKERS", 4)
+    monkeypatch.setattr(blocks_module, "_POOL", pool)
+    monkeypatch.setattr(blocks_module, "_WORKERS", 4)
     caller = threading.Thread(target=lambda: got.extend(predict_links(g, mender, -1.0, 5, 1) for _ in range(5)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -401,7 +401,7 @@ def test_pooled_blocks_never_share_buffers_under_a_short_switch_interval(monkeyp
 def test_a_forked_child_ranks_on_its_own_pool(monkeypatch):
     # the child inherits the parent's pool object but not its threads
     args = (*_tied_case(150, 40, 0), "test", 5)
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
     evaluate(*args)  # three blocks: the parent's pool has started its threads
     child = multiprocessing.get_context("fork").Process(target=evaluate, args=args)
     child.start()
@@ -419,10 +419,10 @@ def test_row_blocks_have_the_bits_of_the_full_product(monkeypatch, one_blas_thre
     # thousands of columns, 48-row blocks plus a remainder
     rng = np.random.default_rng(n_cols)
     rows, cols = rng.normal(size=(400, 64)), rng.normal(size=(n_cols, 64))
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
     for n_rows in range(49, 401):
         full = rows[:n_rows] @ cols.T
-        blocks = [rows[a:b] @ cols.T for a, b in evaluate_module.row_blocks(n_rows, n_cols)]
+        blocks = [rows[a:b] @ cols.T for a, b in blocks_module.row_blocks(n_rows, n_cols)]
         assert len(blocks) == n_rows // 48
         assert np.array_equal(np.concatenate(blocks), full), n_rows
 
@@ -473,7 +473,7 @@ def test_evaluate_matches_oracle_on_both_splits_with_different_users(monkeypatch
     assert val_users ^ test_users and val_users & test_users
     assert len(val_users | test_users) < ds.n_users
     if budget is not None:
-        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+        monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", budget)
     for k in (1, 5, 15):
         for sim in ("cosine", "inner"):
             for split in ("val", "test"):
@@ -501,10 +501,10 @@ def _as_list(res):
 def test_memo_serves_the_second_split_as_a_fresh_call_would(monkeypatch, first, second):
     user_views, item_views, ds = _split_users_case("categories")
     views = _read_only_views(user_views.copy(), item_views.copy())
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
     calls = []
-    select = evaluate_module._select_blocks
-    monkeypatch.setattr(evaluate_module, "_select_blocks", lambda *a: calls.append(1) or select(*a))
+    select = evaluate_module.select_blocks
+    monkeypatch.setattr(evaluate_module, "select_blocks", lambda *a: calls.append(1) or select(*a))
     got = [evaluate(*views, ds, first, 5), evaluate(*views, ds, second, 5)]
     assert len(calls) == 1  # the second call ranks nothing
     # a memo serves one call: asking again ranks again
@@ -519,8 +519,8 @@ def test_memo_is_missed_on_another_k_sim_dataset_or_split(monkeypatch):
     views = _read_only_views(user_views, item_views)
     other_ds = InteractionDataset(ds.n_users, ds.n_items, ds.train, ds.val, ds.test)
     calls = []
-    select = evaluate_module._select_blocks
-    monkeypatch.setattr(evaluate_module, "_select_blocks", lambda *a: calls.append(1) or select(*a))
+    select = evaluate_module.select_blocks
+    monkeypatch.setattr(evaluate_module, "select_blocks", lambda *a: calls.append(1) or select(*a))
     misses = ((6, "cosine", ds, "test"), (5, "inner", ds, "test"), (5, "cosine", other_ds, "test"), (5, "cosine", ds, "val"))
     for k, sim, data, split in misses:
         calls.clear()

@@ -20,6 +20,7 @@ from fedgcf.learn import (
     _bpr_terms,
     _cosine_rows,
     _infonce_terms,
+    _nonzero_rows,
     _safe_unit,
     adam_step,
     add_rows,
@@ -27,7 +28,7 @@ from fedgcf.learn import (
 )
 
 from oracles import as_dict, bundle_of, compute_loss, cosine_oracle, fd_gradient, infonce_oracle, max_rel_err, same_bits
-from pools import evaluate_module, under_three_pools
+from pools import blocks_module, under_three_pools
 
 # frozen expected values, derived by hand:
 #   ln 2                       = 0.6931471805599453
@@ -233,8 +234,8 @@ def test_blocked_infonce_is_bitwise_the_one_buffer_oracle(monkeypatch, one_blas_
     # items of a server round in 24 blocks; at d = 4 a gradient product
     # taken per block would round differently from the whole product
     if budget is not None:
-        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
-    assert len(evaluate_module.row_blocks(n_q, n_k)) > 2
+        monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", budget)
+    assert len(blocks_module.row_blocks(n_q, n_k)) > 2
     queries, keys, pos = _infonce_case(n_q, n_k, d, n_q + d)
     for trainable in ("key", "query"):
         want = infonce_oracle(queries, keys, pos, 0.2, trainable)
@@ -246,12 +247,12 @@ def test_blocked_infonce_is_bitwise_the_one_buffer_oracle(monkeypatch, one_blas_
 def test_pooled_infonce_on_four_workers_under_a_short_switch_interval(monkeypatch, one_blas_thread):
     # four workers write their own rows of one buffer while threads switch
     # every microsecond: a block that wrote outside its rows would show
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
     queries, keys, pos = _infonce_case(450, 500, 16, 3)
     want = [infonce_oracle(queries, keys, pos, 0.2, trainable) for trainable in ("key", "query")]
     got, pool = [], ThreadPoolExecutor(4)
-    monkeypatch.setattr(evaluate_module, "_POOL", pool)
-    monkeypatch.setattr(evaluate_module, "_WORKERS", 4)
+    monkeypatch.setattr(blocks_module, "_POOL", pool)
+    monkeypatch.setattr(blocks_module, "_WORKERS", 4)
     sides = ["key", "query"] * 3
     caller = threading.Thread(target=lambda: got.extend(_infonce_terms(queries, keys, pos, 0.2, t) for t in sides))
     interval = sys.getswitchinterval()
@@ -274,7 +275,7 @@ class _NoPool:
 def test_stacked_and_one_block_infonce_calls_start_no_worker(monkeypatch):
     # the 300 items of a 200 x 300 run fit one block; a stacked call of
     # several softmaxes is always one block, whatever its size
-    monkeypatch.setattr(evaluate_module, "_POOL", _NoPool())
+    monkeypatch.setattr(blocks_module, "_POOL", _NoPool())
     rng = np.random.default_rng(6)
     stacked = rng.normal(size=(3, 400, 8)), rng.normal(size=(1000, 8)), rng.integers(0, 1000, size=(3, 400))
     for queries, keys, pos in (_infonce_case(300, 300, 64, 1), stacked):
@@ -588,7 +589,7 @@ def test_cl_weight_zero_skips_contrastive():
 def test_bundle_from_dense_skips_zero_rows():
     gu = np.array([[0.0, 0.0], [1.0, 0.0]])
     gi = np.zeros((3, 2))
-    b = GradientBundle.from_dense(gu, gi)
+    b = GradientBundle(_nonzero_rows(gu), _nonzero_rows(gi))
     assert set(as_dict(b.user)) == {1} and not b.item
 
 

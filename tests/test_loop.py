@@ -82,6 +82,12 @@ def test_prepare_run_disable_gm_uses_contributed_graph():
     ctx = prepare_run(ds, toy_hyper(), disable_gm=True)
     assert ctx.artifacts is None
     assert ctx.server.graph is ctx.server.shared_graph
+    # the flag is the run's impair_fraction = 0, not a second rule
+    assert ctx.hyper.impair_fraction == 0.0
+    plain = prepare_run(ds, toy_hyper(impair_fraction=0.0))
+    assert np.array_equal(ctx.server.graph.edge_array(), plain.server.graph.edge_array())
+    assert same_bits(ctx.server.model.user, plain.server.model.user)
+    assert same_bits(ctx.server.model.item, plain.server.model.item)
 
 
 def test_prepare_run_fixed_share_policy():
@@ -250,13 +256,23 @@ def test_run_training_eval_cadence():
 
 
 def test_run_training_early_stop_on_plateau():
-    ds = toy_dataset()
+    # toy_dataset's users are too small to hold out a val pair
+    ds = split_dataset(synth_dataset(16, 20, 2, 0.8, seed=0), seed=0)
+    assert ds.val.shape[0] > 0
     # a learning rate of ~0 freezes the model, so validation recall never
     # improves and patience trips at the first post-round evaluation
     hyper = toy_hyper(learning_rate=1e-12, rounds=50, eval_every=1, patience=2)
     res = run_training(ds, hyper)
     assert res.stopped_early
     assert res.rounds_run == 2
+
+
+def test_run_training_without_val_pairs_never_stops_early():
+    # every evaluation reads val recall 0.0, which is no plateau
+    ds = split_dataset(synth_dataset(16, 20, 2, 0.8, seed=0), (8, 0, 1), seed=0)
+    assert ds.val.shape[0] == 0 and ds.test.shape[0] > 0
+    res = run_training(ds, toy_hyper(rounds=4, eval_every=1, patience=1))
+    assert res.rounds_run == 4 and not res.stopped_early
 
 
 def test_run_training_val_test_never_influence_model():

@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 from unittest import mock
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedgcf.blocks as blocks_module
 import fedgcf.mending as mending_module
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, xavier_init
 from fedgcf.learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
@@ -23,9 +23,6 @@ from fedgcf.mending import (
 from fedgcf.seeds import bounded_draws, child_rng
 
 from oracles import has_edge, impair_graph_loop, predict_links_loop, sample_negative_links_loop
-
-# the package re-exports the function ``evaluate`` under its module's name
-evaluate_module = importlib.import_module("fedgcf.evaluate")
 
 
 def ladder_graph(n_u=12, n_i=12, extra=24, seed=0):
@@ -229,7 +226,7 @@ def test_predict_links_matches_per_user_loop(case, threshold, cap, layers, budge
     g, mender = case
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
-            mp.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+            mp.setattr(blocks_module, "_SCORE_BUDGET", budget)
         pairs, scores = predict_links(g, mender, threshold, g.n_items if cap is None else cap, layers)
     ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers)
     assert pairs.dtype == np.int64 and pairs.shape == (len(scores), 2)
@@ -242,8 +239,8 @@ def test_predict_links_blocks_leaving_a_lone_row_match_per_user_loop(monkeypatch
     # 48-row blocks would leave one row over; alone, that row would go to
     # gemv and round differently from the full product
     g = ladder_graph(n_users, n_items, extra=n_users, seed=n_users)
-    monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", 1)
-    assert len(evaluate_module.row_blocks(n_users, n_items)) == n_users // 48
+    monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", 1)
+    assert len(blocks_module.row_blocks(n_users, n_items)) == n_users // 48
     mender = EmbeddingState(*(np.random.default_rng(1).normal(size=(n, 3)) for n in (n_users, n_items)))
     for threshold, cap in ((-1.0, None), (0.0, 2)):
         pairs, scores = predict_links(g, mender, threshold, n_items if cap is None else cap, layers=1)
@@ -260,7 +257,7 @@ def test_predict_links_matches_per_user_loop_on_ties_at_the_cap(monkeypatch, bud
     rng = np.random.default_rng(3)
     mender = EmbeddingState(*(rng.integers(-1, 2, size=(n, 2)) * 1.0 for n in (150, 40)))
     if budget is not None:
-        monkeypatch.setattr(evaluate_module, "_SCORE_BUDGET", budget)
+        monkeypatch.setattr(blocks_module, "_SCORE_BUDGET", budget)
     for threshold, cap in ((-1.0, 1), (-1.0, 3), (-1.0, 45), (0.0, 3), (0.5, 1), (0.9, None)):
         pairs, scores = predict_links(g, mender, threshold, g.n_items if cap is None else cap, layers=0)
         ref_pairs, ref_scores = predict_links_loop(g, mender, threshold, cap, layers=0)

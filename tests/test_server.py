@@ -22,7 +22,6 @@ from fedgcf.server import (
     _first_order_item_views,
     _server_negatives,
     apply_ldp,
-    build_server_graph,
     embedding_exchange,
     fedavg_aggregate,
     server_infer,
@@ -49,7 +48,7 @@ def stored_views(rows, rng):
 
 def make_server(dim=4, seed=0):
     policy = make_policy()
-    shared = build_server_graph(policy, 4, 3)
+    shared = BipartiteGraph(4, 3, policy.contributed)
     rng = np.random.default_rng(seed)
     model = EmbeddingState(rng.normal(size=(4, dim)), rng.normal(size=(3, dim)))
     return policy, ServerState(model=model, graph=shared, shared_graph=shared)
@@ -254,7 +253,7 @@ def test_absorb_uploads_keeps_latest_view_over_rounds():
 
 def test_build_server_graph_is_contributed_union():
     policy = make_policy()
-    g = build_server_graph(policy, 4, 3)
+    g = BipartiteGraph(4, 3, policy.contributed)
     assert sorted(map(tuple, g.edge_array())) == [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]
     assert g.user_deg[0] == 0  # NONE user absent
 
@@ -289,7 +288,7 @@ def test_server_train_produces_delta_upload():
 
 def test_server_train_empty_graph_is_noop():
     policy = SharePolicy(np.zeros(2), ())
-    g = build_server_graph(policy, 2, 2)
+    g = BipartiteGraph(2, 2, policy.contributed)
     rng = np.random.default_rng(6)
     server = ServerState(
         model=EmbeddingState(rng.normal(size=(2, 3)), rng.normal(size=(2, 3))),
