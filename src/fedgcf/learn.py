@@ -17,9 +17,10 @@ from .blocks import map_blocks, row_blocks
 from .graph import BipartiteGraph, EgoGraph, EmbeddingState
 
 _NORM_FLOOR = 1e-12
-# Most link pairs ``compute_gradients`` holds temporaries for at once: with
-# d = 64, 2**12 rows are 2 MB per temporary.
-_LINK_BLOCK = 2**12
+# Most ranking triplets or link pairs ``compute_gradients`` holds
+# temporaries for at once: with d = 64, 2**10 rows are 512 KB per
+# temporary, so a block's temporaries stay in L2.
+_PAIR_BLOCK = 2**10
 
 
 @dataclass
@@ -428,11 +429,19 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
         neg = np.asarray(spec.bpr_neg, dtype=np.int64)
         if users.shape != pos.shape or users.shape != neg.shape:
             raise ValueError("bpr triplet arrays must align")
-        loss, g_user, g_pos, g_neg = _bpr_terms(final_u[users], final_i[pos], final_i[neg])
-        parts.bpr = loss_sum(loss, users)
-        add_rows(grad_u, users, g_user)
-        add_rows(grad_i, pos, g_pos)
+        # triplets in blocks, as the link terms below: the user and positive
+        # terms go in block by block, but every positive term comes before
+        # any negative one, so the negative terms wait for one add at the end,
+        # and the losses are summed once, as one array
+        loss = np.empty(users.shape[0])
+        g_neg = np.empty((users.shape[0], final_i.shape[1]))
+        for lo in range(0, users.shape[0], _PAIR_BLOCK):
+            at = slice(lo, lo + _PAIR_BLOCK)
+            loss[at], g_user, g_pos, g_neg[at] = _bpr_terms(final_u[users[at]], final_i[pos[at]], final_i[neg[at]])
+            add_rows(grad_u, users[at], g_user)
+            add_rows(grad_i, pos[at], g_pos)
         add_rows(grad_i, neg, g_neg)
+        parts.bpr = loss_sum(loss, users)
 
     if spec.cl_terms and spec.cl_weight > 0.0:
         for term in spec.cl_terms:
@@ -459,10 +468,11 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
         if pairs.shape[0] == 0:
             continue
         resid = np.empty(pairs.shape[0])
-        for lo in range(0, pairs.shape[0], _LINK_BLOCK):
-            users, items = pairs[lo : lo + _LINK_BLOCK, 0], pairs[lo : lo + _LINK_BLOCK, 1]
+        for lo in range(0, pairs.shape[0], _PAIR_BLOCK):
+            at = slice(lo, lo + _PAIR_BLOCK)
+            users, items = pairs[at, 0], pairs[at, 1]
             cos, d_zu, d_zi = _cosine_rows(_safe_unit(final_u[users]), _safe_unit(final_i[items]))
-            block = resid[lo : lo + _LINK_BLOCK]
+            block = resid[at]
             np.subtract(cos, target_val, out=block)
             sign = np.sign(block)[:, None]
             add_rows(grad_u, users, sign * d_zu)

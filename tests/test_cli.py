@@ -247,12 +247,19 @@ def test_train_seed_flag_changes_results(tmp_path):
 
 
 def test_eval_subcommand_reads_snapshot(tmp_path, capsys):
+    # FAST's data holds no held-out pair; 40 users over 300 items at
+    # density 0.1 with a 8/2/1 split hold test pairs
+    config = [
+        *FAST,
+        "--set", "synth_users=40", "--set", "synth_items=300",
+        "--set", "synth_density=0.1", "--set", "split_val=2",
+    ]
     out = tmp_path / "run"
-    assert main(["train", *FAST, "--out-dir", str(out)]) == 0
+    assert main(["train", *config, "--out-dir", str(out)]) == 0
     capsys.readouterr()
     per_user = tmp_path / "per_user.tsv"
     rc = main([
-        "eval", *FAST,
+        "eval", *config,
         "--snapshot", str(out / "snapshot.npz"),
         "--split", "test",
         "--per-user", str(per_user),
@@ -260,7 +267,9 @@ def test_eval_subcommand_reads_snapshot(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "test recall@5=" in printed
-    assert per_user.read_text().startswith("# k=5")
+    header, *users = per_user.read_text().splitlines()
+    assert header == "# k=5"
+    assert users and all(len(line.split("\t")) == 3 for line in users)
 
 
 @pytest.mark.parametrize("view", ["server", "device"])

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -348,14 +349,77 @@ def test_link_terms_in_blocks_are_bitwise_one_block(monkeypatch, block):
         (_link_spec(rng, forest, 3, 14, (11, 8)), forest_state),
     ]
     for spec, state in cases:
-        monkeypatch.setattr(learn_module, "_LINK_BLOCK", 2**12)
+        monkeypatch.setattr(learn_module, "_PAIR_BLOCK", 2**12)
         want_parts, want = compute_gradients(spec, state)
-        monkeypatch.setattr(learn_module, "_LINK_BLOCK", block)
+        monkeypatch.setattr(learn_module, "_PAIR_BLOCK", block)
         parts, got = compute_gradients(spec, state)
         for name in ("bpr", "cl", "mend", "reg", "total"):
             assert same_bits(np.asarray(getattr(parts, name)), np.asarray(getattr(want_parts, name)))
         for a, b in ((got.user, want.user), (got.item, want.item)):
             assert np.array_equal(a.rows, b.rows) and same_bits(a.values, b.values)
+
+
+def _bpr_spec(rng, graph, n):
+    """Ranking triplets with repeated users and items. Item 0 is a positive
+    of the first triplet, the negative of the second and the positive of
+    the last: in one block it takes both positive terms before the
+    negative, so a block that adds its own negative terms changes its sum."""
+    users = rng.integers(0, graph.n_users, n)
+    pos, neg = rng.integers(0, graph.n_items, n), rng.integers(0, graph.n_items, n)
+    pos[0] = neg[1] = pos[-1] = 0
+    users[2], neg[2] = 0, 1  # a zero user row and a zero item row
+    alpha = default_alpha(1 if isinstance(graph, EgoGraph) else 2)
+    return LossSpec(graph=graph, alpha=alpha, bpr_users=users, bpr_pos=pos, bpr_neg=neg)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_bpr_terms_in_blocks_are_bitwise_one_block(monkeypatch, block):
+    rng = np.random.default_rng(23)
+    pairs = {(int(rng.integers(30)), int(rng.integers(40))) for _ in range(120)}
+    flat = BipartiteGraph(30, 40, sorted(pairs))
+    forest = EgoGraph([0, 5, 9, 14], [0, 1, 3, 5, 6, 9, 10, 11, 13])
+    cases = []
+    for graph, n in ((flat, 61), (forest, 23)):
+        spec = _bpr_spec(rng, graph, n)
+        state = EmbeddingState(rng.normal(size=(graph.n_users, 6)), rng.normal(size=(graph.n_items, 6)))
+        # zero final views of user 0 and item 1: cosine 0 and no gradient
+        spec.views = graph.combine(state.user, state.item, spec.alpha)
+        spec.views[0][0] = spec.views[1][1] = 0.0
+        cases.append((spec, state))
+    for spec, state in cases:
+        monkeypatch.setattr(learn_module, "_PAIR_BLOCK", 2**12)
+        want_parts, want = compute_gradients(spec, state)
+        monkeypatch.setattr(learn_module, "_PAIR_BLOCK", block)
+        parts, got = compute_gradients(spec, state)
+        for name in ("bpr", "cl", "mend", "reg", "total"):
+            assert same_bits(np.asarray(getattr(parts, name)), np.asarray(getattr(want_parts, name)))
+        for a, b in ((got.user, want.user), (got.item, want.item)):
+            assert np.array_equal(a.rows, b.rows) and same_bits(a.values, b.values)
+
+
+def test_ranking_terms_peak_under_three_triplet_tables():
+    # 2**14 triplets at d = 64 over 1024 users and 2048 items, BPR only,
+    # with the views given: the temporaries are counted in (triplets, d)
+    # float64 tables
+    n, d = 2**14, 64
+    rng = np.random.default_rng(9)
+    views = (rng.normal(size=(2**10, d)), rng.normal(size=(2**11, d)))
+    spec = flat_spec(
+        2**10,
+        2**11,
+        bpr_users=rng.integers(0, 2**10, n),
+        bpr_pos=rng.integers(0, 2**11, n),
+        bpr_neg=rng.integers(0, 2**11, n),
+        views=views,
+    )
+    state = EmbeddingState(views[0].copy(), views[1].copy())
+    tracemalloc.start()
+    try:
+        compute_gradients(spec, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * d * 8
 
 
 def test_bpr_terms_normalize_the_user_rows_once(monkeypatch):
