@@ -312,12 +312,11 @@ def save_snapshot(result: RunResult, path: str) -> None:
     """Final model tables plus the mended graph edges, as one npz file."""
     ctx = result.context
     edges = ctx.server.graph.edge_array()
-    device_user = np.stack([ctx.devices[u].p_u for u in range(ctx.ds.n_users)])
     np.savez(
         path,
         user=ctx.server.model.user,
         item=ctx.server.model.item,
-        device_user=device_user,
+        device_user=ctx.devices.p_u,
         graph_edges=edges,
         rounds_run=np.array([result.rounds_run]),
     )

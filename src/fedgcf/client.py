@@ -4,7 +4,8 @@ A device owns its user embedding row, its private train pairs, and sparse
 Adam moments. Each participation round it trains on its ego graph (itself
 plus its local items), optionally aligns its views with received global
 views through the contrastive term, and uploads parameter deltas plus its
-combined local user view.
+combined local user view. Every device's state lives in one
+``DeviceTable`` of arrays indexed by user id.
 
 A round's devices train side by side: each chunk of them is one
 ``EgoGraph`` forest, and each local epoch is one ``compute_gradients``
@@ -19,7 +20,9 @@ training alone; they come back in the order the devices were given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import mmap
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .data import ShareTier
 # BipartiteGraph is unused here; perfbench/spans.py wraps client.BipartiteGraph to count graph builds
 from .graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha, forest_chunks
 from .learn import (
-    AdamMoments,
     CLTerm,
     GradientBundle,
     HyperParams,
@@ -39,15 +41,137 @@ from .learn import (
 )
 from .seeds import child_rng
 
+# Rows of one page of ``MomentPages``: with d = 64, 2**10 rows of first and
+# second moments are 1 MB.
+_PAGE_ROWS = 2**10
 
-@dataclass
-class DeviceState:
-    """Persistent per-device state across rounds."""
+
+class MomentPages:
+    """Adam moments (n, 2, d) of keyed rows that only ever grow.
+
+    ``keys`` ascend; ``slots[i]`` is where the moments of ``keys[i]`` live:
+    row ``slot % _PAGE_ROWS`` of page ``slot // _PAGE_ROWS``. New rows take
+    the next free slots, at the end of the last page, so a write copies the
+    values of its own rows and never those of the whole store; only the
+    key index (16 bytes a row) is rebuilt when keys are added.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.slots = np.zeros(0, dtype=np.int64)
+        self.pages: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return int(self.keys.size)
+
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions in ``self.keys`` of the ``keys`` it holds, and
+        which of ``keys`` those are."""
+        if not self.keys.size:
+            return np.zeros(0, dtype=np.int64), np.zeros(keys.size, dtype=bool)
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        hit = self.keys[at] == keys
+        return at[hit], hit
+
+    def _by_page(self, slots: np.ndarray):
+        """(page, its rows, their positions in ``slots``) for every page
+        ``slots`` reach."""
+        order = np.argsort(slots)
+        bounds = np.searchsorted(slots[order], np.arange(len(self.pages) + 1) * _PAGE_ROWS)
+        for p in np.flatnonzero(np.diff(bounds)).tolist():
+            at = order[bounds[p] : bounds[p + 1]]
+            yield self.pages[p], slots[at] - p * _PAGE_ROWS, at
+
+    def fetch(self, keys: np.ndarray) -> np.ndarray:
+        """The moments of rows ``keys``, zero where the store has none."""
+        out = np.zeros((keys.size, 2, self.width))
+        at, hit = self._find(keys)
+        hit_at = np.flatnonzero(hit)
+        for page, rows, at_slots in self._by_page(self.slots[at]):
+            out[hit_at[at_slots]] = page[rows]
+        return out
+
+    def write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` as the moments of the distinct rows ``keys``."""
+        at, hit = self._find(keys)
+        old = np.flatnonzero(hit)
+        for page, rows, at_slots in self._by_page(self.slots[at]):
+            page[rows] = values[old[at_slots]]
+        new = np.flatnonzero(~hit)
+        if new.size:
+            new = new[np.argsort(keys[new])]  # new rows take the next slots in key order
+            slots = np.arange(len(self), len(self) + new.size)
+            while len(self.pages) * _PAGE_ROWS <= slots[-1]:
+                self.pages.append(_new_page(self.width))
+            for page, rows, at_slots in self._by_page(slots):
+                page[rows] = values[new[at_slots]]
+            where = np.searchsorted(self.keys, keys[new])
+            self.keys = np.insert(self.keys, where, keys[new])
+            self.slots = np.insert(self.slots, where, slots)
+
+
+def _new_page(width: int) -> np.ndarray:
+    """One page of ``MomentPages``, in an anonymous memory map of its own:
+    outside the heap, a page that lives for the run pins no freed heap
+    memory around it, and the kernel zero-fills it as it is first touched.
+    (Five ``full_share`` rounds at seed 7 peaked about 0.5 MB above
+    per-device moment blocks with heap pages, and about 1 MB below with
+    mapped ones.)"""
+    buf = mmap.mmap(-1, _PAGE_ROWS * 2 * width * 8)
+    return np.frombuffer(buf, dtype=np.float64).reshape(_PAGE_ROWS, 2, width)
+
+
+class DeviceRow(NamedTuple):
+    """One device's id, train items and user row: views into its table."""
 
     user_id: int
-    local_items: np.ndarray  # the user's train items, ascending int64
+    local_items: np.ndarray
     p_u: np.ndarray
-    moments: AdamMoments = field(default_factory=AdamMoments)
+
+
+class DeviceTable:
+    """Persistent state of every device across rounds, one row per user.
+
+    ``p_u`` (U, d) holds the device user rows. User u's train items, in
+    ascending order, are ``items[item_ptr[u]:item_ptr[u + 1]]``, the item
+    column of the user-sorted train pairs. ``t_user`` and ``t_item`` count
+    each device's Adam steps per table, ``moments_user`` (U, 2, d) holds
+    its user row's moments (zero before its first step) and
+    ``moments_item`` the moments of every item row a device has stepped,
+    keyed ``user * n_items + item`` for the item table's ``n_items``.
+    Training writes all of them in place,
+    so views of ``p_u`` stay current.
+
+    ``table[u]`` and ``values()`` give read-only ``DeviceRow`` views.
+    """
+
+    def __init__(self, p_u: np.ndarray, train: np.ndarray) -> None:
+        n_users, d = p_u.shape
+        self.p_u = p_u
+        self.items = train[:, 1]
+        self.item_ptr = np.searchsorted(train[:, 0], np.arange(n_users + 1))
+        self.t_user = np.zeros(n_users, dtype=np.int64)
+        self.t_item = np.zeros(n_users, dtype=np.int64)
+        self.moments_user = np.zeros((n_users, 2, d))
+        self.moments_item = MomentPages(d)
+
+    def __len__(self) -> int:
+        return self.p_u.shape[0]
+
+    def local_items(self, u: int) -> np.ndarray:
+        return self.items[self.item_ptr[u] : self.item_ptr[u + 1]]
+
+    def counts(self, users: np.ndarray) -> np.ndarray:
+        return self.item_ptr[users + 1] - self.item_ptr[users]
+
+    def __getitem__(self, u: int) -> DeviceRow:
+        items, p_u = self.local_items(u), self.p_u[u]
+        items.flags.writeable = p_u.flags.writeable = False
+        return DeviceRow(u, items, p_u)
+
+    def values(self):
+        return (self[u] for u in range(len(self)))
 
 
 @dataclass
@@ -121,24 +245,7 @@ def _private_rows(work: RowBlock, item_table: np.ndarray, keys: np.ndarray, n_it
     return rows
 
 
-def _fetch_moments(blocks: list[RowBlock], keys: np.ndarray, n_items: int, d: int) -> RowBlock:
-    """The moments of the rows ``keys`` (star * n_items + item, ascending)
-    from star j's block ``blocks[j]``, zero where it has none."""
-    values = np.zeros((keys.size, 2, d))
-    star = keys // n_items
-    bounds = np.searchsorted(star, np.arange(len(blocks) + 1))
-    for j in np.unique(star).tolist():
-        block = blocks[j]
-        if block:
-            lo, hi = bounds[j], bounds[j + 1]
-            items = keys[lo:hi] - j * n_items
-            at = np.minimum(np.searchsorted(block.rows, items), len(block) - 1)
-            hit = block.rows[at] == items
-            values[lo:hi][hit] = block.values[at[hit]]
-    return RowBlock(keys, values)
-
-
-def _user_terms(devs: list[DeviceState], views: list[ReceivedViews | None]) -> list[CLTerm]:
+def _user_terms(users: np.ndarray, views: list[ReceivedViews | None]) -> list[CLTerm]:
     """The devices' user-side contrastive terms: each device's propagated
     user row against the full contributors' block, with its own view as
     the positive. Devices inside the block take its rows as they are; the
@@ -148,7 +255,7 @@ def _user_terms(devs: list[DeviceState], views: list[ReceivedViews | None]) -> l
     if not on.size:
         return []
     block = views[on[0]].user_views
-    ids = np.array([devs[j].user_id for j in on.tolist()], dtype=np.int64)
+    ids = users[on]
     inside = np.isin(ids, block.rows)
     own = np.array([views[j].own_view for j in on[~inside].tolist()]).reshape(-1, block.values.shape[1])
     # key k of a device outside: block row k before its own slot, its own
@@ -200,41 +307,52 @@ class _Chunk:
     """One forest of devices and their running state over the local epochs.
 
     Device j is star j. Its item rows are keyed j * n_items + item in the
-    private copies and the moments, so each device only ever meets its own.
+    private copies and the moments, so each device only ever meets its own;
+    ``stored`` maps these keys to the table's, user * n_items + item.
     """
 
     def __init__(
-        self, devs: list[DeviceState], item_table: np.ndarray, views: list[ReceivedViews | None], hyper: HyperParams
+        self,
+        table: DeviceTable,
+        users: np.ndarray,
+        item_table: np.ndarray,
+        views: list[ReceivedViews | None],
+        hyper: HyperParams,
     ) -> None:
-        self.devs, self.item_table, self.hyper = devs, item_table, hyper
-        n_items, d = item_table.shape
-        n = len(devs)
-        self.local = [dev.local_items for dev in devs]
-        self.star = np.repeat(np.arange(n), [items.size for items in self.local])
-        self.local_keys = self.star * n_items + np.concatenate(self.local).astype(np.int64)
+        self.table, self.users, self.item_table, self.hyper = table, users, item_table, hyper
+        n_items = item_table.shape[0]
+        n = users.size
+        self.counts = table.counts(users)
+        self.star = np.repeat(np.arange(n), self.counts)
+        # device j's train items, one after another
+        item_ptr = np.concatenate(([0], np.cumsum(self.counts)))
+        at = np.repeat(table.item_ptr[users] - item_ptr[:-1], self.counts) + np.arange(item_ptr[-1])
+        self.local_keys = self.star * n_items + table.items[at]
+        self.key_shift = (users - np.arange(n)) * n_items
         if hyper.cl_weight > 0.0:
-            self.user_terms = _user_terms(devs, views)
+            self.user_terms = _user_terms(users, views)
             self.item_groups = _item_groups(views, self.local_keys, n_items)
         else:
             self.user_terms, self.item_groups = [], []
-        self.p = np.stack([dev.p_u for dev in devs])
+        self.p = table.p_u[users]
         self.p_start = self.p.copy()
-        # user row j's moments at j (zero if it has none yet), and the
-        # moments of the item rows the chunk has stepped so far, keyed
-        zero = np.zeros((2, d))
-        self.moments_user = RowBlock(
-            np.arange(n), np.stack([dev.moments.user.values[0] if dev.moments.user else zero for dev in devs])
-        )
+        # user row j's moments at j, and the moments of the item rows the
+        # chunk has stepped so far, keyed
+        self.moments_user = RowBlock(np.arange(n), table.moments_user[users])
         self.moments_item = RowBlock()
-        self.t_user = np.array([dev.moments.t_user for dev in devs], dtype=np.int64)
-        self.t_item = np.array([dev.moments.t_item for dev in devs], dtype=np.int64)
-        self.work = RowBlock(values=np.zeros((0, d)))  # private item copies, keyed
+        self.t_user = table.t_user[users]
+        self.t_item = table.t_item[users]
+        self.work = RowBlock(values=np.zeros((0, item_table.shape[1])))  # private item copies, keyed
         self.loss_sums = np.zeros((4, n))  # bpr, cl, reg and total, summed over the epochs
+
+    def stored(self, keys: np.ndarray) -> np.ndarray:
+        """The table's keys of the chunk's item rows ``keys``."""
+        return keys + self.key_shift[keys // self.item_table.shape[0]]
 
     def epoch(self, negs: list[np.ndarray]) -> None:
         """One local epoch of every device, device j against negatives ``negs[j]``."""
-        n_items, d = self.item_table.shape
-        n, hyper = len(self.devs), self.hyper
+        n_items = self.item_table.shape[0]
+        n, hyper = self.users.size, self.hyper
         neg_keys = np.repeat(np.arange(n), [x.size for x in negs]) * n_items + np.concatenate(negs).astype(np.int64)
         keys = np.unique(np.concatenate([self.local_keys, neg_keys]))
         pos = np.searchsorted(keys, self.local_keys)
@@ -278,70 +396,67 @@ class _Chunk:
             self.t_item[np.unique(owner)] += 1
             grads = RowBlock(keys[r], bundle.item.values)
             new = np.setdiff1d(grads.rows, self.moments_item.rows, assume_unique=True)
-            fetched = _fetch_moments([dev.moments.item for dev in self.devs], new, n_items, d)
+            fetched = RowBlock(new, self.table.moments_item.fetch(self.stored(new)))
             self.moments_item = self.moments_item.merge(fetched)
             step = adam_update_rows(grads, self.moments_item, self.t_item[owner], hyper)
             self.work = self.work.merge(RowBlock(step.rows, rows[r] + step.values))
 
     def finish(self, tiers: list[ShareTier]) -> tuple[list[DeviceUpload], list[LossParts]]:
-        """Write every device's row and moments back and return the devices'
-        uploads and mean losses."""
+        """Write every device's row and moments back to the table and return
+        the devices' uploads and mean losses."""
         n_items = self.item_table.shape[0]
-        n, hyper, p, work = len(self.devs), self.hyper, self.p, self.work
+        n, hyper, p, work = self.users.size, self.hyper, self.p, self.work
         sharers = [j for j, tier in enumerate(tiers) if tier != ShareTier.NONE]
         user_views = {}
         if sharers:
-            ego = EgoGraph(np.concatenate(([0], np.cumsum([self.local[j].size for j in sharers]))))
+            ego = EgoGraph(np.concatenate(([0], np.cumsum(self.counts[sharers]))))
             rows = _private_rows(work, self.item_table, self.local_keys[np.isin(self.star, sharers)], n_items)
             user_views = dict(zip(sharers, ego.combine(p[sharers], rows, default_alpha(1))[0]))
 
         delta_items = work.values - self.item_table[work.rows % n_items]
         item_at = np.searchsorted(work.rows, np.arange(n + 1) * n_items)
-        moment_at = np.searchsorted(self.moments_item.rows, np.arange(n + 1) * n_items)
         changed = np.any(p != self.p_start, axis=1)
         mean_loss = (self.loss_sums / hyper.local_epochs).T.tolist()
         uploads, losses = [], []
-        for j, dev in enumerate(self.devs):
-            me = np.array([dev.user_id], dtype=np.int64)
+        for j, u in enumerate(self.users.tolist()):
             lo, hi = item_at[j], item_at[j + 1]
             delta = GradientBundle(item=RowBlock(work.rows[lo:hi] - j * n_items, delta_items[lo:hi]))
             if changed[j]:
-                delta.user = RowBlock(me, p[j : j + 1] - self.p_start[j : j + 1])
-            weight = float(self.local[j].size * hyper.local_epochs)
-            uploads.append(DeviceUpload(dev.user_id, weight, delta, user_views.get(j)))
+                delta.user = RowBlock(np.array([u], dtype=np.int64), p[j : j + 1] - self.p_start[j : j + 1])
+            weight = float(self.counts[j] * hyper.local_epochs)
+            uploads.append(DeviceUpload(u, weight, delta, user_views.get(j)))
             bpr, cl, reg, total = mean_loss[j]
             losses.append(LossParts(bpr=bpr, cl=cl, reg=reg, total=total))
-            dev.p_u[...] = p[j]
-            moments = dev.moments
-            moments.t_user, moments.t_item = int(self.t_user[j]), int(self.t_item[j])
-            if moments.t_user:
-                moments.user = RowBlock(me, self.moments_user.values[j : j + 1].copy())
-            lo, hi = moment_at[j], moment_at[j + 1]
-            if hi > lo:
-                rows = self.moments_item.rows[lo:hi] - j * n_items
-                moments.item = moments.item.merge(RowBlock(rows, self.moments_item.values[lo:hi].copy()))
+
+        table, users = self.table, self.users
+        table.p_u[users] = p
+        table.t_user[users] = self.t_user
+        table.t_item[users] = self.t_item
+        table.moments_user[users] = self.moments_user.values
+        if self.moments_item:
+            table.moments_item.write(self.stored(self.moments_item.rows), self.moments_item.values)
         return uploads, losses
 
 
-def _device_rows(devices: list[DeviceState], views: list[ReceivedViews | None]) -> np.ndarray:
+def _device_rows(table: DeviceTable, users: np.ndarray, views: list[ReceivedViews | None]) -> np.ndarray:
     """The rows of d floats each device adds to its chunk: its user row, k
     local and k negative item rows and k item keys, plus its user keys when
     it contributes. A contributor outside the shared block of m rows stacks
     the block and its own row, m + 1 keys (``_user_terms``); one inside
     takes the block itself, with no copy, and holds only its row of m
     contrastive logits, m / d rows."""
-    rows = np.array([1 + 3 * dev.local_items.size for dev in devices], dtype=np.int64)
+    rows = 1 + 3 * table.counts(users)
     on = np.array([j for j, v in enumerate(views) if v is not None], dtype=np.int64)
     if on.size:
         block = views[on[0]].user_views
-        ids = np.array([devices[j].user_id for j in on.tolist()], dtype=np.int64)
-        m, d = len(block), devices[0].p_u.size
-        rows[on] += np.where(np.isin(ids, block.rows), -(-m // d), m + 1)
+        m, d = len(block), table.p_u.shape[1]
+        rows[on] += np.where(np.isin(users[on], block.rows), -(-m // d), m + 1)
     return rows
 
 
 def client_local_train(
-    devices: list[DeviceState],
+    table: DeviceTable,
+    users: np.ndarray,
     item_table: np.ndarray,
     tiers: list[ShareTier],
     received: list[ReceivedViews | None],
@@ -349,9 +464,10 @@ def client_local_train(
     round_idx: int,
     train_seed: int,
 ) -> tuple[list[DeviceUpload], list[LossParts]]:
-    """Run every device's local epochs and produce their uploads, in order.
+    """Run the local epochs of the distinct devices ``users`` and produce
+    their uploads, in order, writing their rows and moments to ``table``.
 
-    ``tiers[j]`` and ``received[j]`` belong to ``devices[j]``, and every
+    ``tiers[j]`` and ``received[j]`` belong to ``users[j]``, and every
     ``received`` entry carries the same ``user_views`` block, as
     ``embedding_exchange`` hands them out. The devices never mutate the
     broadcast ``item_table``; each edits private copies of its touched
@@ -360,22 +476,21 @@ def client_local_train(
     and attach their local user view to the upload.
     Devices train in chunks of about ``graph._ROW_BUDGET`` rows, taken in
     ascending local-item count (``forest_chunks``); uploads and losses come
-    back in the order of ``devices``.
+    back in the order of ``users``.
     """
+    users = np.asarray(users, dtype=np.int64)
     tiers = [ShareTier(t) for t in tiers]
     views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
     n_items = item_table.shape[0]
-    uploads: list[DeviceUpload] = [None] * len(devices)
-    losses: list[LossParts] = [None] * len(devices)
-    counts = [dev.local_items.size for dev in devices]
-    for members in forest_chunks(counts, _device_rows(devices, views)):
-        members = members.tolist()
-        chunk = _Chunk([devices[j] for j in members], item_table, [views[j] for j in members], hyper)
+    uploads: list[DeviceUpload] = [None] * users.size
+    losses: list[LossParts] = [None] * users.size
+    for members in forest_chunks(table.counts(users), _device_rows(table, users, views)):
+        chunk = _Chunk(table, users[members], item_table, [views[j] for j in members.tolist()], hyper)
         for epoch in range(hyper.local_epochs):
             chunk.epoch([
-                sample_negatives(items, items.size, n_items, child_rng(train_seed, "neg", round_idx, dev.user_id, epoch))
-                for dev, items in zip(chunk.devs, chunk.local)
+                sample_negatives(table.local_items(u), k, n_items, child_rng(train_seed, "neg", round_idx, u, epoch))
+                for u, k in zip(chunk.users.tolist(), chunk.counts.tolist())
             ])
-        for j, upload, loss in zip(members, *chunk.finish([tiers[j] for j in members])):
+        for j, upload, loss in zip(members.tolist(), *chunk.finish([tiers[j] for j in members.tolist()])):
             uploads[j], losses[j] = upload, loss
     return uploads, losses

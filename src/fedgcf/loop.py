@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .client import DeviceState, ReceivedViews, client_local_train
+from .client import DeviceTable, ReceivedViews, client_local_train
 from .data import InteractionDataset, SharePolicy, assign_share_policy, attach_contributions
 from .errors import DataFormatError
 from .evaluate import evaluate
@@ -34,12 +34,16 @@ class RoundReport:
 
 @dataclass
 class RunContext:
-    """Everything a run needs, prepared once before the round loop."""
+    """Everything a run needs, prepared once before the round loop.
+
+    ``devices`` holds every device's state: user rows, train items, Adam
+    step counts and moments (``DeviceTable``).
+    """
 
     ds: InteractionDataset
     policy: SharePolicy
     hyper: HyperParams
-    devices: dict[int, DeviceState]
+    devices: DeviceTable
     server: ServerState
     audit: AuditLog
     artifacts: MendingArtifacts | None
@@ -117,8 +121,9 @@ def prepare_run(
     server_only: bool = False,
     sync_all_users: bool = False,
 ) -> RunContext:
-    """Build policy, devices, server graph, and run mending once
-    (``contribute_and_mend``).
+    """Build policy, server graph and model, run mending once
+    (``contribute_and_mend``), and start every device's row in one
+    ``DeviceTable`` as a copy of its row of the initial model.
 
     The server trains on the mended graph, or on the contributed graph
     where nothing is mended. Raises DataFormatError when a user's row holds
@@ -144,12 +149,7 @@ def prepare_run(
     _check_negatives(graph.user_deg, ds.n_items, "server-graph row")
 
     model = xavier_init(ds.n_users, ds.n_items, hyper.dim, child_rng(seed_train, "init"))
-    train_by_user = ds.pairs_by_user(ds.train)
-    no_items = np.zeros(0, dtype=np.int64)
-    devices = {
-        u: DeviceState(user_id=u, local_items=train_by_user.get(u, no_items), p_u=model.user[u].copy())
-        for u in range(ds.n_users)
-    }
+    devices = DeviceTable(model.user.copy(), ds.train)
     server = ServerState(model=model, graph=graph, shared_graph=shared_graph)
     return RunContext(
         ds=ds,
@@ -201,13 +201,13 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     user_views, item_views = _server_views(ctx)
     received_maps: dict[int, ReceivedViews] = {}
     if selected.size:
-        local_items = {u: ctx.devices[u].local_items for u in selected.tolist()}
         received_maps = embedding_exchange(
-            ctx.policy, server.uploaded, selected, user_views, item_views, local_items, round_idx, ctx.audit
+            ctx.policy, server.uploaded, selected, user_views, item_views, ctx.devices, round_idx, ctx.audit
         )
 
     uploads, losses = client_local_train(
-        [ctx.devices[u] for u in selected.tolist()],
+        ctx.devices,
+        selected,
         server.model.item,
         ctx.policy.tier[selected].tolist(),
         [received_maps.get(u) for u in selected.tolist()],
@@ -237,11 +237,10 @@ def run_round(ctx: RunContext, round_idx: int) -> RoundReport:
     merged.extend((up.delta, up.weight) for up in uploads)
     new_model = fedavg_aggregate(merged, server.model)
     server.model = new_model
-    for u in selected:
-        ctx.devices[int(u)].p_u = new_model.user[int(u)].copy()
     if ctx.sync_all_users:
-        for u, dev in ctx.devices.items():
-            dev.p_u = new_model.user[u].copy()
+        ctx.devices.p_u[...] = new_model.user
+    else:
+        ctx.devices.p_u[selected] = new_model.user[selected]
 
     participant_sum = float(sum(p.total for p in losses))
     server_loss = float(server_parts.total) if server_parts is not None else 0.0
@@ -288,8 +287,7 @@ def eval_views(ctx: RunContext, mode: str = "server"):
         return _server_views(ctx)
     if mode != "device":
         raise ValueError(f"unknown eval view mode {mode!r}")
-    device_user = np.stack([ctx.devices[u].p_u for u in range(ctx.ds.n_users)])
-    views = device_views(device_user, ctx.server.model.item, ctx.ds)
+    views = device_views(ctx.devices.p_u, ctx.server.model.item, ctx.ds)
     for view in views:
         view.flags.writeable = False
     return views

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .client import DeviceUpload, ReceivedViews, nth_outside
+from .client import DeviceTable, DeviceUpload, ReceivedViews, nth_outside
 from .data import SharePolicy, ShareTier
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, propagate_items
 from .learn import (
@@ -122,7 +122,7 @@ def embedding_exchange(
     selected: np.ndarray,
     user_views: np.ndarray,
     item_views: np.ndarray,
-    local_items: dict[int, np.ndarray],
+    devices: DeviceTable,
     round_idx: int,
     audit: AuditLog,
 ) -> dict[int, ReceivedViews]:
@@ -131,9 +131,10 @@ def embedding_exchange(
     A selected contributor (PART or ALL) gets the one read-only block of
     server-side user views of every ALL-tier user that has uploaded at
     least once, its own server-side user view, and server-side item views
-    for its local items. NONE devices and unselected devices receive
-    nothing; PART views are never placed in another device's map. The
-    audit gets one exchange record for the round.
+    for its local items, as ``devices`` holds them. NONE devices and
+    unselected devices receive nothing; PART views are never placed in
+    another device's map. The audit gets one exchange record for the
+    round.
     """
     all_sharers = uploaded.rows[policy.tier[uploaded.rows] == ShareTier.ALL]
     shared = RowBlock(all_sharers, user_views[all_sharers])
@@ -143,7 +144,7 @@ def embedding_exchange(
     selected = selected[policy.tier[selected] != ShareTier.NONE]
     received: dict[int, ReceivedViews] = {}
     for dev_id, own_view in zip(selected.tolist(), user_views[selected]):
-        items = local_items.get(dev_id, np.zeros(0, dtype=np.int64))
+        items = devices.local_items(dev_id)
         received[dev_id] = ReceivedViews(shared, own_view, RowBlock(items, item_views[items]))
     if received:
         audit.log_exchange(round_idx, selected.tolist(), shared.rows.tolist())

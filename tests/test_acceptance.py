@@ -728,8 +728,8 @@ def test_criterion_7_privacy_bookkeeping():
             assert tiers[user] != ShareTier.NONE
 
         train_by_user = ds.pairs_by_user(ds.train)
-        for u, dev in ctx.devices.items():
-            assert set(dev.local_items) <= set(train_by_user.get(u, ()))
+        for u in range(ds.n_users):
+            assert set(ctx.devices[u].local_items) <= set(train_by_user.get(u, ()))
 
         # devices and server must never read the held-out splits: swapping
         # them cannot change one bit of the training trajectory
@@ -738,7 +738,7 @@ def test_criterion_7_privacy_bookkeeping():
         assert np.array_equal(ctx.server.model.user, res_p.context.server.model.user)
         assert np.array_equal(ctx.server.model.item, res_p.context.server.model.item)
         assert res.reports == res_p.reports
-        for u in ctx.devices:
+        for u in range(ds.n_users):
             assert np.array_equal(ctx.devices[u].p_u, res_p.context.devices[u].p_u)
         print(f"  audited {len(ctx.audit.events)} events, {uploads} uploads, {distributions} distributions")
 

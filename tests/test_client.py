@@ -1,4 +1,6 @@
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,21 +11,54 @@ from hypothesis import strategies as st
 import fedgcf.client
 import fedgcf.graph
 from fedgcf.client import (
-    DeviceState,
+    DeviceTable,
     ReceivedViews,
     client_local_train,
     sample_negatives,
 )
 from fedgcf.data import ShareTier
 from fedgcf.graph import BipartiteGraph, EgoGraph, default_alpha
-from fedgcf.learn import HyperParams, LossParts, RowBlock, compute_gradients
+from fedgcf.learn import AdamMoments, HyperParams, LossParts, RowBlock, compute_gradients
 
 from oracles import as_dict, block_of, client_train_one, same_bits, server_negatives_loop
 
 
+@dataclass
+class Device:
+    """One device of a ``DeviceTable``, read through the table."""
+
+    table: DeviceTable
+    user_id: int
+
+    @property
+    def local_items(self):
+        return self.table.local_items(self.user_id)
+
+    @property
+    def p_u(self):
+        return self.table.p_u[self.user_id]
+
+
+def make_devices(specs, dim=6, n_users=None):
+    """One table holding devices ``(user_id, items, seed)``, each with its
+    own random row; the table's other users hold no items."""
+    ids = [u for u, _, _ in specs]
+    p_u = np.zeros((n_users or max(ids) + 1, dim))
+    for u, _, seed in specs:
+        p_u[u] = np.random.default_rng(seed).normal(size=dim)
+    train = np.array([(u, i) for u, items, _ in specs for i in items], dtype=np.int64).reshape(-1, 2)
+    table = DeviceTable(p_u, train[np.lexsort((train[:, 1], train[:, 0]))])
+    return [Device(table, u) for u in ids]
+
+
 def make_device(user_id=3, items=(0, 2, 5), dim=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return DeviceState(user_id=user_id, local_items=np.array(items, dtype=np.int64), p_u=rng.normal(size=dim))
+    return make_devices([(user_id, items, seed)], dim)[0]
+
+
+def train_devices(devs, table, tiers, views, hyper, round_idx, seed):
+    """``client_local_train`` on a selection of devices of one table."""
+    users = np.array([dev.user_id for dev in devs], dtype=np.int64)
+    return client_local_train(devs[0].table, users, table, tiers, views, hyper, round_idx, seed)
 
 
 def make_table(n_items=8, dim=6, seed=1):
@@ -53,7 +88,7 @@ HYPER = HyperParams(dim=6, learning_rate=0.01, local_epochs=1)
 
 def train_one(dev, table, tier, views, hyper, round_idx, seed):
     """``client_local_train`` on a selection of one device."""
-    (upload,), (loss,) = client_local_train([dev], table, [tier], [views], hyper, round_idx, seed)
+    (upload,), (loss,) = train_devices([dev], table, [tier], [views], hyper, round_idx, seed)
     return upload, loss
 
 
@@ -243,7 +278,7 @@ def test_multi_epoch_accumulates_on_private_copies():
     hyper = HyperParams(dim=6, learning_rate=0.01, local_epochs=3)
     upload, loss = train_one(dev, table, ShareTier.NONE, None, hyper, 0, 42)
     assert np.array_equal(table, frozen)
-    assert dev.moments.t_user == 3 and dev.moments.t_item == 3
+    assert dev.table.t_user[dev.user_id] == 3 and dev.table.t_item[dev.user_id] == 3
     assert loss.total > 0.0
 
 
@@ -288,11 +323,7 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
     # BipartiteGraph: gradient bundles must agree bit for bit, and each
     # star's losses must equal the graph's losses of that star's terms alone
     table = make_table(n_items=48)
-    devs = [
-        make_device(user_id=3, items=items),
-        make_device(user_id=5, items=(1, 4), seed=1),
-        make_device(user_id=8, items=(7,), seed=2),
-    ]
+    devs = make_devices([(3, items, 0), (5, (1, 4), 1), (8, (7,), 2)])
     views = [make_views(dev, table) if with_views else None for dev in devs]
     steps = []
 
@@ -308,7 +339,7 @@ def test_device_steps_are_bitwise_the_bipartite_star(monkeypatch, with_views, it
     monkeypatch.setattr(fedgcf.client, "compute_gradients", on_both_graphs)
     hyper = HyperParams(dim=6, learning_rate=0.01, local_epochs=4)
     for round_idx in range(2):
-        client_local_train(devs, table, [ShareTier.ALL] * 3, views, hyper, round_idx, 42)
+        train_devices(devs, table, [ShareTier.ALL] * 3, views, hyper, round_idx, 42)
     assert len(steps) == 8
     assert any(parts.cl[0] > 0.0 for (parts, _), _, _ in steps) == with_views
     for (parts, bundle), want_bundle, stars in steps:
@@ -324,20 +355,16 @@ def test_chunk_rows_count_the_shared_block_once_per_outsider():
     # logits, a third of a row at d = 6; a NONE-tier device and one without
     # views hold no user keys
     table = make_table()
-    devs = [
-        make_device(user_id=3, items=(0, 2, 5)),
-        make_device(user_id=5, items=(1, 4), seed=1),
-        make_device(user_id=8, items=(7,), seed=2),
-        make_device(user_id=9, items=(3,), seed=3),
-    ]
+    devs = make_devices([(3, (0, 2, 5), 0), (5, (1, 4), 1), (8, (7,), 2), (9, (3,), 3)])
+    devices, users = devs[0].table, np.array([3, 5, 8, 9])
     views = [make_views(dev, table) for dev in devs[:3]] + [None]
-    assert fedgcf.client._device_rows(devs, views).tolist() == [1 + 9 + 3, 1 + 6 + 1, 1 + 3 + 3, 1 + 3]
-    assert fedgcf.client._device_rows(devs, [None] * 4).tolist() == [10, 7, 4, 4]
+    assert fedgcf.client._device_rows(devices, users, views).tolist() == [1 + 9 + 3, 1 + 6 + 1, 1 + 3 + 3, 1 + 3]
+    assert fedgcf.client._device_rows(devices, users, [None] * 4).tolist() == [10, 7, 4, 4]
     # a block of 13 rows: outsiders hold 14 user keys, insiders 13 logits,
     # three rows of 6
     wide = RowBlock(np.array([5, *range(20, 32)]), np.zeros((13, 6)))
     views = [ReceivedViews(wide, np.zeros(6), RowBlock(values=np.zeros((0, 6)))) for _ in devs]
-    assert fedgcf.client._device_rows(devs, views).tolist() == [10 + 14, 7 + 3, 4 + 14, 4 + 14]
+    assert fedgcf.client._device_rows(devices, users, views).tolist() == [10 + 14, 7 + 3, 4 + 14, 4 + 14]
 
 
 def random_views(rng, dev, dim, shared):
@@ -380,9 +407,14 @@ def test_batch_is_bitwise_the_single_device_oracle(
     item_sets = [np.sort(rng.choice(n_items, size=int(rng.integers(0, n_items)), replace=False)) for _ in ids]
     if descending:
         item_sets.sort(key=len, reverse=True)
-    devs = [make_device(int(u), items, dim, seed + j) for j, (u, items) in enumerate(zip(ids.tolist(), item_sets))]
+    specs = [(int(u), items, seed + j) for j, (u, items) in enumerate(zip(ids.tolist(), item_sets))]
+    devs = make_devices(specs, dim, n_users=50)
+    devices = devs[0].table
     count = {dev.user_id: dev.local_items.size for dev in devs}
-    twins = [DeviceState(dev.user_id, dev.local_items.copy(), dev.p_u.copy()) for dev in devs]
+    twins = [
+        SimpleNamespace(user_id=dev.user_id, local_items=dev.local_items.copy(), p_u=dev.p_u.copy(), moments=AdamMoments())
+        for dev in devs
+    ]
     table = rng.normal(size=(n_items, dim))
     shared_ids = np.sort(rng.choice(ids, size=int(rng.integers(0, n_devices + 1)), replace=False))
     shared = RowBlock(shared_ids, rng.normal(size=(shared_ids.size, dim)))
@@ -392,12 +424,12 @@ def test_batch_is_bitwise_the_single_device_oracle(
         views = [random_views(rng, dev, dim, shared) if rng.random() < 0.8 else None for dev in devs]
         chunks = []
 
-        def spy(members, *args, chunk=fedgcf.client._Chunk):
-            chunks.append([dev.user_id for dev in members])
-            return chunk(members, *args)
+        def spy(devices, members, *args, chunk=fedgcf.client._Chunk):
+            chunks.append(members.tolist())
+            return chunk(devices, members, *args)
 
         with mock.patch.object(fedgcf.graph, "_ROW_BUDGET", budget), mock.patch.object(fedgcf.client, "_Chunk", spy):
-            uploads, losses = client_local_train(devs, table, tiers, views, hyper, round_idx, seed)
+            uploads, losses = train_devices(devs, table, tiers, views, hyper, round_idx, seed)
         trained = [u for members in chunks for u in members]
         assert sorted(trained) == ids.tolist()
         assert all(count[a] <= count[b] for a, b in zip(trained, trained[1:]))
@@ -412,19 +444,65 @@ def test_batch_is_bitwise_the_single_device_oracle(
             assert (got.user_view is None) == (want_upload.user_view is None)
             if got.user_view is not None:
                 assert same_bits(got.user_view, want_upload.user_view)
-            dev = devs[j]
-            assert same_bits(dev.p_u, twin.p_u)
-            assert (dev.moments.t_user, dev.moments.t_item) == (twin.moments.t_user, twin.moments.t_item)
-            for block, want in ((dev.moments.user, twin.moments.user), (dev.moments.item, twin.moments.item)):
-                assert same_bits(block.rows, want.rows)
-                assert same_bits(block.values.ravel(), want.values.ravel())
+            u = devs[j].user_id
+            assert same_bits(devices.p_u[u], twin.p_u)
+            assert (devices.t_user[u], devices.t_item[u]) == (twin.moments.t_user, twin.moments.t_item)
+            # the user row's moments, zero before its first step
+            want = twin.moments.user.values[0] if twin.moments.user else np.zeros((2, dim))
+            assert same_bits(devices.moments_user[u], want)
+            # the device's item moments, keyed u * n_items + item in the table
+            store = devices.moments_item
+            lo, hi = np.searchsorted(store.keys, [u * n_items, (u + 1) * n_items])
+            assert same_bits(store.keys[lo:hi] - u * n_items, twin.moments.item.rows)
+            assert same_bits(store.fetch(store.keys[lo:hi]).ravel(), twin.moments.item.values.ravel())
 
 
 def test_moments_persist_across_rounds():
     table = make_table()
     dev = make_device()
     train_one(dev, table, ShareTier.NONE, None, HYPER, 0, 42)
-    t_after_first = dev.moments.t_user
+    t_after_first = dev.table.t_user[dev.user_id]
     train_one(dev, table, ShareTier.NONE, None, HYPER, 1, 42)
-    assert dev.moments.t_user == t_after_first + 1
-    assert dev.user_id in as_dict(dev.moments.user)
+    assert dev.table.t_user[dev.user_id] == t_after_first + 1
+    assert np.any(dev.table.moments_user[dev.user_id] != 0.0)
+
+
+def test_training_never_copies_the_moment_store():
+    # a store of 50k item-moment rows (50 MB at d = 64) from devices that
+    # do not train, then one call on three devices: what the call allocates
+    # at its peak is bounded by its chunk's rows and one store page, not by
+    # the store, so neither a fetch nor a write-back copies the store
+    dim, n_items, n_users = 64, 100, 503
+    rng = np.random.default_rng(0)
+    specs = [(u, np.sort(rng.choice(n_items, size=10, replace=False)), u) for u in range(3)]
+    devs = make_devices(specs, dim, n_users=n_users)
+    devices = devs[0].table
+    # each trainer already holds the moments of its first item, so the call
+    # both updates stored rows and appends new ones
+    store = devices.moments_item
+    held = np.array([u * n_items + items[0] for u, items, _ in specs])
+    store.write(held, np.ones((3, 2, dim)))
+    keys = np.arange(3 * n_items, n_users * n_items)
+    for lo in range(0, keys.size, 4096):
+        store.write(keys[lo : lo + 4096], np.ones((keys[lo : lo + 4096].size, 2, dim)))
+    assert len(store) >= 50_000
+    table = make_table(n_items, dim)
+    hyper = HyperParams(dim=dim, learning_rate=0.01, local_epochs=2)
+    users = np.arange(3)
+    chunk_rows = int(fedgcf.client._device_rows(devices, users, [None] * 3).sum())
+    page_bytes = fedgcf.client._PAGE_ROWS * 2 * dim * 8
+    store_bytes = len(store) * 2 * dim * 8
+
+    tracemalloc.start()
+    try:
+        train_devices(devs, table, [ShareTier.NONE] * 3, [None] * 3, hyper, 0, 42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a chunk row is d floats; its epochs hold a few dozen arrays of its
+    # rows (rows, gradients, moments, their Adam temporaries). The call
+    # peaks at about 2 MB here, and at a store of 100k rows too
+    bound = 64 * chunk_rows * dim * 8 + page_bytes
+    assert bound < store_bytes / 8
+    assert peak < bound, (peak, bound)
+    assert len(store) > 3 + keys.size and not np.any(store.fetch(held) == 1.0)

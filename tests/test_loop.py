@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedgcf.graph
+import fedgcf.loop
 from fedgcf.data import InteractionDataset, ShareTier, split_dataset, synth_dataset
 from fedgcf.errors import DataFormatError
 from fedgcf.learn import HyperParams
@@ -26,6 +27,33 @@ from oracles import device_views_loop, has_edge, pair_set, same_bits
 def toy_dataset(seed=0):
     ds = synth_dataset(16, 20, 2, 0.5, seed=seed)
     return split_dataset(ds, seed=seed)
+
+
+def held_out_dataset(seed=0):
+    """40 users of 300 items at density 0.1, split 8/2/1: unlike
+    ``toy_dataset``, whose users are too small to hold out a pair, most
+    users have val pairs and some have test pairs."""
+    return split_dataset(synth_dataset(40, 300, 4, 0.1, seed=seed), (8, 2, 1), seed=seed)
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The number of users each ``evaluate`` call of a run ranks, per split."""
+    counts = []
+    real = fedgcf.loop.evaluate
+
+    def counting(user_views, item_views, ds, split, *args):
+        result = real(user_views, item_views, ds, split, *args)
+        counts.append((split, len(result.per_user)))
+        return result
+
+    monkeypatch.setattr(fedgcf.loop, "evaluate", counting)
+    return counts
+
+
+def ranks_everywhere(counts, evals):
+    """Every evaluation of ``evals`` ranked users in both splits."""
+    return len(counts) == 2 * len(evals) and all(n > 0 for _, n in counts)
 
 
 def toy_hyper(**kw):
@@ -65,11 +93,11 @@ def test_select_clients_clamps_and_empties():
 def test_prepare_run_initializes_devices_from_model():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper(), seed_policy=1, seed_train=2)
-    assert set(ctx.devices) == set(range(ds.n_users))
-    for u, dev in ctx.devices.items():
-        assert np.array_equal(dev.p_u, ctx.server.model.user[u])
-        assert dev.p_u is not ctx.server.model.user[u]  # private copy
-        assert dev.local_items.tolist() == sorted(i for uu, i in ds.train.tolist() if uu == u)
+    assert len(ctx.devices) == ds.n_users
+    assert np.array_equal(ctx.devices.p_u, ctx.server.model.user)
+    assert not np.shares_memory(ctx.devices.p_u, ctx.server.model.user)  # private copy
+    for u in range(ds.n_users):
+        assert ctx.devices[u].local_items.tolist() == sorted(i for uu, i in ds.train.tolist() if uu == u)
     # mended graph supersets the contributed graph
     shared = ctx.server.shared_graph
     assert ctx.server.graph.edge_count >= shared.edge_count
@@ -150,19 +178,19 @@ def test_run_round_accounting_and_resync():
 def test_run_round_nonparticipants_keep_rows():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper())
-    before = {u: dev.p_u.copy() for u, dev in ctx.devices.items()}
+    before = ctx.devices.p_u.copy()
     report = run_round(ctx, 1)
-    outside = set(ctx.devices) - set(report.participants)
+    outside = set(range(ds.n_users)) - set(report.participants)
     for u in outside:
-        assert np.array_equal(ctx.devices[u].p_u, before[u])
+        assert np.array_equal(ctx.devices.p_u[u], before[u])
 
 
 def test_run_round_sync_all_users():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper(), sync_all_users=True)
     run_round(ctx, 1)
-    for u, dev in ctx.devices.items():
-        assert np.array_equal(dev.p_u, ctx.server.model.user[u])
+    for u in range(ds.n_users):
+        assert np.array_equal(ctx.devices.p_u[u], ctx.server.model.user[u])
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-3])
@@ -198,13 +226,13 @@ def test_ldp_generators_only_where_noise_is_drawn(monkeypatch, noise):
 def test_server_only_round_trains_server_alone():
     ds = toy_dataset()
     ctx = prepare_run(ds, toy_hyper(), server_only=True)
-    before = {u: dev.p_u.copy() for u, dev in ctx.devices.items()}
+    before = ctx.devices.p_u.copy()
     report = run_round(ctx, 1)
     assert report.participants == ()
     assert report.participant_loss_sum == 0.0
     assert report.server_loss > 0.0
-    for u, dev in ctx.devices.items():
-        assert np.array_equal(dev.p_u, before[u])
+    for u in range(ds.n_users):
+        assert np.array_equal(ctx.devices.p_u[u], before[u])
 
 
 # ---------------------------------------------------------------- training
@@ -221,9 +249,10 @@ def test_readme_library_snippet_runs(capsys):
     assert float(capsys.readouterr().out) == result.evals[-1]["test_recall"]
 
 
-def test_run_training_deterministic():
-    ds = toy_dataset()
+def test_run_training_deterministic(ranked):
+    ds = held_out_dataset()
     res_a = run_training(ds, toy_hyper())
+    assert ranks_everywhere(ranked, res_a.evals)
     res_b = run_training(ds, toy_hyper())
     assert res_a.reports == res_b.reports
     assert res_a.evals == res_b.evals
@@ -240,29 +269,31 @@ def test_run_training_seed_sensitivity():
     )
 
 
-def test_run_training_zero_rounds_evaluates_once():
-    ds = toy_dataset()
+def test_run_training_zero_rounds_evaluates_once(ranked):
+    ds = held_out_dataset()
     res = run_training(ds, toy_hyper(rounds=0))
+    assert ranks_everywhere(ranked, res.evals)
     assert res.reports == []
     assert len(res.evals) == 1 and res.evals[0]["round"] == 0
     assert res.rounds_run == 0 and not res.stopped_early
 
 
-def test_run_training_eval_cadence():
-    ds = toy_dataset()
+def test_run_training_eval_cadence(ranked):
+    ds = held_out_dataset()
     res = run_training(ds, toy_hyper(rounds=5, eval_every=2, patience=100))
+    assert ranks_everywhere(ranked, res.evals)
     assert [e["round"] for e in res.evals] == [0, 2, 4, 5]
     assert res.rounds_run == 5
 
 
-def test_run_training_early_stop_on_plateau():
-    # toy_dataset's users are too small to hold out a val pair
-    ds = split_dataset(synth_dataset(16, 20, 2, 0.8, seed=0), seed=0)
+def test_run_training_early_stop_on_plateau(ranked):
+    ds = held_out_dataset()
     assert ds.val.shape[0] > 0
     # a learning rate of ~0 freezes the model, so validation recall never
     # improves and patience trips at the first post-round evaluation
     hyper = toy_hyper(learning_rate=1e-12, rounds=50, eval_every=1, patience=2)
     res = run_training(ds, hyper)
+    assert ranks_everywhere(ranked, res.evals)
     assert res.stopped_early
     assert res.rounds_run == 2
 
@@ -275,8 +306,8 @@ def test_run_training_without_val_pairs_never_stops_early():
     assert res.rounds_run == 4 and not res.stopped_early
 
 
-def test_run_training_val_test_never_influence_model():
-    ds_a = toy_dataset()
+def test_run_training_val_test_never_influence_model(ranked):
+    ds_a = held_out_dataset()
     rng = np.random.default_rng(99)
     # same train pairs, scrambled val/test assignment
     swapped = pair_set(ds_a.val) | pair_set(ds_a.test)
@@ -289,6 +320,7 @@ def test_run_training_val_test_never_influence_model():
         test=swapped - val2,
     )
     res_a = run_training(ds_a, toy_hyper())
+    assert ranks_everywhere(ranked, res_a.evals)
     res_b = run_training(ds_b, toy_hyper())
     assert np.array_equal(res_a.context.server.model.user, res_b.context.server.model.user)
     assert np.array_equal(res_a.context.server.model.item, res_b.context.server.model.item)
@@ -319,11 +351,11 @@ def test_eval_views_device_uses_local_items():
     ctx = prepare_run(ds, toy_hyper())
     u_dev, _ = eval_views(ctx, "device")
     # a user's device view depends only on p_u and local item rows
-    some_u = next(u for u, d in ctx.devices.items() if d.local_items.size)
-    ctx.devices[some_u].p_u = ctx.devices[some_u].p_u + 1.0
+    some_u = next(u for u in range(ds.n_users) if ctx.devices[u].local_items.size)
+    ctx.devices.p_u[some_u] += 1.0
     u_dev2, _ = eval_views(ctx, "device")
     assert not np.array_equal(u_dev[some_u], u_dev2[some_u])
-    others = [u for u in ctx.devices if u != some_u]
+    others = [u for u in range(ds.n_users) if u != some_u]
     assert np.array_equal(u_dev[others], u_dev2[others])
 
 
@@ -368,9 +400,10 @@ def test_one_server_forward_per_model():
     assert counts == [0, 2 * layers, 3 * layers, 4 * layers]
 
 
-def test_eval_cadence_never_changes_training_bits():
-    ds = toy_dataset()
+def test_eval_cadence_never_changes_training_bits(ranked):
+    ds = held_out_dataset()
     every = run_training(ds, toy_hyper(rounds=4, eval_every=1, patience=4))
+    assert ranks_everywhere(ranked, every.evals)
     sparse = run_training(ds, toy_hyper(rounds=4, eval_every=3, patience=4))
     assert [e["round"] for e in sparse.evals] == [0, 3, 4]
     assert every.rounds_run == sparse.rounds_run == 4

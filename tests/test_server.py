@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fedgcf.server as server_module
 from fedgcf import cli
-from fedgcf.client import DeviceUpload, ReceivedViews
+from fedgcf.client import DeviceTable, DeviceUpload, ReceivedViews
 from fedgcf.data import SharePolicy, ShareTier
 from fedgcf.graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine
 from fedgcf.learn import GradientBundle, HyperParams, RowBlock
@@ -57,6 +57,12 @@ def make_server(dim=4, seed=0):
 # ---------------------------------------------------------------- exchange
 
 
+def devices_holding(local_items: dict, n_users=4, dim=4) -> DeviceTable:
+    """A device table in which user u's train items are ``local_items[u]``."""
+    train = np.array([(u, i) for u in sorted(local_items) for i in local_items[u]], dtype=np.int64)
+    return DeviceTable(np.zeros((n_users, dim)), train.reshape(-1, 2))
+
+
 def user_keys(views: ReceivedViews, dev_id: int) -> dict:
     """The user views a device aligns with: the shared block plus its own."""
     return {**as_dict(views.user_views), dev_id: views.own_view}
@@ -68,9 +74,9 @@ def test_exchange_tier_rules():
     server.uploaded = stored_views([1, 2, 3], rng)
     user_views = rng.normal(size=(4, 4))
     item_views = rng.normal(size=(3, 4))
-    local_items = {u: np.array(items) for u, items in {0: [0], 1: [0], 2: [0, 1], 3: [1, 2]}.items()}
+    devices = devices_holding({0: [0], 1: [0], 2: [0, 1], 3: [1, 2]})
     received = embedding_exchange(
-        policy, server.uploaded, np.arange(4), user_views, item_views, local_items, 0, AuditLog()
+        policy, server.uploaded, np.arange(4), user_views, item_views, devices, 0, AuditLog()
     )
     # NONE user gets nothing at all
     assert 0 not in received
@@ -99,7 +105,7 @@ def test_exchange_only_selected_devices():
         np.array([2]),
         user_views,
         rng.normal(size=(3, 4)),
-        {2: np.array([0])},
+        devices_holding({2: [0]}),
         0,
         AuditLog(),
     )
@@ -115,7 +121,7 @@ def test_exchange_all_views_require_prior_upload():
     server.uploaded = stored_views([3], rng)
     received = embedding_exchange(
         policy, server.uploaded, np.array([1]), rng.normal(size=(4, 4)),
-        rng.normal(size=(3, 4)), {1: ()}, 0, AuditLog(),
+        rng.normal(size=(3, 4)), devices_holding({}), 0, AuditLog(),
     )
     # user 2 is ALL-tier but never uploaded, so its view is not distributed
     assert set(user_keys(received[1], 1)) == {1, 3}
@@ -128,7 +134,7 @@ def test_exchange_audit_log(tmp_path):
     audit = AuditLog()
     embedding_exchange(
         policy, server.uploaded, np.arange(4), rng.normal(size=(4, 4)),
-        rng.normal(size=(3, 4)), {}, 5, audit,
+        rng.normal(size=(3, 4)), devices_holding({}), 5, audit,
     )
     assert audit.violations(policy) == []
     # one record: each sharer got its own view, and user 2's view went to all three
@@ -145,7 +151,7 @@ def test_exchange_shares_one_read_only_block():
     server.uploaded = stored_views([1, 2, 3], rng)
     user_views = rng.normal(size=(4, 4))
     received = embedding_exchange(
-        policy, server.uploaded, np.arange(4), user_views, rng.normal(size=(3, 4)), {}, 0, AuditLog()
+        policy, server.uploaded, np.arange(4), user_views, rng.normal(size=(3, 4)), devices_holding({}), 0, AuditLog()
     )
     shared = received[2].user_views
     assert shared.rows.tolist() == [2, 3]
