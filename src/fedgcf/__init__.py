@@ -41,7 +41,7 @@ from .learn import (
     compute_gradients,
 )
 from .mending import MendingArtifacts, impair_graph, mend_graph, predict_links, train_mender
-from .client import DeviceTable, DeviceUpload, ReceivedViews, client_local_train, sample_negatives
+from .client import DeviceTable, DeviceUpload, ReceivedViews, client_local_train
 from .server import (
     AuditLog,
     ServerState,

@@ -212,28 +212,6 @@ def nth_outside(members: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q + np.searchsorted(members - np.arange(members.size), q, side="right")
 
 
-def sample_negatives(
-    interacted: np.ndarray, k: int, n_items: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k uniform items outside ``interacted``.
-
-    Sampling is without replacement while the complement allows it; when k
-    exceeds the complement size the draw falls back to replacement so the
-    caller still gets k negatives. The draw is ``rng.choice`` of the
-    complement's size, which draws what ``rng.choice`` of the complement
-    itself would; ``nth_outside`` maps it to items.
-    """
-    items = np.asarray(interacted, dtype=np.int64)
-    if items.size > 1 and not (items[1:] > items[:-1]).all():
-        items = np.unique(items)  # a device's local items are already ascending
-    free = n_items - items.size
-    if free == 0:
-        raise ValueError("user interacted with every item; no negatives exist")
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64)
-    return nth_outside(items, rng.choice(free, size=k, replace=k > free))
-
-
 def _private_rows(work: RowBlock, item_table: np.ndarray, keys: np.ndarray, n_items: int) -> np.ndarray:
     """Rows ``keys`` (star * n_items + item) as their devices see them: the
     device's private copy where it has one, the broadcast table otherwise."""
@@ -328,6 +306,9 @@ class _Chunk:
         item_ptr = np.concatenate(([0], np.cumsum(self.counts)))
         at = np.repeat(table.item_ptr[users] - item_ptr[:-1], self.counts) + np.arange(item_ptr[-1])
         self.local_keys = self.star * n_items + table.items[at]
+        # per local item of device j, how many keys below j * n_items are
+        # not local keys: all of them but the items of devices 0 .. j - 1
+        self.outside_before = np.repeat(np.arange(n) * n_items - item_ptr[:-1], self.counts)
         self.key_shift = (users - np.arange(n)) * n_items
         if hyper.cl_weight > 0.0:
             self.user_terms = _user_terms(users, views)
@@ -349,11 +330,23 @@ class _Chunk:
         """The table's keys of the chunk's item rows ``keys``."""
         return keys + self.key_shift[keys // self.item_table.shape[0]]
 
-    def epoch(self, negs: list[np.ndarray]) -> None:
-        """One local epoch of every device, device j against negatives ``negs[j]``."""
+    def negatives(self, rngs: list[np.random.Generator]) -> np.ndarray:
+        """One negative per local item of each device, keyed as its items:
+        device j takes ``rngs[j].choice`` of its complement's size (with
+        replacement only when it holds more items than it lacks), and one
+        ``nth_outside`` over ``local_keys`` maps every device's draws past
+        its own items."""
+        free = self.item_table.shape[0] - self.counts
+        if (free == 0).any():
+            raise ValueError(f"user {self.users[np.argmax(free == 0)]} interacted with every item; no negatives exist")
+        draws = [rng.choice(f, size=k, replace=k > f) for rng, f, k in zip(rngs, free.tolist(), self.counts.tolist())]
+        return nth_outside(self.local_keys, self.outside_before + np.concatenate(draws))
+
+    def epoch(self, neg_keys: np.ndarray) -> None:
+        """One local epoch of every device, against the negatives
+        ``neg_keys`` (``negatives``), one per local key in its order."""
         n_items = self.item_table.shape[0]
         n, hyper = self.users.size, self.hyper
-        neg_keys = np.repeat(np.arange(n), [x.size for x in negs]) * n_items + np.concatenate(negs).astype(np.int64)
         keys = np.unique(np.concatenate([self.local_keys, neg_keys]))
         pos = np.searchsorted(keys, self.local_keys)
         rows = _private_rows(self.work, self.item_table, keys, n_items)
@@ -481,16 +474,12 @@ def client_local_train(
     users = np.asarray(users, dtype=np.int64)
     tiers = [ShareTier(t) for t in tiers]
     views = [None if tier == ShareTier.NONE else v for tier, v in zip(tiers, received)]
-    n_items = item_table.shape[0]
     uploads: list[DeviceUpload] = [None] * users.size
     losses: list[LossParts] = [None] * users.size
     for members in forest_chunks(table.counts(users), _device_rows(table, users, views)):
         chunk = _Chunk(table, users[members], item_table, [views[j] for j in members.tolist()], hyper)
         for epoch in range(hyper.local_epochs):
-            chunk.epoch([
-                sample_negatives(table.local_items(u), k, n_items, child_rng(train_seed, "neg", round_idx, u, epoch))
-                for u, k in zip(chunk.users.tolist(), chunk.counts.tolist())
-            ])
+            chunk.epoch(chunk.negatives([child_rng(train_seed, "neg", round_idx, u, epoch) for u in chunk.users.tolist()]))
         for j, upload, loss in zip(members.tolist(), *chunk.finish([tiers[j] for j in members.tolist()])):
             uploads[j], losses[j] = upload, loss
     return uploads, losses

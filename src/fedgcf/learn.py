@@ -127,7 +127,11 @@ class RowBlock:
 
 
 def _nonzero_rows(table: np.ndarray) -> RowBlock:
-    rows = np.nonzero(np.any(table != 0.0, axis=1))[0]
+    """The nonzero rows of ``table``: the table itself when every row is."""
+    nonzero = np.any(table != 0.0, axis=1)
+    if nonzero.all():
+        return RowBlock(np.arange(len(table)), table)
+    rows = np.flatnonzero(nonzero)
     return RowBlock(rows, table[rows])
 
 
@@ -136,7 +140,9 @@ class GradientBundle:
     """Sparse per-row vectors over the two embedding tables.
 
     Used both for gradients and for parameter deltas; only rows touched by
-    the producing computation are present.
+    the producing computation are present. A block's values may be the
+    producer's own table (``compute_gradients`` hands out its dense
+    gradient when every row is nonzero), so no caller writes them.
     """
 
     user: RowBlock = field(default_factory=RowBlock)
@@ -320,9 +326,11 @@ class LossSpec:
     BPR triplets index rows of the propagated tables. ``link_positives`` /
     ``link_negatives`` are (u,i) pairs for the mending objective.
     ``reg_user_rows`` / ``reg_item_rows`` are the layer-0 rows regularized
-    once in the combined objective. ``views``, when given, are the final
-    (user, item) views of the state over ``graph`` with ``alpha``, which
-    the gradient then reads instead of computing its forward pass.
+    once in the combined objective; callers pass them ascending and unique
+    (others are sorted and deduplicated first). ``views``, when given, are
+    the final (user, item) views of the state over ``graph`` with
+    ``alpha``, which the gradient then reads instead of computing its
+    forward pass.
     """
 
     graph: BipartiteGraph | EgoGraph
@@ -387,9 +395,12 @@ def _star_sums(values: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
     """Per star of a forest, ``np.sum`` of the rows of ``values`` it owns,
     bit for bit: each star's rows form one run in their given order, and
     the runs of one length are summed as the rows of one matrix, which
-    numpy adds exactly as it adds each run alone."""
-    order = np.argsort(owners, kind="stable")
-    flat = values[order].reshape(-1)
+    numpy adds exactly as it adds each run alone. Owners that already
+    ascend, as a forest's callers pass them, are read in place."""
+    if np.all(owners[1:] >= owners[:-1]):
+        flat = values.reshape(-1)
+    else:
+        flat = values[np.argsort(owners, kind="stable")].reshape(-1)
     counts = np.bincount(owners, minlength=n) * (flat.size // max(len(values), 1))
     starts = np.cumsum(counts) - counts
     out = np.zeros(n)
@@ -397,6 +408,24 @@ def _star_sums(values: np.ndarray, owners: np.ndarray, n: int) -> np.ndarray:
         stars = np.flatnonzero(counts == c)
         out[stars] = flat[starts[stars, None] + np.arange(c)].sum(axis=1)
     return out
+
+
+def _distinct(rows) -> np.ndarray:
+    """Row ids ascending and unique: as given when they already are, as
+    every caller passes them, else through ``np.unique``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size > 1 and not np.all(rows[1:] > rows[:-1]):
+        rows = np.unique(rows)
+    return rows
+
+
+def _rows_of(table: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
+    """An index of ascending unique ``rows`` and ``table[rows]``: a whole
+    slice and the table itself, with no copy, when they are all of its rows."""
+    n = len(table)
+    if rows.size == n > 0 and rows[0] == 0 and rows[-1] == n - 1:
+        return slice(None), table
+    return rows, table[rows]
 
 
 def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts, GradientBundle]:
@@ -479,12 +508,12 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
             add_rows(grad_i, items, sign * d_zi)
         parts.mend += loss_sum(np.abs(resid), pairs[:, 0])
 
-    reg_u = np.unique(np.asarray(spec.reg_user_rows, dtype=np.int64))
-    reg_i = np.unique(np.asarray(spec.reg_item_rows, dtype=np.int64))
+    reg_u, reg_i = _distinct(spec.reg_user_rows), _distinct(spec.reg_item_rows)
+    (at_u, reg_user), (at_i, reg_item) = _rows_of(state.user, reg_u), _rows_of(state.item, reg_i)
     if reg_u.size:
-        parts.reg += loss_sum(state.user[reg_u] ** 2, reg_u)
+        parts.reg += loss_sum(reg_user**2, reg_u)
     if reg_i.size:
-        parts.reg += loss_sum(state.item[reg_i] ** 2, spec.graph.item_owner[reg_i] if forest else None)
+        parts.reg += loss_sum(reg_item**2, spec.graph.item_owner[reg_i] if forest else None)
 
     parts.total = parts.bpr + spec.cl_weight * parts.cl + parts.mend + spec.reg_lambda * parts.reg
 
@@ -494,9 +523,9 @@ def compute_gradients(spec: LossSpec, state: EmbeddingState) -> tuple[LossParts,
     grad_u0, grad_i0 = spec.graph.combine(grad_u, grad_i, spec.alpha)
     if spec.reg_lambda > 0.0:
         if reg_u.size:
-            grad_u0[reg_u] += 2.0 * spec.reg_lambda * state.user[reg_u]
+            grad_u0[at_u] += 2.0 * spec.reg_lambda * reg_user
         if reg_i.size:
-            grad_i0[reg_i] += 2.0 * spec.reg_lambda * state.item[reg_i]
+            grad_i0[at_i] += 2.0 * spec.reg_lambda * reg_item
     bundle = GradientBundle(_nonzero_rows(grad_u0), _nonzero_rows(grad_i0))
     bundle.check_finite()
     return parts, bundle
@@ -544,13 +573,23 @@ def adam_update_rows(grads: RowBlock, moments: RowBlock, t: int | np.ndarray, hy
     mv = moments.values[at]
     m, v = mv[:, 0], mv[:, 1]
     g = grads.values
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and the step
+    # -lr (m / bc1) / (sqrt(v / bc2) + eps), each operation as that formula
+    # takes it, through two temporaries
+    a, b = np.empty_like(g), np.empty_like(g)
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=a)
     v *= b2
-    v += (1.0 - b2) * g * g
+    np.multiply(1.0 - b2, g, out=a)
+    v += np.multiply(a, g, out=a)
     if not every:
         moments.values[at] = mv
-    return RowBlock(grads.rows, -hyper.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + hyper.adam_eps))
+    np.divide(m, bc1, out=a)
+    np.multiply(-hyper.learning_rate, a, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += hyper.adam_eps
+    return RowBlock(grads.rows, np.divide(a, b, out=a))
 
 
 def adam_step(

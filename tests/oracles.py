@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from fedgcf.client import DeviceUpload, sample_negatives
+from fedgcf.client import DeviceUpload
 from fedgcf.data import ShareTier
 from fedgcf.errors import ConfigError
 from fedgcf.graph import BipartiteGraph, EgoGraph, EmbeddingState, default_alpha, propagate_combine
@@ -638,6 +638,18 @@ def sample_negative_links_loop(g_full, count: int, rng):
         idx = rng.choice(len(candidates), size=need, replace=len(candidates) < need)
         out.extend(candidates[j] for j in np.atleast_1d(idx))
     return np.asarray(out, dtype=np.int64).reshape(-1, 2), need
+
+
+def sample_negatives(interacted: np.ndarray, k: int, n_items: int, rng) -> np.ndarray:
+    """k uniform items outside ``interacted``, as one device draws them:
+    ``rng.choice`` of the complement's size, without replacement while the
+    complement allows it, indexing the ascending complement itself."""
+    complement = np.setdiff1d(np.arange(n_items), interacted)
+    if complement.size == 0:
+        raise ValueError("user interacted with every item; no negatives exist")
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
+    return complement[rng.choice(complement.size, size=k, replace=k > complement.size)]
 
 
 def server_negatives_loop(graph, users: np.ndarray, rng) -> np.ndarray:

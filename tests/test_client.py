@@ -14,13 +14,12 @@ from fedgcf.client import (
     DeviceTable,
     ReceivedViews,
     client_local_train,
-    sample_negatives,
 )
 from fedgcf.data import ShareTier
 from fedgcf.graph import BipartiteGraph, EgoGraph, default_alpha
 from fedgcf.learn import AdamMoments, HyperParams, LossParts, RowBlock, compute_gradients
 
-from oracles import as_dict, block_of, client_train_one, same_bits, server_negatives_loop
+from oracles import as_dict, block_of, client_train_one, same_bits, sample_negatives, server_negatives_loop
 
 
 @dataclass
@@ -93,6 +92,10 @@ def train_one(dev, table, tier, views, hyper, round_idx, seed):
 
 
 # ---------------------------------------------------------------- negatives
+#
+# ``sample_negatives`` is the oracles' one-device draw, which indexes the
+# complement itself; the chunk's draw (``_Chunk.negatives``) is pinned to
+# it below.
 
 
 def test_sample_negatives_excludes_interacted():
@@ -139,6 +142,37 @@ def test_sample_negatives_match_mask_draw(interacted, k, seed):
     want = server_negatives_loop(row, np.zeros(k, dtype=np.int64), want_rng)
     assert same_bits(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def chunk_of(item_sets, n_items=12, dim=4):
+    """A ``_Chunk`` of devices 0, 1, ... holding ``item_sets``, no views."""
+    devs = make_devices([(u, items, u) for u, items in enumerate(item_sets)], dim)
+    users = np.array([dev.user_id for dev in devs], dtype=np.int64)
+    hyper = HyperParams(dim=dim)
+    return fedgcf.client._Chunk(devs[0].table, users, np.zeros((n_items, dim)), [None] * users.size, hyper)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    item_sets=st.lists(st.sets(st.integers(0, 11), max_size=11), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@example(item_sets=[{0, 2, 5}, set(range(1, 10)), set(), {11}], seed=0)
+def test_chunk_negatives_are_each_devices_draw(item_sets, seed):
+    # devices holding more than 6 of the 12 items draw with replacement
+    chunk = chunk_of([sorted(items) for items in item_sets])
+    got = chunk.negatives([np.random.default_rng(seed + j) for j in range(len(item_sets))])
+    want = [
+        j * 12 + sample_negatives(np.array(sorted(items), dtype=np.int64), len(items), 12, np.random.default_rng(seed + j))
+        for j, items in enumerate(item_sets)
+    ]
+    assert same_bits(got, np.concatenate(want).astype(np.int64))
+
+
+def test_chunk_negatives_raise_for_a_device_holding_every_item():
+    chunk = chunk_of([[0, 3], list(range(12)), [5]])
+    with pytest.raises(ValueError, match="user 1 interacted with every item"):
+        chunk.negatives([np.random.default_rng(j) for j in range(3)])
 
 
 # ---------------------------------------------------------------- training

@@ -1,5 +1,5 @@
-"""Golden bits: two small training runs against digests checked in from an
-earlier build.
+"""Golden bits: three small training runs against digests checked in from
+an earlier build.
 
 Every other test compares the tree with itself or with an oracle; this one
 compares it with a build that came before it, so a change that moves the
@@ -21,8 +21,8 @@ import pytest
 
 from fedgcf.cli import main
 
-# Both runs: 40 synthetic users of 300 items at density 0.1 with a val
-# share of 2, so each evaluation ranks users in both splits.
+# The first two runs: 40 synthetic users of 300 items at density 0.1 with
+# a val share of 2, so each evaluation ranks users in both splits.
 _DATA = [
     "--set", "synth_users=40",
     "--set", "synth_density=0.1",
@@ -55,6 +55,23 @@ RUNS = {
         "--set", "ldp_noise=1e-3",
         "--set", "eval_view=device",
     ],
+    # 300 users of 450 items with 3,521 contributed edges: each server batch
+    # of 2,500 triplets spans three ranking blocks of learn._PAIR_BLOCK;
+    # 8 devices a round and 5 mender epochs
+    "server_graph": [
+        "--set", "synth_users=300",
+        "--set", "synth_items=450",
+        "--set", "synth_density=0.2",
+        "--set", "split_val=2",
+        "--set", "dim=16",
+        "--set", "learning_rate=0.05",
+        "--set", "eval_every=1",
+        "--set", "rounds=3",
+        "--set", "clients_per_round=8",
+        "--set", "mend_epochs=5",
+        "--set", "server_batch=2500",
+        "--set", "ldp_clip=1e6",
+    ],
 }
 
 # (numpy version, OpenBLAS config string, numpy's SIMD "found" list) ->
@@ -75,6 +92,11 @@ GOLDEN = {
             "model": "b6c2b5bbd424532e207840bcb4488c5a3d772662653806f203b9a7a7cbb04c27",
             "device_user": "a4a6f73ea758d0507ea82eac89e58a0c3c18206d8630dac06a46b844b26cc330",
             "metrics": "e570507fc8ac5e393c7b421d3ee935a5c8d65ffb9a7d7b5b627211c12de0bcc1",
+        },
+        "server_graph": {
+            "model": "2dd8ecf1294c8e545e06abaf01ef2bdffdc76e76a4715d8fa5f3c7a94861da04",
+            "device_user": "8029264ec5ee30ee4c7478a09cd2373776ea60b0676a5ebbff56960896a9b50b",
+            "metrics": "610d6586bee87eef546ad2b50821ef89e6db94eccf7b8dbb0ce540815f9a05dc",
         },
     },
 }

@@ -23,6 +23,7 @@ from fedgcf.learn import (
     _infonce_terms,
     _nonzero_rows,
     _safe_unit,
+    _star_sums,
     adam_step,
     add_rows,
     compute_gradients,
@@ -655,6 +656,40 @@ def test_bundle_from_dense_skips_zero_rows():
     gi = np.zeros((3, 2))
     b = GradientBundle(_nonzero_rows(gu), _nonzero_rows(gi))
     assert set(as_dict(b.user)) == {1} and not b.item
+
+
+def test_nonzero_rows_hand_out_the_table_only_when_every_row_is_nonzero():
+    full = np.array([[1.0, 0.0], [0.0, -2.0], [-0.0, 1e-300]])
+    block = _nonzero_rows(full)
+    assert block.values is full and same_bits(block.rows, np.arange(3))
+    # a row of signed zeros is zero
+    gaps = np.array([[1.0, 0.0], [-0.0, 0.0], [0.0, 3.0]])
+    block = _nonzero_rows(gaps)
+    assert not np.shares_memory(block.values, gaps)
+    assert same_bits(block.rows, np.array([0, 2])) and same_bits(block.values, gaps[[0, 2]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    width=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_star_sums_same_bits_for_grouped_and_shuffled_owners(counts, width, seed):
+    # values of magnitudes far apart, so the order of the additions shows
+    # in the bits; the shuffle interleaves the stars' runs but keeps each
+    # star's rows in their order
+    rng = np.random.default_rng(seed)
+    owners = np.repeat(np.arange(len(counts)), counts)
+    shape = (owners.size, width) if width else (owners.size,)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    shuffled_owners = rng.permutation(owners)
+    shuffled = np.empty_like(values)
+    shuffled[np.argsort(shuffled_owners, kind="stable")] = values
+    grouped = _star_sums(values, owners, len(counts))
+    assert same_bits(_star_sums(shuffled, shuffled_owners, len(counts)), grouped)
+    want = np.array([np.sum(values[owners == s]) for s in range(len(counts))])
+    assert same_bits(grouped, want)
 
 
 def test_bundle_check_finite_raises():

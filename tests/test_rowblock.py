@@ -16,7 +16,7 @@ from fedgcf.graph import EmbeddingState
 from fedgcf.learn import AdamMoments, GradientBundle, HyperParams, RowBlock, adam_update_rows
 from fedgcf.server import apply_ldp, fedavg_aggregate
 
-from oracles import adam_loop, as_dict, block_of, bundle_of, fedavg_loop, ldp_loop
+from oracles import adam_loop, as_dict, block_of, bundle_of, fedavg_loop, ldp_loop, same_bits
 
 D = 3
 N_USERS = 4
@@ -140,6 +140,32 @@ def test_adam_update_rows_on_every_moment_row_matches_loop():
         assert_same_rows(RowBlock(moments.rows, moments.values[:, 0]), {r: m for r, (m, _) in ref_moments.items()})
         assert_same_rows(RowBlock(moments.rows, moments.values[:, 1]), {r: v for r, (_, v) in ref_moments.items()})
         assert (moments.values is before) == (t > 2)  # grown at steps 1 and 2 only
+
+
+@given(st.lists(blocks(N_ITEMS, min_size=1), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_adam_update_rows_has_the_bits_of_the_one_expression_step(steps):
+    # the step through two temporaries against the formula written as one
+    # expression per line, a fresh temporary for each operation; odd rows
+    # count one step more, as rows of several devices do
+    hyper = HyperParams(learning_rate=0.01)
+    b1, b2, lr, eps = hyper.adam_beta1, hyper.adam_beta2, hyper.learning_rate, hyper.adam_eps
+    moments = AdamMoments().item
+    ref = np.zeros((N_ITEMS, 2, D))
+    for t, grads in enumerate(steps, start=1):
+        count = t + grads.rows % 2
+        delta = adam_update_rows(grads, moments, count, hyper)
+        bc1 = np.array([1.0 - b1**c for c in count.tolist()])[:, None]
+        bc2 = np.array([1.0 - b2**c for c in count.tolist()])[:, None]
+        m, v, g = ref[grads.rows, 0], ref[grads.rows, 1], grads.values
+        m = m * b1
+        m = m + (1.0 - b1) * g
+        v = v * b2
+        v = v + (1.0 - b2) * g * g
+        ref[grads.rows, 0], ref[grads.rows, 1] = m, v
+        assert same_bits(delta.rows, grads.rows)
+        assert same_bits(delta.values, -lr * (m / bc1) / (np.sqrt(v / bc2) + eps))
+        assert same_bits(moments.values, ref[moments.rows])
 
 
 # ---------------------------------------------------------------- bundle
