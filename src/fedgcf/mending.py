@@ -11,7 +11,7 @@ import numpy as np
 from .blocks import select_blocks, unit_rows
 from .graph import BipartiteGraph, EmbeddingState, default_alpha, propagate_combine, xavier_init
 from .learn import AdamMoments, HyperParams, LossSpec, adam_step, compute_gradients
-from .seeds import bounded_draws, child_rng
+from .seeds import child_rng
 
 
 @dataclass
@@ -97,8 +97,10 @@ def _sample_negative_links(space: _LinkSpace, count: int, rng: np.random.Generat
     A try is a user draw then an item draw, each ``rng.integers`` over the
     candidates, and is kept when it is not an edge; sampling stops at
     ``count`` links or ``50 * count`` tries. The tries are drawn in blocks
-    of raw words and reduced as ``rng.integers`` would reduce them, and
-    the generator is left where those scalar draws would leave it.
+    by one ``rng.integers`` over the bounds of the block, which draws what
+    those scalar calls would; the block that finds the last link is drawn
+    again from its start state up to that try, so the generator is left
+    where the scalar calls would leave it.
     """
     users, items, n_items, edge_keys = space.users, space.items, space.n_items, space.edge_keys
     total_cells = users.size * items.size
@@ -106,31 +108,28 @@ def _sample_negative_links(space: _LinkSpace, count: int, rng: np.random.Generat
         return np.zeros((0, 2), dtype=np.int64)
     non_edges = total_cells - edge_keys.size
     cycle = np.array([users.size, items.size])
-    saved = rng.bit_generator.state
     found = [np.zeros(0, dtype=np.int64)]  # keys u * n_items + i
-    n_found = attempts = consumed = 0
+    n_found = attempts = 0
     max_attempts = 50 * max(count, 1)
-    words = np.zeros(0, dtype=np.uint64)
     while n_found < count and attempts < max_attempts:
         # the tries expected to find the links still needed, and a tenth more
-        block = min(_TRY_BLOCK, (count - n_found) * total_cells * 11 // (10 * non_edges) + 1)
-        # two words a try, or one when a bound of 1 reads none
-        words = np.concatenate([words, rng.integers(0, 2**32, size=2 * block, dtype=np.uint64)])
-        values, ends = bounded_draws(words, np.tile(cycle, min(words.size, max_attempts - attempts)))
-        tries = values.size // 2
-        keys = users[values[0 : 2 * tries : 2]] * n_items + items[values[1 : 2 * tries : 2]]
+        tries = min(
+            _TRY_BLOCK,
+            (count - n_found) * total_cells * 11 // (10 * non_edges) + 1,
+            max_attempts - attempts,
+        )
+        saved = rng.bit_generator.state
+        values = rng.integers(0, np.tile(cycle, tries))
+        keys = users[values[0::2]] * n_items + items[values[1::2]]
         at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
         hit = np.flatnonzero(edge_keys[at] != keys)[: count - n_found]
-        if hit.size == count - n_found:
+        if hit.size == count - n_found and hit[-1] + 1 < tries:
             tries = int(hit[-1]) + 1
+            rng.bit_generator.state = saved
+            rng.integers(0, np.tile(cycle, tries))
         found.append(keys[hit])
         n_found += hit.size
         attempts += tries
-        used = int(ends[2 * tries - 1]) if tries else 0
-        consumed += used
-        words = words[used:]
-    rng.bit_generator.state = saved
-    rng.integers(0, 2**32, size=consumed, dtype=np.uint64)
     keys = np.concatenate(found)
     need = count - n_found
     if need > 0:

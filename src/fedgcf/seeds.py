@@ -31,69 +31,6 @@ def child_rng(*keys: int | str) -> np.random.Generator:
     return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
-def bounded_draws(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """The draws that scalar ``rng.integers(n)`` calls, n running through
-    ``bounds`` (each in [1, 2**32]), make from the raw 32-bit ``words``
-    that follow in the generator's stream.
-
-    numpy runs Lemire's bounded method (Lemire, ACM TOMACS 2019) on one
-    word per try: ``m = w * n`` gives ``m >> 32`` unless
-    ``m mod 2**32 < (2**32 - n) mod n``, which rejects the word and
-    retries the same bound on the next. A bound of 1 gives 0 and reads no
-    word. Returns the values of the leading draws the words complete and,
-    for each, the index one past the last word it or an earlier draw read.
-    """
-    bounds = np.asarray(bounds, dtype=np.uint64)
-    wide = bounds > 1
-    n = bounds[wide]
-    got = np.zeros(n.size, dtype=np.int64)
-    end = np.zeros(n.size, dtype=np.int64)
-    done = start = 0
-    while done < n.size and start < words.size:
-        span = min(n.size - done, words.size - start)
-        bound = n[done : done + span]
-        m = words[start : start + span] * bound
-        low = m & 0xFFFFFFFF
-        # (2**32 - n) mod n < n, so only a low half below n can be rejected
-        near = np.flatnonzero(low < bound)
-        rejected = near[low[near] < (2**32 - bound[near]) % bound[near]]
-        stop = int(rejected[0]) if rejected.size else span
-        got[done : done + stop] = m[:stop] >> 32
-        end[done : done + stop] = np.arange(start + 1, start + 1 + stop)
-        done += stop
-        # a rejection shifts every later draw by one word
-        start += stop + (rejected.size > 0)
-    at = np.flatnonzero(wide)
-    complete = int(at[done]) if done < n.size else bounds.size
-    values = np.zeros(complete, dtype=np.int64)
-    values[at[:done]] = got[:done]
-    ends = np.concatenate([[0], end[:done]])[np.cumsum(wide[:complete])]
-    return values, ends
-
-
-def bounded_integers(rng: np.random.Generator, bounds) -> np.ndarray:
-    """``[rng.integers(n) for n in bounds]`` as one int64 array, drawn as
-    blocks of raw words and reduced by ``bounded_draws``; ``rng`` is left
-    where the scalar calls would leave it."""
-    bounds = np.asarray(bounds, dtype=np.int64)
-    saved = rng.bit_generator.state
-    values = [np.zeros(0, dtype=np.int64)]
-    words = np.zeros(0, dtype=np.uint64)
-    consumed = 0
-    while bounds.size:
-        # a word for each draw that reads one, and a few for rejections
-        more = rng.integers(0, 2**32, size=np.count_nonzero(bounds > 1) + 16, dtype=np.uint64)
-        words = np.concatenate([words, more])
-        got, ends = bounded_draws(words, bounds)
-        used = int(ends[-1]) if ends.size else 0
-        values.append(got)
-        bounds, words = bounds[got.size :], words[used:]
-        consumed += used
-    rng.bit_generator.state = saved
-    rng.integers(0, 2**32, size=consumed, dtype=np.uint64)
-    return np.concatenate(values)
-
-
 # numpy's choice without replacement shuffles the tail of arange(c) instead
 # of running Floyd's algorithm when c > _TAIL_POP and n > c // _TAIL_DIV
 _TAIL_POP, _TAIL_DIV = 10_000, 50
@@ -117,10 +54,11 @@ def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
       down to 1, with a draw of bound i + 1.
 
     The bounds of every run are known up front, so all draws come from one
-    ``bounded_integers`` call. For runs of at most ``_STEPPED_RUN`` draws,
-    Floyd's rule and the swaps then run step by step, each step over every
-    run still that long: at most 2 * ``_STEPPED_RUN`` array steps, and step
-    s compares each pick with the s before it. A run that long costs
+    ``rng.integers`` call over the array of bounds, which draws what the
+    scalar calls would, in turn. For runs of at most ``_STEPPED_RUN``
+    draws, Floyd's rule and the swaps then run step by step, each step over
+    every run still that long: at most 2 * ``_STEPPED_RUN`` array steps, and
+    step s compares each pick with the s before it. A run that long costs
     O(n**2) comparisons where numpy's hash set costs O(n), so longer runs,
     and the rare tail shuffles, run one Python step per draw instead, in
     time linear in the run.
@@ -141,7 +79,7 @@ def choice_runs(rng: np.random.Generator, pops, sizes) -> np.ndarray:
         [c, c - q, c - n + 1 + q],
         2 * n - q,  # Floyd's shuffle
     )
-    draws = bounded_integers(rng, bounds)
+    draws = rng.integers(0, bounds)
 
     # a run's first n draws are its picks, with replacement or by Floyd's
     out_starts = np.cumsum(sizes) - sizes

@@ -1,5 +1,5 @@
-"""Golden bits: three small training runs against digests checked in from
-an earlier build.
+"""Golden bits: small training and mending runs against digests checked in
+from an earlier build.
 
 Every other test compares the tree with itself or with an oracle; this one
 compares it with a build that came before it, so a change that moves the
@@ -72,11 +72,49 @@ RUNS = {
         "--set", "server_batch=2500",
         "--set", "ldp_clip=1e6",
     ],
+    # 10 items, one cluster and everyone sharing all: most users' server
+    # negative runs are longer than the items outside their mended row, so
+    # they are drawn with replacement
+    "server_negatives_replaced": [
+        "--set", "synth_users=40",
+        "--set", "synth_items=10",
+        "--set", "synth_clusters=1",
+        "--set", "synth_density=0.6",
+        "--set", "split_train=6",
+        "--set", "split_val=2",
+        "--set", "split_test=2",
+        "--set", "share_mode=fixed",
+        "--set", "share_ratio=1.0",
+        "--set", "eval_k=3",
+        "--set", "rounds=2",
+        "--set", "mend_epochs=2",
+    ],
+}
+
+# fedgcf mend runs, whose digest is the sha256 of the predicted-links file
+MENDS = {
+    # 3 non-edges among the 400 cells of 40 x 10: 50 rejection tries per
+    # link find 17 and 10 of the 39 negatives in the two mender epochs, and
+    # the rest come from the non-edge list
+    "mend_negatives_listed": [
+        "--set", "synth_users=40",
+        "--set", "synth_items=10",
+        "--set", "synth_clusters=1",
+        "--set", "synth_density=0.99",
+        "--set", "split_val=0",
+        "--set", "split_test=0",
+        "--set", "share_mode=fixed",
+        "--set", "share_ratio=1.0",
+        "--set", "mend_threshold=-1",
+        "--set", "mend_cap_per_user=10",
+        "--set", "mend_epochs=2",
+    ],
 }
 
 # (numpy version, OpenBLAS config string, numpy's SIMD "found" list) ->
-# run -> digests: the server model (user then item table bytes), the
-# snapshot's device_user table and metrics.jsonl
+# run -> digests: for a training run the server model (user then item
+# table bytes), the snapshot's device_user table and metrics.jsonl; for a
+# mend run its links file
 GOLDEN = {
     (
         "2.4.6",
@@ -97,6 +135,14 @@ GOLDEN = {
             "model": "2dd8ecf1294c8e545e06abaf01ef2bdffdc76e76a4715d8fa5f3c7a94861da04",
             "device_user": "8029264ec5ee30ee4c7478a09cd2373776ea60b0676a5ebbff56960896a9b50b",
             "metrics": "610d6586bee87eef546ad2b50821ef89e6db94eccf7b8dbb0ce540815f9a05dc",
+        },
+        "server_negatives_replaced": {
+            "model": "bcc7b9ad088389def2df08ba0a05ecdf0701e0102d9380e8bcd52664f2e04f2e",
+            "device_user": "362b4fcae663133beb97be04c7875695a801297c94310973beadae47891082f2",
+            "metrics": "7788e757cbe132940dc3039a8a03fca0155d61669e8fd299c6a0912a767ca3a4",
+        },
+        "mend_negatives_listed": {
+            "links": "a1a6f4e4de6b4133364443e26bb11b77a174a57c48bb95227aa1c7e04a19de1c",
         },
     },
 }
@@ -131,15 +177,26 @@ def digests(out_dir) -> dict:
     }
 
 
-@pytest.mark.usefixtures("one_blas_thread")
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_runs_have_the_golden_bits(tmp_path, capsys, run):
-    out = tmp_path / run
-    assert main(["train", *RUNS[run], "--out-dir", str(out)]) == 0
-    got = digests(out)
+def check(run: str, got: dict, capsys) -> None:
     key = environment()
     if key not in GOLDEN:
         with capsys.disabled():
             print(f"\nno golden bits for {key!r}; {run}: {json.dumps(got)}")
         pytest.skip(f"no golden bits for {key!r}")
     assert got == GOLDEN[key][run]
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_runs_have_the_golden_bits(tmp_path, capsys, run):
+    out = tmp_path / run
+    assert main(["train", *RUNS[run], "--out-dir", str(out)]) == 0
+    check(run, digests(out), capsys)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+@pytest.mark.parametrize("run", sorted(MENDS))
+def test_mends_have_the_golden_links(tmp_path, capsys, run):
+    out = tmp_path / "links.tsv"
+    assert main(["mend", *MENDS[run], "--out", str(out)]) == 0
+    check(run, {"links": sha256(out.read_bytes())}, capsys)

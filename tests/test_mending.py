@@ -20,7 +20,7 @@ from fedgcf.mending import (
     write_predictions_tsv,
 )
 
-from fedgcf.seeds import bounded_draws, child_rng
+from fedgcf.seeds import child_rng
 
 from oracles import has_edge, impair_graph_loop, predict_links_loop, sample_negative_links_loop
 
@@ -276,16 +276,29 @@ def test_sample_negative_links_matches_nested_loop(g, count, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("side,n_missing,count", [(20, 2, 8), (40, 10, 5)])
-def test_sample_negative_links_dense_fallback_matches_nested_loop(side, n_missing, count):
+_DENSE_CASES = [(20, 2, 8), (40, 10, 5)]
+
+
+@pytest.mark.parametrize(
+    "side,n_missing,count,block",
+    [pytest.param(*case, mending_module._TRY_BLOCK, id="-".join(map(str, case))) for case in _DENSE_CASES]
+    + [
+        pytest.param(*case, block, id="-".join(map(str, case)) + f"-block{block}")
+        for case in _DENSE_CASES
+        for block in (1, 7)
+    ],
+)
+def test_sample_negative_links_dense_fallback_matches_nested_loop(side, n_missing, count, block):
     # a near-complete graph: 50 rejection draws per link find too few
     # non-edges, so the rest come from the non-edge list, drawn with
-    # replacement when it is shorter than the shortfall, without otherwise
+    # replacement when it is shorter than the shortfall, without otherwise;
+    # in blocks of 7 tries the cap of 50 * count cuts the last block short
     rng = np.random.default_rng(side)
     missing = set(map(tuple, rng.choice(side, size=(n_missing, 2)).tolist()))
     g = BipartiteGraph(side, side, [(u, i) for u in range(side) for i in range(side) if (u, i) not in missing])
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    links = _sample_negative_links(_LinkSpace(g), count, rng)
+    with mock.patch.object(mending_module, "_TRY_BLOCK", block):
+        links = _sample_negative_links(_LinkSpace(g), count, rng)
     ref_links, from_list = sample_negative_links_loop(g, count, ref_rng)
     assert from_list > 0
     assert np.array_equal(links, ref_links)
@@ -306,26 +319,6 @@ def test_sample_negative_links_over_many_blocks_matches_nested_loop(g, count, se
         links = _sample_negative_links(_LinkSpace(g), count, rng)
     ref_links, _ = sample_negative_links_loop(g, count, ref_rng)
     assert np.array_equal(links, ref_links)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "bounds",
-    [(3 * 2**30, 2**31 + 1), (2**31 + 1, 7), (5, 3 * 2**30), (1600, 2400), (2**31 + 1,), (3 * 2**30,)],
-)
-def test_bounded_draws_reproduce_scalar_integers(bounds):
-    # bounds above 2**31 reject up to half the words, so the later draws
-    # sit at shifted words and a rejected word may end a block
-    m = 2000
-    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    expect = [ref_rng.integers(bounds[j % len(bounds)]) for j in range(m)]
-    saved = rng.bit_generator.state
-    values, ends = bounded_draws(rng.integers(0, 2**32, size=4 * m, dtype=np.uint64), np.resize(bounds, 4 * m))
-    assert values.dtype == np.int64 and values[:m].tolist() == expect
-    if max(bounds) > 2**31:
-        assert ends[m - 1] > m  # some words were rejected
-    rng.bit_generator.state = saved
-    rng.integers(0, 2**32, size=ends[m - 1], dtype=np.uint64)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedgcf
-from fedgcf.seeds import bounded_draws, bounded_integers, child_rng, choice_runs
+from fedgcf.seeds import child_rng, choice_runs
 
 
 def draws(*keys, n=8):
@@ -61,14 +61,16 @@ def test_package_reexports_resolve():
 
 # ---------------------------------------------------------------- numpy's bounded draws
 #
-# The server's and the mender's negatives are reproduced from raw words by
-# the emulator in fedgcf.seeds. These tests pin it to numpy's own calls, so
-# a numpy release that draws differently fails here first.
+# The server's negatives come from choice_runs, which reproduces
+# Generator.choice's branches and takes all their draws from one
+# Generator.integers call over an array of bounds; the mender draws its
+# rejection tries by such calls too. These tests pin both to numpy's own
+# calls, so a numpy release that draws differently fails here first.
 
 
 def numpy_changed(what: str) -> str:
     return (
-        f"numpy {np.__version__} {what} no longer draws what fedgcf.seeds emulates; "
+        f"numpy {np.__version__} {what} no longer draws what fedgcf reproduces of it; "
         "the negatives of server_train and of the mender would no longer be numpy's"
     )
 
@@ -81,43 +83,20 @@ def numpy_changed(what: str) -> str:
         [2**31 + 1] * 200,  # rejects about half of the words
         [3 * 2**30, 1, 2**31 + 1, 2, 2**32] * 40,
         [1600, 2400] * 300,
+        # the mender's tries over heavy rejection, each bound beside the others
+        [3 * 2**30, 2**31 + 1, 7, 5, 3 * 2**30] * 400,
         [],
     ],
-    ids=["ones", "mixed-ones", "half-rejected", "wide", "mender-cycle", "empty"],
+    ids=["ones", "mixed-ones", "half-rejected", "wide", "mender-cycle", "rejected-pairs", "empty"],
 )
-def test_bounded_integers_are_scalar_integers(bounds):
+def test_array_bound_integers_are_scalar_integers(bounds):
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     want = [int(ref_rng.integers(n)) for n in bounds]
-    got = bounded_integers(rng, bounds)
+    got = rng.integers(0, np.array(bounds, dtype=np.int64))
     assert got.dtype == np.int64
+    # each scalar call, in turn, against one call over the array of bounds
     assert got.tolist() == want, numpy_changed("Generator.integers")
     assert rng.bit_generator.state == ref_rng.bit_generator.state, numpy_changed("Generator.integers")
-
-
-def test_bounded_draws_stop_where_the_words_run_out():
-    # 3 words serve the 3 bounds above 1, rejections aside; the ones
-    # between them complete with the draw before them
-    bounds = [1, 5, 1, 1, 7, 9, 1]
-    words = np.random.default_rng(3).integers(0, 2**32, size=3, dtype=np.uint64)
-    values, ends = bounded_draws(words, bounds)
-    assert values.size == len(bounds) and ends.tolist() == [0, 1, 1, 1, 2, 3, 3]
-    values, ends = bounded_draws(words[:2], bounds)
-    assert values.size == 5 and ends.tolist() == [0, 1, 1, 1, 2]
-    assert bounded_draws(words[:0], bounds)[0].tolist() == [0]
-
-
-@pytest.mark.parametrize("n", [3, 641, 2399, 2**31 + 1, 3 * 2**30 + 1])
-def test_bounded_draws_reject_exactly_below_the_threshold(n):
-    # Lemire's rule at its edge, on words made to land there: a word whose
-    # low product half is (2**32 - n) mod n is kept, one a step below is
-    # rejected and the same bound retried on the next word. An odd n has an
-    # inverse mod 2**32, so the words with a given low half are known
-    threshold = (2**32 - n) % n
-    below, at = ((threshold + k) * pow(n, -1, 2**32) % 2**32 for k in (-1, 0))
-    values, ends = bounded_draws(np.array([below, at], dtype=np.uint64), [n])
-    assert ends.tolist() == [2] and values.tolist() == [at * n >> 32]
-    values, ends = bounded_draws(np.array([at, below], dtype=np.uint64), [n, n])
-    assert ends.tolist() == [1] and values.tolist() == [at * n >> 32]
 
 
 # each case: (complement size, draws) runs, in turn
