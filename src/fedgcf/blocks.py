@@ -64,7 +64,8 @@ def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     default budget a block of 25 columns holds 10,464 rows (about
     2**18 / 25), so so few columns take more than one block from about 21k
     rows on. With more BLAS threads the full product's own bits depend on
-    the thread count at some shapes.
+    the thread count at some shapes: with OpenBLAS, ``A @ B.T`` at 5000 x
+    301 x 64 gives other bits under 1 and 2 threads.
     """
     size = max(_ROW_ALIGN, _SCORE_BUDGET // max(n_cols, 1) // _ROW_ALIGN * _ROW_ALIGN)
     starts = list(range(0, n_rows, size))[: max(1, n_rows // size)]  # the last takes the rest
@@ -163,7 +164,8 @@ def map_blocks(run, n_blocks: int) -> list:
     thread allocates). Results are collected by block index, so the output
     never depends on scheduling as long as each block writes only its own
     part of any shared output. A one-block call runs inline and starts no
-    worker.
+    worker: every stacked device call of ``learn._infonce_terms``, and
+    every stage at the CLI's default 200 users x 300 items.
     """
     if n_blocks == 1:
         return [run(0)]

@@ -160,6 +160,8 @@ class DeviceTable:
         return self.p_u.shape[0]
 
     def local_items(self, u: int) -> np.ndarray:
+        """User u's train items, ascending: the array
+        ``ds.pairs_by_user(ds.train)`` holds for u, empty where it has none."""
         return self.items[self.item_ptr[u] : self.item_ptr[u + 1]]
 
     def counts(self, users: np.ndarray) -> np.ndarray:
@@ -395,8 +397,8 @@ class _Chunk:
             self.work = self.work.merge(RowBlock(step.rows, rows[r] + step.values))
 
     def finish(self, tiers: list[ShareTier]) -> tuple[list[DeviceUpload], list[LossParts]]:
-        """Write every device's row and moments back to the table and return
-        the devices' uploads and mean losses."""
+        """Write every device's row and moments back to the table, one
+        scatter per array, and return the devices' uploads and mean losses."""
         n_items = self.item_table.shape[0]
         n, hyper, p, work = self.users.size, self.hyper, self.p, self.work
         sharers = [j for j, tier in enumerate(tiers) if tier != ShareTier.NONE]

@@ -82,6 +82,7 @@ def evaluate(
     ``ds`` and its three split arrays, which ``InteractionDataset`` makes
     read-only. Whatever it asks, the kept result is dropped. The memo
     holds only weak references to those objects, so it keeps none alive.
+    A kept result has the bits of a fresh call, which ranks the same users.
 
     Ranking the union instead of one split's users changes the row blocks
     (``blocks.row_blocks``) when the two splits' users differ; the blocks keep

@@ -166,7 +166,8 @@ def _server_negatives(graph: BipartiteGraph, users: np.ndarray, rng: np.random.G
     """One negative per entry of the ascending, nonempty ``users``, outside
     the user's row of ``graph``: per run of one user, the draws of
     ``rng.choice`` of the row's complement size (with replacement only when
-    the run is longer), all runs in one ``choice_runs`` pass, then one
+    the run is longer), which are the draws ``rng.choice`` of the complement
+    array itself makes, all runs in one ``choice_runs`` pass, then one
     ``nth_outside`` over all rows laid end to end, user u's items as the
     keys ``u * n_items + item``."""
     run_users, counts = np.unique(users, return_counts=True)
@@ -304,6 +305,9 @@ def fedavg_aggregate(
     that touch the row; untouched rows copy through, and rows whose total
     weight is zero stay unchanged. Each row's sums run in list order, which
     callers keep deterministic (server first, then ascending device id).
+    Returns a new model and leaves ``base`` as it was, so each round's
+    aggregate gets fresh views (``loop._server_views`` keys them on the
+    model object).
     """
     out = base.copy()
     for name in ("user", "item"):

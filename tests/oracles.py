@@ -2,7 +2,11 @@
 
 Everything here is deliberately written by a different route than the
 package code: dense matrices instead of compressed adjacency, explicit
-loops instead of vectorized math, and brute-force fixpoints.
+loops instead of vectorized math, and brute-force fixpoints. Among them: a
+dense adjacency propagation, a per-node sequential propagation loop that
+the kernel matches bit for bit, a one-device-at-a-time local training loop
+that the batched device round matches bit for bit, finite-difference
+gradients and exact metric recomputation.
 """
 
 from __future__ import annotations

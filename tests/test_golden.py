@@ -89,6 +89,67 @@ RUNS = {
         "--set", "rounds=2",
         "--set", "mend_epochs=2",
     ],
+    # the remaining runs are CI smoke configs. At d = 1 a node alone in its
+    # degree bucket sums one number per row, through the accumulate branch
+    # of the propagation kernel
+    "dim_one": [
+        "--set", "synth_users=40",
+        "--set", "dim=1",
+        "--set", "rounds=2",
+        "--set", "mend_epochs=2",
+    ],
+    # a clip without noise builds no LDP generator and draws nothing; no
+    # delta row of this run is longer than 0.05, so its bits are those of
+    # the same run without a clip
+    "clip_without_noise": [
+        "--set", "synth_users=40",
+        "--set", "rounds=2",
+        "--set", "mend_epochs=2",
+        "--set", "ldp_clip=0.05",
+    ],
+    # one cluster at density 0.7 over 30 items: most devices hold more
+    # train items than they lack, so their negatives are drawn with
+    # replacement
+    "device_negatives_replaced": [
+        "--set", "synth_users=40",
+        "--set", "synth_items=30",
+        "--set", "synth_clusters=1",
+        "--set", "synth_density=0.7",
+        "--set", "rounds=2",
+        "--set", "mend_epochs=2",
+        "--set", "local_epochs=2",
+    ],
+    # no val pairs: every evaluation reads val recall 0.0, which is no
+    # plateau, so patience 1 does not stop the run
+    "no_val_patience_one": [
+        "--set", "synth_users=60",
+        "--set", "synth_items=40",
+        "--set", "synth_density=0.6",
+        "--set", "split_val=0",
+        "--set", "rounds=4",
+        "--set", "eval_every=1",
+        "--set", "patience=1",
+        "--set", "mend_epochs=2",
+    ],
+}
+
+# fedgcf eval runs: (train args, eval args), whose digest is the sha256 of
+# the per-user file eval writes for the trained snapshot
+EVALS = {
+    # a cutoff past the 300 synthetic items ranks every non-train item, so
+    # each row's ranking is a stable sort of all of its kept entries
+    "eval_past_the_items": (
+        [
+            "--set", "synth_users=40",
+            "--set", "rounds=2",
+            "--set", "mend_epochs=2",
+            "--set", "local_epochs=2",
+        ],
+        [
+            "--set", "synth_users=40",
+            "--set", "eval_k=400",
+        ],
+    ),
 }
 
 # fedgcf mend runs, whose digest is the sha256 of the predicted-links file
@@ -113,8 +174,8 @@ MENDS = {
 
 # (numpy version, OpenBLAS config string, numpy's SIMD "found" list) ->
 # run -> digests: for a training run the server model (user then item
-# table bytes), the snapshot's device_user table and metrics.jsonl; for a
-# mend run its links file
+# table bytes), the snapshot's device_user table and metrics.jsonl; for an
+# eval run its per-user file; for a mend run its links file
 GOLDEN = {
     (
         "2.4.6",
@@ -143,6 +204,29 @@ GOLDEN = {
         },
         "mend_negatives_listed": {
             "links": "a1a6f4e4de6b4133364443e26bb11b77a174a57c48bb95227aa1c7e04a19de1c",
+        },
+        "dim_one": {
+            "model": "938358369d380861188da37ab112901dc63a309a5915ba163ac4fe5ed6b68c23",
+            "device_user": "8e18a0e4e03de9490d91b33f2a5944dfb220c97f0574770442eb67773e8ddc03",
+            "metrics": "a18176cde75ca0de3a675b62ab34c6d62a79528c94587c7622db23d5c119aa13",
+        },
+        "clip_without_noise": {
+            "model": "ad4a33be60308f7aec6cdf49e4ba7c0f51c3c81b3498042b4f524b3caaa9123c",
+            "device_user": "92adfa322d8207c2a021fc20a6ad6686a19cbae42884bfb38376acdfcc57e026",
+            "metrics": "c4da72b048f9ec8c3913953807b5a7daf028c45717da8a822a28b025611dafb0",
+        },
+        "device_negatives_replaced": {
+            "model": "d3226981f5fdda09a3f642cc6804357f9d18c9385c2d7e83cad77a351225bfbd",
+            "device_user": "8b5a3bff5f474a10164d32405fe553a0eacf60ec905c1e3a5a8a25901734000b",
+            "metrics": "95badb33e1d58d0d18ace4cca4d99c5e8101d73217f795279ed555bec49365be",
+        },
+        "no_val_patience_one": {
+            "model": "a3cfcb483b9b13ef38be21106aaa44a5718faa05bef597e69f3a15bfcb0fa606",
+            "device_user": "9206b96ce75a53deb336ab76be638820cdfef9546993373cab80d043a47627c9",
+            "metrics": "e85c9d7ed69b7d2e5fc9e173e56cfcaccd6a9f4dee6c8e68b04aca2ba0d03455",
+        },
+        "eval_past_the_items": {
+            "per_user": "cc858d4aab6c1798ad6662ada1c46cd6c942b8f234a34c493121a640c13ca26d",
         },
     },
 }
@@ -200,3 +284,14 @@ def test_mends_have_the_golden_links(tmp_path, capsys, run):
     out = tmp_path / "links.tsv"
     assert main(["mend", *MENDS[run], "--out", str(out)]) == 0
     check(run, {"links": sha256(out.read_bytes())}, capsys)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+@pytest.mark.parametrize("run", sorted(EVALS))
+def test_evals_have_the_golden_per_user_file(tmp_path, capsys, run):
+    train, evaluate = EVALS[run]
+    assert main(["train", *train, "--out-dir", str(tmp_path / "run")]) == 0
+    out = tmp_path / "per_user.tsv"
+    snapshot = str(tmp_path / "run" / "snapshot.npz")
+    assert main(["eval", *evaluate, "--snapshot", snapshot, "--per-user", str(out)]) == 0
+    check(run, {"per_user": sha256(out.read_bytes())}, capsys)
